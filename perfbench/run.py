@@ -7,9 +7,9 @@ by one client in a closed loop.  A warm-up pass is followed by timed passes
 for ``--seconds`` (at least three).  Every pass is checked against closed
 forms and must write byte-identical files.
 
-``--trace 0`` reports the end-to-end metrics: median pass wall time
-(adjusted for host speed drift, see speed.py), median set-up time in a
-fresh interpreter, peak RSS and the geometric mean of the reported
+``--trace 0`` reports the end-to-end metrics: median pass wall time and
+median set-up time in a fresh interpreter (both adjusted for host speed
+drift, see speed.py), peak RSS and the geometric mean of the reported
 standard errors.  ``--trace 1`` follows the untraced passes with
 one traced pass and reports the per-layer metrics from it; workloads that
 run with several threads repeat the traced pass at ``--threads 1``, whose
@@ -71,13 +71,15 @@ def git_commit() -> str:
     return proc.stdout.strip() if proc.returncode == 0 else "unknown"
 
 
-def measure_setup(workload_name: str) -> float:
-    """Import + config/model build time in a fresh interpreter."""
+def measure_setup(workload_name: str) -> tuple[float, float]:
+    """Import + config/model build time in a fresh interpreter, raw and
+    adjusted by the host speed probe run in that interpreter."""
     proc = subprocess.run([sys.executable, str(HERE / "setup_probe.py"), workload_name],
                           cwd=ROOT, capture_output=True, text=True, timeout=120)
     if proc.returncode != 0:
         raise SystemExit(f"error: setup probe failed:\n{proc.stderr}")
-    return float(proc.stdout.strip().splitlines()[-1])
+    elapsed, probe = (float(v) for v in proc.stdout.split()[-2:])
+    return elapsed, elapsed * REF_PROBE_S / probe
 
 
 def digest_tree(root: Path) -> tuple[str, dict[str, str], int]:
@@ -184,7 +186,7 @@ def main(argv=None) -> int:
     out = run_dir / "pass"
     res = CheckResult()
     problems: list[str] = []
-    setup: list[float] = []  # set-up probe times, one per untraced pass
+    setup: list[tuple[float, float]] = []  # (raw, adjusted), one per untraced pass
     run = dict(cli=cli, workload=workload, cfg=cfg, out=out, res=res, probe=SpeedProbe(),
                seed=args.seed, reps=reps)
 
@@ -240,7 +242,7 @@ def main(argv=None) -> int:
         "se_geomean": metric(statistics.geometric_mean(se_values) if se_values else 0.0, "1"),
     }
     if setup:
-        end_to_end["setup_s"] = metric(statistics.median(setup), "s")
+        end_to_end["setup_s"] = metric(statistics.median(a for _, a in setup), "s")
     correct = res.failed == 0 and not problems
     record = {
         "meta": meta,
@@ -259,6 +261,7 @@ def main(argv=None) -> int:
         "speed_probes": [p.probes for p in passes],
         "command_walls": [p.walls for p in passes],
         "timed_passes": len(timed),
+        "setup_raw_s": statistics.median(r for r, _ in setup) if setup else None,
         "setup_runs": setup,
         "digest": digests,
         "files": passes[0].files,

@@ -1,7 +1,8 @@
 """Time palmlab's import plus the build of one workload's configs and models.
 
 Run in a fresh interpreter: ``python3 perfbench/setup_probe.py <workload>``.
-Prints the elapsed seconds.
+Prints the elapsed seconds, then the mean of two host speed probes run
+afterwards in the same process (see speed.py).
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from pathlib import Path  # noqa: E402
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from palmlab import events, identities, models  # noqa: E402
+from speed import SpeedProbe  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 
@@ -35,10 +37,12 @@ def build(workload) -> list:
         section = dict(parser.items(parser.sections()[0]))
         built.append(models.model_from_config(section))
         built.extend(events.parse_eventuality(text)
-                     for text in section["eventualities"].split(";"))
+                     for text in section.get("eventualities", "").split(";") if text.strip())
     return built
 
 
 if __name__ == "__main__":
     build(WORKLOADS[sys.argv[1]])
-    print(repr(time.perf_counter() - T0))
+    elapsed = time.perf_counter() - T0
+    probe = SpeedProbe()
+    print(repr(elapsed), repr((probe() + probe()) / 2))

@@ -68,6 +68,18 @@ def _suite(ids) -> tuple[Command, ...]:
     return tuple(Command(f"suite-{i}", ("suite", "--only", i)) for i in ids)
 
 
+def _suite_per_model(ids) -> tuple[Command, ...]:
+    """One command per (identity, default model) pair: the same rows as
+    ``suite --only <id>`` on the default models, in shorter commands, so the
+    host speed probe between commands (speed.py) samples the long per-row
+    loops more often.  These identities apply to the two time-stationary
+    default models."""
+    models = (("poisson", POISSON), ("gamma21", GAMMA21))
+    return tuple(Command(f"suite-{i}-{label}", ("suite", "--only", i),
+                         "[suite:model:1]\n" + section)
+                 for i in ids for label, section in models)
+
+
 WORKLOADS = {
     w.name: w
     for w in (
@@ -79,9 +91,9 @@ WORKLOADS = {
         ),
         Workload(
             "exact-integral",
-            reps=2048,
+            reps=4096,
             threads=1,
-            commands=_suite(EXACT_INTEGRAL_IDS) + (
+            commands=_suite_per_model(EXACT_INTEGRAL_IDS) + (
                 Command(
                     "ams-time",
                     ("ams",),
