@@ -2,9 +2,10 @@
 
 Event traces average the indicator of an eventuality seen from events
 1..n; time traces average it seen from positions y in (0, x], with the
-inner integral computed exactly from the piecewise-constant segment form
-(no discretization).  A verdict rule on the trace tail classifies runs as
-Convergent, NotConvergent, or Inconclusive; convergence can never be
+inner integral computed exactly by Eventuality.integrate, which sums the
+piecewise-constant integrand between its breaks (no discretization).  A
+verdict rule on the trace tail classifies runs as Convergent,
+NotConvergent, or Inconclusive; convergence can never be
 proven from finite data, so the rule is an explicit heuristic with an
 honest third outcome.
 """
@@ -18,16 +19,16 @@ import numpy as np
 
 from .errors import NoMean, TooFewCheckpoints
 from .estimate import (
+    DEFAULT_HORIZON_GAPS,
     Estimate,
     guard_window,
     ratio_estimate,
     run_kernel,
     straddle_gaps,
+    _events_in,
 )
 from .events import Eventuality, effective_radius
 from .models import ProcessModel, example44_block_ends, example44_labels
-
-DEFAULT_HORIZON_GAPS = 50.0
 
 
 @dataclass(frozen=True)
@@ -167,19 +168,11 @@ def cesaro_time(
     window = guard_window(model, r, 0.0, x_max)
 
     def kernel(batch, ctx):
+        integrals, ok = A.integrate(ctx, np.arange(batch.n), 0.0, x_max, cuts=cps)
         cols = np.zeros((batch.n, ncp + 1))
+        cols[:, :ncp] = integrals / cps
         cols[:, ncp] = 1.0
-        reject = np.zeros(batch.n, dtype=bool)
-        for i in range(batch.n):
-            p = batch.pattern(i)
-            edges, vals = A.segments(p, 0.0, x_max)
-            widths = np.diff(edges)
-            if np.any((vals == -1) & (widths > 0)):
-                reject[i] = True
-                continue
-            cum = np.concatenate(([0.0], np.cumsum(vals * widths)))
-            cols[i, :ncp] = np.interp(cps, edges, cum) / cps
-        return cols, reject
+        return cols, ~ok
 
     sums = run_kernel(model, window, budget, ncp + 1, kernel,
                       seed=seed, stream=stream, threads=threads)
@@ -249,25 +242,17 @@ def convert_es_to_ts(
     hi_w = window[1]
 
     def kernel(batch, ctx):
+        # T_1 exists where a stored event follows the origin
+        pos1 = ctx.pos0() + 1
+        t1 = ctx.point(pos1)
+        rows = np.flatnonzero((pos1 < ctx.off_hi) & (t1 + r <= hi_w))
+        integrals, ok = A.integrate(ctx, rows, 0.0, t1[rows])
+        rows = rows[ok]
         cols = np.zeros((batch.n, 2))
-        reject = np.zeros(batch.n, dtype=bool)
-        for i in range(batch.n):
-            p = batch.pattern(i)
-            try:
-                a0 = p.t(1)
-            except Exception:
-                reject[i] = True
-                continue
-            if a0 + r > hi_w:
-                reject[i] = True
-                continue
-            edges, vals = A.segments(p, 0.0, a0)
-            widths = np.diff(edges)
-            if np.any((vals == -1) & (widths > 0)):
-                reject[i] = True
-                continue
-            cols[i, 0] = float(np.sum(vals * widths))
-            cols[i, 1] = a0
+        cols[rows, 0] = integrals[ok]
+        cols[rows, 1] = t1[rows]
+        reject = np.ones(batch.n, dtype=bool)
+        reject[rows] = False
         return cols, reject
 
     sums = run_kernel(es_model, window, budget, 2, kernel,
@@ -299,10 +284,7 @@ def convert_ts_to_es(
         codes = A.at_events(ctx, np.clip(pos0, 0, None), np.arange(batch.n))
         reject = ~ok | (codes == -1)
         num = np.where(reject, 0.0, (codes == 1) / a0)
-        gs, shifts = ctx.gsorted()
-        counts = (np.searchsorted(gs, shifts + span, side="right")
-                  - np.searchsorted(gs, shifts, side="right"))
-        den = counts / span
+        den = _events_in(batch, ctx, 0.0, span)[2] / span
         return np.column_stack((num, den)), reject
 
     sums = run_kernel(ts_model, window, budget, 2, kernel,

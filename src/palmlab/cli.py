@@ -155,7 +155,7 @@ class Run:
 
     @property
     def horizon(self) -> float:
-        return self.get_float("horizon_gaps", 15.0)
+        return self.get_float("horizon_gaps", est_mod.DEFAULT_HORIZON_GAPS)
 
     def model(self):
         if "model" not in self.cfg:

@@ -31,7 +31,8 @@ from .events import EventContext, Eventuality, effective_radius
 from .models import LAW_TILTED_TS, LAW_TS, ProcessModel
 from .pattern import PatternBatch, PointPattern, ragged_ranges
 
-DEFAULT_HORIZON_GAPS = 50.0
+# Horizon, in mean gaps, for eventualities without a declared radius.
+DEFAULT_HORIZON_GAPS = 15.0
 
 
 @dataclass(frozen=True)
@@ -207,17 +208,17 @@ def straddle_gaps(batch: PatternBatch, ctx: EventContext):
     """Per replication: raw T_0 position, straddling gap, and whether the
     origin is actually straddled (both endpoints stored)."""
     pos0 = ctx.pos0()
-    ok = (pos0 >= ctx.off_lo) & (pos0 + 1 < ctx.off_hi)
+    ok = batch.straddled(pos0)
     safe = np.clip(pos0, 0, max(batch.points.size - 2, 0))
     a0 = batch.points[safe + 1] - batch.points[safe]
     return pos0, a0, ok
 
 
 def _events_in(batch: PatternBatch, ctx: EventContext, a: float, b: float):
-    """Flat positions and replication ids of all events in (a, b] per rep."""
-    gs, shifts = ctx.gsorted()
-    starts = np.searchsorted(gs, shifts + a, side="right")
-    stops = np.searchsorted(gs, shifts + b, side="right")
+    """Flat positions, replication ids and per-rep counts of all events in (a, b]."""
+    rows, origin = np.arange(batch.n), np.zeros(batch.n)
+    starts = ctx.last_le(origin, rows, a) + 1
+    stops = ctx.last_le(origin, rows, b) + 1
     e, rep = ragged_ranges(starts, stops)
     return e, rep, (stops - starts)
 
@@ -515,10 +516,10 @@ def pstar_model(base: ProcessModel, pad_gaps: float = 12.0) -> ProcessModel:
         padded = (lo - pad, hi + pad)
         out = base.sample_batch(rng, padded, n)
         u = rng.random(n)
-        pos0 = out.straddle_positions()
+        pos0 = out.pos0()
         safe = np.clip(pos0, 0, max(out.points.size - 2, 0))
         y = out.points[safe] + u * (out.points[safe + 1] - out.points[safe])
-        bad = (pos0 < 0) | (np.abs(y) > pad)
+        bad = ~out.straddled(pos0) | (np.abs(y) > pad)
         if np.any(bad):
             # a base draw without straddle, or a straddling gap wider than the
             # pad: redraw those rows until the shifted window covers the target

@@ -9,6 +9,13 @@ Evaluations are three-valued.  When the window does not hold the events
 needed to decide, the result is Indeterminate (None, or code -1 in array
 form); estimators treat that as a rejected replication, never as False.
 
+The scalar `evaluate` is the reference semantics.  Vectorized evaluation
+rests on two methods per eventuality: `codes_at`, the code seen from
+arbitrary positions y of a batch's rows, and `breaks`, the positions where
+that code can change.  Evaluation at events and at the origin are
+`codes_at` at those positions, and `integrate` sums the piecewise-constant
+code between sorted breaks to get exact integrals over time shifts.
+
 Textual form (used by the CLI and round-tripped by the parser):
 
     expr   := term ('|' term)*
@@ -27,7 +34,7 @@ import re
 import numpy as np
 
 from .errors import IndexOutOfPattern, NoStraddle, OutsideWindow
-from .pattern import PatternBatch, PointPattern
+from .pattern import PatternBatch, PointPattern, ragged_ranges
 
 _PATTERN_ERRORS = (NoStraddle, IndexOutOfPattern, OutsideWindow)
 
@@ -60,16 +67,38 @@ class EventContext:
         return self._gs
 
     def pos0(self) -> np.ndarray:
-        """Raw array position of T_0 per replication.
-
-        Equals off_lo - 1 when the replication has no event <= 0 and
-        off_hi - 1 when it has no positive event; bounds checks against
-        the replication's offsets decide what is actually usable.
-        """
+        """Raw array position of T_0 per replication (see PatternBatch.pos0)."""
         if self._pos0 is None:
-            gs, shifts = self.gsorted()
-            self._pos0 = np.searchsorted(gs, shifts, side="right") - 1
+            self._pos0 = self.batch.pos0()
         return self._pos0
+
+    def point(self, i: np.ndarray) -> np.ndarray:
+        """Event times at array positions i, clipped into the flat array;
+        callers mask the positions that fall outside their row."""
+        if self.points.size == 0:
+            return np.zeros(np.shape(i))
+        return np.take(self.points, i, mode="clip")
+
+    def last_le(self, y: np.ndarray, rep: np.ndarray, c: float = 0.0) -> np.ndarray:
+        """Array position of the last event T of row rep with T - y <= c
+        (off_lo - 1 when there is none), with T - y rounded as in the
+        scalar shift_time.
+
+        One searchsorted on the globally sorted points gives a first guess;
+        comparing unshifted values then moves it to the exact position, so
+        the offsets' rounding never decides a comparison.
+        """
+        lo = self.off_lo[rep] - 1
+        hi = self.off_hi[rep] - 1
+        gs, shifts = self.gsorted()
+        j = np.searchsorted(gs, (y + c) + shifts[rep], side="right") - 1
+        j = np.clip(j, lo, hi)
+        while True:
+            down = (j > lo) & (self.point(j) - y > c)
+            up = (j < hi) & (self.point(j + 1) - y <= c)
+            if not (down.any() or up.any()):
+                return j
+            j = j - down + up
 
 
 def _kleene_and(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -93,42 +122,100 @@ def _kleene_not(u: np.ndarray) -> np.ndarray:
     return out
 
 
-def _edges(breaks: np.ndarray, y_lo: float, y_hi: float) -> np.ndarray:
-    inner = np.unique(breaks[(breaks > y_lo) & (breaks < y_hi)])
-    return np.concatenate(([y_lo], inner, [y_hi]))
+# Rows per block in Eventuality.integrate: its break matrix holds about
+# this many rows times a few times the longest row's event count.
+INTEGRATE_BLOCK_ROWS = 256
 
 
 class Eventuality:
-    """Base class; subclasses are immutable and safe to share."""
+    """Base class; subclasses are immutable and safe to share.
+
+    Each subclass has a scalar `evaluate` (the reference semantics) and two
+    vectorized methods: `codes_at`, the three-valued code seen from given
+    positions, and `breaks`, the positions where that code can change.
+    Evaluation at events, at the origin and the exact integral over time
+    shifts are all built on these two.
+    """
 
     label: str
     radius: float | None
-
-    # -- scalar evaluation ------------------------------------------------
 
     def evaluate(self, p: PointPattern) -> bool | None:
         """True/False, or None when the pattern lacks the needed context."""
         raise NotImplementedError
 
-    # -- vectorized evaluation at events ----------------------------------
+    def codes_at(self, ctx: EventContext, y: np.ndarray, j: np.ndarray,
+                 rep: np.ndarray) -> np.ndarray:
+        """Codes (1/0/-1) of the eventuality seen from positions y in rows
+        rep, i.e. of evaluate(pattern.shift_time(y)); j is the array
+        position of the last event <= y (off_lo - 1 when there is none)."""
+        raise NotImplementedError
+
+    def breaks(self, pts: np.ndarray, wlo: np.ndarray, whi: np.ndarray) -> list:
+        """Positions y where codes_at can change, for a block of rows.
+
+        pts holds the rows' events as a matrix padded with +inf, wlo/whi
+        the rows' windows; the result is a list of matrices with one row
+        per pattern row (entries may be +inf).
+        """
+        raise NotImplementedError
 
     def at_events(self, ctx: EventContext, e: np.ndarray, rep: np.ndarray) -> np.ndarray:
         """Codes (1/0/-1) of the eventuality seen from events at array positions e."""
-        raise NotImplementedError
+        return self.codes_at(ctx, ctx.points[e], e, rep)
 
     def at_origin(self, ctx: EventContext) -> np.ndarray:
         """Codes (1/0/-1) of the eventuality at each replication's own origin."""
-        raise NotImplementedError
+        n = ctx.batch.n
+        return self.codes_at(ctx, np.zeros(n), ctx.pos0(), np.arange(n))
 
-    # -- exact piecewise form in the time-shift variable -------------------
+    def integrate(self, ctx: EventContext, rows: np.ndarray, y_lo, y_hi, cuts=None):
+        """Exact integral of the indicator seen from y over y in (y_lo, y_hi].
 
-    def segments(self, p: PointPattern, y_lo: float, y_hi: float):
-        """(edges, vals): vals[i] is the code of the eventuality seen from y
-        for y between edges[i] and edges[i+1]; exact, no discretization."""
-        raise NotImplementedError
-
-    def segment_breaks(self, p: PointPattern, y_lo: float, y_hi: float) -> np.ndarray:
-        raise NotImplementedError
+        rows are replication ids; y_lo and y_hi are scalars or arrays aligned
+        with rows.  The integrand is constant between consecutive breaks, so
+        it is evaluated once per piece, at the piece's midpoint.  With cuts
+        (fixed positions), column k holds the integral over
+        (y_lo, min(cuts[k], y_hi)].  Returns (values, ok): ok is False for
+        rows where a piece of positive width is indeterminate; their values
+        are 0.
+        """
+        rows = np.asarray(rows, dtype=np.int64)
+        m_all = rows.size
+        y_lo = np.broadcast_to(np.asarray(y_lo, dtype=np.float64), (m_all,))
+        y_hi = np.broadcast_to(np.asarray(y_hi, dtype=np.float64), (m_all,))
+        cuts = None if cuts is None else np.asarray(cuts, dtype=np.float64)
+        values = np.zeros(m_all if cuts is None else (m_all, cuts.size))
+        ok = np.ones(m_all, dtype=bool)
+        for b0 in range(0, m_all, INTEGRATE_BLOCK_ROWS):
+            blk = slice(b0, b0 + INTEGRATE_BLOCK_ROWS)
+            r = rows[blk]
+            m = r.size
+            lo, hi = y_lo[blk, None], y_hi[blk, None]
+            starts, stops = ctx.off_lo[r], ctx.off_hi[r]
+            flat, rid = ragged_ranges(starts, stops)
+            pts = np.full((m, int(np.max(stops - starts, initial=0))), np.inf)
+            pts[rid, flat - starts[rid]] = ctx.points[flat]
+            cols = [lo, hi] + self.breaks(pts, ctx.wlo[r], ctx.whi[r])
+            if cuts is not None:
+                cols.append(np.broadcast_to(cuts, (m, cuts.size)))
+            edges = np.sort(np.clip(np.concatenate(cols, axis=1), lo, hi), axis=1)
+            widths = np.diff(edges, axis=1)
+            pi, ci = np.nonzero(widths > 0)
+            right = edges[pi, ci + 1]
+            y = 0.5 * (edges[pi, ci] + right)
+            rep = r[pi]
+            codes = self.codes_at(ctx, y, ctx.last_le(y, rep), rep)
+            part = np.where(codes == 1, widths[pi, ci], 0.0)
+            if cuts is None:
+                values[blk] = np.bincount(pi, weights=part, minlength=m)
+            else:
+                for k, cut in enumerate(cuts):
+                    values[blk, k] = np.bincount(pi, weights=part * (right <= cut),
+                                                 minlength=m)
+            ok[b0 + pi[codes == -1]] = False
+        values[~ok] = 0.0
+        return values, ok
 
     # -- sugar --------------------------------------------------------------
 
@@ -160,14 +247,11 @@ class _Const(Eventuality):
     def evaluate(self, p):
         return self.value
 
-    def at_events(self, ctx, e, rep):
-        return np.full(e.shape, 1 if self.value else 0, dtype=np.int8)
+    def codes_at(self, ctx, y, j, rep):
+        return np.full(y.shape, 1 if self.value else 0, dtype=np.int8)
 
-    def at_origin(self, ctx):
-        return np.full(ctx.batch.n, 1 if self.value else 0, dtype=np.int8)
-
-    def segments(self, p, y_lo, y_hi):
-        return np.array([y_lo, y_hi]), np.array([1 if self.value else 0], dtype=np.int8)
+    def breaks(self, pts, wlo, whi):
+        return []
 
 
 class _AlphaCmp(Eventuality):
@@ -191,34 +275,17 @@ class _AlphaCmp(Eventuality):
         except _PATTERN_ERRORS:
             return None
 
-    def at_events(self, ctx, e, rep):
-        g = e + self.n
-        valid = (g >= ctx.off_lo[rep]) & (g + 1 < ctx.off_hi[rep])
-        gc = np.clip(g, 0, ctx.points.size - 2)
-        gap = ctx.points[gc + 1] - ctx.points[gc]
-        out = self._cmp(gap).astype(np.int8)
-        out[~valid] = -1
-        return out
-
-    def at_origin(self, ctx):
-        g = ctx.pos0() + self.n
-        valid = (g >= ctx.off_lo) & (g + 1 < ctx.off_hi)
-        gc = np.clip(g, 0, max(ctx.points.size - 2, 0))
-        out = self._cmp(ctx.points[gc + 1] - ctx.points[gc]).astype(np.int8)
-        out[~valid] = -1
-        return out
-
-    def segments(self, p, y_lo, y_hi):
-        pts = p.points
-        edges = _edges(pts, y_lo, y_hi)
-        mids = 0.5 * (edges[:-1] + edges[1:])
-        j = np.searchsorted(pts, mids, side="right") - 1
+    def codes_at(self, ctx, y, j, rep):
         g = j + self.n
-        valid = (j >= 0) & (g >= 0) & (g + 1 < pts.size)
-        gc = np.clip(g, 0, pts.size - 2)
-        vals = self._cmp(pts[gc + 1] - pts[gc]).astype(np.int8)
-        vals[~valid] = -1
-        return edges, vals
+        valid = (g >= ctx.off_lo[rep]) & (g + 1 < ctx.off_hi[rep])
+        # the gap between the shifted times, rounded as the scalar form rounds it
+        out = self._cmp((ctx.point(g + 1) - y) - (ctx.point(g) - y)).astype(np.int8)
+        out[~valid] = -1
+        return out
+
+    def breaks(self, pts, wlo, whi):
+        # the gap in question changes only when y crosses an event
+        return [pts]
 
 
 class _CountEq(Eventuality):
@@ -241,39 +308,16 @@ class _CountEq(Eventuality):
         except OutsideWindow:
             return None
 
-    def at_events(self, ctx, e, rep):
-        gs, shift = ctx.gsorted()
-        t = ctx.points[e]
-        s = shift[rep]
-        hi = np.searchsorted(gs, t + self.b + s, side="right")
-        lo = np.searchsorted(gs, t + self.a + s, side="right")
-        out = ((hi - lo) == self.k).astype(np.int8)
-        valid = (t + self.a >= ctx.wlo[rep]) & (t + self.b <= ctx.whi[rep])
+    def codes_at(self, ctx, y, j, rep):
+        cnt = ctx.last_le(y, rep, self.b) - ctx.last_le(y, rep, self.a)
+        out = (cnt == self.k).astype(np.int8)
+        valid = (ctx.wlo[rep] - y <= self.a) & (ctx.whi[rep] - y >= self.b)
         out[~valid] = -1
         return out
 
-    def at_origin(self, ctx):
-        gs, shift = ctx.gsorted()
-        hi = np.searchsorted(gs, self.b + shift, side="right")
-        lo = np.searchsorted(gs, self.a + shift, side="right")
-        out = ((hi - lo) == self.k).astype(np.int8)
-        valid = (self.a >= ctx.wlo) & (self.b <= ctx.whi)
-        out[~valid] = -1
-        return out
-
-    def segments(self, p, y_lo, y_hi):
-        pts = p.points
-        lo_w, hi_w = p.window
+    def breaks(self, pts, wlo, whi):
         # event T sits in (y+a, y+b] exactly for y in [T-b, T-a)
-        breaks = np.concatenate((pts - self.b, pts - self.a, [lo_w - self.a, hi_w - self.b]))
-        edges = _edges(breaks, y_lo, y_hi)
-        mids = 0.5 * (edges[:-1] + edges[1:])
-        cnt = (np.searchsorted(pts, mids + self.b, side="right")
-               - np.searchsorted(pts, mids + self.a, side="right"))
-        vals = (cnt == self.k).astype(np.int8)
-        invalid = (mids + self.a < lo_w) | (mids + self.b > hi_w)
-        vals[invalid] = -1
-        return edges, vals
+        return [pts - self.b, pts - self.a, (wlo - self.a)[:, None], (whi - self.b)[:, None]]
 
 
 class _FirstLe(Eventuality):
@@ -292,35 +336,16 @@ class _FirstLe(Eventuality):
         except _PATTERN_ERRORS:
             return None
 
-    def at_events(self, ctx, e, rep):
-        valid = e + 1 < ctx.off_hi[rep]
-        ec = np.clip(e + 1, 0, ctx.points.size - 1)
-        out = (ctx.points[ec] - ctx.points[e] <= self.t).astype(np.int8)
+    def codes_at(self, ctx, y, j, rep):
+        nxt = j + 1  # T_1; indeterminate when no stored event follows y
+        valid = nxt < ctx.off_hi[rep]
+        out = (ctx.point(nxt) - y <= self.t).astype(np.int8)
         out[~valid] = -1
         return out
 
-    def at_origin(self, ctx):
-        fp = ctx.pos0() + 1  # first positive event, off_hi sentinel if none
-        valid = fp < ctx.off_hi
-        pc = np.clip(fp, 0, max(ctx.points.size - 1, 0))
-        out = (ctx.points[pc] <= self.t).astype(np.int8)
-        out[~valid] = -1
-        return out
-
-    def segments(self, p, y_lo, y_hi):
-        pts = p.points
-        _, hi_w = p.window
-        # an event T makes [T1 <= t] true for y in [T-t, T)
-        breaks = np.concatenate((pts - self.t, pts, [hi_w - self.t]))
-        edges = _edges(breaks, y_lo, y_hi)
-        mids = 0.5 * (edges[:-1] + edges[1:])
-        cnt = (np.searchsorted(pts, mids + self.t, side="right")
-               - np.searchsorted(pts, mids, side="right"))
-        vals = (cnt >= 1).astype(np.int8)
-        # with no stored event within t, the truth depends on events past hi
-        unknown = (vals == 0) & (mids + self.t > hi_w)
-        vals[unknown] = -1
-        return edges, vals
+    def breaks(self, pts, wlo, whi):
+        # an event T is T_1 for y in [T_0, T) and within t for y >= T-t
+        return [pts, pts - self.t]
 
 
 class _PrevStraddle(Eventuality):
@@ -339,23 +364,18 @@ class _PrevStraddle(Eventuality):
         except _PATTERN_ERRORS:
             return None
 
-    def at_events(self, ctx, e, rep):
-        i = e - self.k
+    def codes_at(self, ctx, y, j, rep):
+        i = j - self.k
         valid = (i >= ctx.off_lo[rep]) & (i + 1 < ctx.off_hi[rep])
-        ic = np.clip(i, 0, ctx.points.size - 2)
-        t_lo = ctx.points[ic] - ctx.points[e]
-        t_hi = ctx.points[ic + 1] - ctx.points[e]
+        t_lo = ctx.point(i) - y
+        t_hi = ctx.point(i + 1) - y
         out = ((t_lo <= -self.x) & (-self.x < t_hi)).astype(np.int8)
         out[~valid] = -1
         return out
 
-    def at_origin(self, ctx):
-        i = ctx.pos0() - self.k
-        valid = (i >= ctx.off_lo) & (i + 1 < ctx.off_hi)
-        ic = np.clip(i, 0, max(ctx.points.size - 2, 0))
-        out = ((ctx.points[ic] <= -self.x) & (-self.x < ctx.points[ic + 1])).astype(np.int8)
-        out[~valid] = -1
-        return out
+    def breaks(self, pts, wlo, whi):
+        # T_-k <= y - x flips at y = T + x
+        return [pts, pts + self.x]
 
 
 class _Not(Eventuality):
@@ -371,25 +391,11 @@ class _Not(Eventuality):
         v = self.inner.evaluate(p)
         return None if v is None else not v
 
-    def at_events(self, ctx, e, rep):
-        return _kleene_not(self.inner.at_events(ctx, e, rep))
+    def codes_at(self, ctx, y, j, rep):
+        return _kleene_not(self.inner.codes_at(ctx, y, j, rep))
 
-    def at_origin(self, ctx):
-        return _kleene_not(self.inner.at_origin(ctx))
-
-    def segments(self, p, y_lo, y_hi):
-        edges, vals = self.inner.segments(p, y_lo, y_hi)
-        return edges, _kleene_not(vals)
-
-
-def _merge_segments(p, y_lo, y_hi, left: Eventuality, right: Eventuality, combine):
-    e1, v1 = left.segments(p, y_lo, y_hi)
-    e2, v2 = right.segments(p, y_lo, y_hi)
-    edges = np.unique(np.concatenate((e1, e2)))
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    u = v1[np.searchsorted(e1, mids, side="right") - 1]
-    v = v2[np.searchsorted(e2, mids, side="right") - 1]
-    return edges, combine(u, v)
+    def breaks(self, pts, wlo, whi):
+        return self.inner.breaks(pts, wlo, whi)
 
 
 class _And(Eventuality):
@@ -407,14 +413,12 @@ class _And(Eventuality):
             return None
         return True
 
-    def at_events(self, ctx, e, rep):
-        return _kleene_and(self.left.at_events(ctx, e, rep), self.right.at_events(ctx, e, rep))
+    def codes_at(self, ctx, y, j, rep):
+        return _kleene_and(self.left.codes_at(ctx, y, j, rep),
+                           self.right.codes_at(ctx, y, j, rep))
 
-    def at_origin(self, ctx):
-        return _kleene_and(self.left.at_origin(ctx), self.right.at_origin(ctx))
-
-    def segments(self, p, y_lo, y_hi):
-        return _merge_segments(p, y_lo, y_hi, self.left, self.right, _kleene_and)
+    def breaks(self, pts, wlo, whi):
+        return self.left.breaks(pts, wlo, whi) + self.right.breaks(pts, wlo, whi)
 
 
 class _Or(Eventuality):
@@ -432,14 +436,12 @@ class _Or(Eventuality):
             return None
         return False
 
-    def at_events(self, ctx, e, rep):
-        return _kleene_or(self.left.at_events(ctx, e, rep), self.right.at_events(ctx, e, rep))
+    def codes_at(self, ctx, y, j, rep):
+        return _kleene_or(self.left.codes_at(ctx, y, j, rep),
+                          self.right.codes_at(ctx, y, j, rep))
 
-    def at_origin(self, ctx):
-        return _kleene_or(self.left.at_origin(ctx), self.right.at_origin(ctx))
-
-    def segments(self, p, y_lo, y_hi):
-        return _merge_segments(p, y_lo, y_hi, self.left, self.right, _kleene_or)
+    def breaks(self, pts, wlo, whi):
+        return self.left.breaks(pts, wlo, whi) + self.right.breaks(pts, wlo, whi)
 
 
 # -- catalog constructors -------------------------------------------------

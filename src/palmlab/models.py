@@ -128,8 +128,8 @@ class Tilt:
     params: tuple[float, ...]
 
     def value_batch(self, batch: PatternBatch) -> np.ndarray:
-        pos0 = batch.straddle_positions()
-        if np.any(pos0 < 0):
+        pos0 = batch.pos0()
+        if not np.all(batch.straddled(pos0)):
             raise InsufficientContext("tilt evaluation needs origin-straddling patterns")
         pts = batch.points
         if self.name == "identity":
@@ -143,16 +143,6 @@ class Tilt:
             a1 = pts[pos0 + 2] - pts[pos0 + 1]
             g0, g1 = self.params
             return g0 * a0 + g1 * a1
-        raise UnknownTilt(self.name)
-
-    def value(self, p: PointPattern) -> float:
-        if self.name == "identity":
-            return 1.0
-        if self.name == "alpha0":
-            return self.params[0] * p.interval(0)
-        if self.name == "alpha01":
-            g0, g1 = self.params
-            return g0 * p.interval(0) + g1 * p.interval(1)
         raise UnknownTilt(self.name)
 
     @property
@@ -294,7 +284,7 @@ def _row_flaws(batch: PatternBatch, require_straddle: bool) -> np.ndarray:
                 gaps_ok[rep_of_gap] = False
         bad |= ~gaps_ok
     if require_straddle:
-        bad |= batch.straddle_positions() < 0
+        bad |= ~batch.straddled(batch.pos0())
     return bad
 
 

@@ -176,16 +176,23 @@ class PatternBatch:
         lo, hi = self.windows[i]
         return PointPattern(self.points[self.offsets[i]:self.offsets[i + 1]].copy(), (lo, hi))
 
-    def straddle_positions(self) -> np.ndarray:
-        """Array position of T_0 per replication; -1 where the origin is not straddled."""
-        nonpos = self.points <= 0.0
-        counts = np.add.reduceat(nonpos, self.offsets[:-1])
-        counts[self.offsets[:-1] == self.offsets[1:]] = 0
-        pos0 = self.offsets[:-1] + counts - 1
-        sizes = np.diff(self.offsets)
-        bad = (counts == 0) | (counts == sizes)
-        pos0 = np.where(bad, -1, pos0)
-        return pos0
+    def pos0(self) -> np.ndarray:
+        """Array position of T_0 (the last event <= 0) per replication.
+
+        Counted exactly, row by row.  Equals offsets[i] - 1 when row i has
+        no event <= 0 and offsets[i+1] - 1 when it has no positive event;
+        the origin is straddled where offsets[i] <= pos0 < offsets[i+1] - 1.
+        """
+        starts = self.offsets[:-1]
+        # the sentinel keeps trailing empty rows' start indices in range
+        nonpos = np.append(self.points <= 0.0, False)
+        counts = np.add.reduceat(nonpos, starts) if starts.size else starts
+        counts[starts == self.offsets[1:]] = 0
+        return starts + counts - 1
+
+    def straddled(self, pos0: np.ndarray) -> np.ndarray:
+        """Rows whose origin has a stored event on each side, given pos0()."""
+        return (pos0 >= self.offsets[:-1]) & (pos0 + 1 < self.offsets[1:])
 
     def global_sorted(self) -> tuple[np.ndarray, np.ndarray]:
         """Points offset per replication so the flat array is globally sorted.

@@ -173,8 +173,8 @@ class TestVectorizedConsistency:
                 assert got == want, (ev.label, k)
 
 
-class TestSegments:
-    """The piecewise form must match brute-force shifted evaluation."""
+class TestIntegrate:
+    """The exact integral must match brute-force shifted evaluation."""
 
     CASES = [
         parse_eventuality("alpha(0)>1"),
@@ -184,37 +184,88 @@ class TestSegments:
         parse_eventuality("T1<=0.5"),
         parse_eventuality("(alpha(0)>1 & count(0,2]==1)"),
         parse_eventuality("!count(0,1]==0 | T1<=1"),
+        ev_straddle(1, 0.7),
     ]
 
-    def test_segments_match_pointwise(self, rng):
+    @staticmethod
+    def pieces(ev, p, y_lo, y_hi):
+        """Sorted distinct breaks of ev on p inside (y_lo, y_hi), plus the bounds."""
+        lo, hi = p.window
+        brk = np.concatenate([np.ravel(b) for b in
+                              ev.breaks(p.points[None, :], np.array([lo]), np.array([hi]))]
+                             + [np.empty(0)])
+        inner = brk[(brk > y_lo) & (brk < y_hi)]
+        return np.unique(np.concatenate(([y_lo, y_hi], inner)))
+
+    def test_pieces_match_pointwise(self, rng):
         for _ in range(12):
             p = random_pattern(rng)
-            y_lo, y_hi = -4.0, 4.0
+            ctx = EventContext(batch_of([p]))
             for ev in self.CASES:
-                edges, vals = ev.segments(p, y_lo, y_hi)
-                assert edges[0] == y_lo and edges[-1] == y_hi
-                assert np.all(np.diff(edges) > 0)
-                # probe three interior offsets of every segment
-                for a, b, v in zip(edges[:-1], edges[1:], vals):
+                edges = self.pieces(ev, p, -4.0, 4.0)
+                rows = np.zeros(edges.size - 1, dtype=np.int64)
+                vals, ok = ev.integrate(ctx, rows, edges[:-1], edges[1:])
+                # probe three interior offsets of every piece
+                for a, b, v, good in zip(edges[:-1], edges[1:], vals, ok):
+                    got = {b - a: True, 0.0: False}[v] if good else None
                     for frac in (0.25, 0.5, 0.75):
                         y = a + frac * (b - a)
                         want = ev.evaluate(p.shift_time(float(y)))
-                        got = {1: True, 0: False, -1: None}[int(v)]
                         assert got == want, (ev.label, float(y))
 
-    def test_segment_integral_matches_riemann(self, rng):
+    def test_integral_matches_riemann(self, rng):
         # integral against a fine midpoint rule with bounded breakpoint error
         for ev in self.CASES[:4]:
             p = random_pattern(rng)
-            edges, vals = ev.segments(p, -3.0, 3.0)
-            assert not np.any(vals == -1)
-            exact = float(np.sum(vals * np.diff(edges)))
+            vals, ok = ev.integrate(EventContext(batch_of([p])), [0], -3.0, 3.0)
+            assert ok[0]
             grid = np.linspace(-3.0, 3.0, 6001)
             mids = 0.5 * (grid[:-1] + grid[1:])
             approx = sum(
                 bool(ev.evaluate(p.shift_time(float(y)))) for y in mids
             ) * (6.0 / 6000)
-            assert abs(exact - approx) < 0.02
+            assert abs(vals[0] - approx) < 0.02
+
+    def test_cuts_are_running_integrals(self, rng):
+        patterns = [random_pattern(rng) for _ in range(6)]
+        ctx = EventContext(batch_of(patterns))
+        rows = np.arange(len(patterns))
+        cuts = np.array([0.5, 1.0, 2.5, 4.0, 6.0])
+        for ev in self.CASES[:4]:
+            running, ok = ev.integrate(ctx, rows, 0.0, 4.0, cuts=cuts)
+            assert running.shape == (rows.size, cuts.size)
+            for k, cut in enumerate(cuts):
+                whole, ok_k = ev.integrate(ctx, rows, 0.0, min(cut, 4.0))
+                assert np.all(ok_k[ok])
+                np.testing.assert_allclose(running[ok, k], whole[ok], rtol=1e-12, atol=1e-12)
+
+    def test_block_boundaries_do_not_matter(self, rng, monkeypatch):
+        import palmlab.events as events_mod
+
+        patterns = [random_pattern(rng) for _ in range(7)]
+        ctx = EventContext(batch_of(patterns))
+        rows = np.array([6, 0, 3, 3, 5, 1, 2, 4])
+        ev = self.CASES[5]
+        want = ev.integrate(ctx, rows, -2.0, 2.5)
+        monkeypatch.setattr(events_mod, "INTEGRATE_BLOCK_ROWS", 3)
+        got = ev.integrate(ctx, rows, -2.0, 2.5)
+        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_array_equal(got[1], want[1])
+
+    def test_first_point_without_successor_is_indeterminate(self):
+        # no stored event after y in (1, 4]: T_1 is unknown there, so the
+        # integral over a stretch reaching past the last event is rejected
+        p = PointPattern(np.array([-1.0, 0.5, 1.0]), (-2.0, 5.0))
+        ev = ev_first_point_le(0.5)
+        ctx = EventContext(batch_of([p]))
+        for y in (1.5, 3.0, 4.0):
+            assert ev.evaluate(p.shift_time(y)) is None
+            code = ev.codes_at(ctx, np.array([y]), ctx.last_le(np.array([y]), np.array([0])),
+                               np.array([0]))
+            assert code[0] == -1
+        vals, ok = ev.integrate(ctx, [0, 0], [0.0, 0.0], [1.0, 3.0])
+        assert ok.tolist() == [True, False]
+        assert vals[0] == 1.0
 
 
 class TestParser:

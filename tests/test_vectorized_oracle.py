@@ -1,0 +1,204 @@
+"""Vectorized evaluation against the scalar oracle on random batches.
+
+`codes_at` (and through it `at_events`, `at_origin` and `integrate`) must
+give exactly the three-valued result of `evaluate` on the shifted pattern,
+including on wide windows, where the globally sorted search rounds, and
+for events at or one ulp away from an eventuality's boundaries.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from palmlab.events import EventContext, ev_straddle, parse_eventuality
+from palmlab.pattern import MIN_GAP, PatternBatch, PointPattern
+
+CASES = [parse_eventuality(text) for text in (
+    "true",
+    "alpha(0)>1",
+    "alpha(-1)>0.5",
+    "alpha(1)>2",
+    "alpha(0)==1",
+    "count(0,1]==0",
+    "count(-1,1]==2",
+    "count(0.5,2]==1",
+    "T1<=0.5",
+    "T1<=1",
+    "(alpha(0)>1 & count(0,2]==1)",
+    "!(alpha(0)>1 | T1<=0.5)",
+    "(count(0,1]==0 | T1<=1)",
+)] + [ev_straddle(0, -0.5), ev_straddle(1, 0.7)]
+
+# Offsets at which the codes above change, seen from the origin or an event.
+BOUNDARIES = (0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -0.7, 0.7)
+
+ALPHA_CONSTANTS = np.array([0.5, 1.0, 2.0])
+
+CODE = {1: True, 0: False, -1: None}
+CODE_OF = {v: k for k, v in CODE.items()}
+
+SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+
+def _around(x: float) -> list[float]:
+    return [x, float(np.nextafter(x, np.inf)), float(np.nextafter(x, -np.inf))]
+
+
+@st.composite
+def patterns(draw):
+    """One pattern: uniform events plus events at (or one ulp from) the
+    boundaries, seen from the origin and from another event."""
+    span = draw(st.sampled_from([12.0, 1e4]))
+    # per-row offset of the window, as re-centering samplers produce
+    shift = draw(st.floats(-3.0, 3.0))
+    lo, hi = -span + shift, span + shift
+    pts = draw(st.lists(st.floats(lo, hi), min_size=1, max_size=30))
+    anchors = pts[: draw(st.integers(0, 3))] + [0.0]
+    for t in anchors:
+        for c in draw(st.lists(st.sampled_from(BOUNDARIES), max_size=4)):
+            pts += _around(t + c)
+    # the oracle shifts to events, so they stay inside the open window
+    pts = np.unique(np.clip(np.array(pts), np.nextafter(lo, hi), np.nextafter(hi, lo)))
+    keep = np.concatenate(([True], np.diff(pts) > 2 * MIN_GAP))
+    return PointPattern(pts[keep], (lo, hi))
+
+
+def _batch(rows: list[PointPattern], filler: int) -> tuple[PatternBatch, list[int]]:
+    """The rows placed after `filler` one-event rows, so that they sit at
+    large offsets in the globally sorted array."""
+    pad = PointPattern(np.array([0.25]), (-1.0, 1.0))
+    allrows = [pad] * filler + rows
+    pts = np.concatenate([p.points for p in allrows])
+    offsets = np.concatenate(([0], np.cumsum([len(p) for p in allrows])))
+    windows = np.array([p.window for p in allrows])
+    return PatternBatch(pts, offsets, windows, np.ones(len(allrows))), \
+        list(range(filler, filler + len(rows)))
+
+
+batches = st.tuples(st.lists(patterns(), min_size=1, max_size=3),
+                    st.sampled_from([0, 4000]))
+
+
+@SETTINGS
+@given(batches, st.sampled_from(CASES))
+def test_at_origin_and_at_events(data, ev):
+    rows, filler = data
+    batch, ids = _batch(rows, filler)
+    ctx = EventContext(batch)
+    origin = ev.at_origin(ctx)
+    for i, p in zip(ids, rows):
+        assert CODE[int(origin[i])] == ev.evaluate(p), (ev.label, p)
+        e = np.arange(batch.offsets[i], batch.offsets[i + 1])
+        codes = ev.at_events(ctx, e, np.full(e.size, i))
+        for k, t in enumerate(p.points):
+            assert CODE[int(codes[k])] == ev.evaluate(p.shift_time(float(t))), (ev.label, t)
+
+
+@SETTINGS
+@given(batches, st.sampled_from(CASES), st.data())
+def test_codes_at_positions(data, ev, draw):
+    rows, filler = data
+    batch, ids = _batch(rows, filler)
+    ctx = EventContext(batch)
+    ys, reps = [], []
+    for i, p in zip(ids, rows):
+        lo, hi = p.window
+        base = list(p.points) + [draw.draw(st.floats(lo, hi)) for _ in range(3)]
+        for t in base:
+            for c in draw.draw(st.lists(st.sampled_from(BOUNDARIES), max_size=2)):
+                ys += _around(t - c)
+                reps += [i] * 3
+            ys.append(t)
+            reps.append(i)
+    # the oracle needs the origin inside the shifted window
+    y, rep = np.array(ys), np.array(reps)
+    lo, hi = batch.windows[rep].T
+    inside = (lo - y < 0) & (hi - y > 0)
+    y, rep = y[inside], rep[inside]
+    j = ctx.last_le(y, rep)
+    codes = ev.codes_at(ctx, y, j, rep)
+    for k in range(y.size):
+        p = rows[ids.index(rep[k])]
+        want_j = batch.offsets[rep[k]] + np.searchsorted(p.points, y[k], side="right") - 1
+        assert j[k] == want_j
+        assert CODE[int(codes[k])] == ev.evaluate(p.shift_time(float(y[k]))), (ev.label, y[k])
+
+
+@SETTINGS
+@given(batches, st.sampled_from(CASES), st.data())
+def test_integrate(data, ev, draw):
+    rows, filler = data
+    batch, ids = _batch(rows, filler)
+    ctx = EventContext(batch)
+    bounds = []
+    for p in rows:
+        lo, hi = p.window
+        inside = st.floats(lo, hi, exclude_min=True, exclude_max=True)
+        a, b = sorted(draw.draw(st.lists(inside, min_size=2, max_size=2)))
+        bounds.append((a, b))
+    y_lo, y_hi = np.array(bounds).T
+    cuts = np.sort(np.array(draw.draw(st.lists(st.floats(-20.0, 20.0), max_size=3))))
+    vals, ok = ev.integrate(ctx, ids, y_lo, y_hi)
+    running, ok_cuts = ev.integrate(ctx, ids, y_lo, y_hi, cuts=cuts)
+    assert np.array_equal(ok, ok_cuts)
+    for k, p in enumerate(rows):
+        a, b = bounds[k]
+        brk = np.concatenate([np.ravel(m) for m in ev.breaks(
+            p.points[None, :], np.array(p.window[:1]), np.array(p.window[1:]))]
+            + [np.empty(0)])
+        edges = np.unique(np.concatenate(([a, b], cuts[(cuts > a) & (cuts < b)],
+                                          brk[(brk > a) & (brk < b)])))
+        # evaluate measures gaps between shifted times, so a gap within
+        # rounding of an alpha constant flickers with y between breaks
+        flicker = np.any(np.abs(np.diff(p.points)[:, None] - ALPHA_CONSTANTS) < 1e-9)
+        want_ok, want, want_running = True, 0.0, np.zeros(cuts.size)
+        for left, right in zip(edges[:-1], edges[1:]):
+            code = ev.evaluate(p.shift_time(0.5 * (left + right)))
+            if not flicker and right - left > 1e-6 * max(1.0, abs(left)):
+                # the breaks are complete: the code is constant on the piece
+                for frac in (0.1, 0.9):
+                    y = left + frac * (right - left)
+                    assert ev.evaluate(p.shift_time(y)) == code, (ev.label, y)
+            want_ok &= code is not None
+            if code:
+                want += right - left
+                want_running += (right - left) * (right <= cuts)
+        assert ok[k] == want_ok, (ev.label, p, a, b)
+        if want_ok:
+            tol = 1e-12 * max(1.0, b - a, abs(a), abs(b))
+            assert vals[k] == pytest.approx(want, abs=tol)
+            assert running[k] == pytest.approx(want_running, abs=tol)
+        else:
+            assert vals[k] == 0.0 and not running[k].any()
+
+
+def test_gap_between_shifted_times():
+    # seen from y = 0.5 the gap before T_0 rounds to exactly 0.5, while the
+    # unshifted event times lie one ulp more than 0.5 apart
+    p = PointPattern(np.array([np.nextafter(-0.5, -1.0), -5e-324, 1.0]), (-12.0, 12.0))
+    batch, (i,) = _batch([p], 0)
+    ctx = EventContext(batch)
+    ev = parse_eventuality("alpha(-1)>0.5")
+    y, rep = np.array([0.5]), np.array([i])
+    assert ev.evaluate(p.shift_time(0.5)) is False
+    assert ev.codes_at(ctx, y, ctx.last_le(y, rep), rep)[0] == 0
+
+
+def test_wide_window_point_past_count_edge():
+    # an event 3e-10 past the right end of (0, 1] on +-1e4 windows: the
+    # offsets of the globally sorted array round it into the interval on
+    # most of 4096 rows, the exact search never does
+    n = 4096
+    row = np.array([-0.5, 1.0 + 3e-10, 5.0])
+    batch = PatternBatch(np.tile(row, n), np.arange(n + 1) * row.size,
+                         np.tile([-1e4, 1e4], (n, 1)), np.ones(n))
+    ctx = EventContext(batch)
+    ev = parse_eventuality("count(0,1]==0")
+    p = PointPattern(row, (-1e4, 1e4))
+    assert ev.evaluate(p) is True
+    assert np.all(ev.at_origin(ctx) == 1)
+    want = [CODE_OF[ev.evaluate(p.shift_time(float(t)))] for t in row]
+    codes = ev.at_events(ctx, np.arange(batch.points.size), np.repeat(np.arange(n), row.size))
+    assert np.array_equal(codes.reshape(n, row.size), np.tile(want, (n, 1)))
