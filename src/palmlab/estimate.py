@@ -547,9 +547,8 @@ def pstar_model(base: ProcessModel, pad_gaps: float = 12.0) -> ProcessModel:
                 out.windows,
                 weights,
             )
-        rep_of_point = np.repeat(np.arange(n), np.diff(out.offsets))
         return PatternBatch(
-            out.points - y[rep_of_point],
+            out.points - np.repeat(y, np.diff(out.offsets)),
             out.offsets,
             out.windows - y[:, None],
             out.weights,

@@ -34,7 +34,7 @@ import re
 import numpy as np
 
 from .errors import IndexOutOfPattern, NoStraddle, OutsideWindow
-from .pattern import PatternBatch, PointPattern, ragged_ranges
+from .pattern import BLOCK_ROWS, PatternBatch, PointPattern, padded_rows, ragged_ranges
 
 _PATTERN_ERRORS = (NoStraddle, IndexOutOfPattern, OutsideWindow)
 
@@ -122,11 +122,6 @@ def _kleene_not(u: np.ndarray) -> np.ndarray:
     return out
 
 
-# Rows per block in Eventuality.integrate: its break matrix holds about
-# this many rows times a few times the longest row's event count.
-INTEGRATE_BLOCK_ROWS = 256
-
-
 class Eventuality:
     """Base class; subclasses are immutable and safe to share.
 
@@ -187,15 +182,14 @@ class Eventuality:
         cuts = None if cuts is None else np.asarray(cuts, dtype=np.float64)
         values = np.zeros(m_all if cuts is None else (m_all, cuts.size))
         ok = np.ones(m_all, dtype=bool)
-        for b0 in range(0, m_all, INTEGRATE_BLOCK_ROWS):
-            blk = slice(b0, b0 + INTEGRATE_BLOCK_ROWS)
+        for b0 in range(0, m_all, BLOCK_ROWS):
+            blk = slice(b0, b0 + BLOCK_ROWS)
             r = rows[blk]
             m = r.size
             lo, hi = y_lo[blk, None], y_hi[blk, None]
             starts, stops = ctx.off_lo[r], ctx.off_hi[r]
-            flat, rid = ragged_ranges(starts, stops)
-            pts = np.full((m, int(np.max(stops - starts, initial=0))), np.inf)
-            pts[rid, flat - starts[rid]] = ctx.points[flat]
+            flat, _ = ragged_ranges(starts, stops)
+            pts, _ = padded_rows(ctx.points[flat], stops - starts)
             cols = [lo, hi] + self.breaks(pts, ctx.wlo[r], ctx.whi[r])
             if cuts is not None:
                 cols.append(np.broadcast_to(cuts, (m, cuts.size)))

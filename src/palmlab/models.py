@@ -22,7 +22,7 @@ from .errors import (
     NoMean,
     UnknownTilt,
 )
-from .pattern import MIN_GAP, PatternBatch, PointPattern
+from .pattern import MIN_GAP, PatternBatch, PointPattern, sort_rows
 
 LAW_TS = "TS"
 LAW_ES = "ES"
@@ -345,11 +345,9 @@ def poisson_ts(rate: float) -> ProcessModel:
         def draw_rows(k: int):
             counts = rng.poisson(rate * width, k)
             total = int(counts.sum())
-            vals = lo + width * rng.random(total)
-            rep_of = np.repeat(np.arange(k), counts)
-            order = np.lexsort((vals, rep_of))
-            pts = vals[order]
+            pts = lo + width * rng.random(total)
             offsets = np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
+            sort_rows(pts, offsets)
             return pts, offsets
 
         pts, offsets = draw_rows(n)

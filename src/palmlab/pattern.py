@@ -17,6 +17,10 @@ from .errors import IndexOutOfPattern, NoStraddle, OutsideWindow, InsufficientCo
 # Simpleness guard: two events closer than this are a construction error.
 MIN_GAP = 1e-12
 
+# Rows per block wherever ragged rows are laid out as a padded matrix: a
+# block holds this many rows times the longest row's event count.
+BLOCK_ROWS = 256
+
 
 @dataclass(frozen=True)
 class IndexedPoint:
@@ -203,8 +207,7 @@ class PatternBatch:
         span = float(np.max(np.abs(self.windows))) if self.windows.size else 1.0
         stride = 4.0 * span + 4.0
         shifts = stride * np.arange(self.n, dtype=np.float64)
-        rep_of_point = np.repeat(np.arange(self.n), np.diff(self.offsets))
-        return self.points + shifts[rep_of_point], shifts
+        return self.points + np.repeat(shifts, np.diff(self.offsets)), shifts
 
 
 def ragged_ranges(starts: np.ndarray, stops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -221,6 +224,29 @@ def ragged_ranges(starts: np.ndarray, stops: np.ndarray) -> tuple[np.ndarray, np
     head = np.cumsum(lengths) - lengths
     flat = np.arange(total, dtype=np.int64) - np.repeat(head, lengths) + np.repeat(starts, lengths)
     return flat, row_id
+
+
+def padded_rows(values: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows stored back to back in values, laid out as a matrix padded with +inf.
+
+    Returns the (rows, longest row) matrix and the mask of its filled cells.
+    """
+    filled = np.arange(int(np.max(lengths, initial=0))) < lengths[:, None]
+    out = np.full(filled.shape, np.inf)
+    out[filled] = values
+    return out, filled
+
+
+def sort_rows(points: np.ndarray, offsets: np.ndarray) -> None:
+    """Sort each row points[offsets[i]:offsets[i+1]] in place, a block of
+    BLOCK_ROWS rows at a time."""
+    n = offsets.size - 1
+    for b0 in range(0, n, BLOCK_ROWS):
+        b1 = min(b0 + BLOCK_ROWS, n)
+        seg = slice(offsets[b0], offsets[b1])
+        rows, filled = padded_rows(points[seg], np.diff(offsets[b0:b1 + 1]))
+        rows.sort(axis=1)
+        points[seg] = rows[filled]
 
 
 # -- serialization ------------------------------------------------------

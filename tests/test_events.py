@@ -247,7 +247,7 @@ class TestIntegrate:
         rows = np.array([6, 0, 3, 3, 5, 1, 2, 4])
         ev = self.CASES[5]
         want = ev.integrate(ctx, rows, -2.0, 2.5)
-        monkeypatch.setattr(events_mod, "INTEGRATE_BLOCK_ROWS", 3)
+        monkeypatch.setattr(events_mod, "BLOCK_ROWS", 3)
         got = ev.integrate(ctx, rows, -2.0, 2.5)
         np.testing.assert_array_equal(got[0], want[0])
         np.testing.assert_array_equal(got[1], want[1])

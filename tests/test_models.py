@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from palmlab.errors import DegenerateWindow, InsufficientWindow, UnknownTilt
-from palmlab.estimate import est_event_probability
+from palmlab.estimate import est_event_probability, pstar_model
 from palmlab.events import parse_eventuality
 from palmlab.models import (
     deterministic,
@@ -336,3 +337,52 @@ class TestConfigRoundTrip:
         assert back.law_tag == model.law_tag
         if model.interval is not None:
             assert back.interval == model.interval
+
+
+def _batch_digest(batch) -> str:
+    h = hashlib.sha256()
+    for arr in (batch.points, batch.offsets, batch.windows, batch.weights):
+        h.update(np.ascontiguousarray(arr).tobytes())
+    return h.hexdigest()
+
+
+class TestGoldenBatches:
+    """Fixed-seed batches are pinned byte for byte: a sampler may get
+    faster but must keep every random draw and every output value."""
+
+    # (label, model factory, window, rows, seed, SHA-256 of the batch's
+    # points, offsets, windows and weights)
+    CASES = [
+        ("poisson 300 rows", lambda: poisson_ts(1.0), (-30.0, 30.0), 300, 11,
+         "61e83c016eb119910e391bc0cc629d1db9d1c5c7aa3e8c684105dded7b9413b1"),
+        ("poisson ams window", lambda: poisson_ts(1.0), (-15.0, 441.0), 40, 12,
+         "0c8216e04dbe416f9d2123f4b0260d9732e291cb705e609c8d68db5e208fef21"),
+        ("poisson redraws", lambda: poisson_ts(1.0), (-2.5, 2.5), 200, 13,
+         "c1859d22d38f9dedc89ad9820ee5f0d2a3ded930c2f9ab8824f4effb8fad4d05"),
+        ("renewal_ts", lambda: renewal_ts_from_es(gamma_intervals(2.0, 1.0)),
+         (-20.0, 20.0), 100, 14,
+         "edc941f68c368f223995585dc1f5795ffce94714a01dbb1da88fb6890b9b086b"),
+        ("renewal_es", lambda: renewal_es(uniform_intervals(0.5, 1.5)),
+         (-20.0, 20.0), 100, 15,
+         "e5da7294c9acbd9bc85f307c63e668c77abcbe26c4d711bf6916dce9e072e807"),
+        ("example84", lambda: example84_exact(1.0), (-20.0, 20.0), 100, 16,
+         "f67b1bbcdc2227f507ff144e198ce2eaf099349f36d11fb73199af0058d6c113"),
+        ("tilted alpha0", lambda: tilted_ts(poisson_ts(1.0), make_tilt("alpha0", 0.5)),
+         (-20.0, 20.0), 100, 17,
+         "e0bc9be34f67dcf6480ba47a317bc62f8d76a169c82fd7659fd3464be331e7e1"),
+        ("tilted alpha01",
+         lambda: tilted_ts(poisson_ts(2.0), make_tilt("alpha01", 1.0, 0.5)),
+         (-10.0, 10.0), 100, 18,
+         "37a43f4f43235d3d78b1625681e6ae17336c1d72ca4ac308493227c10df4fc4d"),
+        ("pstar poisson", lambda: pstar_model(poisson_ts(1.0)), (-20.0, 20.0), 100, 19,
+         "2f995520d101916035af32218825b4392d5de08c25933be933619c4b3f1d8c0b"),
+        ("pstar renewal_es", lambda: pstar_model(renewal_es(gamma_intervals(2.0, 1.0))),
+         (-20.0, 20.0), 100, 20,
+         "7920587b3b9e358a71deac917c9dad53a8de935851a261a4fe5188b74ccfa6e3"),
+    ]
+
+    @pytest.mark.parametrize("label, factory, window, n, seed, digest", CASES,
+                             ids=[c[0] for c in CASES])
+    def test_digest(self, label, factory, window, n, seed, digest):
+        batch = factory().sample_batch(chunk_rng(seed, "golden", 0), window, n)
+        assert _batch_digest(batch) == digest

@@ -10,7 +10,7 @@ from palmlab.errors import (
     OutsideWindow,
 )
 from palmlab.events import ev_interval_gt, ev_true
-from palmlab.pattern import PointPattern, read_patterns, write_patterns
+from palmlab.pattern import BLOCK_ROWS, PointPattern, read_patterns, sort_rows, write_patterns
 
 from conftest import random_pattern
 
@@ -226,3 +226,38 @@ class TestSerialization:
         path.write_text("1.0,2.0\n")
         with pytest.raises(ValueError):
             read_patterns(path)
+
+
+class TestSortRows:
+    """sort_rows must give exactly the bytes of a stable two-key lexsort
+    by (row, value), the sort it replaces in the Poisson sampler."""
+
+    @staticmethod
+    def lexsorted(vals, counts):
+        rep_of = np.repeat(np.arange(counts.size), counts)
+        return vals[np.lexsort((vals, rep_of))]
+
+    @pytest.mark.parametrize("k, mean_count", [
+        (1, 20.0),                   # one row
+        (BLOCK_ROWS + 37, 3.0),      # not a multiple of the block size
+        (3 * BLOCK_ROWS + 5, 60.0),  # several blocks
+        (2 * BLOCK_ROWS, 456.0),     # two full blocks of the ams window's width
+        (50, 0.7),                   # many rows without events
+        (0, 1.0),                    # no rows
+    ])
+    def test_matches_lexsort(self, k, mean_count):
+        rng = np.random.default_rng(k)
+        counts = rng.poisson(mean_count, k)
+        vals = -15.0 + 456.0 * rng.random(int(counts.sum()))
+        offsets = np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
+        want = self.lexsorted(vals, counts)
+        sort_rows(vals, offsets)
+        assert vals.tobytes() == want.tobytes()
+
+    def test_empty_and_tied_rows(self):
+        counts = np.array([0, 3, 0, 0, 4, 1, 0])
+        vals = np.array([2.0, -1.0, 2.0, 5.0, 0.0, 5.0, -3.0, 7.0])
+        offsets = np.concatenate(([0], np.cumsum(counts)))
+        want = self.lexsorted(vals, counts)
+        sort_rows(vals, offsets)
+        assert vals.tobytes() == want.tobytes()

@@ -39,7 +39,7 @@ CODE = {1: True, 0: False, -1: None}
 CODE_OF = {v: k for k, v in CODE.items()}
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None,
-                    suppress_health_check=[HealthCheck.too_slow])
+                    print_blob=True, suppress_health_check=[HealthCheck.too_slow])
 
 
 def _around(x: float) -> list[float]:
