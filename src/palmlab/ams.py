@@ -21,11 +21,14 @@ from .errors import NoMean, TooFewCheckpoints
 from .estimate import (
     DEFAULT_HORIZON_GAPS,
     Estimate,
+    group_radius,
     guard_window,
     ratio_estimate,
     run_kernel,
     straddle_gaps,
+    _as_group,
     _events_in,
+    _per_member,
 )
 from .events import Eventuality, effective_radius
 from .models import ProcessModel, example44_block_ends, example44_labels
@@ -220,23 +223,24 @@ def ams_verdict(trace: CesaroTrace, tail_fraction: float = 0.5,
 
 def convert_es_to_ts(
     es_model: ProcessModel,
-    A: Eventuality,
+    A,
     budget: int,
     *,
     seed: int = 0,
     stream="es_to_ts",
     horizon_gaps: float = DEFAULT_HORIZON_GAPS,
     threads: int = 1,
-) -> Estimate:
+) -> Estimate | list[Estimate]:
     """Time-stationary probability from an event-stationary (ergodic) model:
     the exact integral of the indicator over the first gap, normalized by
-    the plug-in mean gap."""
+    the plug-in mean gap.  A may be a group of eventualities (see estimate)."""
     if not es_model.is_es:
         raise ValueError("convert_es_to_ts needs an event-stationary model")
     mean = es_model.interval.mean if es_model.interval is not None else None
     if mean is None or not (math.isfinite(mean) and mean > 0):
         raise NoMean("the event-stationary model needs a finite positive mean gap")
-    r = effective_radius(A, es_model.scale, horizon_gaps)
+    group, single = _as_group(A)
+    r = group_radius(group, es_model.scale, horizon_gaps)
     reach = horizon_gaps * es_model.scale
     window = guard_window(es_model, r, 0.0, reach)
     hi_w = window[1]
@@ -245,48 +249,56 @@ def convert_es_to_ts(
         # T_1 exists where a stored event follows the origin
         pos1 = ctx.pos0() + 1
         t1 = ctx.point(pos1)
-        rows = np.flatnonzero((pos1 < ctx.off_hi) & (t1 + r <= hi_w))
-        integrals, ok = A.integrate(ctx, rows, 0.0, t1[rows])
-        rows = rows[ok]
-        cols = np.zeros((batch.n, 2))
-        cols[rows, 0] = integrals[ok]
-        cols[rows, 1] = t1[rows]
-        reject = np.ones(batch.n, dtype=bool)
-        reject[rows] = False
-        return cols, reject
+        stored = np.flatnonzero((pos1 < ctx.off_hi) & (t1 + r <= hi_w))
+        out = []
+        for ev in group:
+            integrals, ok = ev.integrate(ctx, stored, 0.0, t1[stored])
+            rows = stored[ok]
+            cols = np.zeros((batch.n, 2))
+            cols[rows, 0] = integrals[ok]
+            cols[rows, 1] = t1[rows]
+            reject = np.ones(batch.n, dtype=bool)
+            reject[rows] = False
+            out.append((cols, reject))
+        return out
 
     sums = run_kernel(es_model, window, budget, 2, kernel,
                       seed=seed, stream=stream, threads=threads)
-    return ratio_estimate(sums, 0, 1)
+    return _per_member(sums, single, lambda s: ratio_estimate(s, 0, 1))
 
 
 def convert_ts_to_es(
     ts_model: ProcessModel,
-    A: Eventuality,
+    A,
     budget: int,
     *,
     seed: int = 0,
     stream="ts_to_es",
     horizon_gaps: float = DEFAULT_HORIZON_GAPS,
     threads: int = 1,
-) -> Estimate:
+) -> Estimate | list[Estimate]:
     """Event-stationary probability from a time-stationary (ergodic) model:
     the gap-weighted indicator at the straddling event, normalized by the
-    plug-in count rate."""
+    plug-in count rate.  A may be a group of eventualities (see estimate)."""
     if not ts_model.is_ts:
         raise ValueError("convert_ts_to_es needs a time-stationary model")
     span = 10.0 * ts_model.scale
-    r = effective_radius(A, ts_model.scale, horizon_gaps)
+    group, single = _as_group(A)
+    r = group_radius(group, ts_model.scale, horizon_gaps)
     window = guard_window(ts_model, r, 0.0, span)
 
     def kernel(batch, ctx):
         pos0, a0, ok = straddle_gaps(batch, ctx)
-        codes = A.at_events(ctx, np.clip(pos0, 0, None), np.arange(batch.n))
-        reject = ~ok | (codes == -1)
-        num = np.where(reject, 0.0, (codes == 1) / a0)
+        e0, rows = np.clip(pos0, 0, None), np.arange(batch.n)
         den = _events_in(batch, ctx, 0.0, span)[2] / span
-        return np.column_stack((num, den)), reject
+        out = []
+        for ev in group:
+            codes = ev.at_events(ctx, e0, rows)
+            reject = ~ok | (codes == -1)
+            num = np.where(reject, 0.0, (codes == 1) / a0)
+            out.append((np.column_stack((num, den)), reject))
+        return out
 
     sums = run_kernel(ts_model, window, budget, 2, kernel,
                       seed=seed, stream=stream, threads=threads)
-    return ratio_estimate(sums, 0, 1)
+    return _per_member(sums, single, lambda s: ratio_estimate(s, 0, 1))

@@ -352,7 +352,7 @@ def cmd_suite(run: Run) -> int:
     failures = sum(1 for r in reports if r.verdict == "fail")
     low_ess = sum(
         1 for r in reports
-        if 0 < r.lhs.ess < 0.1 * r.lhs.reps or 0 < r.rhs.ess < 0.1 * r.rhs.reps
+        if any(0 < est.ess < est_mod.ESS_FLOOR * est.accepted for est in (r.lhs, r.rhs))
     )
     print(f"wrote {out}: {len(reports)} checks, {failures} failures, "
           f"{low_ess} with low effective sample size")

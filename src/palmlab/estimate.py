@@ -105,6 +105,34 @@ class BatchSums:
     reps: int
 
 
+@dataclass(frozen=True)
+class GroupSums:
+    """BatchSums of each member of a group evaluated on the same draws."""
+
+    members: tuple[BatchSums, ...]
+
+    @property
+    def rejected(self) -> np.ndarray:
+        """Rejections per variance batch, summed over the members."""
+        return sum(m.rejected for m in self.members)
+
+
+def _batch_reduce(weights: np.ndarray, cols, reject: np.ndarray, n: int, ncols: int):
+    """Weight one (cols, reject) pair of a chunk and sum it per variance batch."""
+    cols = np.asarray(cols, dtype=np.float64).reshape(n, ncols)
+    w = weights.astype(np.float64).copy()
+    w[reject] = 0.0
+    cols = cols * w[:, None]
+    cols[reject, :] = 0.0
+    starts = np.arange(0, n, _rng.VARIANCE_BATCH)
+    return (
+        np.add.reduceat(cols, starts, axis=0),
+        np.add.reduceat(w, starts),
+        np.add.reduceat(w * w, starts),
+        np.add.reduceat(reject.astype(np.int64), starts),
+    )
+
+
 def run_kernel(
     model: ProcessModel,
     window: tuple[float, float],
@@ -115,31 +143,27 @@ def run_kernel(
     seed: int,
     stream,
     threads: int = 1,
-) -> BatchSums:
-    """Drive `kernel(batch, ctx) -> (cols (n,k), reject (n,))` over the budget."""
+) -> BatchSums | GroupSums:
+    """Drive `kernel(batch, ctx) -> (cols (n,k), reject (n,))` over the budget.
+
+    A kernel may instead return a list of such pairs, one per member of a
+    group evaluated on the same draws; the result is then GroupSums.  Each
+    member is weighted and reduced on its own, so its BatchSums equal those
+    of a run of that member alone, bit for bit.
+    """
     if budget < 1:
         raise ValueError("budget must be positive")
     n_chunks = (budget + _rng.CHUNK - 1) // _rng.CHUNK
-    vb = _rng.VARIANCE_BATCH
 
     def one_chunk(ci: int):
         n = min(_rng.CHUNK, budget - ci * _rng.CHUNK)
         gen = _rng.chunk_rng(seed, stream, ci)
         batch = model.sample_batch(gen, window, n)
-        ctx = EventContext(batch)
-        cols, reject = kernel(batch, ctx)
-        cols = np.asarray(cols, dtype=np.float64).reshape(n, ncols)
-        w = batch.weights.astype(np.float64).copy()
-        w[reject] = 0.0
-        cols = cols * w[:, None]
-        cols[reject, :] = 0.0
-        starts = np.arange(0, n, vb)
-        return (
-            np.add.reduceat(cols, starts, axis=0),
-            np.add.reduceat(w, starts),
-            np.add.reduceat(w * w, starts),
-            np.add.reduceat(reject.astype(np.int64), starts),
-        )
+        out = kernel(batch, EventContext(batch))
+        pairs = out if isinstance(out, list) else [out]
+        return isinstance(out, list), [
+            _batch_reduce(batch.weights, cols, reject, n, ncols) for cols, reject in pairs
+        ]
 
     if threads > 1 and n_chunks > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -147,13 +171,13 @@ def run_kernel(
     else:
         results = [one_chunk(ci) for ci in range(n_chunks)]
 
-    return BatchSums(
-        cols=np.concatenate([r[0] for r in results], axis=0),
-        w=np.concatenate([r[1] for r in results]),
-        w2=np.concatenate([r[2] for r in results]),
-        rejected=np.concatenate([r[3] for r in results]),
-        reps=budget,
+    grouped, per_member = results[0][0], len(results[0][1])
+    members = tuple(
+        BatchSums(*(np.concatenate(parts) for parts in zip(*(r[1][j] for r in results))),
+                  reps=budget)
+        for j in range(per_member)
     )
+    return GroupSums(members) if grouped else members[0]
 
 
 def ratio_estimate(sums: BatchSums, num_col: int, den_col) -> Estimate:
@@ -223,6 +247,46 @@ def _events_in(batch: PatternBatch, ctx: EventContext, a: float, b: float):
     return e, rep, (stops - starts)
 
 
+def _bins(bin_edges, A):
+    """Checked bin edges, and one eventuality per bin (None without A); A
+    is one eventuality for every bin or a sequence of one per bin."""
+    edges = np.asarray(bin_edges, dtype=np.float64)
+    if edges.ndim != 1 or edges.size < 2 or np.any(np.diff(edges) <= 0):
+        raise ValueError("bin_edges must be strictly increasing with >= 2 entries")
+    if A is None:
+        return edges, None
+    per_bin = [A] * (edges.size - 1) if isinstance(A, Eventuality) else list(A)
+    if len(per_bin) != edges.size - 1:
+        raise ValueError("need one eventuality per bin")
+    return edges, per_bin
+
+
+def _binned_events(batch: PatternBatch, ctx: EventContext, edges: np.ndarray):
+    """Positions, replication ids and bin indices of the events in the bins."""
+    e, rep, _ = _events_in(batch, ctx, float(edges[0]), float(edges[-1]))
+    bin_idx = np.searchsorted(edges, batch.points[e], side="left") - 1
+    ok = (bin_idx >= 0) & (bin_idx < edges.size - 1)
+    return e[ok], rep[ok], bin_idx[ok]
+
+
+def binned_codes(ctx: EventContext, per_bin, e: np.ndarray, rep: np.ndarray,
+                 bin_idx: np.ndarray) -> np.ndarray:
+    """Codes of per_bin[b] at the events e of bin b, with one at_events call
+    per distinct eventuality (codes are per event, so grouping bins changes
+    none of them)."""
+    groups = group_indices(per_bin)
+    slot = np.empty(len(per_bin), dtype=np.int64)
+    for g, bins in enumerate(groups):
+        slot[bins] = g
+    which = slot[bin_idx]
+    codes = np.empty(e.size, dtype=np.int8)
+    for g, bins in enumerate(groups):
+        m = which == g
+        if m.any():
+            codes[m] = per_bin[bins[0]].at_events(ctx, e[m], rep[m])
+    return codes
+
+
 def _reject_from_codes(n: int, rep: np.ndarray, codes: np.ndarray) -> np.ndarray:
     reject = np.zeros(n, dtype=bool)
     if rep.size:
@@ -230,7 +294,48 @@ def _reject_from_codes(n: int, rep: np.ndarray, codes: np.ndarray) -> np.ndarray
     return reject
 
 
+# -- groups of eventualities ---------------------------------------------------
+
+
+def group_indices(keys) -> list[list[int]]:
+    """Indices of equal keys, one list per distinct key, in order of first
+    appearance."""
+    groups: dict = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    return list(groups.values())
+
+
+def _as_group(A) -> tuple[tuple[Eventuality, ...], bool]:
+    """(members, single): a lone eventuality is a group of one."""
+    if isinstance(A, Eventuality):
+        return (A,), True
+    group = tuple(A)
+    if not group:
+        raise ValueError("need at least one eventuality")
+    return group, False
+
+
+def group_radius(group, scale: float, horizon_gaps: float) -> float:
+    """The effective radius all members of a group share; members evaluated
+    on the same draws need the same window."""
+    radii = {effective_radius(ev, scale, horizon_gaps) for ev in group}
+    if len(radii) != 1:
+        raise ValueError("a group's eventualities must share one effective radius")
+    return radii.pop()
+
+
+def _per_member(sums: GroupSums, single: bool, finish):
+    out = [finish(s) for s in sums.members]
+    return out[0] if single else out
+
+
 # -- estimators ----------------------------------------------------------------
+#
+# Estimators that take an eventuality A also take a group of them (a
+# sequence sharing one effective radius).  The group is sampled once and
+# every member is evaluated on the same draws; the result is one Estimate
+# per member, each equal to the member's own run.
 
 
 def mc_mean(
@@ -242,52 +347,58 @@ def mc_mean(
     seed: int = 0,
     stream="mc_mean",
     threads: int = 1,
-) -> Estimate:
+) -> Estimate | list[Estimate]:
     """Self-normalized mean of a per-replication scalar.
 
     `kernel(batch, ctx) -> (values (n,), reject (n,))`.  The extension
-    point the identity registry is built on.
+    point the identity registry is built on.  A kernel that returns a list
+    of such pairs (one per member of a group) gets a list of Estimates.
     """
 
     def wrapped(batch, ctx):
-        vals, reject = kernel(batch, ctx)
-        cols = np.column_stack((np.asarray(vals, dtype=np.float64), np.ones(batch.n)))
-        return cols, reject
+        out = kernel(batch, ctx)
+        ones = np.ones(batch.n)
+
+        def cols(vals, reject):
+            return np.column_stack((np.asarray(vals, dtype=np.float64), ones)), reject
+
+        return [cols(*pair) for pair in out] if isinstance(out, list) else cols(*out)
 
     sums = run_kernel(model, window, budget, 2, wrapped,
                       seed=seed, stream=stream, threads=threads)
+    if isinstance(sums, GroupSums):
+        return [check_ess(model, ratio_estimate(s, 0, 1)) for s in sums.members]
     return check_ess(model, ratio_estimate(sums, 0, 1))
 
 
 def est_event_probability(
     model: ProcessModel,
-    A: Eventuality,
+    A,
     budget: int,
     *,
     seed: int = 0,
     stream="prob",
     horizon_gaps: float = DEFAULT_HORIZON_GAPS,
     threads: int = 1,
-) -> Estimate:
+) -> Estimate | list[Estimate]:
     """Probability of the eventuality under the model's law (origin as-is)."""
-    r = effective_radius(A, model.scale, horizon_gaps)
-    window = guard_window(model, r)
+    group, single = _as_group(A)
+    window = guard_window(model, group_radius(group, model.scale, horizon_gaps))
 
     def kernel(batch, ctx):
-        codes = A.at_origin(ctx)
-        return (
-            np.column_stack(((codes == 1).astype(np.float64), np.ones(batch.n))),
-            codes == -1,
-        )
+        ones = np.ones(batch.n)
+        codes = [ev.at_origin(ctx) for ev in group]
+        return [(np.column_stack(((c == 1).astype(np.float64), ones)), c == -1)
+                for c in codes]
 
     sums = run_kernel(model, window, budget, 2, kernel,
                       seed=seed, stream=stream, threads=threads)
-    return check_ess(model, ratio_estimate(sums, 0, 1))
+    return _per_member(sums, single, lambda s: check_ess(model, ratio_estimate(s, 0, 1)))
 
 
 def est_palm_zero(
     model: ProcessModel,
-    A: Eventuality,
+    A,
     x: float,
     budget: int,
     *,
@@ -295,26 +406,31 @@ def est_palm_zero(
     stream="palm_zero",
     horizon_gaps: float = DEFAULT_HORIZON_GAPS,
     threads: int = 1,
-) -> Estimate:
+) -> Estimate | list[Estimate]:
     """Event-centered probability for a time-stationary model, as the ratio
     of marked to total occurrence counts on (0, x]."""
     if not model.is_ts:
         raise ValueError("est_palm_zero needs a time-stationary model")
     if not x > 0:
         raise ValueError("need x > 0")
-    r = effective_radius(A, model.scale, horizon_gaps)
+    group, single = _as_group(A)
+    r = group_radius(group, model.scale, horizon_gaps)
     window = guard_window(model, r, 0.0, x)
 
     def kernel(batch, ctx):
         e, rep, den = _events_in(batch, ctx, 0.0, x)
-        codes = A.at_events(ctx, e, rep)
-        num = np.bincount(rep[codes == 1], minlength=batch.n).astype(np.float64)
-        reject = _reject_from_codes(batch.n, rep, codes)
-        return np.column_stack((num, den.astype(np.float64))), reject
+        den = den.astype(np.float64)
+        out = []
+        for ev in group:
+            codes = ev.at_events(ctx, e, rep)
+            num = np.bincount(rep[codes == 1], minlength=batch.n).astype(np.float64)
+            out.append((np.column_stack((num, den)),
+                        _reject_from_codes(batch.n, rep, codes)))
+        return out
 
     sums = run_kernel(model, window, budget, 2, kernel,
                       seed=seed, stream=stream, threads=threads)
-    return ratio_estimate(sums, 0, 1)
+    return _per_member(sums, single, lambda s: ratio_estimate(s, 0, 1))
 
 
 def est_shifted_palm(
@@ -335,27 +451,14 @@ def est_shifted_palm(
     A may be a single eventuality or one per bin (for families that vary
     with the bin's location).
     """
-    edges = np.asarray(bin_edges, dtype=np.float64)
-    if edges.ndim != 1 or edges.size < 2 or np.any(np.diff(edges) <= 0):
-        raise ValueError("bin_edges must be strictly increasing with >= 2 entries")
+    edges, per_bin = _bins(bin_edges, A)
     nb = edges.size - 1
-    per_bin = list(A) if not isinstance(A, Eventuality) else [A] * nb
-    if len(per_bin) != nb:
-        raise ValueError("need one eventuality per bin")
     r = max(effective_radius(ev, model.scale, horizon_gaps) for ev in per_bin)
     window = guard_window(model, r, float(edges[0]), float(edges[-1]))
 
     def kernel(batch, ctx):
-        e, rep, _ = _events_in(batch, ctx, float(edges[0]), float(edges[-1]))
-        t = batch.points[e]
-        bin_idx = np.searchsorted(edges, t, side="left") - 1
-        ok = (bin_idx >= 0) & (bin_idx < nb)
-        e, rep, bin_idx = e[ok], rep[ok], bin_idx[ok]
-        codes = np.empty(e.size, dtype=np.int8)
-        for b in range(nb):
-            m = bin_idx == b
-            if m.any():
-                codes[m] = per_bin[b].at_events(ctx, e[m], rep[m])
+        e, rep, bin_idx = _binned_events(batch, ctx, edges)
+        codes = binned_codes(ctx, per_bin, e, rep, bin_idx)
         flat = rep * (2 * nb) + bin_idx
         den2d = np.bincount(flat, minlength=batch.n * 2 * nb)
         flat_num = rep[codes == 1] * (2 * nb) + nb + bin_idx[codes == 1]
@@ -391,33 +494,18 @@ def est_intensity(
 ) -> IntensityProfile:
     """Occurrence rate per unit time per bin (of A-occurrences when A is
     given; A may also be one eventuality per bin)."""
-    edges = np.asarray(bin_edges, dtype=np.float64)
-    if edges.ndim != 1 or edges.size < 2 or np.any(np.diff(edges) <= 0):
-        raise ValueError("bin_edges must be strictly increasing with >= 2 entries")
+    edges, per_bin = _bins(bin_edges, A)
     nb = edges.size - 1
-    per_bin = None
-    if A is not None:
-        per_bin = list(A) if not isinstance(A, Eventuality) else [A] * nb
-        if len(per_bin) != nb:
-            raise ValueError("need one eventuality per bin")
     r = model.scale if per_bin is None else max(
         effective_radius(ev, model.scale, horizon_gaps) for ev in per_bin
     )
     window = guard_window(model, r, float(edges[0]), float(edges[-1]))
 
     def kernel(batch, ctx):
-        e, rep, _ = _events_in(batch, ctx, float(edges[0]), float(edges[-1]))
-        t = batch.points[e]
-        bin_idx = np.searchsorted(edges, t, side="left") - 1
-        ok = (bin_idx >= 0) & (bin_idx < nb)
-        e, rep, bin_idx = e[ok], rep[ok], bin_idx[ok]
+        e, rep, bin_idx = _binned_events(batch, ctx, edges)
         reject = np.zeros(batch.n, dtype=bool)
         if per_bin is not None:
-            codes = np.empty(e.size, dtype=np.int8)
-            for b in range(nb):
-                m = bin_idx == b
-                if m.any():
-                    codes[m] = per_bin[b].at_events(ctx, e[m], rep[m])
+            codes = binned_codes(ctx, per_bin, e, rep, bin_idx)
             reject = _reject_from_codes(batch.n, rep, codes)
             keep = codes == 1
             rep, bin_idx = rep[keep], bin_idx[keep]
@@ -448,7 +536,7 @@ def est_intensity(
 def est_intermediate(
     model: ProcessModel,
     n: int,
-    A: Eventuality,
+    A,
     budget: int,
     *,
     seed: int = 0,
@@ -457,11 +545,12 @@ def est_intermediate(
     threads: int = 1,
     min_coverage: float = 0.5,
     window: tuple[float, float] | None = None,
-) -> Estimate:
+) -> Estimate | list[Estimate]:
     """Probability of A seen from event T_n, conditioned on T_n being
     observable inside the window minus the guard (the finite-window proxy
     for conditioning on T_n being finite).  Coverage = 1 - rejected/reps."""
-    r = effective_radius(A, model.scale, horizon_gaps)
+    group, single = _as_group(A)
+    r = group_radius(group, model.scale, horizon_gaps)
     if window is None:
         pad = model.scale * (2.0 * abs(n) + 10.0 * math.sqrt(abs(n) + 1.0))
         window = guard_window(model, r + pad)
@@ -474,23 +563,29 @@ def est_intermediate(
         t_n = batch.points[pc]
         covered &= (t_n - r >= lo_w) & (t_n + r <= hi_w)
         rep = np.flatnonzero(covered)
-        codes = A.at_events(ctx, pos_n[rep], rep)
-        num = np.zeros(batch.n)
-        den = np.zeros(batch.n)
-        num[rep[codes == 1]] = 1.0
-        den[rep[codes != -1]] = 1.0
-        reject = ~covered
-        reject[rep[codes == -1]] = True
-        return np.column_stack((num, den)), reject
+        out = []
+        for ev in group:
+            codes = ev.at_events(ctx, pos_n[rep], rep)
+            num = np.zeros(batch.n)
+            den = np.zeros(batch.n)
+            num[rep[codes == 1]] = 1.0
+            den[rep[codes != -1]] = 1.0
+            reject = ~covered
+            reject[rep[codes == -1]] = True
+            out.append((np.column_stack((num, den)), reject))
+        return out
+
+    def finish(sums: BatchSums) -> Estimate:
+        coverage = 1.0 - float(sums.rejected.sum()) / budget
+        if coverage < min_coverage:
+            raise InsufficientCoverage(
+                f"conditioning proxy accepted {coverage:.1%} of replications"
+            )
+        return check_ess(model, ratio_estimate(sums, 0, 1))
 
     sums = run_kernel(model, window, budget, 2, kernel,
                       seed=seed, stream=stream, threads=threads)
-    coverage = 1.0 - float(sums.rejected.sum()) / budget
-    if coverage < min_coverage:
-        raise InsufficientCoverage(
-            f"conditioning proxy accepted {coverage:.1%} of replications"
-        )
-    return check_ess(model, ratio_estimate(sums, 0, 1))
+    return _per_member(sums, single, finish)
 
 
 # -- uniform re-centering inside the straddling gap ----------------------------

@@ -25,11 +25,16 @@ from .estimate import (
     est_intermediate,
     est_palm_zero,
     est_shifted_palm,
+    binned_codes,
+    group_indices,
+    group_radius,
     guard_window,
     mc_mean,
     pstar_model,
     straddle_gaps,
+    _binned_events,
     _events_in,
+    _reject_from_codes,
 )
 from .events import (
     Eventuality,
@@ -66,7 +71,7 @@ class IdentitySpec:
     description: str
     needs_eventuality: bool
     applies: Callable[[ProcessModel], bool]
-    run: Callable[[ProcessModel, Eventuality | None, RunParams], list]
+    run: Callable[[ProcessModel, tuple, RunParams], list]
     atol: float = ATOL
     budget_factor: float = 1.0
 
@@ -168,10 +173,22 @@ def _tilt_shifted_value(model: ProcessModel, ctx, y: float):
     raise NotApplicable(f"tilt {tilt.name!r} has no shifted-value form")
 
 
+def _marked(codes: np.ndarray, ok: np.ndarray, values: np.ndarray):
+    """(values where the eventuality holds, else 0; reject): rows are
+    rejected where ok fails or the eventuality is indeterminate."""
+    reject = ~ok | (codes == -1)
+    return np.where(~reject & (codes == 1), values, 0.0), reject
+
+
 # -- identity runners ------------------------------------------------------------
+#
+# A runner gets a group of eventualities sharing one effective radius (or
+# (None,) for identities that take none) and evaluates every member on the
+# same draws.  It returns probes (note, lhs, rhs); each field is one value
+# shared by all members or a list with one value per member.
 
 
-def _run_i23(model, A, rp):
+def _run_i23(model, group, rp):
     lhs = _count_rate(model, rp, "I-2.3:L")
     window = guard_window(model, model.scale * rp.horizon_gaps)
 
@@ -184,24 +201,24 @@ def _run_i23(model, A, rp):
     return [("rate vs E(1/alpha0)", lhs, rhs)]
 
 
-def _run_i24(model, A, rp):
+def _run_i24(model, group, rp):
     x1, x2 = 5.0 * model.scale, 20.0 * model.scale
-    lhs = est_palm_zero(model, A, x1, rp.budget, seed=rp.seed, stream="I-2.4:L",
+    lhs = est_palm_zero(model, group, x1, rp.budget, seed=rp.seed, stream="I-2.4:L",
                         horizon_gaps=rp.horizon_gaps, threads=rp.threads)
-    rhs = est_palm_zero(model, A, x2, rp.budget, seed=rp.seed, stream="I-2.4:R",
+    rhs = est_palm_zero(model, group, x2, rp.budget, seed=rp.seed, stream="I-2.4:R",
                         horizon_gaps=rp.horizon_gaps, threads=rp.threads)
     return [(f"x={x1:g} vs x={x2:g}", lhs, rhs)]
 
 
-def _run_i26(model, A, rp):
+def _run_i26(model, group, rp):
     palm = model.palm_companion()
     lam = model.exact_rate
-    r = effective_radius(A, model.scale, rp.horizon_gaps)
+    r = group_radius(group, model.scale, rp.horizon_gaps)
     pad = rp.horizon_gaps * model.scale
     window = guard_window(palm, r + pad)
     out = []
     for k in (0, 1):
-        lhs = est_event_probability(model, A, rp.budget, seed=rp.seed,
+        lhs = est_event_probability(model, group, rp.budget, seed=rp.seed,
                                     stream=f"I-2.6:k{k}:L",
                                     horizon_gaps=rp.horizon_gaps, threads=rp.threads)
 
@@ -211,29 +228,30 @@ def _run_i26(model, A, rp):
             y_lo, y_hi = ctx.point(i), ctx.point(i + 1)
             rows = np.flatnonzero((i >= ctx.off_lo) & (i + 1 < ctx.off_hi)
                                   & (y_lo >= -pad) & (y_hi <= pad))
-            integrals, ok = A.integrate(ctx, rows, y_lo[rows], y_hi[rows])
-            vals = np.zeros(batch.n)
-            vals[rows] = integrals
-            reject = np.ones(batch.n, dtype=bool)
-            reject[rows[ok]] = False
-            return vals, reject
+            y_lo, y_hi = y_lo[rows], y_hi[rows]
+            pairs = []
+            for A in group:
+                integrals, ok = A.integrate(ctx, rows, y_lo, y_hi)
+                vals = np.zeros(batch.n)
+                vals[rows] = integrals
+                reject = np.ones(batch.n, dtype=bool)
+                reject[rows[ok]] = False
+                pairs.append((vals, reject))
+            return pairs
 
-        rhs = _scaled(
-            mc_mean(palm, window, kernel, rp.budget,
-                    seed=rp.seed, stream=f"I-2.6:k{k}:R", threads=rp.threads),
-            lam,
-        )
-        out.append((f"k={k}", lhs, rhs))
+        rhs = mc_mean(palm, window, kernel, rp.budget,
+                      seed=rp.seed, stream=f"I-2.6:k{k}:R", threads=rp.threads)
+        out.append((f"k={k}", lhs, [_scaled(est, lam) for est in rhs]))
     return out
 
 
-def _run_i27a(model, A, rp):
+def _run_i27a(model, group, rp):
     palm = model.palm_companion()
     lam = model.exact_rate
-    r = effective_radius(A, model.scale, rp.horizon_gaps)
+    r = group_radius(group, model.scale, rp.horizon_gaps)
     out = []
     for n in (0, 1):
-        lhs = est_intermediate(model, n, A, rp.budget, seed=rp.seed,
+        lhs = est_intermediate(model, n, group, rp.budget, seed=rp.seed,
                                stream=f"I-2.7a:n{n}:L",
                                horizon_gaps=rp.horizon_gaps, threads=rp.threads)
         window = guard_window(palm, r + (abs(n) + 2) * palm.scale * 4.0)
@@ -243,23 +261,18 @@ def _run_i27a(model, A, rp):
             ok = (i >= ctx.off_lo) & (i + 1 < ctx.off_hi)
             ic = np.clip(i, 0, max(batch.points.size - 2, 0))
             gap = batch.points[ic + 1] - batch.points[ic]
-            codes = A.at_origin(ctx)
-            reject = ~ok | (codes == -1)
-            return np.where(~reject & (codes == 1), gap, 0.0), reject
+            return [_marked(A.at_origin(ctx), ok, gap) for A in group]
 
-        rhs = _scaled(
-            mc_mean(palm, window, kernel, rp.budget,
-                    seed=rp.seed, stream=f"I-2.7a:n{n}:R", threads=rp.threads),
-            lam,
-        )
-        out.append((f"n={n}", lhs, rhs))
+        rhs = mc_mean(palm, window, kernel, rp.budget,
+                      seed=rp.seed, stream=f"I-2.7a:n{n}:R", threads=rp.threads)
+        out.append((f"n={n}", lhs, [_scaled(est, lam) for est in rhs]))
     return out
 
 
-def _run_i27b(model, A, rp):
+def _run_i27b(model, group, rp):
     lam = model.exact_rate
-    r = effective_radius(A, model.scale, rp.horizon_gaps)
-    lhs = est_palm_zero(model, A, 10.0 * model.scale, rp.budget, seed=rp.seed,
+    r = group_radius(group, model.scale, rp.horizon_gaps)
+    lhs = est_palm_zero(model, group, 10.0 * model.scale, rp.budget, seed=rp.seed,
                         stream="I-2.7b:L", horizon_gaps=rp.horizon_gaps,
                         threads=rp.threads)
     out = []
@@ -270,54 +283,68 @@ def _run_i27b(model, A, rp):
             pos0, a0, ok = straddle_gaps(batch, ctx)
             e = np.clip(pos0 + n, 0, max(batch.points.size - 1, 0))
             ok = ok & (pos0 + n >= ctx.off_lo) & (pos0 + n < ctx.off_hi)
-            codes = A.at_events(ctx, e, np.arange(batch.n))
-            reject = ~ok | (codes == -1)
-            return np.where(~reject & (codes == 1), 1.0 / a0, 0.0), reject
+            rows = np.arange(batch.n)
+            return [_marked(A.at_events(ctx, e, rows), ok, 1.0 / a0) for A in group]
 
-        rhs = _scaled(
-            mc_mean(model, window, kernel, rp.budget,
-                    seed=rp.seed, stream=f"I-2.7b:n{n}:R", threads=rp.threads),
-            1.0 / lam,
-        )
-        out.append((f"n={n}", lhs, rhs))
+        rhs = mc_mean(model, window, kernel, rp.budget,
+                      seed=rp.seed, stream=f"I-2.7b:n{n}:R", threads=rp.threads)
+        out.append((f"n={n}", lhs, [_scaled(est, 1.0 / lam) for est in rhs]))
     return out
 
 
-def _run_i28c(model, A, rp):
+def _i28c_partner(A: Eventuality) -> Eventuality:
     partner = parse_eventuality("T1<=0.5")
-    if partner == A:
-        partner = parse_eventuality("count(0,1]==0")
-    pad = rp.horizon_gaps * model.scale
-    r = max(
-        effective_radius(A, model.scale, rp.horizon_gaps),
-        effective_radius(partner, model.scale, rp.horizon_gaps),
-    )
-    window = guard_window(model, r + pad)
+    return parse_eventuality("count(0,1]==0") if partner == A else partner
 
-    def side_kernel(f: Eventuality, g: Eventuality):
-        def kernel(batch, ctx):
+
+def _pairing_kernel(pairs, pad: float):
+    """Per pair (f, g): [f at the origin] times the mean of [g] over the
+    straddling gap."""
+
+    def kernel(batch, ctx):
+        pos0, a0, ok = straddle_gaps(batch, ctx)
+        t0, t1 = ctx.point(pos0), ctx.point(pos0 + 1)
+        out = []
+        for f, g in pairs:
             codes = f.at_origin(ctx)
-            pos0, a0, ok = straddle_gaps(batch, ctx)
             reject = (~ok) | (codes == -1)
-            t0, t1 = ctx.point(pos0), ctx.point(pos0 + 1)
             rows = np.flatnonzero(~reject & (codes == 1))
             reject[rows] = (t0[rows] < -pad) | (t1[rows] > pad)
             rows = rows[~reject[rows]]
-            integrals, ok = g.integrate(ctx, rows, t0[rows], t1[rows])
-            reject[rows[~ok]] = True
+            integrals, good = g.integrate(ctx, rows, t0[rows], t1[rows])
+            reject[rows[~good]] = True
             vals = np.zeros(batch.n)
             vals[rows] = integrals / a0[rows]
-            return vals, reject
-        return kernel
+            out.append((vals, reject))
+        return out
 
-    lhs = mc_mean(model, window, side_kernel(A, partner), rp.budget,
-                  seed=rp.seed, stream="I-2.8c:L", threads=rp.threads)
-    rhs = mc_mean(model, window, side_kernel(partner, A), rp.budget,
-                  seed=rp.seed, stream="I-2.8c:R", threads=rp.threads)
-    return [(f"partner={partner.label}", lhs, rhs)]
+    return kernel
 
 
-def _run_i210c(model, A, rp):
+def _run_i28c(model, group, rp):
+    partners = [_i28c_partner(A) for A in group]
+    pad = rp.horizon_gaps * model.scale
+    radii = [
+        max(effective_radius(A, model.scale, rp.horizon_gaps),
+            effective_radius(partner, model.scale, rp.horizon_gaps))
+        for A, partner in zip(group, partners)
+    ]
+    lhs, rhs = [None] * len(group), [None] * len(group)
+    # a member's window also covers its partner, so only members whose
+    # pairs need the same radius share draws
+    for idx in group_indices(radii):
+        window = guard_window(model, radii[idx[0]] + pad)
+        pairs = [(group[i], partners[i]) for i in idx]
+        sub_l = mc_mean(model, window, _pairing_kernel(pairs, pad), rp.budget,
+                        seed=rp.seed, stream="I-2.8c:L", threads=rp.threads)
+        sub_r = mc_mean(model, window, _pairing_kernel([(g, f) for f, g in pairs], pad),
+                        rp.budget, seed=rp.seed, stream="I-2.8c:R", threads=rp.threads)
+        for j, i in enumerate(idx):
+            lhs[i], rhs[i] = sub_l[j], sub_r[j]
+    return [([f"partner={partner.label}" for partner in partners], lhs, rhs)]
+
+
+def _run_i210c(model, group, rp):
     lam = model.exact_rate
     out = []
     for mult in (0.5, 1.0, 3.0):
@@ -344,16 +371,17 @@ def _run_i210c(model, A, rp):
     return out
 
 
-def _run_i37(model, A, rp):
+def _run_i37(model, group, rp):
     # span sets the truncation of the integral over shifted laws; 14 mean
     # gaps keeps the discarded tail well inside this identity's atol.
     # The bin width drives the discretization bias of the straddle
     # condition, which is first order in the width.
     width = 0.1 * model.scale
     span = 14.0 * model.scale
+    r = group_radius(group, model.scale, rp.horizon_gaps)
     out = []
     for k in (0, 1):
-        lhs = est_intermediate(model, k, A, rp.budget, seed=rp.seed,
+        lhs = est_intermediate(model, k, group, rp.budget, seed=rp.seed,
                                stream=f"I-3.7:k{k}:L",
                                horizon_gaps=rp.horizon_gaps, threads=rp.threads)
         if k == 0:
@@ -362,28 +390,17 @@ def _run_i37(model, A, rp):
             edges = np.arange(0.0, span + width / 2, width)
         centers = 0.5 * (edges[:-1] + edges[1:])
         straddles = [ev_straddle(k, float(c)) for c in centers]
-        nb = centers.size
-        r = effective_radius(A, model.scale, rp.horizon_gaps)
         window = guard_window(model, r + 2.0 * span, float(edges[0]), float(edges[-1]))
 
-        def kernel(batch, ctx, edges=edges, straddles=straddles, nb=nb):
-            e, rep, _ = _events_in(batch, ctx, float(edges[0]), float(edges[-1]))
-            t = batch.points[e]
-            bin_idx = np.searchsorted(edges, t, side="left") - 1
-            keep = (bin_idx >= 0) & (bin_idx < nb)
-            e, rep, bin_idx = e[keep], rep[keep], bin_idx[keep]
-            codes = A.at_events(ctx, e, rep)
-            codes_b = np.empty(e.size, dtype=np.int8)
-            for b in range(nb):
-                m = bin_idx == b
-                if m.any():
-                    codes_b[m] = straddles[b].at_events(ctx, e[m], rep[m])
-            both = _kleene_and(codes, codes_b)
-            vals = np.bincount(rep[both == 1], minlength=batch.n).astype(np.float64)
-            reject = np.zeros(batch.n, dtype=bool)
-            if rep.size:
-                reject[rep[both == -1]] = True
-            return vals, reject
+        def kernel(batch, ctx, edges=edges, straddles=straddles):
+            e, rep, bin_idx = _binned_events(batch, ctx, edges)
+            codes_b = binned_codes(ctx, straddles, e, rep, bin_idx)
+            pairs = []
+            for A in group:
+                both = _kleene_and(A.at_events(ctx, e, rep), codes_b)
+                vals = np.bincount(rep[both == 1], minlength=batch.n).astype(np.float64)
+                pairs.append((vals, _reject_from_codes(batch.n, rep, both)))
+            return pairs
 
         rhs = mc_mean(model, window, kernel, rp.budget,
                       seed=rp.seed, stream=f"I-3.7:k{k}:R", threads=rp.threads)
@@ -391,93 +408,95 @@ def _run_i37(model, A, rp):
     return out
 
 
-def _run_i313(model, A, rp):
+def _run_i313(model, group, rp):
     out = []
     for x in (-1.0, 0.5):
         x = x * model.scale
         edges = np.array([x - 0.05 * model.scale, x + 0.05 * model.scale])
-        lhs = est_shifted_palm(model, A, edges, rp.budget, seed=rp.seed,
-                               stream=f"I-3.13:x{x}:L",
-                               horizon_gaps=rp.horizon_gaps,
-                               threads=rp.threads)[0].estimate
-        prof_a = est_intensity(model, edges, rp.budget, A=A, seed=rp.seed,
-                               stream=f"I-3.13:x{x}:RA",
-                               horizon_gaps=rp.horizon_gaps, threads=rp.threads)
         prof = est_intensity(model, edges, rp.budget, seed=rp.seed,
                              stream=f"I-3.13:x{x}:RB",
                              horizon_gaps=rp.horizon_gaps, threads=rp.threads)
-        num = Estimate(prof_a.values[0], prof_a.std_errors[0], rp.budget,
-                       prof_a.rejected, 0.0)
         den = Estimate(prof.values[0], prof.std_errors[0], rp.budget,
                        prof.rejected, 0.0)
-        out.append((f"x={x:g}", lhs, _indep_ratio(num, den)))
+        lhs, rhs = [], []
+        for A in group:
+            lhs.append(est_shifted_palm(model, A, edges, rp.budget, seed=rp.seed,
+                                        stream=f"I-3.13:x{x}:L",
+                                        horizon_gaps=rp.horizon_gaps,
+                                        threads=rp.threads)[0].estimate)
+            prof_a = est_intensity(model, edges, rp.budget, A=A, seed=rp.seed,
+                                   stream=f"I-3.13:x{x}:RA",
+                                   horizon_gaps=rp.horizon_gaps, threads=rp.threads)
+            num = Estimate(prof_a.values[0], prof_a.std_errors[0], rp.budget,
+                           prof_a.rejected, 0.0)
+            rhs.append(_indep_ratio(num, den))
+        out.append((f"x={x:g}", lhs, rhs))
     return out
 
 
-def _run_i44(model, A, rp):
+def _run_i44(model, group, rp):
     ts_member, es_member = _companion_pair(model)
-    lhs1 = convert_es_to_ts(es_member, A, rp.budget, seed=rp.seed,
+    lhs1 = convert_es_to_ts(es_member, group, rp.budget, seed=rp.seed,
                             stream="I-4.4:es2ts:L", horizon_gaps=rp.horizon_gaps,
                             threads=rp.threads)
-    rhs1 = est_event_probability(ts_member, A, rp.budget, seed=rp.seed,
+    rhs1 = est_event_probability(ts_member, group, rp.budget, seed=rp.seed,
                                  stream="I-4.4:es2ts:R",
                                  horizon_gaps=rp.horizon_gaps, threads=rp.threads)
-    lhs2 = convert_ts_to_es(ts_member, A, rp.budget, seed=rp.seed,
+    lhs2 = convert_ts_to_es(ts_member, group, rp.budget, seed=rp.seed,
                             stream="I-4.4:ts2es:L", horizon_gaps=rp.horizon_gaps,
                             threads=rp.threads)
-    rhs2 = est_event_probability(es_member, A, rp.budget, seed=rp.seed,
+    rhs2 = est_event_probability(es_member, group, rp.budget, seed=rp.seed,
                                  stream="I-4.4:ts2es:R",
                                  horizon_gaps=rp.horizon_gaps, threads=rp.threads)
     return [("es->ts", lhs1, rhs1), ("ts->es", lhs2, rhs2)]
 
 
-def _run_i45(model, A, rp):
+def _run_i45(model, group, rp):
     ts_member, es_member = _companion_pair(model)
     lhs = _count_rate(ts_member, rp, "I-4.5:L")
     rhs = _inverted(_mean_alpha0(es_member, rp, "I-4.5:R"))
     return [("rate vs 1/mean gap", lhs, rhs)]
 
 
-def _run_i52a(model, A, rp):
+def _run_i52a(model, group, rp):
     info = model.tilt_info
     palm = info.base_palm()
     lam = info.base_rate
     window = guard_window(palm, palm.scale * rp.horizon_gaps)
 
-    def delta0_kernel(with_a: bool):
+    def delta0_kernel(members):
+        """lam * alpha0 * sigma at the base's event; with members, one
+        column per member, times its indicator at the origin."""
         def kernel(batch, ctx):
             sigma = info.tilt.value_batch(batch)
             _, a0, ok = straddle_gaps(batch, ctx)
             vals = lam * a0 * sigma
-            reject = ~ok
-            if with_a:
-                codes = A.at_origin(ctx)
-                reject = reject | (codes == -1)
-                vals = np.where(codes == 1, vals, 0.0)
-            return np.where(reject, 0.0, vals), reject
+            if members is None:
+                return np.where(~ok, 0.0, vals), ~ok
+            return [_marked(A.at_origin(ctx), ok, vals) for A in members]
         return kernel
 
-    norm = mc_mean(palm, window, delta0_kernel(False), rp.budget,
+    norm = mc_mean(palm, window, delta0_kernel(None), rp.budget,
                    seed=rp.seed, stream="I-5.2a:norm", threads=rp.threads)
-    lhs_b = est_intermediate(model, 0, A, rp.budget, seed=rp.seed,
+    lhs_b = est_intermediate(model, 0, group, rp.budget, seed=rp.seed,
                              stream="I-5.2a:L", horizon_gaps=rp.horizon_gaps,
                              threads=rp.threads)
-    rhs_b = mc_mean(palm, window, delta0_kernel(True), rp.budget,
+    rhs_b = mc_mean(palm, window, delta0_kernel(group), rp.budget,
                     seed=rp.seed, stream="I-5.2a:R", threads=rp.threads)
     return [("normalization", norm, _exact(1.0)), ("reweighted", lhs_b, rhs_b)]
 
 
-def _run_i71b(model, A, rp):
-    lhs = est_event_probability(model, A, rp.budget, seed=rp.seed,
+def _run_i71b(model, group, rp):
+    lhs = est_event_probability(model, group, rp.budget, seed=rp.seed,
                                 stream="I-7.1b:L", horizon_gaps=rp.horizon_gaps,
                                 threads=rp.threads)
-    rhs = est_event_probability(pstar_model(model), A, rp.budget, seed=rp.seed,
+    rhs = est_event_probability(pstar_model(model), group, rp.budget, seed=rp.seed,
                                 stream="I-7.1b:R", horizon_gaps=rp.horizon_gaps,
                                 threads=rp.threads)
     return [("uniform re-centering fixed point", lhs, rhs)]
 
 
-def _run_i81a(model, A, rp):
+def _run_i81a(model, group, rp):
     info = model.tilt_info
     palm = info.base_palm()
     lam = info.base_rate
@@ -506,36 +525,32 @@ def _run_i81a(model, A, rp):
     return out
 
 
-def _run_i84rho(model, A, rp):
+def _run_i84rho(model, group, rp):
     info = model.tilt_info
     palm = info.base_palm()
     lam = info.base_rate
     half = 0.05 * model.scale
-    r = effective_radius(A, model.scale, rp.horizon_gaps)
+    r = group_radius(group, model.scale, rp.horizon_gaps)
     out = []
     for x in (-1.0, 0.5):
         x = x * model.scale
         edges = np.array([x - half, x + half])
-        lhs = est_shifted_palm(model, A, edges, rp.budget, seed=rp.seed,
-                               stream=f"I-8.4rho:x{x}:L",
-                               horizon_gaps=rp.horizon_gaps,
-                               threads=rp.threads)[0].estimate
+        lhs = [est_shifted_palm(model, A, edges, rp.budget, seed=rp.seed,
+                                stream=f"I-8.4rho:x{x}:L",
+                                horizon_gaps=rp.horizon_gaps,
+                                threads=rp.threads)[0].estimate
+               for A in group]
         window = guard_window(palm, r + palm.scale * rp.horizon_gaps + abs(x))
 
         def kernel(batch, ctx, x=x):
             idx, ok = _gap_at(ctx, -x)
             gap = batch.points[idx + 1] - batch.points[idx]
-            codes = A.at_origin(ctx)
-            reject = ~ok | (codes == -1)
-            return np.where(~reject & (codes == 1), gap, 0.0), reject
+            return [_marked(A.at_origin(ctx), ok, gap) for A in group]
 
         factor = lam / (2.0 - math.exp(-lam * abs(x)))
-        rhs = _scaled(
-            mc_mean(palm, window, kernel, rp.budget,
-                    seed=rp.seed, stream=f"I-8.4rho:x{x}:R", threads=rp.threads),
-            factor,
-        )
-        out.append((f"x={x:g}", lhs, rhs))
+        rhs = mc_mean(palm, window, kernel, rp.budget,
+                      seed=rp.seed, stream=f"I-8.4rho:x{x}:R", threads=rp.threads)
+        out.append((f"x={x:g}", lhs, [_scaled(est, factor) for est in rhs]))
     return out
 
 
@@ -610,24 +625,14 @@ DEFAULT_SUITE_MODELS = (
 )
 
 
-def check_identity(
-    spec: IdentitySpec,
-    model: ProcessModel,
-    A: Eventuality | None,
-    budget: int = 100_000,
-    *,
-    seed: int = 2026,
-    z_crit: float = Z_CRIT,
-    horizon_gaps: float = DEFAULT_HORIZON_GAPS,
-    threads: int = 1,
-) -> IdentityReport:
-    """Evaluate one identity on one model; reports the worst probe."""
-    if not spec.applies(model):
-        raise NotApplicable(f"{spec.id} does not apply to {model.label}")
-    if spec.needs_eventuality and A is None:
-        raise ValueError(f"{spec.id} needs an eventuality")
-    rp = RunParams(int(budget * spec.budget_factor), seed, horizon_gaps, threads)
-    probes = spec.run(model, A, rp)
+def _member(value, i: int):
+    """Member i's share of a probe field (a list holds one value per member)."""
+    return value[i] if isinstance(value, list) else value
+
+
+def _report(spec: IdentitySpec, model: ProcessModel, label: str, probes,
+            z_crit: float, budget: int) -> IdentityReport:
+    """The verdict over all probes, carrying the worst one."""
     worst = None
     all_pass = True
     for note, lhs, rhs in probes:
@@ -639,17 +644,45 @@ def check_identity(
         if worst is None or z > worst[3]:
             worst = (note, lhs, rhs, z)
     note, lhs, rhs, z = worst
-    return IdentityReport(
-        spec.id,
-        model.label,
-        A.label if (spec.needs_eventuality and A is not None) else "-",
-        note,
-        lhs,
-        rhs,
-        z,
-        "pass" if all_pass else "fail",
-        rp.budget,
-    )
+    return IdentityReport(spec.id, model.label, label, note, lhs, rhs, z,
+                          "pass" if all_pass else "fail", budget)
+
+
+def check_identity(
+    spec: IdentitySpec,
+    model: ProcessModel,
+    A,
+    budget: int = 100_000,
+    *,
+    seed: int = 2026,
+    z_crit: float = Z_CRIT,
+    horizon_gaps: float = DEFAULT_HORIZON_GAPS,
+    threads: int = 1,
+):
+    """Evaluate one identity on one model; a report carries the worst probe.
+
+    A is one eventuality (None for identities that take none), or a group:
+    a sequence of eventualities sharing one effective radius, evaluated on
+    one set of draws.  A group gets a list with one report per member, each
+    equal to the report of that member checked alone.
+    """
+    if not spec.applies(model):
+        raise NotApplicable(f"{spec.id} does not apply to {model.label}")
+    single = A is None or isinstance(A, Eventuality)
+    group = (A,) if single else tuple(A)
+    if spec.needs_eventuality:
+        if A is None:
+            raise ValueError(f"{spec.id} needs an eventuality")
+        group_radius(group, model.scale, horizon_gaps)
+    rp = RunParams(int(budget * spec.budget_factor), seed, horizon_gaps, threads)
+    probes = spec.run(model, group, rp)
+    reports = [
+        _report(spec, model, ev.label if spec.needs_eventuality else "-",
+                [tuple(_member(field, i) for field in probe) for probe in probes],
+                z_crit, rp.budget)
+        for i, ev in enumerate(group)
+    ]
+    return reports[0] if single else reports
 
 
 def run_suite(
@@ -664,7 +697,9 @@ def run_suite(
     threads: int = 1,
 ) -> list[IdentityReport]:
     """Every applicable (identity, model, battery-eventuality) triple, in
-    deterministic order; non-applicable pairs are skipped."""
+    deterministic order; non-applicable pairs are skipped.  Battery members
+    with the same effective radius are checked as one group, on one set of
+    draws; their reports equal those of members checked one by one."""
     reports = []
     for spec in REGISTRY:
         if only is not None and spec.id != only:
@@ -672,11 +707,18 @@ def run_suite(
         for model in models:
             if not spec.applies(model):
                 continue
-            choices = battery if spec.needs_eventuality else [None]
-            for A in choices:
-                reports.append(
-                    check_identity(spec, model, A, budget, seed=seed,
-                                   z_crit=z_crit, horizon_gaps=horizon_gaps,
-                                   threads=threads)
-                )
+            if not spec.needs_eventuality:
+                reports.append(check_identity(spec, model, None, budget, seed=seed,
+                                              z_crit=z_crit, horizon_gaps=horizon_gaps,
+                                              threads=threads))
+                continue
+            row = [None] * len(battery)
+            radii = [effective_radius(A, model.scale, horizon_gaps) for A in battery]
+            for idx in group_indices(radii):
+                group = [battery[i] for i in idx]
+                for i, report in zip(idx, check_identity(
+                        spec, model, group, budget, seed=seed, z_crit=z_crit,
+                        horizon_gaps=horizon_gaps, threads=threads)):
+                    row[i] = report
+            reports.extend(row)
     return reports

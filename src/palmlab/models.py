@@ -293,10 +293,17 @@ def _side_cumsum(rng, dist: IntervalDistribution, n_rows: int, span: float) -> n
     per = max(span, 0.0) / dist.mean
     m = int(per + 10.0 * math.sqrt(per + 1.0) + 10.0)
     while True:
-        cum = np.cumsum(dist.sample(rng, (n_rows, m)), axis=1)
+        cum = dist.sample(rng, (n_rows, m))
+        np.cumsum(cum, axis=1, out=cum)
         if np.all(cum[:, -1] > span):
             return cum
         m *= 2
+
+
+def _used_columns(inside: np.ndarray) -> int:
+    """Number of leading columns in which some row is inside, for rows that
+    leave the window monotonically (inside is a per-row prefix)."""
+    return int(np.count_nonzero(inside.any(axis=0)))
 
 
 def _assemble_two_sided(
@@ -312,7 +319,17 @@ def _assemble_two_sided(
     lo, hi = window
     left = _side_cumsum(rng, left_dist, n, float(np.max(anchors[:, 0]) - lo))
     right = _side_cumsum(rng, right_dist, n, float(hi - np.min(anchors[:, -1])))
-    matrix = np.hstack((anchors[:, :1] - left[:, ::-1], anchors, anchors[:, -1:] + right))
+    # event times outward from the anchors; the trailing columns that no row
+    # keeps are left out of the matrix, which drops no event
+    np.subtract(anchors[:, :1], left, out=left)
+    np.add(anchors[:, -1:], right, out=right)
+    kl = _used_columns(left >= lo)
+    kr = _used_columns(right <= hi)
+    ka = anchors.shape[1]
+    matrix = np.empty((n, kl + ka + kr))
+    matrix[:, :kl] = left[:, :kl][:, ::-1]
+    matrix[:, kl:kl + ka] = anchors
+    matrix[:, kl + ka:] = right[:, :kr]
     valid = (matrix >= lo) & (matrix <= hi)
     counts = valid.sum(axis=1)
     offsets = np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))

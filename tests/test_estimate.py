@@ -3,8 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from palmlab.ams import convert_es_to_ts, convert_ts_to_es
 from palmlab.errors import InsufficientCoverage, NoStraddle, ZeroDenominator
 from palmlab.estimate import (
+    GroupSums,
+    _binned_events,
+    binned_codes,
     est_event_probability,
     est_intensity,
     est_intermediate,
@@ -17,18 +21,21 @@ from palmlab.estimate import (
     run_kernel,
     straddle_gaps,
 )
-from palmlab.events import BATTERY, ev_true, parse_eventuality
+from palmlab.events import BATTERY, EventContext, Eventuality, ev_true, parse_eventuality
 from palmlab.models import (
     deterministic,
     example44,
     example84_exact,
     exponential,
     gamma_intervals,
+    make_tilt,
     poisson_ts,
     renewal_es,
     renewal_ts_from_es,
+    tilted_ts,
 )
 from palmlab.pattern import PointPattern
+from palmlab.rng import chunk_rng
 
 from conftest import agree, palm_renewal_oracle, within
 
@@ -330,3 +337,104 @@ class TestMachinery:
                            degenerate, weighted=True)
         with pytest.raises(LowEffectiveSampleSize):
             est_event_probability(bad, ev_true(), 256, seed=0)
+
+
+# three members sharing the 15-gap horizon
+GROUP = [parse_eventuality(t) for t in ("alpha(0)>1", "alpha(-1)>0.5", "T1<=0.5")]
+
+
+class TestGroups:
+    """Members of a group are evaluated on one set of draws, and each gets
+    exactly what a run of that member alone gets."""
+
+    def test_run_kernel_members_get_their_solo_sums(self):
+        m = tilted_ts(poisson_ts(1.0), make_tilt("alpha0", 0.5))
+        window = guard_window(m, HG * m.scale)
+
+        def member(parity):
+            def kernel(batch, ctx):
+                _, a0, ok = straddle_gaps(batch, ctx)
+                reject = ~ok | (np.arange(batch.n) % 3 == parity)
+                return np.column_stack((np.where(ok, a0, 0.0), np.ones(batch.n))), reject
+            return kernel
+
+        kernels = [member(0), member(1)]
+
+        def joint(batch, ctx):
+            return [k(batch, ctx) for k in kernels]
+
+        solo = [run_kernel(m, window, 9000, 2, k, seed=3, stream="g") for k in kernels]
+        assert not np.array_equal(solo[0].rejected, solo[1].rejected)
+        for threads in (1, 2):
+            group = run_kernel(m, window, 9000, 2, joint, seed=3, stream="g", threads=threads)
+            assert isinstance(group, GroupSums) and len(group.members) == 2
+            for got, want in zip(group.members, solo):
+                assert got.reps == want.reps
+                for field in ("cols", "w", "w2", "rejected"):
+                    assert np.array_equal(getattr(got, field), getattr(want, field)), field
+            assert np.array_equal(group.rejected, solo[0].rejected + solo[1].rejected)
+
+    def test_estimators_accept_groups(self):
+        ts = renewal_ts_from_es(gamma_intervals(2.0, 1.0))
+        es = renewal_es(gamma_intervals(2.0, 1.0))
+        runs = [
+            lambda A: est_event_probability(ts, A, 5000, seed=4, threads=2),
+            lambda A: est_palm_zero(ts, A, 5.0, 5000, seed=4, threads=2),
+            lambda A: est_intermediate(ts, 1, A, 5000, seed=4, threads=2),
+            lambda A: convert_es_to_ts(es, A, 5000, seed=4, threads=2),
+            lambda A: convert_ts_to_es(ts, A, 5000, seed=4, threads=2),
+        ]
+        for run in runs:
+            assert run(GROUP) == [run(A) for A in GROUP]
+            assert run(GROUP[:1]) == [run(GROUP[0])]
+
+    def test_mc_mean_list_kernel(self):
+        m = poisson_ts(1.0)
+        window = guard_window(m, HG)
+
+        def gap(batch, ctx):
+            _, a0, ok = straddle_gaps(batch, ctx)
+            return np.where(ok, a0, 0.0), ~ok
+
+        def inverse(batch, ctx):
+            _, a0, ok = straddle_gaps(batch, ctx)
+            return np.where(ok, 1.0 / a0, 0.0), ~ok
+
+        got = mc_mean(m, window, lambda b, c: [gap(b, c), inverse(b, c)], 5000, seed=8)
+        assert got == [mc_mean(m, window, k, 5000, seed=8) for k in (gap, inverse)]
+
+    def test_group_needs_one_radius(self):
+        with pytest.raises(ValueError):
+            est_event_probability(poisson_ts(1.0), [A_GAP, parse_eventuality("count(0,1]==0")],
+                                  100)
+        with pytest.raises(ValueError):
+            est_event_probability(poisson_ts(1.0), [], 100)
+
+
+class TestBinnedCodes:
+    def test_one_call_per_distinct_eventuality(self, monkeypatch):
+        m = poisson_ts(1.0)
+        batch = m.sample_batch(chunk_rng(1, "bins", 0), (-25.0, 25.0), 300)
+        ctx = EventContext(batch)
+        edges = np.linspace(-2.0, 2.0, 9)
+        a, b = parse_eventuality("alpha(0)>1"), parse_eventuality("count(0,1]==0")
+        per_bin = [a, b, a, a, b, b, a, b]
+        e, rep, bin_idx = _binned_events(batch, ctx, edges)
+        want = np.empty(e.size, dtype=np.int8)
+        for k, ev in enumerate(per_bin):
+            sel = bin_idx == k
+            want[sel] = ev.at_events(ctx, e[sel], rep[sel])
+
+        calls = []
+        plain = Eventuality.at_events
+
+        def counting(self, ctx, e, rep):
+            calls.append(self.label)
+            return plain(self, ctx, e, rep)
+
+        monkeypatch.setattr(Eventuality, "at_events", counting)
+        assert np.array_equal(binned_codes(ctx, per_bin, e, rep, bin_idx), want)
+        assert calls == [a.label, b.label]
+        calls.clear()
+        binned_codes(ctx, [a] * 8, e, rep, bin_idx)
+        assert calls == [a.label]

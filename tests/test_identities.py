@@ -1,7 +1,8 @@
 import pytest
 
 from palmlab.errors import NotApplicable
-from palmlab.events import SUITE_BATTERY, parse_eventuality
+from palmlab.estimate import DEFAULT_HORIZON_GAPS, group_indices
+from palmlab.events import SUITE_BATTERY, effective_radius, parse_eventuality
 from palmlab.identities import (
     DEFAULT_SUITE_MODELS,
     REGISTRY,
@@ -12,6 +13,17 @@ from palmlab.identities import (
 from palmlab.models import example44, exponential, poisson_ts, renewal_es
 
 A_GAP = parse_eventuality("alpha(0)>1")
+
+# The suite battery plus T1<=0.5, whose I-2.8c partner differs from the
+# other members' (the partner swap), in the same radius group as the gaps.
+JOINT_BATTERY = tuple(SUITE_BATTERY) + (parse_eventuality("T1<=0.5"),)
+JOINT_CASES = [(spec, model) for spec in REGISTRY if spec.needs_eventuality
+               for model in DEFAULT_SUITE_MODELS if spec.applies(model)]
+
+
+def radius_groups(model, battery=JOINT_BATTERY):
+    radii = [effective_radius(A, model.scale, DEFAULT_HORIZON_GAPS) for A in battery]
+    return [[battery[i] for i in idx] for idx in group_indices(radii)]
 
 
 class TestRegistry:
@@ -108,3 +120,45 @@ class TestRunSuite:
             big = check_identity(REGISTRY_BY_ID[ident], m, None, 40_000, seed=4)
             assert small.verdict == big.verdict == "pass"
             assert big.z <= 4.0
+
+
+class TestJointEvaluation:
+    """Battery members sharing an effective radius are checked on one set of
+    draws; each member's report must equal its solo report exactly."""
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("spec, model", JOINT_CASES,
+                             ids=[f"{s.id}-{m.descriptor['model']}" for s, m in JOINT_CASES])
+    def test_group_equals_solo(self, spec, model, threads):
+        groups = radius_groups(model)
+        assert sorted(len(g) for g in groups) == [1, 3]
+        for group in groups:
+            joint = check_identity(spec, model, group, 1024, seed=17, threads=threads)
+            solo = [check_identity(spec, model, A, 1024, seed=17, threads=threads)
+                    for A in group]
+            assert joint == solo
+
+    def test_group_equals_solo_across_chunks(self):
+        # three chunks on a thread pool against one thread, member by member
+        spec, model = REGISTRY_BY_ID["I-2.7b"], poisson_ts(1.0)
+        group = radius_groups(model)[0]
+        joint = check_identity(spec, model, group, 9000, seed=19, threads=2)
+        assert joint == [check_identity(spec, model, A, 9000, seed=19) for A in group]
+
+    def test_suite_rows_in_battery_order(self):
+        model = poisson_ts(1.0)
+        reports = run_suite([model], 1024, only="I-2.4", seed=2, battery=JOINT_BATTERY)
+        assert [r.eventuality for r in reports] == [A.label for A in JOINT_BATTERY]
+        assert reports == [check_identity(REGISTRY_BY_ID["I-2.4"], model, A, 1024, seed=2)
+                           for A in JOINT_BATTERY]
+
+    def test_group_needs_one_radius(self):
+        with pytest.raises(ValueError):
+            check_identity(REGISTRY_BY_ID["I-2.4"], poisson_ts(1.0),
+                           [A_GAP, parse_eventuality("count(0,1]==0")], 100)
+
+    def test_identity_without_eventuality_reports_each_member(self):
+        spec = REGISTRY_BY_ID["I-2.3"]
+        reports = check_identity(spec, poisson_ts(1.0), [A_GAP, A_GAP], 1024, seed=3)
+        solo = check_identity(spec, poisson_ts(1.0), None, 1024, seed=3)
+        assert reports == [solo, solo]

@@ -379,6 +379,12 @@ class TestGoldenBatches:
         ("pstar renewal_es", lambda: pstar_model(renewal_es(gamma_intervals(2.0, 1.0))),
          (-20.0, 20.0), 100, 20,
          "7920587b3b9e358a71deac917c9dad53a8de935851a261a4fe5188b74ccfa6e3"),
+        # 10 of the 200 rows go through the one-row redraw path
+        ("example84 redraws", lambda: example84_exact(1.0), (-2.5, 2.5), 200, 21,
+         "55d2f3f35b6d93b7594400ab9a1349eef2f23cbe78b76da4f804e7df234bf434"),
+        ("renewal_ts ams window", lambda: renewal_ts_from_es(gamma_intervals(2.0, 1.0)),
+         (-15.0, 441.0), 40, 22,
+         "709818ad0507422b7c4249ba51c06010449299a2fcca84f308ef884dcc3b86a0"),
     ]
 
     @pytest.mark.parametrize("label, factory, window, n, seed, digest", CASES,
