@@ -93,6 +93,17 @@ def _time_checkpoints(model: ProcessModel, x_max: float) -> np.ndarray:
     return np.array(sorted(c for c in cps if c <= x_max), dtype=np.float64)
 
 
+def _running_averages(model: ProcessModel, sums, ncp: int):
+    """Values and standard errors of the checkpoint columns 0..ncp-1 over
+    the count column ncp.  A deterministic law runs one replication, which
+    is exact: its errors are 0, not the unknown spread of one batch."""
+    ests = [ratio_estimate(sums, j, ncp) for j in range(ncp)]
+    values = np.array([e.value for e in ests])
+    if model.is_deterministic:
+        return values, np.zeros(ncp)
+    return values, np.array([e.std_error for e in ests])
+
+
 def cesaro_event(
     model: ProcessModel,
     A: Eventuality,
@@ -138,14 +149,8 @@ def cesaro_event(
 
     sums = run_kernel(model, window, budget, ncp + 1, kernel,
                       seed=seed, stream=stream, threads=threads)
-    values = np.empty(ncp)
-    errors = np.empty(ncp)
-    for j in range(ncp):
-        est = ratio_estimate(sums, j, ncp)
-        values[j] = est.value
-        errors[j] = est.std_error
-    return CesaroTrace(cps.astype(np.float64), values, errors, "event",
-                       budget, int(sums.rejected.sum()))
+    return CesaroTrace(cps.astype(np.float64), *_running_averages(model, sums, ncp),
+                       "event", budget, int(sums.rejected.sum()))
 
 
 def cesaro_time(
@@ -179,13 +184,8 @@ def cesaro_time(
 
     sums = run_kernel(model, window, budget, ncp + 1, kernel,
                       seed=seed, stream=stream, threads=threads)
-    values = np.empty(ncp)
-    errors = np.empty(ncp)
-    for j in range(ncp):
-        est = ratio_estimate(sums, j, ncp)
-        values[j] = est.value
-        errors[j] = est.std_error
-    return CesaroTrace(cps, values, errors, "time", budget, int(sums.rejected.sum()))
+    return CesaroTrace(cps, *_running_averages(model, sums, ncp), "time",
+                       budget, int(sums.rejected.sum()))
 
 
 def ams_verdict(trace: CesaroTrace, tail_fraction: float = 0.5,

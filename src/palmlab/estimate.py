@@ -193,7 +193,8 @@ def ratio_estimate(sums: BatchSums, num_col: int, den_col) -> Estimate:
     r = float(num_b.sum()) / den_total
     d = num_b - r * den_b
     nb = d.size
-    se = math.sqrt(nb / (nb - 1) * float(d @ d)) / abs(den_total) if nb > 1 else 0.0
+    # one variance batch carries no information about the spread
+    se = math.sqrt(nb / (nb - 1) * float(d @ d)) / abs(den_total) if nb > 1 else math.inf
     w_total = float(sums.w.sum())
     w2_total = float(sums.w2.sum())
     ess = (w_total * w_total / w2_total) if w2_total > 0 else 0.0

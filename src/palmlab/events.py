@@ -342,6 +342,18 @@ class _FirstLe(Eventuality):
         return [pts, pts - self.t]
 
 
+def straddle_codes(ctx, y, j, rep, k: int, x):
+    """Codes of [T_-k <= -x < T_-k+1] seen from positions y (as codes_at);
+    x is one distance or an array of distances aligned with y."""
+    i = j - k
+    valid = (i >= ctx.off_lo[rep]) & (i + 1 < ctx.off_hi[rep])
+    t_lo = ctx.point(i) - y
+    t_hi = ctx.point(i + 1) - y
+    out = ((t_lo <= -x) & (-x < t_hi)).astype(np.int8)
+    out[~valid] = -1
+    return out
+
+
 class _PrevStraddle(Eventuality):
     """[T_-k <= -x < T_-k+1]: standing on an event, the origin of the original
     frame at distance x falls between the k-th previous event and its successor."""
@@ -359,13 +371,7 @@ class _PrevStraddle(Eventuality):
             return None
 
     def codes_at(self, ctx, y, j, rep):
-        i = j - self.k
-        valid = (i >= ctx.off_lo[rep]) & (i + 1 < ctx.off_hi[rep])
-        t_lo = ctx.point(i) - y
-        t_hi = ctx.point(i + 1) - y
-        out = ((t_lo <= -self.x) & (-self.x < t_hi)).astype(np.int8)
-        out[~valid] = -1
-        return out
+        return straddle_codes(ctx, y, j, rep, self.k, self.x)
 
     def breaks(self, pts, wlo, whi):
         # T_-k <= y - x flips at y = T + x

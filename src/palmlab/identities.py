@@ -25,7 +25,6 @@ from .estimate import (
     est_intermediate,
     est_palm_zero,
     est_shifted_palm,
-    binned_codes,
     group_indices,
     group_radius,
     guard_window,
@@ -41,8 +40,8 @@ from .events import (
     SUITE_BATTERY,
     _kleene_and,
     effective_radius,
-    ev_straddle,
     parse_eventuality,
+    straddle_codes,
 )
 from .models import (
     ProcessModel,
@@ -152,25 +151,6 @@ def _gap_at(ctx, y: float):
     idx = ctx.last_le(np.full(ctx.batch.n, y), np.arange(ctx.batch.n))
     valid = (idx >= ctx.off_lo) & (idx + 1 < ctx.off_hi)
     return np.clip(idx, 0, max(ctx.points.size - 2, 0)), valid
-
-
-def _tilt_shifted_value(model: ProcessModel, ctx, y: float):
-    """sigma applied to the view from position y, per replication."""
-    tilt = model.tilt_info.tilt
-    idx, valid = _gap_at(ctx, y)
-    pts = ctx.points
-    g0 = pts[idx + 1] - pts[idx]
-    if tilt.name == "alpha0":
-        return tilt.params[0] * g0, valid
-    if tilt.name == "alpha01":
-        valid = valid & (idx + 2 < ctx.off_hi)
-        nxt = np.clip(idx + 2, 0, max(pts.size - 1, 0))
-        g1 = pts[nxt] - pts[np.minimum(idx + 1, nxt)]
-        c0, c1 = tilt.params
-        return c0 * g0 + c1 * g1, valid
-    if tilt.name == "identity":
-        return np.ones(ctx.batch.n), valid
-    raise NotApplicable(f"tilt {tilt.name!r} has no shifted-value form")
 
 
 def _marked(codes: np.ndarray, ok: np.ndarray, values: np.ndarray):
@@ -389,12 +369,12 @@ def _run_i37(model, group, rp):
         else:
             edges = np.arange(0.0, span + width / 2, width)
         centers = 0.5 * (edges[:-1] + edges[1:])
-        straddles = [ev_straddle(k, float(c)) for c in centers]
         window = guard_window(model, r + 2.0 * span, float(edges[0]), float(edges[-1]))
 
-        def kernel(batch, ctx, edges=edges, straddles=straddles):
+        def kernel(batch, ctx, k=k, edges=edges, centers=centers):
+            # [T_-k <= -x < T_-k+1] with x the centre of each event's bin
             e, rep, bin_idx = _binned_events(batch, ctx, edges)
-            codes_b = binned_codes(ctx, straddles, e, rep, bin_idx)
+            codes_b = straddle_codes(ctx, ctx.points[e], e, rep, k, centers[bin_idx])
             pairs = []
             for A in group:
                 both = _kleene_and(A.at_events(ctx, e, rep), codes_b)
@@ -458,30 +438,31 @@ def _run_i45(model, group, rp):
     return [("rate vs 1/mean gap", lhs, rhs)]
 
 
+def _delta0_kernel(tilt, lam: float, members):
+    """Kernel of lam * alpha0 * sigma at the base's event; with members, one
+    column per member, times its indicator at the origin.  Rows that lack a
+    gap sigma reads (ok implies straddling) are rejected, not fatal."""
+    def kernel(batch, ctx):
+        sigma, ok = tilt.value_batch(batch)
+        _, a0, _ = straddle_gaps(batch, ctx)
+        vals = lam * a0 * sigma
+        if members is None:
+            return np.where(~ok, 0.0, vals), ~ok
+        return [_marked(A.at_origin(ctx), ok, vals) for A in members]
+    return kernel
+
+
 def _run_i52a(model, group, rp):
     info = model.tilt_info
     palm = info.base_palm()
     lam = info.base_rate
     window = guard_window(palm, palm.scale * rp.horizon_gaps)
-
-    def delta0_kernel(members):
-        """lam * alpha0 * sigma at the base's event; with members, one
-        column per member, times its indicator at the origin."""
-        def kernel(batch, ctx):
-            sigma = info.tilt.value_batch(batch)
-            _, a0, ok = straddle_gaps(batch, ctx)
-            vals = lam * a0 * sigma
-            if members is None:
-                return np.where(~ok, 0.0, vals), ~ok
-            return [_marked(A.at_origin(ctx), ok, vals) for A in members]
-        return kernel
-
-    norm = mc_mean(palm, window, delta0_kernel(None), rp.budget,
+    norm = mc_mean(palm, window, _delta0_kernel(info.tilt, lam, None), rp.budget,
                    seed=rp.seed, stream="I-5.2a:norm", threads=rp.threads)
     lhs_b = est_intermediate(model, 0, group, rp.budget, seed=rp.seed,
                              stream="I-5.2a:L", horizon_gaps=rp.horizon_gaps,
                              threads=rp.threads)
-    rhs_b = mc_mean(palm, window, delta0_kernel(group), rp.budget,
+    rhs_b = mc_mean(palm, window, _delta0_kernel(info.tilt, lam, group), rp.budget,
                     seed=rp.seed, stream="I-5.2a:R", threads=rp.threads)
     return [("normalization", norm, _exact(1.0)), ("reweighted", lhs_b, rhs_b)]
 
@@ -513,8 +494,9 @@ def _run_i81a(model, group, rp):
         window = guard_window(palm, palm.scale * rp.horizon_gaps + abs(y))
 
         def kernel(batch, ctx, y=y):
-            vals, ok = _tilt_shifted_value(model, ctx, -y)
-            return np.where(ok, vals, 0.0), ~ok
+            # sigma applied to the view from -y; values are 0 where undefined
+            vals, ok = info.tilt.values_at(ctx.points, *_gap_at(ctx, -y), ctx.off_hi)
+            return vals, ~ok
 
         rhs = _scaled(
             mc_mean(palm, window, kernel, rp.budget,

@@ -127,23 +127,31 @@ class Tilt:
     name: str
     params: tuple[float, ...]
 
-    def value_batch(self, batch: PatternBatch) -> np.ndarray:
+    def value_batch(self, batch: PatternBatch) -> tuple[np.ndarray, np.ndarray]:
+        """Per row, the value at the row's own origin and whether the row
+        stores every gap the tilt reads (see values_at)."""
         pos0 = batch.pos0()
-        if not np.all(batch.straddled(pos0)):
-            raise InsufficientContext("tilt evaluation needs origin-straddling patterns")
-        pts = batch.points
-        if self.name == "identity":
-            return np.ones(batch.n)
-        a0 = pts[pos0 + 1] - pts[pos0]
-        if self.name == "alpha0":
-            return self.params[0] * a0
+        return self.values_at(batch.points, pos0, batch.straddled(pos0), batch.offsets[1:])
+
+    def values_at(self, points, i, ok, row_end) -> tuple[np.ndarray, np.ndarray]:
+        """Values read from the gap (points[i], points[i+1]) and the ones
+        after it, per row, and the rows whose values are defined: those
+        where ok (the gap is stored) and every further gap read ends before
+        the row's end offset row_end.  Values are 0 where not defined."""
+        if self.name not in ("identity", "alpha0", "alpha01"):
+            raise UnknownTilt(self.name)
         if self.name == "alpha01":
-            if np.any(pos0 + 2 >= batch.offsets[1:]):
-                raise InsufficientContext("tilt needs the gap after the straddling one")
-            a1 = pts[pos0 + 2] - pts[pos0 + 1]
+            ok = ok & (i + 2 < row_end)
+        i = i[ok]
+        values = np.zeros(ok.size)
+        if self.name == "identity":
+            values[ok] = 1.0
+        elif self.name == "alpha0":
+            values[ok] = self.params[0] * (points[i + 1] - points[i])
+        else:
             g0, g1 = self.params
-            return g0 * a0 + g1 * a1
-        raise UnknownTilt(self.name)
+            values[ok] = g0 * (points[i + 1] - points[i]) + g1 * (points[i + 2] - points[i + 1])
+        return values, ok
 
     @property
     def label(self) -> str:
@@ -288,22 +296,64 @@ def _row_flaws(batch: PatternBatch, require_straddle: bool) -> np.ndarray:
     return bad
 
 
-def _side_cumsum(rng, dist: IntervalDistribution, n_rows: int, span: float) -> np.ndarray:
-    """Per-row cumulative gap sums guaranteed to exceed span."""
+# slack of the gap draws, in standard deviations of a Poisson count: a side
+# draws per + c*sqrt(per + 1) + c gaps for a span of per mean gaps, and a row
+# still short of the span gets blocks of c*sqrt(per + 1) + c more gaps
+GAP_SLACK = 3.0
+
+
+def _side_cumsum(rng, dist: IntervalDistribution, n_rows: int, span: float) -> list:
+    """Per-row cumulative sums of i.i.d. gaps, each row drawn until a sum
+    exceeds span, as blocks (rows, sums) laid side by side.
+
+    The first block holds every row.  Each later block tops up only the
+    rows still short of span and continues their sums.  Whether a row draws
+    again reads only its own sums, so every row stays an i.i.d. gap
+    sequence.
+    """
     per = max(span, 0.0) / dist.mean
-    m = int(per + 10.0 * math.sqrt(per + 1.0) + 10.0)
-    while True:
-        cum = dist.sample(rng, (n_rows, m))
-        np.cumsum(cum, axis=1, out=cum)
-        if np.all(cum[:, -1] > span):
-            return cum
-        m *= 2
+    extra = max(1, int(GAP_SLACK * (math.sqrt(per + 1.0) + 1.0)))
+    cum = dist.sample(rng, (n_rows, int(per) + extra))
+    np.cumsum(cum, axis=1, out=cum)
+    blocks = [(slice(None), cum)]
+    rows = np.flatnonzero(cum[:, -1] <= span)
+    last = cum[rows, -1]
+    while rows.size:
+        top = dist.sample(rng, (rows.size, extra))
+        top[:, 0] += last
+        np.cumsum(top, axis=1, out=top)
+        blocks.append((rows, top))
+        short = top[:, -1] <= span
+        rows, last = rows[short], top[short, -1]
+    return blocks
 
 
-def _used_columns(inside: np.ndarray) -> int:
-    """Number of leading columns in which some row is inside, for rows that
-    leave the window monotonically (inside is a per-row prefix)."""
-    return int(np.count_nonzero(inside.any(axis=0)))
+def _used_columns(blocks, inside) -> int:
+    """Number of leading columns of the side-by-side blocks in which some
+    row is inside (a boolean function of a block), for rows that leave the
+    window monotonically (inside is a per-row prefix)."""
+    used = start = 0
+    for _, b in blocks:
+        k = int(np.count_nonzero(inside(b).any(axis=0)))
+        if k:
+            used = start + k
+        start += b.shape[1]
+    return used
+
+
+def _put_columns(blocks, dst: np.ndarray, pad: float) -> None:
+    """Write the leading columns of the side-by-side blocks into dst, with
+    pad where a row has no draw."""
+    k = dst.shape[1]
+    start = 0
+    for rows, b in blocks:
+        if start >= k:
+            break
+        w = min(b.shape[1], k - start)
+        if start:
+            dst[:, start:start + w] = pad
+        dst[rows, start:start + w] = b[:, :w]
+        start += b.shape[1]
 
 
 def _assemble_two_sided(
@@ -321,15 +371,17 @@ def _assemble_two_sided(
     right = _side_cumsum(rng, right_dist, n, float(hi - np.min(anchors[:, -1])))
     # event times outward from the anchors; the trailing columns that no row
     # keeps are left out of the matrix, which drops no event
-    np.subtract(anchors[:, :1], left, out=left)
-    np.add(anchors[:, -1:], right, out=right)
-    kl = _used_columns(left >= lo)
-    kr = _used_columns(right <= hi)
+    for rows, b in left:
+        np.subtract(anchors[rows, :1], b, out=b)
+    for rows, b in right:
+        np.add(anchors[rows, -1:], b, out=b)
+    kl = _used_columns(left, lambda b: b >= lo)
+    kr = _used_columns(right, lambda b: b <= hi)
     ka = anchors.shape[1]
     matrix = np.empty((n, kl + ka + kr))
-    matrix[:, :kl] = left[:, :kl][:, ::-1]
+    _put_columns(left, matrix[:, :kl][:, ::-1], -np.inf)
     matrix[:, kl:kl + ka] = anchors
-    matrix[:, kl + ka:] = right[:, :kr]
+    _put_columns(right, matrix[:, kl + ka:], np.inf)
     valid = (matrix >= lo) & (matrix <= hi)
     counts = valid.sum(axis=1)
     offsets = np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
@@ -464,8 +516,11 @@ def tilted_ts(base: ProcessModel, tilt: Tilt) -> ProcessModel:
 
     def batch(rng, window, n):
         out = base.sample_batch(rng, window, n)
-        w = out.weights * tilt.value_batch(out)
-        return PatternBatch(out.points, out.offsets, out.windows, w)
+        sigma, ok = tilt.value_batch(out)
+        if not ok.all():
+            raise InsufficientContext("tilt evaluation needs origin-straddling patterns "
+                                      "that store every gap the tilt reads")
+        return PatternBatch(out.points, out.offsets, out.windows, out.weights * sigma)
 
     return ProcessModel(
         LAW_TILTED_TS,

@@ -63,6 +63,16 @@ def random_pattern(rng, span: float = 12.0, rate: float = 1.0):
             return PointPattern(pts, (-span, span))
 
 
+def rows_batch(rows, window):
+    """A PatternBatch of hand-written rows (ascending event times), all on
+    one window, with unit weights."""
+    from palmlab.pattern import PatternBatch
+
+    pts = np.concatenate([np.array(r, dtype=float) for r in rows])
+    offsets = np.concatenate(([0], np.cumsum([len(r) for r in rows])))
+    return PatternBatch(pts, offsets, np.tile(window, (len(rows), 1)), np.ones(len(rows)))
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260809)

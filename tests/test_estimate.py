@@ -293,6 +293,14 @@ class TestMachinery:
         assert np.array_equal(sums1.cols, sums4.cols)
         assert np.array_equal(sums1.w, sums4.w)
 
+    @pytest.mark.parametrize("budget, finite", [(64, False), (1, False), (128, True)])
+    def test_one_variance_batch_has_unknown_se(self, budget, finite):
+        # one batch says nothing about the spread: the s.e. is infinite,
+        # so no identity check can fail on it
+        est = est_palm_zero(poisson_ts(1.0), A_GAP, 10.0, budget, seed=7, horizon_gaps=HG)
+        assert math.isfinite(est.std_error) == finite
+        assert 0.0 <= est.value <= 1.0
+
     def test_se_scaling_with_budget(self):
         # doubling the budget should shrink the s.e. by about sqrt(2)
         m = poisson_ts(1.0)

@@ -1,16 +1,36 @@
+import numpy as np
 import pytest
 
 from palmlab.errors import NotApplicable
-from palmlab.estimate import DEFAULT_HORIZON_GAPS, group_indices
-from palmlab.events import SUITE_BATTERY, effective_radius, parse_eventuality
+from palmlab.estimate import DEFAULT_HORIZON_GAPS, _binned_events, binned_codes, group_indices
+from palmlab.events import (
+    SUITE_BATTERY,
+    EventContext,
+    effective_radius,
+    ev_straddle,
+    ev_true,
+    parse_eventuality,
+    straddle_codes,
+)
 from palmlab.identities import (
     DEFAULT_SUITE_MODELS,
     REGISTRY,
     REGISTRY_BY_ID,
+    _delta0_kernel,
     check_identity,
     run_suite,
 )
-from palmlab.models import example44, exponential, poisson_ts, renewal_es
+from palmlab.models import (
+    example84_exact,
+    example44,
+    exponential,
+    make_tilt,
+    poisson_ts,
+    renewal_es,
+)
+from palmlab.rng import chunk_rng
+
+from conftest import rows_batch
 
 A_GAP = parse_eventuality("alpha(0)>1")
 
@@ -162,3 +182,46 @@ class TestJointEvaluation:
         reports = check_identity(spec, poisson_ts(1.0), [A_GAP, A_GAP], 1024, seed=3)
         solo = check_identity(spec, poisson_ts(1.0), None, 1024, seed=3)
         assert reports == [solo, solo]
+
+
+class TestI52aRows:
+    """An event-centered base row with no event after 0 is rejected by
+    I-5.2a's kernel instead of failing the chunk."""
+
+    WINDOW = (-15.0, 15.0)
+    ROWS = [[-1.0, 0.0, 0.7, 2.0], [-2.0, -0.5, 0.0], [-0.4, 0.0, 1.5, 1.6]]
+    KEPT = [0, 2]
+
+    @pytest.mark.parametrize("members", [None, (ev_true(), parse_eventuality("alpha(0)>1"))],
+                             ids=["normalization", "members"])
+    def test_row_without_positive_event(self, members):
+        kernel = _delta0_kernel(make_tilt("alpha0", 0.5), 1.0, members)
+        batch = rows_batch(self.ROWS, self.WINDOW)
+        kept = rows_batch([self.ROWS[i] for i in self.KEPT], self.WINDOW)
+        got = kernel(batch, EventContext(batch))
+        ref = kernel(kept, EventContext(kept))
+        if members is None:
+            got, ref = [got], [ref]
+        for (vals, reject), (ref_vals, ref_reject) in zip(got, ref):
+            assert reject.tolist() == [False, True, False]
+            assert vals[1] == 0.0
+            assert vals[self.KEPT].tobytes() == np.asarray(ref_vals).tobytes()
+            assert not ref_reject.any()
+
+
+@pytest.mark.parametrize("k", [0, 1])
+def test_i37_straddle_codes_equal_per_bin_loop(k):
+    """I-3.7's one straddle evaluation with per-event distances gives the
+    codes of one ev_straddle per bin, byte for byte."""
+    model = example84_exact(1.0)
+    batch = model.sample_batch(chunk_rng(5, "i37-codes", 0), (-45.0, 45.0), 512)
+    ctx = EventContext(batch)
+    width, span = 0.1 * model.scale, 14.0 * model.scale
+    edges = (np.arange(-span, 0.0 + width / 2, width) if k == 0
+             else np.arange(0.0, span + width / 2, width))
+    centers = 0.5 * (edges[:-1] + edges[1:])
+    e, rep, bin_idx = _binned_events(batch, ctx, edges)
+    per_bin = binned_codes(ctx, [ev_straddle(k, float(c)) for c in centers], e, rep, bin_idx)
+    joint = straddle_codes(ctx, ctx.points[e], e, rep, k, centers[bin_idx])
+    assert e.size > 5_000 and {0, 1} <= set(np.unique(joint).tolist())
+    assert joint.dtype == per_bin.dtype and joint.tobytes() == per_bin.tobytes()

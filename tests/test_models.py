@@ -5,10 +5,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from palmlab.errors import DegenerateWindow, InsufficientWindow, UnknownTilt
+from palmlab.errors import (
+    DegenerateWindow,
+    InsufficientContext,
+    InsufficientWindow,
+    UnknownTilt,
+)
 from palmlab.estimate import est_event_probability, pstar_model
 from palmlab.events import parse_eventuality
 from palmlab.models import (
+    LAW_TS,
+    ProcessModel,
     deterministic,
     example44,
     example44_block_ends,
@@ -29,7 +36,7 @@ from palmlab.models import (
 )
 from palmlab.rng import chunk_rng
 
-from conftest import agree, within
+from conftest import agree, rows_batch, within
 
 
 def sample_stat(model, window, n, seed, fn):
@@ -251,6 +258,37 @@ class TestTilted:
         assert abs(cov) > 3 * se, "interior weights must break independence"
 
 
+class TestTiltRows:
+    # row 1 has no event after the origin; row 2 stores no gap after the
+    # straddling one
+    ROWS = [[-1.0, 0.5, 2.0, 2.5], [-2.0, -0.5], [-0.3, 0.7], [-1.5, 0.2, 1.0]]
+    WINDOW = (-3.0, 3.0)
+
+    @pytest.mark.parametrize("tilt, ok", [
+        (make_tilt("identity"), [True, False, True, True]),
+        (make_tilt("alpha0", 0.5), [True, False, True, True]),
+        (make_tilt("alpha01", 1.0, 0.5), [True, False, False, True]),
+    ], ids=["identity", "alpha0", "alpha01"])
+    def test_per_row_validity(self, tilt, ok):
+        values, got = tilt.value_batch(rows_batch(self.ROWS, self.WINDOW))
+        assert got.tolist() == ok
+        assert np.all(values[~got] == 0.0)
+        # a valid row's value does not depend on the other rows
+        for i in np.flatnonzero(got):
+            alone, _ = tilt.value_batch(rows_batch([self.ROWS[i]], self.WINDOW))
+            assert values[i] == alone[0]
+        assert tilt.value_batch(rows_batch([self.ROWS[0]], self.WINDOW))[0][0] == {
+            "identity": 1.0, "alpha0": 0.5 * 1.5, "alpha01": 1.5 + 0.5 * 1.5}[tilt.name]
+
+    def test_tilted_sampler_fails_loudly(self):
+        rows = self.ROWS
+        base = ProcessModel(LAW_TS, {"model": "fixed"}, 1.0,
+                            lambda rng, window, n: rows_batch(rows, window),
+                            exact_rate=1.0)
+        with pytest.raises(InsufficientContext):
+            tilted_ts(base, make_tilt("alpha0", 0.5)).sample_batch(None, self.WINDOW, 4)
+
+
 class TestExample84:
     def test_matches_importance_sampling_oracle(self):
         # the exact sampler must agree with self-normalized reweighting of
@@ -348,7 +386,10 @@ def _batch_digest(batch) -> str:
 
 class TestGoldenBatches:
     """Fixed-seed batches are pinned byte for byte: a sampler may get
-    faster but must keep every random draw and every output value."""
+    faster but must keep every random draw and every output value.  The
+    two-sided samplers' digests were re-recorded when their gap draws were
+    right-sized (tests/test_gap_draws.py checks the law against the former
+    rule)."""
 
     # (label, model factory, window, rows, seed, SHA-256 of the batch's
     # points, offsets, windows and weights)
@@ -361,12 +402,12 @@ class TestGoldenBatches:
          "c1859d22d38f9dedc89ad9820ee5f0d2a3ded930c2f9ab8824f4effb8fad4d05"),
         ("renewal_ts", lambda: renewal_ts_from_es(gamma_intervals(2.0, 1.0)),
          (-20.0, 20.0), 100, 14,
-         "edc941f68c368f223995585dc1f5795ffce94714a01dbb1da88fb6890b9b086b"),
+         "f2383c132fb4f6536d1acf933c8dbadb29421196ee0c067e1b3638cd1de17c5e"),
         ("renewal_es", lambda: renewal_es(uniform_intervals(0.5, 1.5)),
          (-20.0, 20.0), 100, 15,
-         "e5da7294c9acbd9bc85f307c63e668c77abcbe26c4d711bf6916dce9e072e807"),
+         "c3728e509efde7414cf57e226496133d72e3f7a047ae9c0ab8608b2ca8ab5645"),
         ("example84", lambda: example84_exact(1.0), (-20.0, 20.0), 100, 16,
-         "f67b1bbcdc2227f507ff144e198ce2eaf099349f36d11fb73199af0058d6c113"),
+         "a7546e246cb89cfb547d715b9ac00a5c99b7df1f191bb1054af1c3a31d67838d"),
         ("tilted alpha0", lambda: tilted_ts(poisson_ts(1.0), make_tilt("alpha0", 0.5)),
          (-20.0, 20.0), 100, 17,
          "e0bc9be34f67dcf6480ba47a317bc62f8d76a169c82fd7659fd3464be331e7e1"),
@@ -378,13 +419,18 @@ class TestGoldenBatches:
          "2f995520d101916035af32218825b4392d5de08c25933be933619c4b3f1d8c0b"),
         ("pstar renewal_es", lambda: pstar_model(renewal_es(gamma_intervals(2.0, 1.0))),
          (-20.0, 20.0), 100, 20,
-         "7920587b3b9e358a71deac917c9dad53a8de935851a261a4fe5188b74ccfa6e3"),
-        # 10 of the 200 rows go through the one-row redraw path
+         "4fd0b2aa8494157d86851c324a1e2a11952f901fcd682d1dd7d7258c9660fb19"),
+        # 9 of the 200 rows go through the one-row redraw path
         ("example84 redraws", lambda: example84_exact(1.0), (-2.5, 2.5), 200, 21,
-         "55d2f3f35b6d93b7594400ab9a1349eef2f23cbe78b76da4f804e7df234bf434"),
+         "3264bdd7f47b4fff84e4e192205db3972171d609dbef673c5669df848f03f00a"),
         ("renewal_ts ams window", lambda: renewal_ts_from_es(gamma_intervals(2.0, 1.0)),
          (-15.0, 441.0), 40, 22,
-         "709818ad0507422b7c4249ba51c06010449299a2fcca84f308ef884dcc3b86a0"),
+         "ff8a16d282508a462b71dc2bde2b56044b943121f53a311050ef0af50d49e750"),
+        # gaps with coefficient of variation 2: 6 rows are topped up on the
+        # left, 9 on the right (two rounds)
+        ("renewal_es top-ups", lambda: renewal_es(gamma_intervals(0.25, 0.25)),
+         (-20.0, 20.0), 100, 23,
+         "fd181ffccd15c255920a7c998db25a53ad1525c3a48259d8e311a07cff08154f"),
     ]
 
     @pytest.mark.parametrize("label, factory, window, n, seed, digest", CASES,
