@@ -13,7 +13,6 @@ from .errors import (
     InsufficientWindow,
     LowEffectiveSampleSize,
     NoMean,
-    NoStraddle,
     NotApplicable,
     OutsideWindow,
     PalmLabError,
@@ -42,7 +41,6 @@ from .models import (
     IntervalDistribution,
     ProcessModel,
     Tilt,
-    WeightedPattern,
     deterministic,
     example44,
     example44_block_ends,
@@ -72,7 +70,6 @@ from .estimate import (
     est_shifted_palm,
     mc_mean,
     pstar_model,
-    resample_pstar,
 )
 from .ams import (
     AmsVerdict,

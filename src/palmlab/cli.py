@@ -203,7 +203,7 @@ def cmd_simulate(run: Run) -> int:
     patterns = []
     for i in range(reps):
         gen = chunk_rng(run.seed, "simulate", i)
-        patterns.append(model.sample(gen, (lo, hi)).pattern)
+        patterns.append(model.sample_batch(gen, (lo, hi), 1).pattern(0))
     out = run.out_dir / "patterns.txt"
     write_patterns(out, patterns)
     print(f"wrote {reps} patterns to {out}")

@@ -5,10 +5,6 @@ class PalmLabError(Exception):
     """Base class for all palmlab errors."""
 
 
-class NoStraddle(PalmLabError):
-    """The pattern has no points on one side of the origin, so T0/T1 are undefined."""
-
-
 class IndexOutOfPattern(PalmLabError):
     """A requested event index T_n (or gap between T_n and T_n+1) is not in the pattern."""
 

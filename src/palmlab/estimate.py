@@ -24,12 +24,11 @@ from . import rng as _rng
 from .errors import (
     InsufficientCoverage,
     LowEffectiveSampleSize,
-    NoStraddle,
     ZeroDenominator,
 )
 from .events import EventContext, Eventuality, effective_radius
-from .models import LAW_TILTED_TS, LAW_TS, ProcessModel
-from .pattern import PatternBatch, PointPattern, ragged_ranges
+from .models import LAW_TILTED_TS, LAW_TS, ProcessModel, redraw_rows
+from .pattern import PatternBatch, ragged_ranges
 
 # Horizon, in mean gaps, for eventualities without a declared radius.
 DEFAULT_HORIZON_GAPS = 15.0
@@ -592,63 +591,47 @@ def est_intermediate(
 # -- uniform re-centering inside the straddling gap ----------------------------
 
 
-def resample_pstar(p: PointPattern, u: float) -> PointPattern:
-    """Move the origin to T_0 + u * alpha_0; pushing samples through this
-    map with u uniform(0,1) samples the uniformly re-centered law."""
-    if not 0.0 <= u < 1.0:
-        raise ValueError("need u in [0, 1)")
-    pos0, pos1 = p.locate_indices()
-    t0 = float(p.points[pos0])
-    a0 = float(p.points[pos1]) - t0
-    return p.shift_time(t0 + u * a0)
+# Pad, in mean gaps of the base law, added to each side of pstar_model's
+# window: the base is sampled on the padded window and re-centered by at
+# most the pad.
+PSTAR_PAD_GAPS = 12.0
 
 
-def pstar_model(base: ProcessModel, pad_gaps: float = 12.0) -> ProcessModel:
-    """The pushforward of the base law under uniform re-centering."""
-    pad = pad_gaps * base.scale
+def pstar_model(base: ProcessModel) -> ProcessModel:
+    """The pushforward of the base law under uniform re-centering: the
+    origin moves to T_0 + u * alpha_0 with u uniform(0, 1)."""
+    pad = PSTAR_PAD_GAPS * base.scale
 
-    def batch(rng, window, n):
-        lo, hi = window
-        padded = (lo - pad, hi + pad)
-        out = base.sample_batch(rng, padded, n)
-        u = rng.random(n)
-        pos0 = out.pos0()
+    def recenter(out, pos0, u):
+        """The shift y per row and the rows viewed from y."""
         safe = np.clip(pos0, 0, max(out.points.size - 2, 0))
         y = out.points[safe] + u * (out.points[safe + 1] - out.points[safe])
-        bad = ~out.straddled(pos0) | (np.abs(y) > pad)
-        if np.any(bad):
-            # a base draw without straddle, or a straddling gap wider than the
-            # pad: redraw those rows until the shifted window covers the target
-            rows = np.split(out.points, out.offsets[1:-1])
-            weights = out.weights.copy()
-            for i in np.flatnonzero(bad):
-                while True:
-                    wp = base.sample(rng, padded)
-                    try:
-                        k0, k1 = wp.pattern.locate_indices()
-                    except NoStraddle:
-                        continue
-                    t0 = float(wp.pattern.points[k0])
-                    t1 = float(wp.pattern.points[k1])
-                    yi = t0 + float(rng.random(1)[0]) * (t1 - t0)
-                    if abs(yi) <= pad:
-                        rows[i] = np.asarray(wp.pattern.points)
-                        weights[i] = wp.weight
-                        y[i] = yi
-                        break
-            counts = np.fromiter((rw.size for rw in rows), dtype=np.int64, count=n)
-            out = PatternBatch(
-                np.concatenate(rows),
-                np.concatenate(([0], np.cumsum(counts))),
-                out.windows,
-                weights,
-            )
-        return PatternBatch(
+        return y, PatternBatch(
             out.points - np.repeat(y, np.diff(out.offsets)),
             out.offsets,
             out.windows - y[:, None],
             out.weights,
         )
+
+    def batch(rng, window, n):
+        lo, hi = window
+        padded = (lo - pad, hi + pad)
+
+        def draw_row():
+            row = base.sample_batch(rng, padded, 1)
+            pos0 = row.pos0()
+            # no u is drawn for a base row that does not straddle the origin
+            if not row.straddled(pos0)[0]:
+                return None
+            y, view = recenter(row, pos0, rng.random(1))
+            return view if abs(y[0]) <= pad else None
+
+        out = base.sample_batch(rng, padded, n)
+        pos0 = out.pos0()
+        y, view = recenter(out, pos0, rng.random(n))
+        # a base draw without straddle, or a straddling gap wider than the
+        # pad: redraw those rows until the shifted window covers the target
+        return redraw_rows(view, ~out.straddled(pos0) | (np.abs(y) > pad), draw_row)
 
     return ProcessModel(
         LAW_TS if base.is_ts else LAW_TILTED_TS,

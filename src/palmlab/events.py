@@ -33,10 +33,10 @@ import re
 
 import numpy as np
 
-from .errors import IndexOutOfPattern, NoStraddle, OutsideWindow
+from .errors import IndexOutOfPattern, OutsideWindow
 from .pattern import BLOCK_ROWS, PatternBatch, PointPattern, padded_rows, ragged_ranges
 
-_PATTERN_ERRORS = (NoStraddle, IndexOutOfPattern, OutsideWindow)
+_PATTERN_ERRORS = (IndexOutOfPattern, OutsideWindow)
 
 
 def _fmt(x: float) -> str:

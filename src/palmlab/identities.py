@@ -443,8 +443,8 @@ def _delta0_kernel(tilt, lam: float, members):
     column per member, times its indicator at the origin.  Rows that lack a
     gap sigma reads (ok implies straddling) are rejected, not fatal."""
     def kernel(batch, ctx):
-        sigma, ok = tilt.value_batch(batch)
-        _, a0, _ = straddle_gaps(batch, ctx)
+        pos0, a0, ok = straddle_gaps(batch, ctx)
+        sigma, ok = tilt.values_at(batch.points, pos0, ok, batch.offsets[1:])
         vals = lam * a0 * sigma
         if members is None:
             return np.where(~ok, 0.0, vals), ~ok

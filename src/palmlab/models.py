@@ -22,7 +22,7 @@ from .errors import (
     NoMean,
     UnknownTilt,
 )
-from .pattern import MIN_GAP, PatternBatch, PointPattern, sort_rows
+from .pattern import MIN_GAP, PatternBatch, sort_rows
 
 LAW_TS = "TS"
 LAW_ES = "ES"
@@ -188,16 +188,6 @@ class TiltInfo:
 # -- core model type ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WeightedPattern:
-    pattern: PointPattern
-    weight: float
-
-    def __post_init__(self):
-        if not self.weight >= 0:
-            raise ValueError("importance weight must be nonnegative")
-
-
 class ProcessModel:
     """A named law with a batch sampler and metadata used by estimators."""
 
@@ -239,10 +229,6 @@ class ProcessModel:
     def sample_batch(self, rng, window, n: int) -> PatternBatch:
         return self._batch_fn(rng, window, n)
 
-    def sample(self, rng, window) -> WeightedPattern:
-        batch = self.sample_batch(rng, window, 1)
-        return WeightedPattern(batch.pattern(0), float(batch.weights[0]))
-
     def palm_companion(self) -> "ProcessModel | None":
         """The event-stationary law standing to this one as its Palm version."""
         return self._palm_factory() if self._palm_factory is not None else None
@@ -262,15 +248,32 @@ class ProcessModel:
 # -- batch assembly helpers ---------------------------------------------------
 
 
-def _splice_rows(batch: PatternBatch, bad: np.ndarray, redraw_row) -> PatternBatch:
-    """Replace the flagged rows using the (rare) per-row redraw callable."""
+def redraw_rows(batch: PatternBatch, bad: np.ndarray, draw_row) -> PatternBatch:
+    """Replace each flagged row's points, window and weight, in row order,
+    with the first one-row batch that draw_row() returns; None rejects a
+    draw."""
+    if not bad.any():
+        return batch
     rows = np.split(batch.points, batch.offsets[1:-1])
     windows = batch.windows.copy()
+    weights = batch.weights.copy()
     for i in np.flatnonzero(bad):
-        rows[i] = redraw_row(i)
+        row = None
+        while row is None:
+            row = draw_row()
+        rows[i], windows[i], weights[i] = row.points, row.windows[0], row.weights[0]
     counts = np.fromiter((r.size for r in rows), dtype=np.int64, count=len(rows))
     offsets = np.concatenate(([0], np.cumsum(counts)))
-    return PatternBatch(np.concatenate(rows), offsets, windows, batch.weights)
+    return PatternBatch(np.concatenate(rows), offsets, windows, weights)
+
+
+def _redraw_flawed(batch: PatternBatch, draw, require_straddle: bool) -> PatternBatch:
+    """Redraw the rows _row_flaws flags from draw(1) until one passes."""
+    def draw_row():
+        row = draw(1)
+        return None if _row_flaws(row, require_straddle)[0] else row
+
+    return redraw_rows(batch, _row_flaws(batch, require_straddle), draw_row)
 
 
 def _row_flaws(batch: PatternBatch, require_straddle: bool) -> np.ndarray:
@@ -396,6 +399,27 @@ def _check_window(window) -> tuple[float, float]:
     return lo, hi
 
 
+def _anchored_ts(straddle_length, d: IntervalDistribution):
+    """Batch sampler of a time-stationary law built from its event-centered
+    one: the origin-straddling gap has the law of straddle_length(rng, k),
+    the origin lands uniformly inside it, and i.i.d. gaps of law d extend
+    outward on both sides."""
+
+    def batch(rng, window, n):
+        _check_window(window)
+
+        def draw(k: int) -> PatternBatch:
+            length = straddle_length(rng, k)
+            u = rng.random(k)
+            t0 = -u * length
+            anchors = np.column_stack((t0, t0 + length))
+            return _assemble_two_sided(rng, window, k, anchors, d, d)
+
+        return _redraw_flawed(draw(n), draw, require_straddle=False)
+
+    return batch
+
+
 # -- model factories ----------------------------------------------------------
 
 
@@ -411,28 +435,16 @@ def poisson_ts(rate: float) -> ProcessModel:
         if width < 4.0 / rate:
             raise DegenerateWindow(f"window of length {width} too short for rate {rate}")
 
-        def draw_rows(k: int):
+        def draw(k: int) -> PatternBatch:
             counts = rng.poisson(rate * width, k)
             total = int(counts.sum())
             pts = lo + width * rng.random(total)
             offsets = np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
             sort_rows(pts, offsets)
-            return pts, offsets
+            windows = np.tile(np.array(window, dtype=np.float64), (k, 1))
+            return PatternBatch(pts, offsets, windows, np.ones(k))
 
-        pts, offsets = draw_rows(n)
-        windows = np.tile(np.array(window, dtype=np.float64), (n, 1))
-        out = PatternBatch(pts, offsets, windows, np.ones(n))
-        bad = _row_flaws(out, require_straddle=True)
-        while bad.any():
-            def redraw(_i):
-                while True:
-                    row_pts, _ = draw_rows(1)
-                    if row_pts.size >= 2 and row_pts[0] <= 0.0 < row_pts[-1]:
-                        if np.all(np.diff(row_pts) > MIN_GAP):
-                            return row_pts
-            out = _splice_rows(out, bad, redraw)
-            bad = _row_flaws(out, require_straddle=True)
-        return out
+        return _redraw_flawed(draw(n), draw, require_straddle=True)
 
     return ProcessModel(
         LAW_TS,
@@ -470,35 +482,11 @@ def renewal_ts_from_es(d: IntervalDistribution) -> ProcessModel:
     mean = d.mean
     if not (math.isfinite(mean) and mean > 0):
         raise NoMean("interval distribution must have a finite positive mean")
-
-    def batch(rng, window, n):
-        _check_window(window)
-        length = d.sample_length_biased(rng, n)
-        u = rng.random(n)
-        t0 = -u * length
-        anchors = np.column_stack((t0, t0 + length))
-        out = _assemble_two_sided(rng, window, n, anchors, d, d)
-        bad = _row_flaws(out, require_straddle=False)
-        while bad.any():
-            def redraw(_i):
-                while True:
-                    ell = float(d.sample_length_biased(rng, 1)[0])
-                    row_t0 = -float(rng.random(1)[0]) * ell
-                    sub = _assemble_two_sided(
-                        rng, window, 1, np.array([[row_t0, row_t0 + ell]]), d, d
-                    )
-                    row = sub.points
-                    if row.size and np.all(np.diff(row) > MIN_GAP):
-                        return row
-            out = _splice_rows(out, bad, redraw)
-            bad = _row_flaws(out, require_straddle=False)
-        return out
-
     return ProcessModel(
         LAW_TS,
         {"model": "renewal_ts", "interval": d.label},
         mean,
-        batch,
+        _anchored_ts(d.sample_length_biased, d),
         exact_rate=1.0 / mean,
         interval=d,
         palm_factory=lambda: renewal_es(d),
@@ -538,35 +526,11 @@ def example84_exact(rate: float) -> ProcessModel:
     uniform inside it, and plain exponential gaps extend outward."""
     if not rate > 0:
         raise ValueError("need rate > 0")
-    expd = exponential(rate)
-
-    def batch(rng, window, n):
-        _check_window(window)
-        length = rng.gamma(3.0, 1.0 / rate, n)
-        u = rng.random(n)
-        t0 = -u * length
-        anchors = np.column_stack((t0, t0 + length))
-        out = _assemble_two_sided(rng, window, n, anchors, expd, expd)
-        bad = _row_flaws(out, require_straddle=False)
-        while bad.any():
-            def redraw(_i):
-                while True:
-                    ell = float(rng.gamma(3.0, 1.0 / rate))
-                    row_t0 = -float(rng.random(1)[0]) * ell
-                    sub = _assemble_two_sided(
-                        rng, window, 1, np.array([[row_t0, row_t0 + ell]]), expd, expd
-                    )
-                    if sub.points.size and np.all(np.diff(sub.points) > MIN_GAP):
-                        return sub.points
-            out = _splice_rows(out, bad, redraw)
-            bad = _row_flaws(out, require_straddle=False)
-        return out
-
     return ProcessModel(
         LAW_TILTED_TS,
         {"model": "example84", "rate": rate},
         1.0 / rate,
-        batch,
+        _anchored_ts(lambda rng, k: rng.gamma(3.0, 1.0 / rate, k), exponential(rate)),
         tilt_info=TiltInfo(
             make_tilt("alpha0", rate / 2.0), rate, lambda: renewal_es(exponential(rate))
         ),

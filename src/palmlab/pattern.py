@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IndexOutOfPattern, NoStraddle, OutsideWindow, InsufficientContext
+from .errors import IndexOutOfPattern, OutsideWindow
 
 # Simpleness guard: two events closer than this are a construction error.
 MIN_GAP = 1e-12
@@ -53,16 +53,6 @@ class PointPattern:
             raise ValueError(f"events closer than {MIN_GAP}; patterns must be simple")
 
     # -- indexing -------------------------------------------------------
-
-    def locate_indices(self) -> tuple[int, int]:
-        """Array positions (pos0, pos1) of T_0 and T_1.
-
-        Raises NoStraddle when all events sit on one side of the origin.
-        """
-        pos1 = int(np.searchsorted(self.points, 0.0, side="right"))
-        if pos1 == 0 or pos1 == self.points.size:
-            raise NoStraddle("pattern does not straddle the origin")
-        return pos1 - 1, pos1
 
     def position(self, n: int) -> int:
         """Array position of T_n; raises IndexOutOfPattern if absent.
@@ -114,39 +104,6 @@ class PointPattern:
         right = np.searchsorted(self.points, b, side="right")
         left = np.searchsorted(self.points, a, side="right")
         return int(right - left)
-
-    def count_marked(self, a: float, b: float, eventuality, radius: float | None = None) -> int:
-        """Number of events T_n in (a, b] whose re-centered view satisfies the eventuality.
-
-        Every counted event needs the window to cover [T_n - r, T_n + r],
-        where r is the eventuality's dependency radius (or the given
-        override); otherwise InsufficientContext is raised rather than
-        silently truncating.
-        """
-        lo, hi = self.window
-        n_total = self.count(a, b)
-        if n_total == 0:
-            return 0
-        r = radius if radius is not None else eventuality.radius
-        if r is None:
-            raise InsufficientContext(
-                f"eventuality {eventuality.label!r} has no bounded radius; pass one explicitly"
-            )
-        left = int(np.searchsorted(self.points, a, side="right"))
-        hits = 0
-        for pos in range(left, left + n_total):
-            tn = float(self.points[pos])
-            if tn - r < lo or tn + r > hi:
-                raise InsufficientContext(
-                    f"window does not cover radius {r} around event at {tn}"
-                )
-            value = eventuality.evaluate(self.shift_time(tn))
-            if value is None:
-                raise InsufficientContext(
-                    f"eventuality {eventuality.label!r} indeterminate at event {tn}"
-                )
-            hits += int(value)
-        return hits
 
     # -- misc -----------------------------------------------------------
 

@@ -1,7 +1,10 @@
 import csv
+import hashlib
 import json
 import math
 from pathlib import Path
+
+import pytest
 
 from palmlab.cli import main
 
@@ -50,6 +53,29 @@ window_hi = 15
         text = (out1 / "patterns.txt").read_text()
         assert text == (out2 / "patterns.txt").read_text()
         assert sum(1 for line in text.splitlines() if not line.startswith("#")) == 2
+
+    @pytest.mark.parametrize("model, digest", [
+        ("model = renewal_ts\ninterval = gamma\nshape = 2\nrate = 1",
+         "ddba4643f768a414f35ed1b3bd77dfa1a8016a23c7cadabef1425d1e52da9433"),
+        ("model = example84\nrate = 1",
+         "4b49d4b51f49133e600beaf7b35141cab1a8c9c54c3dccdc7f86dcff3ac21f1a"),
+        ("model = poisson_ts\nrate = 1",
+         "d9dbb9e5728ef9e47a85139a672c133f86e76ea971acef8e721eeedb43c17d01"),
+    ], ids=["renewal_ts", "example84", "poisson_ts"])
+    def test_patterns_pinned(self, tmp_path, model, digest):
+        # SHA-256 of patterns.txt pins every replication's stream and values;
+        # on (-3, 3) four poisson_ts replications go through the redraw path
+        cfg = write_config(tmp_path, f"""
+[simulate]
+{model}
+reps = 20
+window_lo = -3
+window_hi = 3
+""")
+        assert main(["simulate", "--config", cfg, "--seed", "5",
+                     "--out", str(tmp_path)]) == 0
+        text = (tmp_path / "patterns.txt").read_bytes()
+        assert hashlib.sha256(text).hexdigest() == digest
 
     def test_invalid_model_names_field(self, tmp_path, capsys):
         cfg = write_config(tmp_path, """

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from palmlab import estimate
 from palmlab.ams import convert_es_to_ts, convert_ts_to_es
-from palmlab.errors import InsufficientCoverage, NoStraddle, ZeroDenominator
+from palmlab.errors import InsufficientCoverage, ZeroDenominator
 from palmlab.estimate import (
     GroupSums,
     _binned_events,
@@ -17,7 +18,6 @@ from palmlab.estimate import (
     guard_window,
     mc_mean,
     pstar_model,
-    resample_pstar,
     run_kernel,
     straddle_gaps,
 )
@@ -34,7 +34,6 @@ from palmlab.models import (
     renewal_ts_from_es,
     tilted_ts,
 )
-from palmlab.pattern import PointPattern
 from palmlab.rng import chunk_rng
 
 from conftest import agree, palm_renewal_oracle, within
@@ -224,20 +223,6 @@ class TestIntermediate:
 
 
 class TestResamplePstar:
-    def test_u_zero_lands_on_event(self):
-        p = PointPattern(np.array([-0.4, 0.3, 1.7]), (-5.0, 5.0))
-        q = resample_pstar(p, 0.0)
-        assert q.t(0) == 0.0
-
-    def test_lattice_midpoint(self):
-        p = PointPattern(np.array([-2.0, -1.0, 1e-9, 1.0, 2.0]), (-4.0, 4.0))
-        q = resample_pstar(p, 0.5)
-        assert q.t(1) == pytest.approx(0.5, abs=1e-6)
-
-    def test_requires_straddle(self):
-        with pytest.raises(NoStraddle):
-            resample_pstar(PointPattern(np.array([1.0, 2.0]), (-1.0, 3.0)), 0.3)
-
     def test_uniform_arrival_ratio(self):
         ps = pstar_model(renewal_es(gamma_intervals(2.0, 1.0)))
 
@@ -250,6 +235,28 @@ class TestResamplePstar:
         window = guard_window(ps, HG * ps.scale)
         est = mc_mean(ps, window, kernel, 40_000, seed=31)
         within(est, 0.5, label="uniform ratio")
+
+    def test_nested_redraws_keep_rows_inside_their_windows(self, monkeypatch):
+        # with a pad of half a mean gap many rows of both layers are redrawn;
+        # a redrawn row carries its own window, not the discarded row's
+        monkeypatch.setattr(estimate, "PSTAR_PAD_GAPS", 0.5)
+        m = pstar_model(pstar_model(renewal_es(exponential(1.0))))
+        b = m.sample_batch(chunk_rng(35, "nested", 0), (-3.0, 3.0), 400)
+        rep = np.repeat(np.arange(b.n), np.diff(b.offsets))
+        assert np.all(b.points >= b.windows[rep, 0])
+        assert np.all(b.points <= b.windows[rep, 1])
+        assert np.all(b.windows[:, 0] <= -3.0) and np.all(b.windows[:, 1] >= 3.0)
+
+    def test_redrawn_rows_keep_their_weights(self, monkeypatch):
+        # re-centering stays inside the straddling gap, so an alpha0-tilted
+        # row keeps weight c * alpha_0 whether or not it was redrawn
+        monkeypatch.setattr(estimate, "PSTAR_PAD_GAPS", 0.5)
+        m = pstar_model(tilted_ts(poisson_ts(1.0), make_tilt("alpha0", 0.5)))
+        b = m.sample_batch(chunk_rng(36, "weighted", 0), (-3.0, 3.0), 200)
+        pos0 = b.pos0()
+        assert b.straddled(pos0).all()
+        a0 = b.points[pos0 + 1] - b.points[pos0]
+        np.testing.assert_allclose(b.weights, 0.5 * a0, rtol=1e-12)
 
     def test_idempotent_in_distribution(self):
         base = renewal_es(exponential(1.0))

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from palmlab import estimate
 from palmlab.errors import (
     DegenerateWindow,
     InsufficientContext,
@@ -29,11 +30,13 @@ from palmlab.models import (
     model_from_config,
     model_to_config,
     poisson_ts,
+    redraw_rows,
     renewal_es,
     renewal_ts_from_es,
     tilted_ts,
     uniform_intervals,
 )
+from palmlab.pattern import PatternBatch
 from palmlab.rng import chunk_rng
 
 from conftest import agree, rows_batch, within
@@ -145,7 +148,7 @@ class TestRenewalEs:
 
     def test_deterministic_integers(self):
         m = renewal_es(deterministic(1.0))
-        p = m.sample(chunk_rng(0, "es", 1), (-5.5, 5.5)).pattern
+        p = m.sample_batch(chunk_rng(0, "es", 1), (-5.5, 5.5), 1).pattern(0)
         assert np.array_equal(p.points, np.arange(-5.0, 6.0))
 
     def test_exponential_case_matches_length_unbiased_gaps(self):
@@ -183,7 +186,7 @@ class TestRenewalTs:
         gen = chunk_rng(9, "lat", 0)
         t1 = []
         for _ in range(20_000):
-            p = m.sample(gen, (-6.5, 6.5)).pattern
+            p = m.sample_batch(gen, (-6.5, 6.5), 1).pattern(0)
             assert abs(p.interval(0) - 1.0) < 1e-12
             t1.append(p.t(1))
         t1 = np.asarray(t1)
@@ -256,6 +259,31 @@ class TestTilted:
             assert abs(cov) <= 3 * se + 0.002, (g0, g1, cov, se)
         cov, se = weighted_cov(0.25, 0.5, 23)
         assert abs(cov) > 3 * se, "interior weights must break independence"
+
+
+class TestRedrawRows:
+    def test_flagged_rows_take_first_accepted_draws_in_order(self):
+        batch = rows_batch([[-1.0, 1.0], [-2.0, 2.0], [-3.0, 3.0]], (-5.0, 5.0))
+        first = rows_batch([[-0.5, 0.25, 0.5]], (-6.0, 6.0))
+        second = PatternBatch(np.array([-0.75, 0.75]), np.array([0, 2]),
+                              np.array([[-7.0, 7.0]]), np.array([2.5]))
+        draws = [second, None, first, None]  # pop() hands out None first
+        out = redraw_rows(batch, np.array([True, False, True]), draws.pop)
+        assert not draws
+        assert out.points.tolist() == [-0.5, 0.25, 0.5, -2.0, 2.0, -0.75, 0.75]
+        assert out.offsets.tolist() == [0, 3, 5, 7]
+        assert out.windows.tolist() == [[-6.0, 6.0], [-5.0, 5.0], [-7.0, 7.0]]
+        assert out.weights.tolist() == [1.0, 1.0, 2.5]
+        assert batch.windows.tolist() == [[-5.0, 5.0]] * 3
+        assert batch.weights.tolist() == [1.0] * 3
+
+    def test_no_flagged_row_draws_nothing(self):
+        batch = rows_batch([[-1.0, 1.0]], (-5.0, 5.0))
+
+        def draw_row():
+            raise AssertionError("no row is flagged")
+
+        assert redraw_rows(batch, np.array([False]), draw_row) is batch
 
 
 class TestTiltRows:
@@ -337,7 +365,7 @@ class TestExample44:
 
     def test_gap_encoding(self):
         m = example44(50)
-        p = m.sample(chunk_rng(0, "d", 0), (-4.5, 30.5)).pattern
+        p = m.sample_batch(chunk_rng(0, "d", 0), (-4.5, 30.5), 1).pattern(0)
         assert p.t(0) == 0.0 and p.t(1) == 1.0
         labels = example44_labels(20)
         for i in range(1, 15):
@@ -347,14 +375,14 @@ class TestExample44:
 
     def test_seed_independent(self):
         m = example44(30)
-        a = m.sample(chunk_rng(1, "d", 0), (-3.5, 20.5)).pattern
-        b = m.sample(chunk_rng(999, "other", 7), (-3.5, 20.5)).pattern
+        a = m.sample_batch(chunk_rng(1, "d", 0), (-3.5, 20.5), 1).pattern(0)
+        b = m.sample_batch(chunk_rng(999, "other", 7), (-3.5, 20.5), 1).pattern(0)
         assert np.array_equal(a.points, b.points)
 
     def test_window_past_realization(self):
         m = example44(5)
         with pytest.raises(InsufficientWindow):
-            m.sample(chunk_rng(0, "d", 0), (-2.5, 100.0))
+            m.sample_batch(chunk_rng(0, "d", 0), (-2.5, 100.0), 1)
 
 
 class TestConfigRoundTrip:
@@ -431,6 +459,10 @@ class TestGoldenBatches:
         ("renewal_es top-ups", lambda: renewal_es(gamma_intervals(0.25, 0.25)),
          (-20.0, 20.0), 100, 23,
          "fd181ffccd15c255920a7c998db25a53ad1525c3a48259d8e311a07cff08154f"),
+        # 30 of the 200 rows go through the one-row redraw path (36 draws)
+        ("renewal_ts redraws", lambda: renewal_ts_from_es(gamma_intervals(2.0, 1.0)),
+         (-1.5, 1.5), 200, 31,
+         "42bebbb88eaaaf6357dcef19d339ba713fd8fc429cf6929e1044a2055f07bb91"),
     ]
 
     @pytest.mark.parametrize("label, factory, window, n, seed, digest", CASES,
@@ -438,3 +470,13 @@ class TestGoldenBatches:
     def test_digest(self, label, factory, window, n, seed, digest):
         batch = factory().sample_batch(chunk_rng(seed, "golden", 0), window, n)
         assert _batch_digest(batch) == digest
+
+    def test_pstar_redraws(self, monkeypatch):
+        # a pad of half a mean gap: 46 of the 200 rows are redrawn, taking 67
+        # one-row base draws, 8 of which do not straddle the origin (no u is
+        # drawn for those)
+        monkeypatch.setattr(estimate, "PSTAR_PAD_GAPS", 0.5)
+        m = pstar_model(renewal_es(gamma_intervals(0.25, 0.25)))
+        batch = m.sample_batch(chunk_rng(34, "golden", 0), (-3.0, 3.0), 200)
+        assert _batch_digest(batch) == (
+            "b46114964d56b64d00044a1dab08a6554c42e829e42cef0f6005b76a5ce59376")

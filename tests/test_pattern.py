@@ -1,18 +1,10 @@
-import math
-
 import numpy as np
 import pytest
 
-from palmlab.errors import (
-    IndexOutOfPattern,
-    InsufficientContext,
-    NoStraddle,
-    OutsideWindow,
-)
-from palmlab.events import ev_interval_gt, ev_true
+from palmlab.errors import IndexOutOfPattern, OutsideWindow
 from palmlab.pattern import BLOCK_ROWS, PointPattern, read_patterns, sort_rows, write_patterns
 
-from conftest import random_pattern
+from conftest import random_pattern, rows_batch
 
 W = (-10.0, 10.0)
 
@@ -46,20 +38,21 @@ class TestConstruction:
 
 class TestIndexing:
     def test_locate_basic(self):
-        p = pp(-1.5, -0.2, 0.7, 2.1)
-        pos0, pos1 = p.locate_indices()
-        assert p.points[pos0] == -0.2 and p.points[pos1] == 0.7
-        assert pos1 == pos0 + 1
+        batch = rows_batch([[-3.0, 2.0], [-1.5, -0.2, 0.7, 2.1]], W)
+        pos0 = batch.pos0()
+        assert pos0.tolist() == [0, 3]
+        assert batch.points[pos0[1]] == -0.2 and batch.points[pos0[1] + 1] == 0.7
+        assert batch.straddled(pos0).all()
 
     def test_point_at_zero_is_t0(self):
         p = pp(0.0, 1.0)
         assert p.t(0) == 0.0 and p.t(1) == 1.0
 
     def test_no_straddle(self):
-        with pytest.raises(NoStraddle):
-            pp(0.3, 1.2).locate_indices()
-        with pytest.raises(NoStraddle):
-            pp(-2.0, -1.0).locate_indices()
+        batch = rows_batch([[0.3, 1.2], [-2.0, -1.0], [0.0, 1.0]], W)
+        pos0 = batch.pos0()
+        assert pos0.tolist() == [-1, 3, 4]
+        assert batch.straddled(pos0).tolist() == [False, False, True]
 
     def test_indexed_point(self):
         p = pp(-0.2, 0.7)
@@ -151,62 +144,6 @@ class TestCount:
             y = rng.uniform(-2, 2)
             a, b = sorted(rng.uniform(-6, 6, 2))
             assert p.shift_time(y).count(a, b) == p.count(a + y, b + y)
-
-
-class TestCountMarked:
-    def test_true_matches_count(self, rng):
-        p = random_pattern(rng)
-        assert p.count_marked(-5.0, 5.0, ev_true()) == p.count(-5.0, 5.0)
-
-    def test_large_gap_eventuality_empty(self, rng):
-        p = random_pattern(rng, span=12.0, rate=4.0)
-        assert p.count_marked(-4.0, 4.0, ev_interval_gt(0, 10.0, radius=6.0)) == 0
-
-    def test_bounded_by_count(self, rng):
-        for _ in range(10):
-            p = random_pattern(rng)
-            ev = ev_interval_gt(0, 1.0, radius=4.0)
-            try:
-                assert p.count_marked(-4.0, 4.0, ev) <= p.count(-4.0, 4.0)
-            except InsufficientContext:
-                pass
-
-    def test_radius_guard(self):
-        p = pp(-0.2, 0.7, 2.1)
-        with pytest.raises(InsufficientContext):
-            p.count_marked(0.0, 2.5, ev_true(), radius=9.0)
-
-    def test_unbounded_radius_needs_override(self, rng):
-        p = random_pattern(rng)
-        with pytest.raises(InsufficientContext):
-            p.count_marked(-1.0, 1.0, ev_interval_gt(0, 1.0))
-
-    def test_palm_rate_against_renewal_oracle(self):
-        # marked-count rate over (0, x] estimates rate * event-centered
-        # probability; for a unit Poisson process and [alpha_0 > 1] the
-        # event-centered law has i.i.d. unit-exponential gaps
-        reps, x, span = 30_000, 8.0, 16.0
-        oracle_rng = np.random.default_rng(77)
-        oracle = float(np.mean(oracle_rng.exponential(1.0, 200_000) > 1.0))
-        assert abs(oracle - math.exp(-1)) < 0.004
-
-        rng = np.random.default_rng(12345)
-        ev = ev_interval_gt(0, 1.0, radius=7.5)
-        vals = []
-        while len(vals) < reps:
-            n = rng.poisson(2 * span)
-            pts = np.sort(rng.uniform(-span, span, n))
-            if n < 2 or not (pts[0] <= 0.0 < pts[-1]):
-                continue
-            p = PointPattern(pts, (-span, span))
-            try:
-                vals.append(p.count_marked(0.0, x, ev) / x)
-            except InsufficientContext:
-                continue
-        mc = np.mean(vals)
-        se = np.std(vals, ddof=1) / np.sqrt(len(vals))
-        assert abs(mc - oracle) <= 3 * se + 0.004
-        assert abs(mc - math.exp(-1)) <= 3 * se + 0.004
 
 
 class TestSerialization:
