@@ -317,12 +317,9 @@ def _as_group(A) -> tuple[tuple[Eventuality, ...], bool]:
 
 
 def group_radius(group, scale: float, horizon_gaps: float) -> float:
-    """The effective radius all members of a group share; members evaluated
-    on the same draws need the same window."""
-    radii = {effective_radius(ev, scale, horizon_gaps) for ev in group}
-    if len(radii) != 1:
-        raise ValueError("a group's eventualities must share one effective radius")
-    return radii.pop()
+    """The largest effective radius of the group's members: the window the
+    widest member needs serves every member."""
+    return max(effective_radius(ev, scale, horizon_gaps) for ev in group)
 
 
 def _per_member(sums: GroupSums, single: bool, finish):
@@ -333,9 +330,10 @@ def _per_member(sums: GroupSums, single: bool, finish):
 # -- estimators ----------------------------------------------------------------
 #
 # Estimators that take an eventuality A also take a group of them (a
-# sequence sharing one effective radius).  The group is sampled once and
-# every member is evaluated on the same draws; the result is one Estimate
-# per member, each equal to the member's own run.
+# sequence of eventualities).  The group is sampled once, on the window its
+# widest member needs, and every member is evaluated on the same draws; the
+# result is one Estimate per member, which depends only on that member and
+# that window (a widest member's equals its own run).
 
 
 def mc_mean(
@@ -453,7 +451,7 @@ def est_shifted_palm(
     """
     edges, per_bin = _bins(bin_edges, A)
     nb = edges.size - 1
-    r = max(effective_radius(ev, model.scale, horizon_gaps) for ev in per_bin)
+    r = group_radius(per_bin, model.scale, horizon_gaps)
     window = guard_window(model, r, float(edges[0]), float(edges[-1]))
 
     def kernel(batch, ctx):
@@ -496,9 +494,7 @@ def est_intensity(
     given; A may also be one eventuality per bin)."""
     edges, per_bin = _bins(bin_edges, A)
     nb = edges.size - 1
-    r = model.scale if per_bin is None else max(
-        effective_radius(ev, model.scale, horizon_gaps) for ev in per_bin
-    )
+    r = model.scale if per_bin is None else group_radius(per_bin, model.scale, horizon_gaps)
     window = guard_window(model, r, float(edges[0]), float(edges[-1]))
 
     def kernel(batch, ctx):

@@ -25,7 +25,6 @@ from .estimate import (
     est_intermediate,
     est_palm_zero,
     est_shifted_palm,
-    group_indices,
     group_radius,
     guard_window,
     mc_mean,
@@ -39,7 +38,6 @@ from .events import (
     Eventuality,
     SUITE_BATTERY,
     _kleene_and,
-    effective_radius,
     parse_eventuality,
     straddle_codes,
 )
@@ -162,10 +160,11 @@ def _marked(codes: np.ndarray, ok: np.ndarray, values: np.ndarray):
 
 # -- identity runners ------------------------------------------------------------
 #
-# A runner gets a group of eventualities sharing one effective radius (or
-# (None,) for identities that take none) and evaluates every member on the
-# same draws.  It returns probes (note, lhs, rhs); each field is one value
-# shared by all members or a list with one value per member.
+# A runner gets a group of eventualities (or (None,) for identities that
+# take none) and evaluates every member on the same draws, sampled on the
+# window the widest member needs.  It returns probes (note, lhs, rhs); each
+# field is one value shared by all members or a list with one value per
+# member.
 
 
 def _run_i23(model, group, rp):
@@ -304,23 +303,14 @@ def _pairing_kernel(pairs, pad: float):
 def _run_i28c(model, group, rp):
     partners = [_i28c_partner(A) for A in group]
     pad = rp.horizon_gaps * model.scale
-    radii = [
-        max(effective_radius(A, model.scale, rp.horizon_gaps),
-            effective_radius(partner, model.scale, rp.horizon_gaps))
-        for A, partner in zip(group, partners)
-    ]
-    lhs, rhs = [None] * len(group), [None] * len(group)
-    # a member's window also covers its partner, so only members whose
-    # pairs need the same radius share draws
-    for idx in group_indices(radii):
-        window = guard_window(model, radii[idx[0]] + pad)
-        pairs = [(group[i], partners[i]) for i in idx]
-        sub_l = mc_mean(model, window, _pairing_kernel(pairs, pad), rp.budget,
-                        seed=rp.seed, stream="I-2.8c:L", threads=rp.threads)
-        sub_r = mc_mean(model, window, _pairing_kernel([(g, f) for f, g in pairs], pad),
-                        rp.budget, seed=rp.seed, stream="I-2.8c:R", threads=rp.threads)
-        for j, i in enumerate(idx):
-            lhs[i], rhs[i] = sub_l[j], sub_r[j]
+    # one window covers every member and every partner
+    window = guard_window(model, group_radius([*group, *partners], model.scale,
+                                              rp.horizon_gaps) + pad)
+    pairs = list(zip(group, partners))
+    lhs = mc_mean(model, window, _pairing_kernel(pairs, pad), rp.budget,
+                  seed=rp.seed, stream="I-2.8c:L", threads=rp.threads)
+    rhs = mc_mean(model, window, _pairing_kernel([(g, f) for f, g in pairs], pad),
+                  rp.budget, seed=rp.seed, stream="I-2.8c:R", threads=rp.threads)
     return [([f"partner={partner.label}" for partner in partners], lhs, rhs)]
 
 
@@ -644,18 +634,18 @@ def check_identity(
     """Evaluate one identity on one model; a report carries the worst probe.
 
     A is one eventuality (None for identities that take none), or a group:
-    a sequence of eventualities sharing one effective radius, evaluated on
-    one set of draws.  A group gets a list with one report per member, each
-    equal to the report of that member checked alone.
+    a sequence of eventualities evaluated on one set of draws, sampled on
+    the window its widest member needs.  A group gets a list with one
+    report per member.  A member's report depends only on that member and
+    that window, so a member of the largest effective radius gets the
+    report of that member checked alone.
     """
     if not spec.applies(model):
         raise NotApplicable(f"{spec.id} does not apply to {model.label}")
     single = A is None or isinstance(A, Eventuality)
     group = (A,) if single else tuple(A)
-    if spec.needs_eventuality:
-        if A is None:
-            raise ValueError(f"{spec.id} needs an eventuality")
-        group_radius(group, model.scale, horizon_gaps)
+    if spec.needs_eventuality and (A is None or not group):
+        raise ValueError(f"{spec.id} needs an eventuality")
     rp = RunParams(int(budget * spec.budget_factor), seed, horizon_gaps, threads)
     probes = spec.run(model, group, rp)
     reports = [
@@ -679,9 +669,11 @@ def run_suite(
     threads: int = 1,
 ) -> list[IdentityReport]:
     """Every applicable (identity, model, battery-eventuality) triple, in
-    deterministic order; non-applicable pairs are skipped.  Battery members
-    with the same effective radius are checked as one group, on one set of
-    draws; their reports equal those of members checked one by one."""
+    deterministic order; non-applicable pairs are skipped.  The whole
+    battery is checked as one group (see check_identity): one set of draws
+    per (identity, model), on the window of its widest member, with rows in
+    battery order."""
+    kw = dict(seed=seed, z_crit=z_crit, horizon_gaps=horizon_gaps, threads=threads)
     reports = []
     for spec in REGISTRY:
         if only is not None and spec.id != only:
@@ -690,17 +682,7 @@ def run_suite(
             if not spec.applies(model):
                 continue
             if not spec.needs_eventuality:
-                reports.append(check_identity(spec, model, None, budget, seed=seed,
-                                              z_crit=z_crit, horizon_gaps=horizon_gaps,
-                                              threads=threads))
-                continue
-            row = [None] * len(battery)
-            radii = [effective_radius(A, model.scale, horizon_gaps) for A in battery]
-            for idx in group_indices(radii):
-                group = [battery[i] for i in idx]
-                for i, report in zip(idx, check_identity(
-                        spec, model, group, budget, seed=seed, z_crit=z_crit,
-                        horizon_gaps=horizon_gaps, threads=threads)):
-                    row[i] = report
-            reports.extend(row)
+                reports.append(check_identity(spec, model, None, budget, **kw))
+            elif battery:
+                reports.extend(check_identity(spec, model, battery, budget, **kw))
     return reports

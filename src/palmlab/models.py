@@ -459,12 +459,16 @@ def poisson_ts(rate: float) -> ProcessModel:
 
 def renewal_es(d: IntervalDistribution) -> ProcessModel:
     """Event-stationary renewal law: an event at exactly 0 and i.i.d. gaps
-    extended independently to both window edges."""
+    extended independently to both window edges.  Rows with two events
+    within MIN_GAP are redrawn, as in every other sampler."""
 
     def batch(rng, window, n):
         _check_window(window)
-        anchors = np.zeros((n, 1))
-        return _assemble_two_sided(rng, window, n, anchors, d, d)
+
+        def draw(k: int) -> PatternBatch:
+            return _assemble_two_sided(rng, window, k, np.zeros((k, 1)), d, d)
+
+        return _redraw_flawed(draw(n), draw, require_straddle=False)
 
     return ProcessModel(
         LAW_ES,

@@ -356,6 +356,21 @@ class TestMachinery:
 
 # three members sharing the 15-gap horizon
 GROUP = [parse_eventuality(t) for t in ("alpha(0)>1", "alpha(-1)>0.5", "T1<=0.5")]
+# declares radius 1, narrower than the 15-gap horizon of GROUP's members
+NARROW = parse_eventuality("count(0,1]==0")
+
+
+def group_runs():
+    """Every estimator that takes a group, as a function of the group."""
+    ts = renewal_ts_from_es(gamma_intervals(2.0, 1.0))
+    es = renewal_es(gamma_intervals(2.0, 1.0))
+    return [
+        lambda A: est_event_probability(ts, A, 5000, seed=4, threads=2),
+        lambda A: est_palm_zero(ts, A, 5.0, 5000, seed=4, threads=2),
+        lambda A: est_intermediate(ts, 1, A, 5000, seed=4, threads=2),
+        lambda A: convert_es_to_ts(es, A, 5000, seed=4, threads=2),
+        lambda A: convert_ts_to_es(ts, A, 5000, seed=4, threads=2),
+    ]
 
 
 class TestGroups:
@@ -390,16 +405,7 @@ class TestGroups:
             assert np.array_equal(group.rejected, solo[0].rejected + solo[1].rejected)
 
     def test_estimators_accept_groups(self):
-        ts = renewal_ts_from_es(gamma_intervals(2.0, 1.0))
-        es = renewal_es(gamma_intervals(2.0, 1.0))
-        runs = [
-            lambda A: est_event_probability(ts, A, 5000, seed=4, threads=2),
-            lambda A: est_palm_zero(ts, A, 5.0, 5000, seed=4, threads=2),
-            lambda A: est_intermediate(ts, 1, A, 5000, seed=4, threads=2),
-            lambda A: convert_es_to_ts(es, A, 5000, seed=4, threads=2),
-            lambda A: convert_ts_to_es(ts, A, 5000, seed=4, threads=2),
-        ]
-        for run in runs:
+        for run in group_runs():
             assert run(GROUP) == [run(A) for A in GROUP]
             assert run(GROUP[:1]) == [run(GROUP[0])]
 
@@ -418,12 +424,40 @@ class TestGroups:
         got = mc_mean(m, window, lambda b, c: [gap(b, c), inverse(b, c)], 5000, seed=8)
         assert got == [mc_mean(m, window, k, 5000, seed=8) for k in (gap, inverse)]
 
-    def test_group_needs_one_radius(self):
+    def test_mixed_radius_group_uses_widest_window(self, monkeypatch):
+        m = poisson_ts(1.0)
+        wide = guard_window(m, HG * m.scale)
+        windows = []
+        run = estimate.run_kernel
+
+        def recording(model, window, *args, **kwargs):
+            windows.append(window)
+            return run(model, window, *args, **kwargs)
+
+        monkeypatch.setattr(estimate, "run_kernel", recording)
+        got = est_event_probability(m, [A_GAP, NARROW], 5000, seed=4)
+        assert windows == [wide]
+        monkeypatch.undo()
+
+        def narrow_kernel(batch, ctx):
+            codes = NARROW.at_origin(ctx)
+            return (codes == 1).astype(np.float64), codes == -1
+
+        # the narrow member is evaluated on the draws of the widest window,
+        # not on its own narrower one
+        assert got[1] == mc_mean(m, wide, narrow_kernel, 5000, seed=4, stream="prob")
+        assert got[1] != est_event_probability(m, NARROW, 5000, seed=4)
+        assert got[0] == est_event_probability(m, A_GAP, 5000, seed=4)
         with pytest.raises(ValueError):
-            est_event_probability(poisson_ts(1.0), [A_GAP, parse_eventuality("count(0,1]==0")],
-                                  100)
-        with pytest.raises(ValueError):
-            est_event_probability(poisson_ts(1.0), [], 100)
+            est_event_probability(m, [], 100)
+
+    def test_member_depends_only_on_itself_and_the_window(self):
+        # dropping a narrower member changes no other member's estimate, and
+        # a member of the widest radius gets its solo estimate
+        for run in group_runs():
+            mixed = run([GROUP[0], NARROW, *GROUP[1:]])
+            assert [mixed[0], *mixed[2:]] == run(GROUP)
+            assert mixed[0] == run(GROUP[0])
 
 
 class TestBinnedCodes:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from palmlab import ams, estimate
 from palmlab.errors import NotApplicable
 from palmlab.estimate import DEFAULT_HORIZON_GAPS, _binned_events, binned_codes, group_indices
 from palmlab.events import (
@@ -143,8 +144,10 @@ class TestRunSuite:
 
 
 class TestJointEvaluation:
-    """Battery members sharing an effective radius are checked on one set of
-    draws; each member's report must equal its solo report exactly."""
+    """A battery is checked on one set of draws, on the window its widest
+    member needs.  A member's report depends only on that member and that
+    window: members sharing an effective radius get their solo reports
+    exactly."""
 
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("spec, model", JOINT_CASES,
@@ -165,17 +168,50 @@ class TestJointEvaluation:
         joint = check_identity(spec, model, group, 9000, seed=19, threads=2)
         assert joint == [check_identity(spec, model, A, 9000, seed=19) for A in group]
 
-    def test_suite_rows_in_battery_order(self):
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_suite_rows_equal_battery_check(self, threads):
+        # 5000 replications: two chunks, so threads=2 runs them on the pool
         model = poisson_ts(1.0)
-        reports = run_suite([model], 1024, only="I-2.4", seed=2, battery=JOINT_BATTERY)
-        assert [r.eventuality for r in reports] == [A.label for A in JOINT_BATTERY]
-        assert reports == [check_identity(REGISTRY_BY_ID["I-2.4"], model, A, 1024, seed=2)
-                           for A in JOINT_BATTERY]
+        reports = run_suite([model], 5000, seed=2, battery=JOINT_BATTERY, threads=threads)
+        want = []
+        for spec in REGISTRY:
+            if not spec.applies(model):
+                continue
+            got = check_identity(spec, model, JOINT_BATTERY if spec.needs_eventuality else None,
+                                 5000, seed=2, threads=threads)
+            want.extend(got if spec.needs_eventuality else [got])
+        assert reports == want
+        assert [r.eventuality for r in reports if r.id == "I-2.4"] == [
+            A.label for A in JOINT_BATTERY]
 
-    def test_group_needs_one_radius(self):
-        with pytest.raises(ValueError):
-            check_identity(REGISTRY_BY_ID["I-2.4"], poisson_ts(1.0),
-                           [A_GAP, parse_eventuality("count(0,1]==0")], 100)
+    @pytest.mark.parametrize("spec, model", JOINT_CASES,
+                             ids=[f"{s.id}-{m.descriptor['model']}" for s, m in JOINT_CASES])
+    def test_mixed_radius_group_uses_widest_window(self, spec, model, monkeypatch):
+        # JOINT_BATTERY mixes count(0,1]==0 (radius 1) with horizon-radius members
+        wide = [A for A in JOINT_BATTERY if A.radius is None]
+        assert len(wide) == len(JOINT_BATTERY) - 1 and wide[0] == JOINT_BATTERY[0]
+        windows = []
+        run = estimate.run_kernel
+
+        def recording(model, window, *args, **kwargs):
+            windows.append(window)
+            return run(model, window, *args, **kwargs)
+
+        monkeypatch.setattr(estimate, "run_kernel", recording)
+        monkeypatch.setattr(ams, "run_kernel", recording)
+        joint = check_identity(spec, model, JOINT_BATTERY, 1024, seed=17)
+        mixed_windows, windows[:] = list(windows), []
+        without = check_identity(spec, model, wide, 1024, seed=17)
+        # the same windows as without the narrow member (I-3.13 and I-8.4rho
+        # also run the shifted event-centered law member by member, on each
+        # member's own window), and dropping it leaves every other report
+        # bit-identical
+        if spec.id in ("I-3.13", "I-8.4rho"):
+            assert set(windows) <= set(mixed_windows)
+        else:
+            assert mixed_windows == windows
+        assert [r for r, A in zip(joint, JOINT_BATTERY) if A.radius is None] == without
+        assert joint[0] == check_identity(spec, model, JOINT_BATTERY[0], 1024, seed=17)
 
     def test_identity_without_eventuality_reports_each_member(self):
         spec = REGISTRY_BY_ID["I-2.3"]

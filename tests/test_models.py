@@ -36,6 +36,7 @@ from palmlab.models import (
     tilted_ts,
     uniform_intervals,
 )
+from palmlab.models import _assemble_two_sided, _row_flaws
 from palmlab.pattern import PatternBatch
 from palmlab.rng import chunk_rng
 
@@ -162,6 +163,16 @@ class TestRenewalEs:
         mean, se = sample_stat(m, (-25.0, 25.0), 30_000, 4,
                                lambda p: p.interval(0))
         assert abs(mean - 2.0) <= 3 * se
+
+    def test_rows_with_events_within_min_gap_are_redrawn(self):
+        # gaps of shape 0.25 put two events within MIN_GAP in 153 of these
+        # rows as first drawn; the sampler redraws them
+        d, window, n = gamma_intervals(0.25, 0.25), (-20.0, 20.0), 4096
+        raw = _assemble_two_sided(chunk_rng(1, "x", 0), window, n, np.zeros((n, 1)), d, d)
+        assert int(_row_flaws(raw, require_straddle=False).sum()) == 153
+        batch = renewal_es(d).sample_batch(chunk_rng(1, "x", 0), window, n)
+        assert not _row_flaws(batch, require_straddle=False).any()
+        assert int(np.count_nonzero(batch.points == 0.0)) == n
 
 
 class TestRenewalTs:
@@ -417,7 +428,8 @@ class TestGoldenBatches:
     faster but must keep every random draw and every output value.  The
     two-sided samplers' digests were re-recorded when their gap draws were
     right-sized (tests/test_gap_draws.py checks the law against the former
-    rule)."""
+    rule), and the two over renewal_es(Gamma(0.25, 0.25)) when renewal_es
+    began to redraw rows with two events within MIN_GAP."""
 
     # (label, model factory, window, rows, seed, SHA-256 of the batch's
     # points, offsets, windows and weights)
@@ -455,10 +467,11 @@ class TestGoldenBatches:
          (-15.0, 441.0), 40, 22,
          "ff8a16d282508a462b71dc2bde2b56044b943121f53a311050ef0af50d49e750"),
         # gaps with coefficient of variation 2: 6 rows are topped up on the
-        # left, 9 on the right (two rounds)
+        # left, 9 on the right (two rounds), and the one row with two events
+        # within MIN_GAP is redrawn
         ("renewal_es top-ups", lambda: renewal_es(gamma_intervals(0.25, 0.25)),
          (-20.0, 20.0), 100, 23,
-         "fd181ffccd15c255920a7c998db25a53ad1525c3a48259d8e311a07cff08154f"),
+         "572b4ab639a33d23e27408fcdc872be8f4f7da466296cc08cbe75f3f3a163115"),
         # 30 of the 200 rows go through the one-row redraw path (36 draws)
         ("renewal_ts redraws", lambda: renewal_ts_from_es(gamma_intervals(2.0, 1.0)),
          (-1.5, 1.5), 200, 31,
@@ -472,11 +485,11 @@ class TestGoldenBatches:
         assert _batch_digest(batch) == digest
 
     def test_pstar_redraws(self, monkeypatch):
-        # a pad of half a mean gap: 46 of the 200 rows are redrawn, taking 67
-        # one-row base draws, 8 of which do not straddle the origin (no u is
+        # a pad of half a mean gap: 47 of the 200 rows are redrawn, taking 67
+        # one-row base draws, 6 of which do not straddle the origin (no u is
         # drawn for those)
         monkeypatch.setattr(estimate, "PSTAR_PAD_GAPS", 0.5)
         m = pstar_model(renewal_es(gamma_intervals(0.25, 0.25)))
         batch = m.sample_batch(chunk_rng(34, "golden", 0), (-3.0, 3.0), 200)
         assert _batch_digest(batch) == (
-            "b46114964d56b64d00044a1dab08a6554c42e829e42cef0f6005b76a5ce59376")
+            "6433cc0287b012300cd28560a9175de40769ffd7bc3667d12fec1302a1aa7e6d")
