@@ -26,7 +26,7 @@ from .errors import (
     LowEffectiveSampleSize,
     ZeroDenominator,
 )
-from .events import EventContext, Eventuality, effective_radius
+from .events import EventContext, Eventuality, effective_radius, ev_true
 from .models import LAW_TILTED_TS, LAW_TS, ProcessModel, redraw_rows
 from .pattern import PatternBatch, ragged_ranges
 
@@ -247,18 +247,12 @@ def _events_in(batch: PatternBatch, ctx: EventContext, a: float, b: float):
     return e, rep, (stops - starts)
 
 
-def _bins(bin_edges, A):
-    """Checked bin edges, and one eventuality per bin (None without A); A
-    is one eventuality for every bin or a sequence of one per bin."""
+def _bins(bin_edges) -> np.ndarray:
+    """Checked bin edges."""
     edges = np.asarray(bin_edges, dtype=np.float64)
     if edges.ndim != 1 or edges.size < 2 or np.any(np.diff(edges) <= 0):
         raise ValueError("bin_edges must be strictly increasing with >= 2 entries")
-    if A is None:
-        return edges, None
-    per_bin = [A] * (edges.size - 1) if isinstance(A, Eventuality) else list(A)
-    if len(per_bin) != edges.size - 1:
-        raise ValueError("need one eventuality per bin")
-    return edges, per_bin
+    return edges
 
 
 def _binned_events(batch: PatternBatch, ctx: EventContext, edges: np.ndarray):
@@ -269,24 +263,6 @@ def _binned_events(batch: PatternBatch, ctx: EventContext, edges: np.ndarray):
     return e[ok], rep[ok], bin_idx[ok]
 
 
-def binned_codes(ctx: EventContext, per_bin, e: np.ndarray, rep: np.ndarray,
-                 bin_idx: np.ndarray) -> np.ndarray:
-    """Codes of per_bin[b] at the events e of bin b, with one at_events call
-    per distinct eventuality (codes are per event, so grouping bins changes
-    none of them)."""
-    groups = group_indices(per_bin)
-    slot = np.empty(len(per_bin), dtype=np.int64)
-    for g, bins in enumerate(groups):
-        slot[bins] = g
-    which = slot[bin_idx]
-    codes = np.empty(e.size, dtype=np.int8)
-    for g, bins in enumerate(groups):
-        m = which == g
-        if m.any():
-            codes[m] = per_bin[bins[0]].at_events(ctx, e[m], rep[m])
-    return codes
-
-
 def _reject_from_codes(n: int, rep: np.ndarray, codes: np.ndarray) -> np.ndarray:
     reject = np.zeros(n, dtype=bool)
     if rep.size:
@@ -295,15 +271,6 @@ def _reject_from_codes(n: int, rep: np.ndarray, codes: np.ndarray) -> np.ndarray
 
 
 # -- groups of eventualities ---------------------------------------------------
-
-
-def group_indices(keys) -> list[list[int]]:
-    """Indices of equal keys, one list per distinct key, in order of first
-    appearance."""
-    groups: dict = {}
-    for i, key in enumerate(keys):
-        groups.setdefault(key, []).append(i)
-    return list(groups.values())
 
 
 def _as_group(A) -> tuple[tuple[Eventuality, ...], bool]:
@@ -394,6 +361,46 @@ def est_event_probability(
     return _per_member(sums, single, lambda s: check_ess(model, ratio_estimate(s, 0, 1)))
 
 
+def _binned_sums(
+    model: ProcessModel,
+    group,
+    edges: np.ndarray,
+    budget: int,
+    *,
+    seed: int,
+    stream,
+    horizon_gaps: float,
+    threads: int,
+) -> GroupSums:
+    """Per member A of the group, on one set of draws sampled on the window
+    its widest member needs: the columns (events per bin | A-events per bin
+    | 1) over the bins (lo, hi] of edges.
+
+    By Campbell's equation the event-centered probability on (0, x], the
+    shifted event-centered law and the intensity profile are all ratios of
+    these columns.
+    """
+    nb = edges.size - 1
+    r = group_radius(group, model.scale, horizon_gaps)
+    window = guard_window(model, r, float(edges[0]), float(edges[-1]))
+
+    def kernel(batch, ctx):
+        e, rep, bin_idx = _binned_events(batch, ctx, edges)
+        flat, size = rep * nb + bin_idx, batch.n * nb
+        den = np.bincount(flat, minlength=size).reshape(batch.n, nb)
+        ones = np.ones((batch.n, 1))
+        out = []
+        for ev in group:
+            codes = ev.at_events(ctx, e, rep)
+            num = np.bincount(flat[codes == 1], minlength=size).reshape(batch.n, nb)
+            out.append((np.hstack((den, num, ones)),
+                        _reject_from_codes(batch.n, rep, codes)))
+        return out
+
+    return run_kernel(model, window, budget, 2 * nb + 1, kernel,
+                      seed=seed, stream=stream, threads=threads)
+
+
 def est_palm_zero(
     model: ProcessModel,
     A,
@@ -406,29 +413,20 @@ def est_palm_zero(
     threads: int = 1,
 ) -> Estimate | list[Estimate]:
     """Event-centered probability for a time-stationary model, as the ratio
-    of marked to total occurrence counts on (0, x]."""
+    of marked to total occurrence counts on (0, x]: the shifted law of the
+    one bin (0, x]."""
     if not model.is_ts:
         raise ValueError("est_palm_zero needs a time-stationary model")
     if not x > 0:
         raise ValueError("need x > 0")
     group, single = _as_group(A)
-    r = group_radius(group, model.scale, horizon_gaps)
-    window = guard_window(model, r, 0.0, x)
+    sums = _binned_sums(model, group, np.array([0.0, x]), budget, seed=seed,
+                        stream=stream, horizon_gaps=horizon_gaps, threads=threads)
+    return _per_member(sums, single, lambda s: ratio_estimate(s, 1, 0))
 
-    def kernel(batch, ctx):
-        e, rep, den = _events_in(batch, ctx, 0.0, x)
-        den = den.astype(np.float64)
-        out = []
-        for ev in group:
-            codes = ev.at_events(ctx, e, rep)
-            num = np.bincount(rep[codes == 1], minlength=batch.n).astype(np.float64)
-            out.append((np.column_stack((num, den)),
-                        _reject_from_codes(batch.n, rep, codes)))
-        return out
 
-    sums = run_kernel(model, window, budget, 2, kernel,
-                      seed=seed, stream=stream, threads=threads)
-    return _per_member(sums, single, lambda s: ratio_estimate(s, 0, 1))
+# A shifted-law bin with fewer events than this is flagged "empty".
+MIN_BIN_COUNT = 16.0
 
 
 def est_shifted_palm(
@@ -441,42 +439,28 @@ def est_shifted_palm(
     stream="shifted_palm",
     horizon_gaps: float = DEFAULT_HORIZON_GAPS,
     threads: int = 1,
-    min_count: float = 16.0,
-) -> list[BinnedEstimate]:
+) -> list[BinnedEstimate] | list[list[BinnedEstimate]]:
     """Per-bin event-centered probabilities: ratio of marked to total
-    occurrences among events falling in each bin.
-
-    A may be a single eventuality or one per bin (for families that vary
-    with the bin's location).
-    """
-    edges, per_bin = _bins(bin_edges, A)
+    occurrences among events falling in each bin."""
+    edges = _bins(bin_edges)
     nb = edges.size - 1
-    r = group_radius(per_bin, model.scale, horizon_gaps)
-    window = guard_window(model, r, float(edges[0]), float(edges[-1]))
+    group, single = _as_group(A)
+    sums = _binned_sums(model, group, edges, budget, seed=seed, stream=stream,
+                        horizon_gaps=horizon_gaps, threads=threads)
 
-    def kernel(batch, ctx):
-        e, rep, bin_idx = _binned_events(batch, ctx, edges)
-        codes = binned_codes(ctx, per_bin, e, rep, bin_idx)
-        flat = rep * (2 * nb) + bin_idx
-        den2d = np.bincount(flat, minlength=batch.n * 2 * nb)
-        flat_num = rep[codes == 1] * (2 * nb) + nb + bin_idx[codes == 1]
-        num2d = np.bincount(flat_num, minlength=batch.n * 2 * nb)
-        cols = (den2d + num2d).reshape(batch.n, 2 * nb).astype(np.float64)
-        return cols, _reject_from_codes(batch.n, rep, codes)
+    def finish(s: BatchSums) -> list[BinnedEstimate]:
+        out = []
+        for b in range(nb):
+            count = float(s.cols[:, b].sum())
+            if count == 0.0:
+                est = Estimate(math.nan, math.inf, budget, int(s.rejected.sum()), 0.0)
+            else:
+                est = check_ess(model, ratio_estimate(s, nb + b, b))
+            flag = "" if count >= MIN_BIN_COUNT else "empty"
+            out.append(BinnedEstimate(float(edges[b]), float(edges[b + 1]), est, count, flag))
+        return out
 
-    sums = run_kernel(model, window, budget, 2 * nb, kernel,
-                      seed=seed, stream=stream, threads=threads)
-    out = []
-    for b in range(nb):
-        count = float(sums.cols[:, b].sum())
-        if count == 0.0:
-            est = Estimate(math.nan, math.inf, budget, int(sums.rejected.sum()), 0.0)
-            flag = "empty"
-        else:
-            est = check_ess(model, ratio_estimate(sums, nb + b, b))
-            flag = "" if count >= min_count else "empty"
-        out.append(BinnedEstimate(float(edges[b]), float(edges[b + 1]), est, count, flag))
-    return out
+    return _per_member(sums, single, finish)
 
 
 def est_intensity(
@@ -489,44 +473,32 @@ def est_intensity(
     stream="intensity",
     horizon_gaps: float = DEFAULT_HORIZON_GAPS,
     threads: int = 1,
-) -> IntensityProfile:
-    """Occurrence rate per unit time per bin (of A-occurrences when A is
-    given; A may also be one eventuality per bin)."""
-    edges, per_bin = _bins(bin_edges, A)
+) -> IntensityProfile | list[IntensityProfile]:
+    """Occurrence rate per unit time per bin: of all events, or of the
+    A-occurrences when A (an eventuality or a group) is given."""
+    edges = _bins(bin_edges)
     nb = edges.size - 1
-    r = model.scale if per_bin is None else group_radius(per_bin, model.scale, horizon_gaps)
-    window = guard_window(model, r, float(edges[0]), float(edges[-1]))
-
-    def kernel(batch, ctx):
-        e, rep, bin_idx = _binned_events(batch, ctx, edges)
-        reject = np.zeros(batch.n, dtype=bool)
-        if per_bin is not None:
-            codes = binned_codes(ctx, per_bin, e, rep, bin_idx)
-            reject = _reject_from_codes(batch.n, rep, codes)
-            keep = codes == 1
-            rep, bin_idx = rep[keep], bin_idx[keep]
-        flat = rep * (nb + 1) + bin_idx
-        cols = np.bincount(flat, minlength=batch.n * (nb + 1))
-        cols = cols.reshape(batch.n, nb + 1).astype(np.float64)
-        cols[:, nb] = 1.0
-        return cols, reject
-
-    sums = run_kernel(model, window, budget, nb + 1, kernel,
-                      seed=seed, stream=stream, threads=threads)
     widths = np.diff(edges)
-    values = np.empty(nb)
-    errors = np.empty(nb)
-    counts = sums.cols[:, :nb].sum(axis=0)
-    for b in range(nb):
-        if counts[b] == 0.0:
-            values[b] = 0.0
-            errors[b] = math.inf
-            continue
-        est = check_ess(model, ratio_estimate(sums, b, nb))
-        values[b] = est.value / widths[b]
-        errors[b] = est.std_error / widths[b]
-    return IntensityProfile(edges, values, errors, counts, budget,
-                            int(sums.rejected.sum()))
+    group, single = _as_group(ev_true() if A is None else A)
+    sums = _binned_sums(model, group, edges, budget, seed=seed, stream=stream,
+                        horizon_gaps=horizon_gaps, threads=threads)
+
+    def finish(s: BatchSums) -> IntensityProfile:
+        counts = s.cols[:, nb:2 * nb].sum(axis=0)
+        values = np.zeros(nb)
+        errors = np.full(nb, math.inf)
+        for b in range(nb):
+            if counts[b] > 0.0:
+                est = check_ess(model, ratio_estimate(s, nb + b, 2 * nb))
+                values[b] = est.value / widths[b]
+                errors[b] = est.std_error / widths[b]
+        return IntensityProfile(edges, values, errors, counts, budget, int(s.rejected.sum()))
+
+    return _per_member(sums, single, finish)
+
+
+# est_intermediate raises InsufficientCoverage below this accepted share.
+MIN_COVERAGE = 0.5
 
 
 def est_intermediate(
@@ -539,7 +511,6 @@ def est_intermediate(
     stream="intermediate",
     horizon_gaps: float = DEFAULT_HORIZON_GAPS,
     threads: int = 1,
-    min_coverage: float = 0.5,
     window: tuple[float, float] | None = None,
 ) -> Estimate | list[Estimate]:
     """Probability of A seen from event T_n, conditioned on T_n being
@@ -573,7 +544,7 @@ def est_intermediate(
 
     def finish(sums: BatchSums) -> Estimate:
         coverage = 1.0 - float(sums.rejected.sum()) / budget
-        if coverage < min_coverage:
+        if coverage < MIN_COVERAGE:
             raise InsufficientCoverage(
                 f"conditioning proxy accepted {coverage:.1%} of replications"
             )

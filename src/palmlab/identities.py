@@ -3,8 +3,10 @@
 Each entry evaluates a left and a right side with independent seed
 streams and passes when |lhs - rhs| <= z_crit * combined s.e. + atol.
 Entries may probe several parameter values; the report carries the worst
-probe.  z_crit = 4 with atol = 0.002 keeps the family-wise false-failure
-rate of the default suite (58 checks, 102 probes) well under 1%.
+probe.  z_crit = 4 with atol = 0.002 is meant to keep the family-wise
+false-failure rate of the default suite (58 checks, 102 probes) low, but
+that rate is not yet confirmed: over 300 seeds of the suite at budget
+4096, 2 runs had a failing row (0.7%, 95% interval roughly 0.1-2.4%).
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from .errors import NotApplicable
 from .estimate import (
     DEFAULT_HORIZON_GAPS,
     Estimate,
+    IntensityProfile,
     est_event_probability,
     est_intensity,
     est_intermediate,
@@ -111,6 +114,11 @@ def _indep_ratio(num: Estimate, den: Estimate) -> Estimate:
     )
     return Estimate(v, abs(v) * rel, num.reps, num.rejected + den.rejected,
                     min(num.ess, den.ess) if num.ess and den.ess else 0.0)
+
+
+def _first_bin(prof: IntensityProfile) -> Estimate:
+    """The rate of an intensity profile's first bin as an Estimate."""
+    return Estimate(prof.values[0], prof.std_errors[0], prof.reps, prof.rejected, 0.0)
 
 
 def combined_se(a: Estimate, b: Estimate) -> float:
@@ -379,28 +387,19 @@ def _run_i37(model, group, rp):
 
 
 def _run_i313(model, group, rp):
+    kw = dict(seed=rp.seed, horizon_gaps=rp.horizon_gaps, threads=rp.threads)
     out = []
     for x in (-1.0, 0.5):
         x = x * model.scale
         edges = np.array([x - 0.05 * model.scale, x + 0.05 * model.scale])
-        prof = est_intensity(model, edges, rp.budget, seed=rp.seed,
-                             stream=f"I-3.13:x{x}:RB",
-                             horizon_gaps=rp.horizon_gaps, threads=rp.threads)
-        den = Estimate(prof.values[0], prof.std_errors[0], rp.budget,
-                       prof.rejected, 0.0)
-        lhs, rhs = [], []
-        for A in group:
-            lhs.append(est_shifted_palm(model, A, edges, rp.budget, seed=rp.seed,
-                                        stream=f"I-3.13:x{x}:L",
-                                        horizon_gaps=rp.horizon_gaps,
-                                        threads=rp.threads)[0].estimate)
-            prof_a = est_intensity(model, edges, rp.budget, A=A, seed=rp.seed,
-                                   stream=f"I-3.13:x{x}:RA",
-                                   horizon_gaps=rp.horizon_gaps, threads=rp.threads)
-            num = Estimate(prof_a.values[0], prof_a.std_errors[0], rp.budget,
-                           prof_a.rejected, 0.0)
-            rhs.append(_indep_ratio(num, den))
-        out.append((f"x={x:g}", lhs, rhs))
+        den = _first_bin(est_intensity(model, edges, rp.budget,
+                                       stream=f"I-3.13:x{x}:RB", **kw))
+        lhs = est_shifted_palm(model, group, edges, rp.budget,
+                               stream=f"I-3.13:x{x}:L", **kw)
+        num = est_intensity(model, edges, rp.budget, A=group,
+                            stream=f"I-3.13:x{x}:RA", **kw)
+        out.append((f"x={x:g}", [bins[0].estimate for bins in lhs],
+                    [_indep_ratio(_first_bin(prof), den) for prof in num]))
     return out
 
 
@@ -476,11 +475,9 @@ def _run_i81a(model, group, rp):
     for y in (0.0, 1.0, -1.0, 2.0, -2.0):
         y = y * model.scale
         edges = np.array([y - half, y + half])
-        prof = est_intensity(model, edges, rp.budget, seed=rp.seed,
-                             stream=f"I-8.1a:y{y}:L",
-                             horizon_gaps=rp.horizon_gaps, threads=rp.threads)
-        lhs = Estimate(prof.values[0], prof.std_errors[0], rp.budget,
-                       prof.rejected, 0.0)
+        lhs = _first_bin(est_intensity(model, edges, rp.budget, seed=rp.seed,
+                                       stream=f"I-8.1a:y{y}:L",
+                                       horizon_gaps=rp.horizon_gaps, threads=rp.threads))
         window = guard_window(palm, palm.scale * rp.horizon_gaps + abs(y))
 
         def kernel(batch, ctx, y=y):
@@ -507,11 +504,9 @@ def _run_i84rho(model, group, rp):
     for x in (-1.0, 0.5):
         x = x * model.scale
         edges = np.array([x - half, x + half])
-        lhs = [est_shifted_palm(model, A, edges, rp.budget, seed=rp.seed,
-                                stream=f"I-8.4rho:x{x}:L",
-                                horizon_gaps=rp.horizon_gaps,
-                                threads=rp.threads)[0].estimate
-               for A in group]
+        lhs = est_shifted_palm(model, group, edges, rp.budget, seed=rp.seed,
+                               stream=f"I-8.4rho:x{x}:L",
+                               horizon_gaps=rp.horizon_gaps, threads=rp.threads)
         window = guard_window(palm, r + palm.scale * rp.horizon_gaps + abs(x))
 
         def kernel(batch, ctx, x=x):
@@ -522,7 +517,8 @@ def _run_i84rho(model, group, rp):
         factor = lam / (2.0 - math.exp(-lam * abs(x)))
         rhs = mc_mean(palm, window, kernel, rp.budget,
                       seed=rp.seed, stream=f"I-8.4rho:x{x}:R", threads=rp.threads)
-        out.append((f"x={x:g}", lhs, [_scaled(est, factor) for est in rhs]))
+        out.append((f"x={x:g}", [bins[0].estimate for bins in lhs],
+                    [_scaled(est, factor) for est in rhs]))
     return out
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -8,8 +9,7 @@ from palmlab.ams import convert_es_to_ts, convert_ts_to_es
 from palmlab.errors import InsufficientCoverage, ZeroDenominator
 from palmlab.estimate import (
     GroupSums,
-    _binned_events,
-    binned_codes,
+    IntensityProfile,
     est_event_probability,
     est_intensity,
     est_intermediate,
@@ -21,7 +21,7 @@ from palmlab.estimate import (
     run_kernel,
     straddle_gaps,
 )
-from palmlab.events import BATTERY, EventContext, Eventuality, ev_true, parse_eventuality
+from palmlab.events import BATTERY, ev_true, parse_eventuality
 from palmlab.models import (
     deterministic,
     example44,
@@ -120,16 +120,6 @@ class TestShiftedPalm:
         m = poisson_ts(1.0)
         bins = est_shifted_palm(m, ev_true(), np.array([0.0, 1e-7]), 256, seed=3)
         assert bins[0].flag == "empty"
-
-    def test_per_bin_eventualities(self):
-        m = poisson_ts(1.0)
-        edges = np.array([-1.0, 0.0, 1.0])
-        per_bin = [parse_eventuality("alpha(0)>1"), parse_eventuality("alpha(0)>2")]
-        bins = est_shifted_palm(m, per_bin, edges, 30_000, seed=6, horizon_gaps=HG)
-        # seen from an event, alpha(0) is the following gap, which is a unit
-        # exponential under the event-centered Poisson law
-        within(bins[0].estimate, math.exp(-1), label="bin A1")
-        within(bins[1].estimate, math.exp(-2), label="bin A2")
 
 
 class TestIntensity:
@@ -360,13 +350,27 @@ GROUP = [parse_eventuality(t) for t in ("alpha(0)>1", "alpha(-1)>0.5", "T1<=0.5"
 NARROW = parse_eventuality("count(0,1]==0")
 
 
+def _numbers(result):
+    """A result (or a list of them) in a form == and repr compare exactly:
+    an intensity profile holds arrays, so it becomes their bytes."""
+    if isinstance(result, list):
+        return [_numbers(r) for r in result]
+    if not isinstance(result, IntensityProfile):
+        return result
+    arrays = (result.bin_edges, result.values, result.std_errors, result.counts)
+    return tuple(a.tobytes() for a in arrays), result.reps, result.rejected
+
+
 def group_runs():
     """Every estimator that takes a group, as a function of the group."""
     ts = renewal_ts_from_es(gamma_intervals(2.0, 1.0))
     es = renewal_es(gamma_intervals(2.0, 1.0))
+    edges = np.array([-1.0, 0.0, 0.5, 1.5])
     return [
         lambda A: est_event_probability(ts, A, 5000, seed=4, threads=2),
         lambda A: est_palm_zero(ts, A, 5.0, 5000, seed=4, threads=2),
+        lambda A: est_shifted_palm(ts, A, edges, 5000, seed=4, threads=2),
+        lambda A: _numbers(est_intensity(ts, edges, 5000, A=A, seed=4, threads=2)),
         lambda A: est_intermediate(ts, 1, A, 5000, seed=4, threads=2),
         lambda A: convert_es_to_ts(es, A, 5000, seed=4, threads=2),
         lambda A: convert_ts_to_es(ts, A, 5000, seed=4, threads=2),
@@ -460,30 +464,30 @@ class TestGroups:
             assert mixed[0] == run(GROUP[0])
 
 
-class TestBinnedCodes:
-    def test_one_call_per_distinct_eventuality(self, monkeypatch):
-        m = poisson_ts(1.0)
-        batch = m.sample_batch(chunk_rng(1, "bins", 0), (-25.0, 25.0), 300)
-        ctx = EventContext(batch)
-        edges = np.linspace(-2.0, 2.0, 9)
-        a, b = parse_eventuality("alpha(0)>1"), parse_eventuality("count(0,1]==0")
-        per_bin = [a, b, a, a, b, b, a, b]
-        e, rep, bin_idx = _binned_events(batch, ctx, edges)
-        want = np.empty(e.size, dtype=np.int8)
-        for k, ev in enumerate(per_bin):
-            sel = bin_idx == k
-            want[sel] = ev.at_events(ctx, e[sel], rep[sel])
+class TestBinnedGolden:
+    """Single-member binned estimates are pinned byte for byte: the event-
+    centered probability on (0, x], the shifted law and the intensity
+    profile (with and without A) all come from one binned-count kernel,
+    and changing how it is shared must move none of their numbers."""
 
-        calls = []
-        plain = Eventuality.at_events
+    TS = renewal_ts_from_es(gamma_intervals(2.0, 1.0))
+    E84 = example84_exact(1.0)
+    EDGES = np.array([-1.25, -0.75, 0.0, 0.5])
+    CASES = [
+        ("palm zero", lambda c: est_palm_zero(c.TS, A_GAP, 5.0, 5000, seed=4, threads=2),
+         "8d8ec37095fa00f6a1d74b9862c18f0f2cc4a11247fa3fb638da42f569657e3c"),
+        ("palm zero narrow",
+         lambda c: est_palm_zero(poisson_ts(1.0), NARROW, 3.0, 5000, seed=5),
+         "6519d4b9e6982048a164f93bfae69451af28747f7eca2bd94d6494729564b3d3"),
+        ("shifted", lambda c: est_shifted_palm(c.E84, A_GAP, c.EDGES, 5000, seed=4, threads=2),
+         "5733ee4f687bef1a4237c123559912ff30c3944945ee842d1f094556d8acc35f"),
+        ("intensity", lambda c: est_intensity(c.E84, c.EDGES, 5000, seed=4, threads=2),
+         "0fad297895b3caf552e4a9f7715574bd47efae85d53fbb9f6d4259568f43526a"),
+        ("intensity A",
+         lambda c: est_intensity(c.E84, c.EDGES, 5000, A=A_GAP, seed=4, threads=2),
+         "f9a4a9a6d777e8ff92c9bb9381203aad6853fc4117e2b8427915834e4dc88871"),
+    ]
 
-        def counting(self, ctx, e, rep):
-            calls.append(self.label)
-            return plain(self, ctx, e, rep)
-
-        monkeypatch.setattr(Eventuality, "at_events", counting)
-        assert np.array_equal(binned_codes(ctx, per_bin, e, rep, bin_idx), want)
-        assert calls == [a.label, b.label]
-        calls.clear()
-        binned_codes(ctx, [a] * 8, e, rep, bin_idx)
-        assert calls == [a.label]
+    @pytest.mark.parametrize("run, digest", [c[1:] for c in CASES], ids=[c[0] for c in CASES])
+    def test_pinned(self, run, digest):
+        assert hashlib.sha256(repr(_numbers(run(self))).encode()).hexdigest() == digest

@@ -3,7 +3,7 @@ import pytest
 
 from palmlab import ams, estimate
 from palmlab.errors import NotApplicable
-from palmlab.estimate import DEFAULT_HORIZON_GAPS, _binned_events, binned_codes, group_indices
+from palmlab.estimate import DEFAULT_HORIZON_GAPS, _binned_events
 from palmlab.events import (
     SUITE_BATTERY,
     EventContext,
@@ -43,8 +43,10 @@ JOINT_CASES = [(spec, model) for spec in REGISTRY if spec.needs_eventuality
 
 
 def radius_groups(model, battery=JOINT_BATTERY):
-    radii = [effective_radius(A, model.scale, DEFAULT_HORIZON_GAPS) for A in battery]
-    return [[battery[i] for i in idx] for idx in group_indices(radii)]
+    groups: dict = {}
+    for A in battery:
+        groups.setdefault(effective_radius(A, model.scale, DEFAULT_HORIZON_GAPS), []).append(A)
+    return list(groups.values())
 
 
 class TestRegistry:
@@ -202,16 +204,14 @@ class TestJointEvaluation:
         joint = check_identity(spec, model, JOINT_BATTERY, 1024, seed=17)
         mixed_windows, windows[:] = list(windows), []
         without = check_identity(spec, model, wide, 1024, seed=17)
-        # the same windows as without the narrow member (I-3.13 and I-8.4rho
-        # also run the shifted event-centered law member by member, on each
-        # member's own window), and dropping it leaves every other report
-        # bit-identical
-        if spec.id in ("I-3.13", "I-8.4rho"):
-            assert set(windows) <= set(mixed_windows)
-        else:
-            assert mixed_windows == windows
+        wide_windows, windows[:] = list(windows), []
+        solo = check_identity(spec, model, JOINT_BATTERY[0], 1024, seed=17)
+        # every identity samples the windows of its widest member checked
+        # alone, one per side and probe, whatever else is in the group; and
+        # dropping the narrow member leaves every other report bit-identical
+        assert mixed_windows == wide_windows == windows
         assert [r for r, A in zip(joint, JOINT_BATTERY) if A.radius is None] == without
-        assert joint[0] == check_identity(spec, model, JOINT_BATTERY[0], 1024, seed=17)
+        assert joint[0] == solo
 
     def test_identity_without_eventuality_reports_each_member(self):
         spec = REGISTRY_BY_ID["I-2.3"]
@@ -257,7 +257,10 @@ def test_i37_straddle_codes_equal_per_bin_loop(k):
              else np.arange(0.0, span + width / 2, width))
     centers = 0.5 * (edges[:-1] + edges[1:])
     e, rep, bin_idx = _binned_events(batch, ctx, edges)
-    per_bin = binned_codes(ctx, [ev_straddle(k, float(c)) for c in centers], e, rep, bin_idx)
+    per_bin = np.empty(e.size, dtype=np.int8)
+    for b, c in enumerate(centers):
+        sel = bin_idx == b
+        per_bin[sel] = ev_straddle(k, float(c)).at_events(ctx, e[sel], rep[sel])
     joint = straddle_codes(ctx, ctx.points[e], e, rep, k, centers[bin_idx])
     assert e.size > 5_000 and {0, 1} <= set(np.unique(joint).tolist())
     assert joint.dtype == per_bin.dtype and joint.tobytes() == per_bin.tobytes()
