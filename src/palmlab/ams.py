@@ -19,7 +19,6 @@ import numpy as np
 
 from .errors import NoMean, TooFewCheckpoints
 from .estimate import (
-    DEFAULT_HORIZON_GAPS,
     Estimate,
     group_radius,
     guard_window,
@@ -30,7 +29,7 @@ from .estimate import (
     _events_in,
     _per_member,
 )
-from .events import Eventuality, effective_radius
+from .events import HORIZON_GAPS, Eventuality, effective_radius
 from .models import ProcessModel, example44_block_ends, example44_labels
 
 
@@ -112,7 +111,6 @@ def cesaro_event(
     *,
     seed: int = 0,
     stream="cesaro_event",
-    horizon_gaps: float = DEFAULT_HORIZON_GAPS,
     threads: int = 1,
 ) -> CesaroTrace:
     """Running average of the indicator of A seen from events 1..n."""
@@ -122,7 +120,7 @@ def cesaro_event(
         budget = 1
     cps = _event_checkpoints(model, n_max)
     ncp = cps.size
-    r = effective_radius(A, model.scale, horizon_gaps)
+    r = effective_radius(A, model.scale)
     if model.is_deterministic:
         reach = 2.0 * model.scale * n_max + 10.0 * model.scale
     else:
@@ -161,7 +159,6 @@ def cesaro_time(
     *,
     seed: int = 0,
     stream="cesaro_time",
-    horizon_gaps: float = DEFAULT_HORIZON_GAPS,
     threads: int = 1,
 ) -> CesaroTrace:
     """Running time-average of the indicator of A seen from positions in (0, x];
@@ -172,7 +169,7 @@ def cesaro_time(
         budget = 1
     cps = _time_checkpoints(model, x_max)
     ncp = cps.size
-    r = effective_radius(A, model.scale, horizon_gaps)
+    r = effective_radius(A, model.scale)
     window = guard_window(model, r, 0.0, x_max)
 
     def kernel(batch, ctx):
@@ -228,7 +225,6 @@ def convert_es_to_ts(
     *,
     seed: int = 0,
     stream="es_to_ts",
-    horizon_gaps: float = DEFAULT_HORIZON_GAPS,
     threads: int = 1,
 ) -> Estimate | list[Estimate]:
     """Time-stationary probability from an event-stationary (ergodic) model:
@@ -240,8 +236,8 @@ def convert_es_to_ts(
     if mean is None or not (math.isfinite(mean) and mean > 0):
         raise NoMean("the event-stationary model needs a finite positive mean gap")
     group, single = _as_group(A)
-    r = group_radius(group, es_model.scale, horizon_gaps)
-    reach = horizon_gaps * es_model.scale
+    r = group_radius(group, es_model.scale)
+    reach = HORIZON_GAPS * es_model.scale
     window = guard_window(es_model, r, 0.0, reach)
     hi_w = window[1]
 
@@ -274,7 +270,6 @@ def convert_ts_to_es(
     *,
     seed: int = 0,
     stream="ts_to_es",
-    horizon_gaps: float = DEFAULT_HORIZON_GAPS,
     threads: int = 1,
 ) -> Estimate | list[Estimate]:
     """Event-stationary probability from a time-stationary (ergodic) model:
@@ -284,7 +279,7 @@ def convert_ts_to_es(
         raise ValueError("convert_ts_to_es needs a time-stationary model")
     span = 10.0 * ts_model.scale
     group, single = _as_group(A)
-    r = group_radius(group, ts_model.scale, horizon_gaps)
+    r = group_radius(group, ts_model.scale)
     window = guard_window(ts_model, r, 0.0, span)
 
     def kernel(batch, ctx):

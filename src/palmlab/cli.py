@@ -40,7 +40,7 @@ from . import ams as ams_mod
 from . import estimate as est_mod
 from . import identities as id_mod
 from .errors import ConfigError, PalmLabError, TooFewCheckpoints
-from .events import parse_eventuality
+from .events import HORIZON_GAPS, parse_eventuality
 from .models import (
     example44_block_ends,
     example44_cesaro_exact,
@@ -135,27 +135,27 @@ class Run:
                 raise ConfigError(f"PALMLAB_SEED must be an integer, got {env!r}") from None
         return self.get_int("seed", DEFAULT_SEED)
 
+    def _at_least_one(self, key: str, default: int) -> int:
+        """An integer from the --key flag or the config field, which must be >= 1."""
+        flag = getattr(self.args, key)
+        value = flag if flag is not None else self.get_int(key, default)
+        if value < 1:
+            raise ConfigError(f"{key!r} must be at least 1, got {value}")
+        return value
+
     @property
     def reps(self) -> int:
-        if self.args.reps is not None:
-            return self.args.reps
-        return self.get_int("reps", DEFAULT_REPS)
+        return self._at_least_one("reps", DEFAULT_REPS)
 
     @property
     def threads(self) -> int:
-        if self.args.threads is not None:
-            return self.args.threads
-        return self.get_int("threads", 1)
+        return self._at_least_one("threads", 1)
 
     @property
     def out_dir(self) -> Path:
         out = Path(self.args.out) if self.args.out else Path(self.get("out", "."))
         out.mkdir(parents=True, exist_ok=True)
         return out
-
-    @property
-    def horizon(self) -> float:
-        return self.get_float("horizon_gaps", est_mod.DEFAULT_HORIZON_GAPS)
 
     def model(self):
         if "model" not in self.cfg:
@@ -221,7 +221,7 @@ def cmd_palm(run: Run) -> int:
         for ev in evs:
             est = est_mod.est_palm_zero(
                 model, ev, x, run.reps, seed=run.seed, stream=f"palm:{ev.label}",
-                horizon_gaps=run.horizon, threads=run.threads,
+                threads=run.threads,
             )
             rows.append(_estimate_rows(ev.label, est))
         _write_csv(out, ["label", "value", "std_error", "reps", "rejected", "ess"], rows)
@@ -234,7 +234,7 @@ def cmd_palm(run: Run) -> int:
         for ev in evs:
             bins = est_mod.est_shifted_palm(
                 model, ev, edges, run.reps, seed=run.seed, stream=f"palm:{ev.label}",
-                horizon_gaps=run.horizon, threads=run.threads,
+                threads=run.threads,
             )
             for b in bins:
                 rows.append([b.bin_lo, b.bin_hi] + _estimate_rows(ev.label, b.estimate))
@@ -269,11 +269,11 @@ def _run_ams(run: Run, model, ev, prefix: str) -> int:
     if kind == "event":
         n_max = run.get_int("n_max", 256)
         trace = ams_mod.cesaro_event(model, ev, n_max, run.reps, seed=run.seed,
-                                     horizon_gaps=run.horizon, threads=run.threads)
+                                     threads=run.threads)
     elif kind == "time":
         x_max = run.get_float("x_max", 256.0 * model.scale)
         trace = ams_mod.cesaro_time(model, ev, x_max, run.reps, seed=run.seed,
-                                    horizon_gaps=run.horizon, threads=run.threads)
+                                    threads=run.threads)
     else:
         raise ConfigError(f"field 'kind' must be 'event' or 'time', got {kind!r}")
     trace_path = run.out_dir / f"{prefix}_trace.csv"
@@ -336,7 +336,6 @@ def cmd_suite(run: Run) -> int:
         seed=run.seed,
         battery=battery if battery is not None else id_mod.SUITE_BATTERY,
         only=run.args.only or run.get("only"),
-        horizon_gaps=run.horizon,
         threads=run.threads,
     )
     out = run.out_dir / "suite.csv"
@@ -390,7 +389,7 @@ def cmd_example84(run: Run) -> int:
         ev = parse_eventuality(f"alpha(0)>{x}")
         est = est_mod.est_event_probability(
             model, ev, run.reps, seed=run.seed, stream=f"e84:surv:{x}",
-            horizon_gaps=run.horizon, threads=run.threads,
+            threads=run.threads,
         )
         expected = float(np.exp(-rate * x) * ((rate * x) ** 2 / 2 + rate * x + 1))
         rows.append(["survival", ev.label, est.value, est.std_error, expected])
@@ -398,7 +397,7 @@ def cmd_example84(run: Run) -> int:
     for y in (0.0, -2.0 / rate, 2.0 / rate):
         prof = est_mod.est_intensity(
             model, np.array([y - half, y + half]), run.reps, seed=run.seed,
-            stream=f"e84:rate:{y}", horizon_gaps=run.horizon, threads=run.threads,
+            stream=f"e84:rate:{y}", threads=run.threads,
         )
         expected = float(rate - rate * np.exp(-rate * abs(y)) / 2.0)
         rows.append([
@@ -407,15 +406,13 @@ def cmd_example84(run: Run) -> int:
 
     def ratio_kernel(batch, ctx):
         pos0, a0, ok = est_mod.straddle_gaps(batch, ctx)
-        safe = np.clip(pos0, 0, max(batch.points.size - 2, 0))
-        t1 = batch.points[safe + 1]
-        return np.where(ok, t1 / a0, 0.0), ~ok
+        return np.where(ok, ctx.point(pos0 + 1) / a0, 0.0), ~ok
 
     def ratio_sq_kernel(batch, ctx):
         vals, reject = ratio_kernel(batch, ctx)
         return vals * vals, reject
 
-    window = est_mod.guard_window(model, model.scale * run.horizon)
+    window = est_mod.guard_window(model, HORIZON_GAPS * model.scale)
     m1 = est_mod.mc_mean(model, window, ratio_kernel, run.reps,
                          seed=run.seed, stream="e84:unif1", threads=run.threads)
     m2 = est_mod.mc_mean(model, window, ratio_sq_kernel, run.reps,

@@ -30,9 +30,6 @@ from .events import EventContext, Eventuality, effective_radius, ev_true
 from .models import LAW_TILTED_TS, LAW_TS, ProcessModel, redraw_rows
 from .pattern import PatternBatch, ragged_ranges
 
-# Horizon, in mean gaps, for eventualities without a declared radius.
-DEFAULT_HORIZON_GAPS = 15.0
-
 
 @dataclass(frozen=True)
 class Estimate:
@@ -283,10 +280,10 @@ def _as_group(A) -> tuple[tuple[Eventuality, ...], bool]:
     return group, False
 
 
-def group_radius(group, scale: float, horizon_gaps: float) -> float:
+def group_radius(group, scale: float) -> float:
     """The largest effective radius of the group's members: the window the
     widest member needs serves every member."""
-    return max(effective_radius(ev, scale, horizon_gaps) for ev in group)
+    return max(effective_radius(ev, scale) for ev in group)
 
 
 def _per_member(sums: GroupSums, single: bool, finish):
@@ -343,12 +340,11 @@ def est_event_probability(
     *,
     seed: int = 0,
     stream="prob",
-    horizon_gaps: float = DEFAULT_HORIZON_GAPS,
     threads: int = 1,
 ) -> Estimate | list[Estimate]:
     """Probability of the eventuality under the model's law (origin as-is)."""
     group, single = _as_group(A)
-    window = guard_window(model, group_radius(group, model.scale, horizon_gaps))
+    window = guard_window(model, group_radius(group, model.scale))
 
     def kernel(batch, ctx):
         ones = np.ones(batch.n)
@@ -369,7 +365,6 @@ def _binned_sums(
     *,
     seed: int,
     stream,
-    horizon_gaps: float,
     threads: int,
 ) -> GroupSums:
     """Per member A of the group, on one set of draws sampled on the window
@@ -381,7 +376,7 @@ def _binned_sums(
     these columns.
     """
     nb = edges.size - 1
-    r = group_radius(group, model.scale, horizon_gaps)
+    r = group_radius(group, model.scale)
     window = guard_window(model, r, float(edges[0]), float(edges[-1]))
 
     def kernel(batch, ctx):
@@ -409,7 +404,6 @@ def est_palm_zero(
     *,
     seed: int = 0,
     stream="palm_zero",
-    horizon_gaps: float = DEFAULT_HORIZON_GAPS,
     threads: int = 1,
 ) -> Estimate | list[Estimate]:
     """Event-centered probability for a time-stationary model, as the ratio
@@ -421,7 +415,7 @@ def est_palm_zero(
         raise ValueError("need x > 0")
     group, single = _as_group(A)
     sums = _binned_sums(model, group, np.array([0.0, x]), budget, seed=seed,
-                        stream=stream, horizon_gaps=horizon_gaps, threads=threads)
+                        stream=stream, threads=threads)
     return _per_member(sums, single, lambda s: ratio_estimate(s, 1, 0))
 
 
@@ -437,7 +431,6 @@ def est_shifted_palm(
     *,
     seed: int = 0,
     stream="shifted_palm",
-    horizon_gaps: float = DEFAULT_HORIZON_GAPS,
     threads: int = 1,
 ) -> list[BinnedEstimate] | list[list[BinnedEstimate]]:
     """Per-bin event-centered probabilities: ratio of marked to total
@@ -446,7 +439,7 @@ def est_shifted_palm(
     nb = edges.size - 1
     group, single = _as_group(A)
     sums = _binned_sums(model, group, edges, budget, seed=seed, stream=stream,
-                        horizon_gaps=horizon_gaps, threads=threads)
+                        threads=threads)
 
     def finish(s: BatchSums) -> list[BinnedEstimate]:
         out = []
@@ -471,7 +464,6 @@ def est_intensity(
     A=None,
     seed: int = 0,
     stream="intensity",
-    horizon_gaps: float = DEFAULT_HORIZON_GAPS,
     threads: int = 1,
 ) -> IntensityProfile | list[IntensityProfile]:
     """Occurrence rate per unit time per bin: of all events, or of the
@@ -481,7 +473,7 @@ def est_intensity(
     widths = np.diff(edges)
     group, single = _as_group(ev_true() if A is None else A)
     sums = _binned_sums(model, group, edges, budget, seed=seed, stream=stream,
-                        horizon_gaps=horizon_gaps, threads=threads)
+                        threads=threads)
 
     def finish(s: BatchSums) -> IntensityProfile:
         counts = s.cols[:, nb:2 * nb].sum(axis=0)
@@ -509,7 +501,6 @@ def est_intermediate(
     *,
     seed: int = 0,
     stream="intermediate",
-    horizon_gaps: float = DEFAULT_HORIZON_GAPS,
     threads: int = 1,
     window: tuple[float, float] | None = None,
 ) -> Estimate | list[Estimate]:
@@ -517,7 +508,7 @@ def est_intermediate(
     observable inside the window minus the guard (the finite-window proxy
     for conditioning on T_n being finite).  Coverage = 1 - rejected/reps."""
     group, single = _as_group(A)
-    r = group_radius(group, model.scale, horizon_gaps)
+    r = group_radius(group, model.scale)
     if window is None:
         pad = model.scale * (2.0 * abs(n) + 10.0 * math.sqrt(abs(n) + 1.0))
         window = guard_window(model, r + pad)

@@ -3,7 +3,8 @@
 An eventuality carries a dependency radius: its value may only depend on
 events within [-radius, radius] of the pattern it is applied to.  Index
 based families (gap comparisons, first-arrival bounds) have no a priori
-bound, so their radius is None and estimator runs supply a horizon.
+bound, so their radius is None and estimators size their windows by the
+fixed horizon HORIZON_GAPS (15 mean gaps).
 
 Evaluations are three-valued.  When the window does not hold the events
 needed to decide, the result is Indeterminate (None, or code -1 in array
@@ -499,9 +500,13 @@ def ev_example44() -> Eventuality:
     return ev_interval_eq(0, 1.0, radius=4.0)
 
 
-def effective_radius(ev: Eventuality, scale: float, horizon_gaps: float) -> float:
-    """Concrete radius when declared, otherwise the run's horizon."""
-    return ev.radius if ev.radius is not None else horizon_gaps * scale
+# Horizon, in mean gaps, for eventualities without a declared radius.
+HORIZON_GAPS = 15.0
+
+
+def effective_radius(ev: Eventuality, scale: float) -> float:
+    """Concrete radius when declared, otherwise the horizon."""
+    return ev.radius if ev.radius is not None else HORIZON_GAPS * scale
 
 
 # -- parser ---------------------------------------------------------------

@@ -1,9 +1,9 @@
 """Registry of distributional identities checked by paired Monte Carlo runs.
 
 Each entry evaluates a left and a right side with independent seed
-streams and passes when |lhs - rhs| <= z_crit * combined s.e. + atol.
+streams and passes when |lhs - rhs| <= Z_CRIT * combined s.e. + atol.
 Entries may probe several parameter values; the report carries the worst
-probe.  z_crit = 4 with atol = 0.002 is meant to keep the family-wise
+probe.  Z_CRIT = 4 with atol = 0.002 is meant to keep the family-wise
 false-failure rate of the default suite (58 checks, 102 probes) low, but
 that rate is not yet confirmed: over 300 seeds of the suite at budget
 4096, 2 runs had a failing row (0.7%, 95% interval roughly 0.1-2.4%).
@@ -20,7 +20,6 @@ import numpy as np
 from .ams import convert_es_to_ts, convert_ts_to_es
 from .errors import NotApplicable
 from .estimate import (
-    DEFAULT_HORIZON_GAPS,
     Estimate,
     IntensityProfile,
     est_event_probability,
@@ -38,6 +37,7 @@ from .estimate import (
     _reject_from_codes,
 )
 from .events import (
+    HORIZON_GAPS,
     Eventuality,
     SUITE_BATTERY,
     _kleene_and,
@@ -61,7 +61,6 @@ ATOL = 0.002
 class RunParams:
     budget: int = 100_000
     seed: int = 2026
-    horizon_gaps: float = DEFAULT_HORIZON_GAPS
     threads: int = 1
 
 
@@ -141,7 +140,7 @@ def _count_rate(model: ProcessModel, rp: RunParams, stream: str) -> Estimate:
 
 
 def _mean_alpha0(model: ProcessModel, rp: RunParams, stream: str) -> Estimate:
-    window = guard_window(model, model.scale * rp.horizon_gaps)
+    window = guard_window(model, HORIZON_GAPS * model.scale)
 
     def kernel(batch, ctx):
         _, a0, ok = straddle_gaps(batch, ctx)
@@ -177,7 +176,7 @@ def _marked(codes: np.ndarray, ok: np.ndarray, values: np.ndarray):
 
 def _run_i23(model, group, rp):
     lhs = _count_rate(model, rp, "I-2.3:L")
-    window = guard_window(model, model.scale * rp.horizon_gaps)
+    window = guard_window(model, HORIZON_GAPS * model.scale)
 
     def kernel(batch, ctx):
         _, a0, ok = straddle_gaps(batch, ctx)
@@ -191,23 +190,22 @@ def _run_i23(model, group, rp):
 def _run_i24(model, group, rp):
     x1, x2 = 5.0 * model.scale, 20.0 * model.scale
     lhs = est_palm_zero(model, group, x1, rp.budget, seed=rp.seed, stream="I-2.4:L",
-                        horizon_gaps=rp.horizon_gaps, threads=rp.threads)
+                        threads=rp.threads)
     rhs = est_palm_zero(model, group, x2, rp.budget, seed=rp.seed, stream="I-2.4:R",
-                        horizon_gaps=rp.horizon_gaps, threads=rp.threads)
+                        threads=rp.threads)
     return [(f"x={x1:g} vs x={x2:g}", lhs, rhs)]
 
 
 def _run_i26(model, group, rp):
     palm = model.palm_companion()
     lam = model.exact_rate
-    r = group_radius(group, model.scale, rp.horizon_gaps)
-    pad = rp.horizon_gaps * model.scale
+    r = group_radius(group, model.scale)
+    pad = HORIZON_GAPS * model.scale
     window = guard_window(palm, r + pad)
     out = []
     for k in (0, 1):
         lhs = est_event_probability(model, group, rp.budget, seed=rp.seed,
-                                    stream=f"I-2.6:k{k}:L",
-                                    horizon_gaps=rp.horizon_gaps, threads=rp.threads)
+                                    stream=f"I-2.6:k{k}:L", threads=rp.threads)
 
         def kernel(batch, ctx, k=k):
             # integrate over (T_-k, T_-k+1]
@@ -235,12 +233,11 @@ def _run_i26(model, group, rp):
 def _run_i27a(model, group, rp):
     palm = model.palm_companion()
     lam = model.exact_rate
-    r = group_radius(group, model.scale, rp.horizon_gaps)
+    r = group_radius(group, model.scale)
     out = []
     for n in (0, 1):
         lhs = est_intermediate(model, n, group, rp.budget, seed=rp.seed,
-                               stream=f"I-2.7a:n{n}:L",
-                               horizon_gaps=rp.horizon_gaps, threads=rp.threads)
+                               stream=f"I-2.7a:n{n}:L", threads=rp.threads)
         window = guard_window(palm, r + (abs(n) + 2) * palm.scale * 4.0)
 
         def kernel(batch, ctx, n=n):
@@ -258,10 +255,9 @@ def _run_i27a(model, group, rp):
 
 def _run_i27b(model, group, rp):
     lam = model.exact_rate
-    r = group_radius(group, model.scale, rp.horizon_gaps)
+    r = group_radius(group, model.scale)
     lhs = est_palm_zero(model, group, 10.0 * model.scale, rp.budget, seed=rp.seed,
-                        stream="I-2.7b:L", horizon_gaps=rp.horizon_gaps,
-                        threads=rp.threads)
+                        stream="I-2.7b:L", threads=rp.threads)
     out = []
     for n in (0, 1):
         window = guard_window(model, r + (abs(n) + 2) * model.scale * 4.0)
@@ -310,10 +306,9 @@ def _pairing_kernel(pairs, pad: float):
 
 def _run_i28c(model, group, rp):
     partners = [_i28c_partner(A) for A in group]
-    pad = rp.horizon_gaps * model.scale
+    pad = HORIZON_GAPS * model.scale
     # one window covers every member and every partner
-    window = guard_window(model, group_radius([*group, *partners], model.scale,
-                                              rp.horizon_gaps) + pad)
+    window = guard_window(model, group_radius([*group, *partners], model.scale) + pad)
     pairs = list(zip(group, partners))
     lhs = mc_mean(model, window, _pairing_kernel(pairs, pad), rp.budget,
                   seed=rp.seed, stream="I-2.8c:L", threads=rp.threads)
@@ -327,15 +322,12 @@ def _run_i210c(model, group, rp):
     out = []
     for mult in (0.5, 1.0, 3.0):
         x = mult * model.scale
-        window = guard_window(model, model.scale * rp.horizon_gaps, 0.0,
+        window = guard_window(model, HORIZON_GAPS * model.scale, 0.0,
                               x + model.scale)
 
         def kernel(batch, ctx, x=x):
             pos0, a0, ok = straddle_gaps(batch, ctx)
-            pts = batch.points
-            safe = np.clip(pos0, 0, max(pts.size - 2, 0))
-            t0 = pts[safe]
-            t1 = pts[safe + 1]
+            t0, t1 = ctx.point(pos0), ctx.point(pos0 + 1)
             # count in the half-open [x+T0, x+T1): events <= the float below each end
             rows = np.arange(batch.n)
             cnt = (ctx.last_le(np.nextafter(x + t1, -np.inf), rows)
@@ -356,12 +348,11 @@ def _run_i37(model, group, rp):
     # condition, which is first order in the width.
     width = 0.1 * model.scale
     span = 14.0 * model.scale
-    r = group_radius(group, model.scale, rp.horizon_gaps)
+    r = group_radius(group, model.scale)
     out = []
     for k in (0, 1):
         lhs = est_intermediate(model, k, group, rp.budget, seed=rp.seed,
-                               stream=f"I-3.7:k{k}:L",
-                               horizon_gaps=rp.horizon_gaps, threads=rp.threads)
+                               stream=f"I-3.7:k{k}:L", threads=rp.threads)
         if k == 0:
             edges = np.arange(-span, 0.0 + width / 2, width)
         else:
@@ -387,7 +378,7 @@ def _run_i37(model, group, rp):
 
 
 def _run_i313(model, group, rp):
-    kw = dict(seed=rp.seed, horizon_gaps=rp.horizon_gaps, threads=rp.threads)
+    kw = dict(seed=rp.seed, threads=rp.threads)
     out = []
     for x in (-1.0, 0.5):
         x = x * model.scale
@@ -406,17 +397,13 @@ def _run_i313(model, group, rp):
 def _run_i44(model, group, rp):
     ts_member, es_member = _companion_pair(model)
     lhs1 = convert_es_to_ts(es_member, group, rp.budget, seed=rp.seed,
-                            stream="I-4.4:es2ts:L", horizon_gaps=rp.horizon_gaps,
-                            threads=rp.threads)
+                            stream="I-4.4:es2ts:L", threads=rp.threads)
     rhs1 = est_event_probability(ts_member, group, rp.budget, seed=rp.seed,
-                                 stream="I-4.4:es2ts:R",
-                                 horizon_gaps=rp.horizon_gaps, threads=rp.threads)
+                                 stream="I-4.4:es2ts:R", threads=rp.threads)
     lhs2 = convert_ts_to_es(ts_member, group, rp.budget, seed=rp.seed,
-                            stream="I-4.4:ts2es:L", horizon_gaps=rp.horizon_gaps,
-                            threads=rp.threads)
+                            stream="I-4.4:ts2es:L", threads=rp.threads)
     rhs2 = est_event_probability(es_member, group, rp.budget, seed=rp.seed,
-                                 stream="I-4.4:ts2es:R",
-                                 horizon_gaps=rp.horizon_gaps, threads=rp.threads)
+                                 stream="I-4.4:ts2es:R", threads=rp.threads)
     return [("es->ts", lhs1, rhs1), ("ts->es", lhs2, rhs2)]
 
 
@@ -445,12 +432,11 @@ def _run_i52a(model, group, rp):
     info = model.tilt_info
     palm = info.base_palm()
     lam = info.base_rate
-    window = guard_window(palm, palm.scale * rp.horizon_gaps)
+    window = guard_window(palm, HORIZON_GAPS * palm.scale)
     norm = mc_mean(palm, window, _delta0_kernel(info.tilt, lam, None), rp.budget,
                    seed=rp.seed, stream="I-5.2a:norm", threads=rp.threads)
     lhs_b = est_intermediate(model, 0, group, rp.budget, seed=rp.seed,
-                             stream="I-5.2a:L", horizon_gaps=rp.horizon_gaps,
-                             threads=rp.threads)
+                             stream="I-5.2a:L", threads=rp.threads)
     rhs_b = mc_mean(palm, window, _delta0_kernel(info.tilt, lam, group), rp.budget,
                     seed=rp.seed, stream="I-5.2a:R", threads=rp.threads)
     return [("normalization", norm, _exact(1.0)), ("reweighted", lhs_b, rhs_b)]
@@ -458,11 +444,9 @@ def _run_i52a(model, group, rp):
 
 def _run_i71b(model, group, rp):
     lhs = est_event_probability(model, group, rp.budget, seed=rp.seed,
-                                stream="I-7.1b:L", horizon_gaps=rp.horizon_gaps,
-                                threads=rp.threads)
+                                stream="I-7.1b:L", threads=rp.threads)
     rhs = est_event_probability(pstar_model(model), group, rp.budget, seed=rp.seed,
-                                stream="I-7.1b:R", horizon_gaps=rp.horizon_gaps,
-                                threads=rp.threads)
+                                stream="I-7.1b:R", threads=rp.threads)
     return [("uniform re-centering fixed point", lhs, rhs)]
 
 
@@ -476,9 +460,8 @@ def _run_i81a(model, group, rp):
         y = y * model.scale
         edges = np.array([y - half, y + half])
         lhs = _first_bin(est_intensity(model, edges, rp.budget, seed=rp.seed,
-                                       stream=f"I-8.1a:y{y}:L",
-                                       horizon_gaps=rp.horizon_gaps, threads=rp.threads))
-        window = guard_window(palm, palm.scale * rp.horizon_gaps + abs(y))
+                                       stream=f"I-8.1a:y{y}:L", threads=rp.threads))
+        window = guard_window(palm, HORIZON_GAPS * palm.scale + abs(y))
 
         def kernel(batch, ctx, y=y):
             # sigma applied to the view from -y; values are 0 where undefined
@@ -499,15 +482,14 @@ def _run_i84rho(model, group, rp):
     palm = info.base_palm()
     lam = info.base_rate
     half = 0.05 * model.scale
-    r = group_radius(group, model.scale, rp.horizon_gaps)
+    r = group_radius(group, model.scale)
     out = []
     for x in (-1.0, 0.5):
         x = x * model.scale
         edges = np.array([x - half, x + half])
         lhs = est_shifted_palm(model, group, edges, rp.budget, seed=rp.seed,
-                               stream=f"I-8.4rho:x{x}:L",
-                               horizon_gaps=rp.horizon_gaps, threads=rp.threads)
-        window = guard_window(palm, r + palm.scale * rp.horizon_gaps + abs(x))
+                               stream=f"I-8.4rho:x{x}:L", threads=rp.threads)
+        window = guard_window(palm, r + HORIZON_GAPS * palm.scale + abs(x))
 
         def kernel(batch, ctx, x=x):
             idx, ok = _gap_at(ctx, -x)
@@ -599,7 +581,7 @@ def _member(value, i: int):
 
 
 def _report(spec: IdentitySpec, model: ProcessModel, label: str, probes,
-            z_crit: float, budget: int) -> IdentityReport:
+            budget: int) -> IdentityReport:
     """The verdict over all probes, carrying the worst one."""
     worst = None
     all_pass = True
@@ -607,7 +589,7 @@ def _report(spec: IdentitySpec, model: ProcessModel, label: str, probes,
         se = combined_se(lhs, rhs)
         diff = abs(lhs.value - rhs.value)
         z = diff / se if se > 0 else (math.inf if diff > spec.atol else 0.0)
-        ok = diff <= z_crit * se + spec.atol
+        ok = diff <= Z_CRIT * se + spec.atol
         all_pass &= ok
         if worst is None or z > worst[3]:
             worst = (note, lhs, rhs, z)
@@ -623,8 +605,6 @@ def check_identity(
     budget: int = 100_000,
     *,
     seed: int = 2026,
-    z_crit: float = Z_CRIT,
-    horizon_gaps: float = DEFAULT_HORIZON_GAPS,
     threads: int = 1,
 ):
     """Evaluate one identity on one model; a report carries the worst probe.
@@ -642,12 +622,12 @@ def check_identity(
     group = (A,) if single else tuple(A)
     if spec.needs_eventuality and (A is None or not group):
         raise ValueError(f"{spec.id} needs an eventuality")
-    rp = RunParams(int(budget * spec.budget_factor), seed, horizon_gaps, threads)
+    rp = RunParams(int(budget * spec.budget_factor), seed, threads)
     probes = spec.run(model, group, rp)
     reports = [
         _report(spec, model, ev.label if spec.needs_eventuality else "-",
                 [tuple(_member(field, i) for field in probe) for probe in probes],
-                z_crit, rp.budget)
+                rp.budget)
         for i, ev in enumerate(group)
     ]
     return reports[0] if single else reports
@@ -660,8 +640,6 @@ def run_suite(
     seed: int = 2026,
     battery: Sequence[Eventuality] = SUITE_BATTERY,
     only: str | None = None,
-    z_crit: float = Z_CRIT,
-    horizon_gaps: float = DEFAULT_HORIZON_GAPS,
     threads: int = 1,
 ) -> list[IdentityReport]:
     """Every applicable (identity, model, battery-eventuality) triple, in
@@ -669,7 +647,7 @@ def run_suite(
     battery is checked as one group (see check_identity): one set of draws
     per (identity, model), on the window of its widest member, with rows in
     battery order."""
-    kw = dict(seed=seed, z_crit=z_crit, horizon_gaps=horizon_gaps, threads=threads)
+    kw = dict(seed=seed, threads=threads)
     reports = []
     for spec in REGISTRY:
         if only is not None and spec.id != only:

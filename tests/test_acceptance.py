@@ -22,7 +22,7 @@ from palmlab.estimate import (
     pstar_model,
     straddle_gaps,
 )
-from palmlab.events import BATTERY, ev_example44, parse_eventuality
+from palmlab.events import BATTERY, HORIZON_GAPS, ev_example44, parse_eventuality
 from palmlab.identities import DEFAULT_SUITE_MODELS, REGISTRY, run_suite
 from palmlab.models import (
     example44,
@@ -39,7 +39,6 @@ from palmlab.models import (
 
 BUDGET = 100_000
 ATOL = 0.002
-HG = 15.0
 
 
 @contextmanager
@@ -74,7 +73,7 @@ def test_criterion_1_example84_survival():
         for i, x in enumerate((0.5, 1.0, 2.0)):
             est = est_event_probability(
                 model, parse_eventuality(f"alpha(0)>{x}"), BUDGET,
-                seed=101 + i, stream=f"acc1:{x}", horizon_gaps=HG,
+                seed=101 + i, stream=f"acc1:{x}",
             )
             expected = math.exp(-x) * (x * x / 2 + x + 1)
             check(est, expected, f"survival at {x}")
@@ -90,7 +89,7 @@ def test_criterion_2_example84_intensity():
         )):
             prof = est_intensity(
                 model, np.array([y - 0.025, y + 0.025]), BUDGET,
-                seed=111 + i, stream=f"acc2:{y}", horizon_gaps=HG,
+                seed=111 + i, stream=f"acc2:{y}",
             )
             v, s = prof.value_at(y)
             diff = abs(v - expected)
@@ -105,7 +104,7 @@ def test_criterion_3_example84_shifted_palm_independence():
             bins = est_shifted_palm(
                 model, parse_eventuality(f"alpha(-1)>{c}"),
                 np.array([-1.25, -0.75]), BUDGET,
-                seed=121 + i, stream=f"acc3:{c}", horizon_gaps=HG,
+                seed=121 + i, stream=f"acc3:{c}",
             )
             check(bins[0].estimate, math.exp(-c), f"shifted law at -1, c={c}")
 
@@ -132,9 +131,9 @@ def test_criterion_5_inversion_consistency():
         reference = poisson_ts(1.0)
         for i, ev in enumerate(BATTERY):
             a = est_event_probability(built, ev, BUDGET, seed=131 + i,
-                                      stream=f"acc5a:{i}", horizon_gaps=HG)
+                                      stream=f"acc5a:{i}")
             b = est_event_probability(reference, ev, BUDGET, seed=161 + i,
-                                      stream=f"acc5b:{i}", horizon_gaps=HG)
+                                      stream=f"acc5b:{i}")
             check_pair(a, b, f"battery {ev.label}")
 
         def count_kernel(batch, ctx):
@@ -143,7 +142,7 @@ def test_criterion_5_inversion_consistency():
                    - np.searchsorted(gs, shifts, side="right"))
             return cnt.astype(float), np.zeros(batch.n, dtype=bool)
 
-        window = guard_window(built, HG * built.scale, 0.0, 1.0)
+        window = guard_window(built, HORIZON_GAPS * built.scale, 0.0, 1.0)
         mean_count = mc_mean(built, window, count_kernel, BUDGET,
                              seed=191, stream="acc5c")
         check(mean_count, 1.0, "mean count on (0, 1]")
@@ -170,7 +169,7 @@ def test_criterion_6_uniform_conditional_arrival():
             return vals * vals, reject
 
         for i, (name, model) in enumerate(cases):
-            window = guard_window(model, HG * model.scale)
+            window = guard_window(model, HORIZON_GAPS * model.scale)
             m1 = mc_mean(model, window, ratio_kernel, BUDGET,
                          seed=201 + i, stream=f"acc6a:{name}")
             m2 = mc_mean(model, window, ratio_sq_kernel, BUDGET,
@@ -202,7 +201,7 @@ def test_criterion_8_conversion_closed_form():
                       "2/e for the straddling-gap survival"):
         est = convert_es_to_ts(
             renewal_es(exponential(1.0)), parse_eventuality("alpha(0)>1"),
-            BUDGET, seed=261, horizon_gaps=HG,
+            BUDGET, seed=261,
         )
         check(est, 2.0 * math.exp(-1.0), "converted survival")
 

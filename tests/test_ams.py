@@ -28,13 +28,12 @@ from palmlab.models import (
 from conftest import agree, within
 
 A_GAP = parse_eventuality("alpha(0)>1")
-HG = 15.0
 
 
 class TestCesaroEvent:
     def test_es_renewal_flat(self):
         m = renewal_es(exponential(1.0))
-        trace = cesaro_event(m, A_GAP, 256, 3_000, seed=2, horizon_gaps=HG)
+        trace = cesaro_event(m, A_GAP, 256, 3_000, seed=2)
         for v, s in zip(trace.values, trace.std_errors):
             assert abs(v - math.exp(-1)) <= 3 * s + 0.002
         assert ams_verdict(trace).status == "Convergent"
@@ -59,10 +58,9 @@ class TestCesaroEvent:
         # far from the origin the re-centered views forget the reweighting;
         # the trace must settle at the plain event-centered value
         m = renewal_es(exponential(1.0))
-        es_ref = est_event_probability(m, A_GAP, 40_000, seed=5, horizon_gaps=HG)
+        es_ref = est_event_probability(m, A_GAP, 40_000, seed=5)
         from palmlab.models import example84_exact
-        trace = cesaro_event(example84_exact(1.0), A_GAP, 128, 3_000, seed=6,
-                             horizon_gaps=HG)
+        trace = cesaro_event(example84_exact(1.0), A_GAP, 128, 3_000, seed=6)
         tail_value = trace.values[-1]
         tail_se = trace.std_errors[-1]
         # the n-average still carries O(1/n) memory of the first gap:
@@ -74,7 +72,7 @@ class TestCesaroTime:
     def test_poisson_void_flat(self):
         m = poisson_ts(1.0)
         void = parse_eventuality("count(0,1]==0")
-        trace = cesaro_time(m, void, 200.0, 800, seed=3, horizon_gaps=10)
+        trace = cesaro_time(m, void, 200.0, 800, seed=3)
         for v, s in zip(trace.values, trace.std_errors):
             assert abs(v - math.exp(-1)) <= 3 * s + 0.004
         assert ams_verdict(trace).status == "Convergent"
@@ -127,7 +125,7 @@ class TestVerdict:
 class TestConversions:
     def test_es_to_ts_closed_form(self):
         est = convert_es_to_ts(renewal_es(exponential(1.0)), A_GAP, 50_000,
-                               seed=8, horizon_gaps=HG)
+                               seed=8)
         within(est, 2.0 * math.exp(-1), label="es->ts closed form")
 
     def test_true_converts_to_one(self):
@@ -136,8 +134,7 @@ class TestConversions:
         assert est.value == 1.0
 
     def test_ts_to_es_poisson(self):
-        est = convert_ts_to_es(poisson_ts(1.0), A_GAP, 50_000, seed=10,
-                               horizon_gaps=HG)
+        est = convert_ts_to_es(poisson_ts(1.0), A_GAP, 50_000, seed=10)
         within(est, math.exp(-1), label="ts->es slivnyak")
 
     @pytest.mark.parametrize("d", [
@@ -150,9 +147,8 @@ class TestConversions:
         ts = renewal_ts_from_es(d)
         for i, ev in enumerate([A_GAP, parse_eventuality("count(0,1]==0")]):
             conv = convert_es_to_ts(renewal_es(d), ev, 25_000,
-                                    seed=20 + i, horizon_gaps=HG)
-            direct = est_event_probability(ts, ev, 25_000, seed=50 + i,
-                                           horizon_gaps=HG)
+                                    seed=20 + i)
+            direct = est_event_probability(ts, ev, 25_000, seed=50 + i)
             agree(conv, direct, label=f"{d.label}:{ev.label}")
 
     def test_round_trip_recovers_es_values(self):
@@ -160,9 +156,8 @@ class TestConversions:
         ts = renewal_ts_from_es(d)
         es = renewal_es(d)
         for i, ev in enumerate(BATTERY[:5]):
-            back = convert_ts_to_es(ts, ev, 25_000, seed=30 + i, horizon_gaps=HG)
-            direct = est_event_probability(es, ev, 25_000, seed=60 + i,
-                                           horizon_gaps=HG)
+            back = convert_ts_to_es(ts, ev, 25_000, seed=30 + i)
+            direct = est_event_probability(es, ev, 25_000, seed=60 + i)
             agree(back, direct, label=f"round trip {ev.label}")
 
     def test_requires_matching_stationarity(self):

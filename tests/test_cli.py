@@ -91,6 +91,39 @@ model = nonexistent_process
         assert "'model'" in capsys.readouterr().err
 
 
+class TestCounts:
+    """reps and threads below 1 are configuration errors (exit 2), whether
+    they come from a flag or a config field; exit 1 stays a suite failure."""
+
+    @pytest.mark.parametrize("argv, key", [
+        (["suite", "--only", "I-2.3", "--reps", "-3"], "'reps'"),
+        (["example84", "--reps", "0"], "'reps'"),
+        (["example84", "--reps", "100", "--threads", "0"], "'threads'"),
+        (["suite", "--only", "I-2.3", "--reps", "100", "--threads", "-1"], "'threads'"),
+    ])
+    def test_flag_below_one(self, tmp_path, capsys, argv, key):
+        assert main(argv + ["--out", str(tmp_path)]) == 2
+        assert key in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("field, key", [
+        ("reps = 0", "'reps'"),
+        ("reps = 100\nthreads = 0", "'threads'"),
+    ])
+    def test_field_below_one(self, tmp_path, capsys, field, key):
+        cfg = write_config(tmp_path, f"""
+[palm]
+model = poisson_ts
+rate = 1.0
+eventualities = alpha(0)>1
+{field}
+""")
+        out = tmp_path / "out"
+        assert main(["palm", "--config", cfg, "--out", str(out)]) == 2
+        assert key in capsys.readouterr().err
+        assert not (out / "palm.csv").exists()
+
+
 class TestPalm:
     def test_values_in_expected_band(self, tmp_path):
         cfg = write_config(tmp_path, """
@@ -166,7 +199,6 @@ rate = 1.0
 eventualities = alpha(0)>1
 n_max = 256
 reps = 1500
-horizon_gaps = 10
 """)
         assert main(["ams", "--config", cfg, "--seed", "6",
                      "--out", str(tmp_path)]) == 0

@@ -21,7 +21,7 @@ from palmlab.estimate import (
     run_kernel,
     straddle_gaps,
 )
-from palmlab.events import BATTERY, ev_true, parse_eventuality
+from palmlab.events import BATTERY, HORIZON_GAPS, ev_interval_gt, ev_true, parse_eventuality
 from palmlab.models import (
     deterministic,
     example44,
@@ -39,7 +39,6 @@ from palmlab.rng import chunk_rng
 from conftest import agree, palm_renewal_oracle, within
 
 A_GAP = parse_eventuality("alpha(0)>1")
-HG = 15.0
 
 
 class TestPalmZero:
@@ -52,8 +51,7 @@ class TestPalmZero:
             200_000, seed=5,
         )
         assert abs(oracle - math.exp(-1)) < 0.004
-        est = est_palm_zero(poisson_ts(1.0), A_GAP, 10.0, 50_000, seed=17,
-                            horizon_gaps=HG)
+        est = est_palm_zero(poisson_ts(1.0), A_GAP, 10.0, 50_000, seed=17)
         assert abs(est.value - oracle) <= 3 * math.hypot(est.std_error, oracle_se) + 0.002
         within(est, math.exp(-1), label="palm zero")
 
@@ -64,7 +62,7 @@ class TestPalmZero:
     def test_renewal_matches_direct_es_simulation(self):
         d = gamma_intervals(2.0, 1.0)
         model = renewal_ts_from_es(d)
-        est = est_palm_zero(model, A_GAP, 10.0, 50_000, seed=3, horizon_gaps=HG)
+        est = est_palm_zero(model, A_GAP, 10.0, 50_000, seed=3)
         oracle, oracle_se = palm_renewal_oracle(
             lambda r, size: r.gamma(2.0, 1.0, size),
             lambda left, right: (right[:, 0] > 1.0).astype(float),
@@ -74,8 +72,8 @@ class TestPalmZero:
 
     def test_window_length_invariance(self):
         m = poisson_ts(1.0)
-        a = est_palm_zero(m, A_GAP, 5.0, 40_000, seed=8, stream="xa", horizon_gaps=HG)
-        b = est_palm_zero(m, A_GAP, 20.0, 40_000, seed=8, stream="xb", horizon_gaps=HG)
+        a = est_palm_zero(m, A_GAP, 5.0, 40_000, seed=8, stream="xa")
+        b = est_palm_zero(m, A_GAP, 20.0, 40_000, seed=8, stream="xb")
         agree(a, b, label="x invariance")
 
     def test_requires_ts(self):
@@ -86,16 +84,15 @@ class TestPalmZero:
         # an eventuality window is irrelevant: force no events by an
         # empty analysis interval on a sparse model
         with pytest.raises(ZeroDenominator):
-            est_palm_zero(poisson_ts(0.001), ev_true(), 0.001, 64, seed=0,
-                          horizon_gaps=0.01)
+            est_palm_zero(poisson_ts(0.001), ev_true(), 0.001, 64, seed=0)
 
 
 class TestShiftedPalm:
     def test_flat_for_stationary(self):
         m = poisson_ts(1.0)
         edges = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
-        bins = est_shifted_palm(m, A_GAP, edges, 30_000, seed=4, horizon_gaps=HG)
-        ref = est_palm_zero(m, A_GAP, 10.0, 30_000, seed=5, horizon_gaps=HG)
+        bins = est_shifted_palm(m, A_GAP, edges, 30_000, seed=4)
+        ref = est_palm_zero(m, A_GAP, 10.0, 30_000, seed=5)
         for b in bins:
             assert b.flag == ""
             agree(b.estimate, ref, label=f"bin {b.bin_lo}")
@@ -105,7 +102,7 @@ class TestShiftedPalm:
         for c, expected in ((0.5, math.exp(-0.5)), (1.0, math.exp(-1.0))):
             ev = parse_eventuality(f"alpha(-1)>{c}")
             bins = est_shifted_palm(m, ev, np.array([-1.25, -0.75]), 50_000,
-                                    seed=9, horizon_gaps=HG)
+                                    seed=9)
             within(bins[0].estimate, expected, label=f"left independence c={c}")
 
     def test_true_in_every_bin(self):
@@ -139,12 +136,10 @@ class TestIntensity:
 
     def test_example84_profile(self):
         m = example84_exact(1.0)
-        prof0 = est_intensity(m, np.array([-0.025, 0.025]), 80_000, seed=7,
-                              horizon_gaps=HG)
+        prof0 = est_intensity(m, np.array([-0.025, 0.025]), 80_000, seed=7)
         v0, s0 = prof0.value_at(0.0)
         assert abs(v0 - 0.5) <= 3 * s0 + 0.01
-        prof2 = est_intensity(m, np.array([1.975, 2.025]), 80_000, seed=8,
-                              horizon_gaps=HG)
+        prof2 = est_intensity(m, np.array([1.975, 2.025]), 80_000, seed=8)
         v2, s2 = prof2.value_at(2.0)
         assert abs(v2 - (1.0 - math.exp(-2.0) / 2.0)) <= 3 * s2 + 0.01
 
@@ -168,17 +163,16 @@ class TestIntensity:
         # lambda * P0(gap > 1) = exp(-1)
         m = poisson_ts(1.0)
         prof = est_intensity(m, np.array([-0.5, 0.5]), 40_000, A=A_GAP,
-                             seed=9, horizon_gaps=HG)
+                             seed=9)
         assert abs(prof.values[0] - math.exp(-1)) <= 3 * prof.std_errors[0] + 0.002
 
 
 class TestIntermediate:
     def test_event_stationary_invariance(self):
         m = renewal_es(gamma_intervals(2.0, 1.0))
-        ref = est_event_probability(m, A_GAP, 30_000, seed=1, horizon_gaps=HG)
+        ref = est_event_probability(m, A_GAP, 30_000, seed=1)
         for n in (-2, 1, 3):
-            est = est_intermediate(m, n, A_GAP, 30_000, seed=10 + n,
-                                   horizon_gaps=HG)
+            est = est_intermediate(m, n, A_GAP, 30_000, seed=10 + n)
             agree(est, ref, label=f"n={n}")
 
     def test_poisson_against_es_oracle(self):
@@ -187,14 +181,12 @@ class TestIntermediate:
         rng = np.random.default_rng(3)
         g = rng.exponential(1.0, 400_000)
         oracle = float(np.mean(g * (g > 1.0)))
-        est = est_intermediate(poisson_ts(1.0), 0, A_GAP, 50_000, seed=21,
-                               horizon_gaps=HG)
+        est = est_intermediate(poisson_ts(1.0), 0, A_GAP, 50_000, seed=21)
         assert abs(est.value - oracle) <= 3 * est.std_error + 0.004
         assert est.coverage > 0.99
 
     def test_example84_straddling_survival(self):
-        est = est_intermediate(example84_exact(1.0), 0, A_GAP, 50_000, seed=22,
-                               horizon_gaps=HG)
+        est = est_intermediate(example84_exact(1.0), 0, A_GAP, 50_000, seed=22)
         within(est, 2.5 * math.exp(-1), label="recentered survival")
 
     def test_example84_far_index_forgets_reweighting(self):
@@ -202,13 +194,13 @@ class TestIntermediate:
         # reweighted straddling gap; the law is the plain event-centered one
         for n in (8, -8):
             est = est_intermediate(example84_exact(1.0), n, A_GAP, 40_000,
-                                   seed=23 + n, horizon_gaps=HG)
+                                   seed=23 + n)
             within(est, math.exp(-1), label=f"far intermediate n={n}")
 
     def test_insufficient_coverage(self):
         m = renewal_es(deterministic(1.0))
         with pytest.raises(InsufficientCoverage):
-            est_intermediate(m, 30, A_GAP, 256, seed=0, horizon_gaps=2.0,
+            est_intermediate(m, 30, ev_interval_gt(0, 1.0, radius=2.0), 256, seed=0,
                              window=(-5.0, 5.0))
 
 
@@ -222,7 +214,7 @@ class TestResamplePstar:
             t1 = batch.points[safe + 1]
             return np.where(ok, t1 / a0, 0.0), ~ok
 
-        window = guard_window(ps, HG * ps.scale)
+        window = guard_window(ps, HORIZON_GAPS * ps.scale)
         est = mc_mean(ps, window, kernel, 40_000, seed=31)
         within(est, 0.5, label="uniform ratio")
 
@@ -253,26 +245,24 @@ class TestResamplePstar:
         once = pstar_model(base)
         twice = pstar_model(once)
         for i, ev in enumerate(BATTERY):
-            a = est_event_probability(once, ev, 20_000, seed=40 + i,
-                                      horizon_gaps=HG)
-            b = est_event_probability(twice, ev, 20_000, seed=70 + i,
-                                      horizon_gaps=HG)
+            a = est_event_probability(once, ev, 20_000, seed=40 + i)
+            b = est_event_probability(twice, ev, 20_000, seed=70 + i)
             agree(a, b, label=f"idempotence {ev.label}")
 
     def test_ts_model_is_fixed_point(self):
         m = poisson_ts(1.0)
         ps = pstar_model(m)
         for i, ev in enumerate([A_GAP, parse_eventuality("count(0,1]==0")]):
-            a = est_event_probability(m, ev, 30_000, seed=50 + i, horizon_gaps=HG)
-            b = est_event_probability(ps, ev, 30_000, seed=80 + i, horizon_gaps=HG)
+            a = est_event_probability(m, ev, 30_000, seed=50 + i)
+            b = est_event_probability(ps, ev, 30_000, seed=80 + i)
             agree(a, b, label=f"fixed point {ev.label}")
 
 
 class TestMachinery:
     def test_thread_count_does_not_change_bits(self):
         m = poisson_ts(1.0)
-        a = est_palm_zero(m, A_GAP, 10.0, 12_000, seed=7, threads=1, horizon_gaps=HG)
-        b = est_palm_zero(m, A_GAP, 10.0, 12_000, seed=7, threads=8, horizon_gaps=HG)
+        a = est_palm_zero(m, A_GAP, 10.0, 12_000, seed=7, threads=1)
+        b = est_palm_zero(m, A_GAP, 10.0, 12_000, seed=7, threads=8)
         assert a == b
 
     def test_merge_order_independence(self):
@@ -284,7 +274,7 @@ class TestMachinery:
             _, a0, ok = straddle_gaps(batch, ctx)
             return np.column_stack((np.where(ok, a0, 0.0), np.ones(batch.n))), ~ok
 
-        window = guard_window(m, HG * m.scale)
+        window = guard_window(m, HORIZON_GAPS * m.scale)
         sums1 = run_kernel(m, window, 9000, 2, kernel, seed=3, stream="m", threads=1)
         sums4 = run_kernel(m, window, 9000, 2, kernel, seed=3, stream="m", threads=4)
         assert np.array_equal(sums1.cols, sums4.cols)
@@ -294,7 +284,7 @@ class TestMachinery:
     def test_one_variance_batch_has_unknown_se(self, budget, finite):
         # one batch says nothing about the spread: the s.e. is infinite,
         # so no identity check can fail on it
-        est = est_palm_zero(poisson_ts(1.0), A_GAP, 10.0, budget, seed=7, horizon_gaps=HG)
+        est = est_palm_zero(poisson_ts(1.0), A_GAP, 10.0, budget, seed=7)
         assert math.isfinite(est.std_error) == finite
         assert 0.0 <= est.value <= 1.0
 
@@ -304,9 +294,9 @@ class TestMachinery:
         ratios = []
         for i, ev in enumerate(BATTERY):
             a = est_event_probability(m, ev, 8_192, seed=100 + i,
-                                      stream="sA", horizon_gaps=HG)
+                                      stream="sA")
             b = est_event_probability(m, ev, 16_384, seed=200 + i,
-                                      stream="sB", horizon_gaps=HG)
+                                      stream="sB")
             if a.std_error > 0 and b.std_error > 0:
                 ratios.append(b.std_error / a.std_error)
         mean_ratio = float(np.mean(ratios))
@@ -316,13 +306,12 @@ class TestMachinery:
         from palmlab.models import make_tilt, tilted_ts
 
         tilted = tilted_ts(poisson_ts(1.0), make_tilt("alpha0", 0.5))
-        est = est_event_probability(tilted, A_GAP, 20_000, seed=5, horizon_gaps=HG)
+        est = est_event_probability(tilted, A_GAP, 20_000, seed=5)
         # weights are Gamma(2,1) gaps: effective fraction is 2/3
         assert abs(est.ess / est.reps - 2.0 / 3.0) < 0.03
 
     def test_rejected_plus_accepted(self):
-        est = est_intermediate(poisson_ts(1.0), 4, A_GAP, 4_000, seed=6,
-                               horizon_gaps=HG)
+        est = est_intermediate(poisson_ts(1.0), 4, A_GAP, 4_000, seed=6)
         assert est.rejected + est.accepted == est.reps
 
     def test_degenerate_weights_fail_loudly(self):
@@ -383,7 +372,7 @@ class TestGroups:
 
     def test_run_kernel_members_get_their_solo_sums(self):
         m = tilted_ts(poisson_ts(1.0), make_tilt("alpha0", 0.5))
-        window = guard_window(m, HG * m.scale)
+        window = guard_window(m, HORIZON_GAPS * m.scale)
 
         def member(parity):
             def kernel(batch, ctx):
@@ -415,7 +404,7 @@ class TestGroups:
 
     def test_mc_mean_list_kernel(self):
         m = poisson_ts(1.0)
-        window = guard_window(m, HG)
+        window = guard_window(m, HORIZON_GAPS)
 
         def gap(batch, ctx):
             _, a0, ok = straddle_gaps(batch, ctx)
@@ -430,7 +419,7 @@ class TestGroups:
 
     def test_mixed_radius_group_uses_widest_window(self, monkeypatch):
         m = poisson_ts(1.0)
-        wide = guard_window(m, HG * m.scale)
+        wide = guard_window(m, HORIZON_GAPS * m.scale)
         windows = []
         run = estimate.run_kernel
 
