@@ -266,12 +266,18 @@ def _run_ams(run: Run, model, ev, prefix: str) -> int:
     kind = run.get("kind", "event")
     tol = run.get_float("tol", 0.05)
     tail = run.get_float("tail_fraction", 0.5)
+    if not 0.0 < tail <= 1.0:
+        raise ConfigError(f"'tail_fraction' must be in (0, 1], got {tail}")
     if kind == "event":
         n_max = run.get_int("n_max", 256)
+        if n_max < 1:
+            raise ConfigError(f"'n_max' must be at least 1, got {n_max}")
         trace = ams_mod.cesaro_event(model, ev, n_max, run.reps, seed=run.seed,
                                      threads=run.threads)
     elif kind == "time":
         x_max = run.get_float("x_max", 256.0 * model.scale)
+        if not 0.0 < x_max < np.inf:
+            raise ConfigError(f"'x_max' must be positive and finite, got {x_max}")
         trace = ams_mod.cesaro_time(model, ev, x_max, run.reps, seed=run.seed,
                                     threads=run.threads)
     else:

@@ -11,11 +11,13 @@ needed to decide, the result is Indeterminate (None, or code -1 in array
 form); estimators treat that as a rejected replication, never as False.
 
 The scalar `evaluate` is the reference semantics.  Vectorized evaluation
-rests on two methods per eventuality: `codes_at`, the code seen from
-arbitrary positions y of a batch's rows, and `breaks`, the positions where
-that code can change.  Evaluation at events and at the origin are
-`codes_at` at those positions, and `integrate` sums the piecewise-constant
-code between sorted breaks to get exact integrals over time shifts.
+rests on `codes_at`, the code seen from arbitrary positions y of a batch's
+rows, and on declared break offsets, the only positions where that code
+can change (y = T + d per stored event T, plus window edges for counts).
+Evaluation at events and at the origin are `codes_at` at those positions,
+and `integrate` sums the piecewise-constant code between sorted breaks to
+get exact integrals over time shifts, laying out only the events whose
+breaks can fall inside the interval.
 
 Textual form (used by the CLI and round-tripped by the parser):
 
@@ -117,24 +119,23 @@ def _kleene_or(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _kleene_not(u: np.ndarray) -> np.ndarray:
-    out = u.copy()
-    mask = u >= 0
-    out[mask] = 1 - u[mask]
-    return out
+    return np.where(u >= 0, 1 - u, u)
 
 
 class Eventuality:
     """Base class; subclasses are immutable and safe to share.
 
-    Each subclass has a scalar `evaluate` (the reference semantics) and two
-    vectorized methods: `codes_at`, the three-valued code seen from given
-    positions, and `breaks`, the positions where that code can change.
-    Evaluation at events, at the origin and the exact integral over time
-    shifts are all built on these two.
+    Each subclass has a scalar `evaluate` (the reference semantics), a
+    vectorized `codes_at`, the three-valued code seen from given positions,
+    and declared break offsets, the only y where that code can change: T + d
+    for every stored event T and d in `offsets`, and wlo + p, whi + q (the
+    row's window edges) for every (p, q) in `edge_offsets`.
     """
 
     label: str
     radius: float | None
+    offsets: tuple[float, ...] = ()
+    edge_offsets: tuple[tuple[float, float], ...] = ()
 
     def evaluate(self, p: PointPattern) -> bool | None:
         """True/False, or None when the pattern lacks the needed context."""
@@ -144,16 +145,8 @@ class Eventuality:
                  rep: np.ndarray) -> np.ndarray:
         """Codes (1/0/-1) of the eventuality seen from positions y in rows
         rep, i.e. of evaluate(pattern.shift_time(y)); j is the array
-        position of the last event <= y (off_lo - 1 when there is none)."""
-        raise NotImplementedError
-
-    def breaks(self, pts: np.ndarray, wlo: np.ndarray, whi: np.ndarray) -> list:
-        """Positions y where codes_at can change, for a block of rows.
-
-        pts holds the rows' events as a matrix padded with +inf, wlo/whi
-        the rows' windows; the result is a list of matrices with one row
-        per pattern row (entries may be +inf).
-        """
+        position of the last event <= y (off_lo - 1 when there is none),
+        that is ctx.last_le(y, rep)."""
         raise NotImplementedError
 
     def at_events(self, ctx: EventContext, e: np.ndarray, rep: np.ndarray) -> np.ndarray:
@@ -170,8 +163,10 @@ class Eventuality:
 
         rows are replication ids; y_lo and y_hi are scalars or arrays aligned
         with rows.  The integrand is constant between consecutive breaks, so
-        it is evaluated once per piece, at the piece's midpoint.  With cuts
-        (fixed positions), column k holds the integral over
+        it is evaluated once per piece, at the piece's midpoint; only the
+        events whose breaks can fall inside (y_lo, y_hi) are laid out, so the
+        cost follows the pieces inside the interval, not the row's length.
+        With cuts (fixed positions), column k holds the integral over
         (y_lo, min(cuts[k], y_hi)].  Returns (values, ok): ok is False for
         rows where a piece of positive width is indeterminate; their values
         are 0.
@@ -183,32 +178,43 @@ class Eventuality:
         cuts = None if cuts is None else np.asarray(cuts, dtype=np.float64)
         values = np.zeros(m_all if cuts is None else (m_all, cuts.size))
         ok = np.ones(m_all, dtype=bool)
+        starts = stops = ctx.off_lo[rows]
+        if self.offsets:
+            # Breaks outside (y_lo, y_hi) clip to an end: zero-width pieces.
+            # The searches bound the events with T + d inside, up to the
+            # rounding of T - y against T + d, which one more event on each
+            # side absorbs (events are more than MIN_GAP apart).
+            starts = np.maximum(ctx.last_le(y_lo, rows, -self.offsets[-1]), starts)
+            stops = np.minimum(ctx.last_le(y_hi, rows, -self.offsets[0]) + 2, ctx.off_hi[rows])
         for b0 in range(0, m_all, BLOCK_ROWS):
             blk = slice(b0, b0 + BLOCK_ROWS)
             r = rows[blk]
-            m = r.size
             lo, hi = y_lo[blk, None], y_hi[blk, None]
-            starts, stops = ctx.off_lo[r], ctx.off_hi[r]
-            flat, _ = ragged_ranges(starts, stops)
-            pts, _ = padded_rows(ctx.points[flat], stops - starts)
-            cols = [lo, hi] + self.breaks(pts, ctx.wlo[r], ctx.whi[r])
+            flat, _ = ragged_ranges(starts[blk], stops[blk])
+            pts, _ = padded_rows(ctx.points[flat], stops[blk] - starts[blk])
+            cols = [lo, hi] + [pts + d for d in self.offsets]
+            for p, q in self.edge_offsets:
+                cols += [(ctx.wlo[r] + p)[:, None], (ctx.whi[r] + q)[:, None]]
             if cuts is not None:
-                cols.append(np.broadcast_to(cuts, (m, cuts.size)))
+                cols.append(np.broadcast_to(cuts, (r.size, cuts.size)))
             edges = np.sort(np.clip(np.concatenate(cols, axis=1), lo, hi), axis=1)
-            widths = np.diff(edges, axis=1)
-            pi, ci = np.nonzero(widths > 0)
-            right = edges[pi, ci + 1]
-            y = 0.5 * (edges[pi, ci] + right)
-            rep = r[pi]
-            codes = self.codes_at(ctx, y, ctx.last_le(y, rep), rep)
-            part = np.where(codes == 1, widths[pi, ci], 0.0)
+            left, right = edges[:, :-1], edges[:, 1:]
+            widths = right - left
+            live = widths > 0
+            y = 0.5 * (left + right)[live]
+            rep = np.broadcast_to(r[:, None], live.shape)[live]
+            codes = np.zeros(live.shape, dtype=np.int8)
+            codes[live] = self.codes_at(ctx, y, ctx.last_le(y, rep), rep)
+            ok[blk] = ~(codes == -1).any(axis=1)
+            # one sequential running sum per row, from 0 over the pieces in order
+            run = np.zeros(edges.shape)
+            np.cumsum(np.where(codes == 1, widths, 0.0), axis=1, out=run[:, 1:])
             if cuts is None:
-                values[blk] = np.bincount(pi, weights=part, minlength=m)
+                values[blk] = run[:, -1]
             else:
+                # the pieces with right edge <= cut are a prefix of the row
                 for k, cut in enumerate(cuts):
-                    values[blk, k] = np.bincount(pi, weights=part * (right <= cut),
-                                                 minlength=m)
-            ok[b0 + pi[codes == -1]] = False
+                    values[blk, k] = run[np.arange(r.size), (right <= cut).sum(axis=1)]
         values[~ok] = 0.0
         return values, ok
 
@@ -245,9 +251,6 @@ class _Const(Eventuality):
     def codes_at(self, ctx, y, j, rep):
         return np.full(y.shape, 1 if self.value else 0, dtype=np.int8)
 
-    def breaks(self, pts, wlo, whi):
-        return []
-
 
 class _AlphaCmp(Eventuality):
     """Gap comparison [alpha_n > c] or [alpha_n == c]."""
@@ -260,6 +263,8 @@ class _AlphaCmp(Eventuality):
         self.op = op
         self.radius = radius
         self.label = f"alpha({self.n}){op}{_fmt(self.c)}"
+        # the gap in question changes only when y crosses an event
+        self.offsets = (0.0,)
 
     def _cmp(self, gap):
         return gap > self.c if self.op == ">" else gap == self.c
@@ -278,10 +283,6 @@ class _AlphaCmp(Eventuality):
         out[~valid] = -1
         return out
 
-    def breaks(self, pts, wlo, whi):
-        # the gap in question changes only when y crosses an event
-        return [pts]
-
 
 class _CountEq(Eventuality):
     """[N(a, b] == k] with the count taken around the evaluation origin."""
@@ -296,6 +297,10 @@ class _CountEq(Eventuality):
         self.k = int(k)
         self.radius = max(abs(self.a), abs(self.b))
         self.label = f"count({_fmt(self.a)},{_fmt(self.b)}]=={self.k}"
+        # event T sits in (y+a, y+b] exactly for y in [T-b, T-a); the
+        # window covers (y+a, y+b] exactly for y in [wlo-a, whi-b]
+        self.offsets = (-self.b, -self.a)
+        self.edge_offsets = ((-self.a, -self.b),)
 
     def evaluate(self, p):
         try:
@@ -304,15 +309,13 @@ class _CountEq(Eventuality):
             return None
 
     def codes_at(self, ctx, y, j, rep):
-        cnt = ctx.last_le(y, rep, self.b) - ctx.last_le(y, rep, self.a)
+        # j is the search at offset 0, so an endpoint at 0 reuses it
+        cnt = (j if self.b == 0 else ctx.last_le(y, rep, self.b)) \
+            - (j if self.a == 0 else ctx.last_le(y, rep, self.a))
         out = (cnt == self.k).astype(np.int8)
         valid = (ctx.wlo[rep] - y <= self.a) & (ctx.whi[rep] - y >= self.b)
         out[~valid] = -1
         return out
-
-    def breaks(self, pts, wlo, whi):
-        # event T sits in (y+a, y+b] exactly for y in [T-b, T-a)
-        return [pts - self.b, pts - self.a, (wlo - self.a)[:, None], (whi - self.b)[:, None]]
 
 
 class _FirstLe(Eventuality):
@@ -324,6 +327,8 @@ class _FirstLe(Eventuality):
         self.t = float(t)
         self.radius = radius
         self.label = f"T1<={_fmt(self.t)}"
+        # an event T is T_1 for y in [T_0, T) and within t for y >= T-t
+        self.offsets = (-self.t, 0.0)
 
     def evaluate(self, p):
         try:
@@ -337,10 +342,6 @@ class _FirstLe(Eventuality):
         out = (ctx.point(nxt) - y <= self.t).astype(np.int8)
         out[~valid] = -1
         return out
-
-    def breaks(self, pts, wlo, whi):
-        # an event T is T_1 for y in [T_0, T) and within t for y >= T-t
-        return [pts, pts - self.t]
 
 
 def straddle_codes(ctx, y, j, rep, k: int, x):
@@ -364,6 +365,8 @@ class _PrevStraddle(Eventuality):
         self.x = float(x)
         self.radius = None
         self.label = f"straddle({self.k},{_fmt(self.x)})"
+        # T_-k <= y - x flips at y = T + x
+        self.offsets = tuple(sorted({0.0, self.x}))
 
     def evaluate(self, p):
         try:
@@ -374,17 +377,13 @@ class _PrevStraddle(Eventuality):
     def codes_at(self, ctx, y, j, rep):
         return straddle_codes(ctx, y, j, rep, self.k, self.x)
 
-    def breaks(self, pts, wlo, whi):
-        # T_-k <= y - x flips at y = T + x
-        return [pts, pts + self.x]
-
 
 class _Not(Eventuality):
     def __init__(self, inner: Eventuality):
-        self.inner = inner
-        self.radius = inner.radius
+        self.inner, self.radius = inner, inner.radius
+        self.offsets, self.edge_offsets = inner.offsets, inner.edge_offsets
         body = inner.label
-        if isinstance(inner, (_And, _Or)):
+        if isinstance(inner, _Binary):
             body = f"({body})"
         self.label = f"!{body}"
 
@@ -395,16 +394,21 @@ class _Not(Eventuality):
     def codes_at(self, ctx, y, j, rep):
         return _kleene_not(self.inner.codes_at(ctx, y, j, rep))
 
-    def breaks(self, pts, wlo, whi):
-        return self.inner.breaks(pts, wlo, whi)
 
+class _Binary(Eventuality):
+    """Shared by & and |: the radius, the label and the union of the breaks."""
 
-class _And(Eventuality):
     def __init__(self, left, right):
         self.left, self.right = left, right
         self.radius = (None if left.radius is None or right.radius is None
                        else max(left.radius, right.radius))
-        self.label = f"({left.label} & {right.label})"
+        self.label = f"({left.label} {self.op} {right.label})"
+        self.offsets = tuple(sorted({*left.offsets, *right.offsets}))
+        self.edge_offsets = tuple(sorted({*left.edge_offsets, *right.edge_offsets}))
+
+
+class _And(_Binary):
+    op = "&"
 
     def evaluate(self, p):
         u, v = self.left.evaluate(p), self.right.evaluate(p)
@@ -418,16 +422,9 @@ class _And(Eventuality):
         return _kleene_and(self.left.codes_at(ctx, y, j, rep),
                            self.right.codes_at(ctx, y, j, rep))
 
-    def breaks(self, pts, wlo, whi):
-        return self.left.breaks(pts, wlo, whi) + self.right.breaks(pts, wlo, whi)
 
-
-class _Or(Eventuality):
-    def __init__(self, left, right):
-        self.left, self.right = left, right
-        self.radius = (None if left.radius is None or right.radius is None
-                       else max(left.radius, right.radius))
-        self.label = f"({left.label} | {right.label})"
+class _Or(_Binary):
+    op = "|"
 
     def evaluate(self, p):
         u, v = self.left.evaluate(p), self.right.evaluate(p)
@@ -440,9 +437,6 @@ class _Or(Eventuality):
     def codes_at(self, ctx, y, j, rep):
         return _kleene_or(self.left.codes_at(ctx, y, j, rep),
                           self.right.codes_at(ctx, y, j, rep))
-
-    def breaks(self, pts, wlo, whi):
-        return self.left.breaks(pts, wlo, whi) + self.right.breaks(pts, wlo, whi)
 
 
 # -- catalog constructors -------------------------------------------------

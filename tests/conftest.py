@@ -73,6 +73,18 @@ def rows_batch(rows, window):
     return PatternBatch(pts, offsets, np.tile(window, (len(rows), 1)), np.ones(len(rows)))
 
 
+def declared_breaks(ev, pts, wlo, whi) -> np.ndarray:
+    """The break matrix of ev built from its declared offsets: one column
+    T + d per event column of pts (rows of events, padded with +inf) and
+    offset d, and the columns wlo + p, whi + q per window offset pair."""
+    wlo = np.asarray(wlo, dtype=np.float64)[:, None]
+    whi = np.asarray(whi, dtype=np.float64)[:, None]
+    cols = [pts + d for d in ev.offsets]
+    for p, q in ev.edge_offsets:
+        cols += [wlo + p, whi + q]
+    return np.concatenate(cols + [np.empty((pts.shape[0], 0))], axis=1)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260809)

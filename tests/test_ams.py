@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -92,6 +93,27 @@ class TestCesaroTime:
         # time fraction in unit gaps alternates between 1/3 and 3/5
         tt = cesaro_time(example44(900), ev_example44(), 500.0, 1, seed=0)
         assert tt.values.min() < 0.40 and tt.values.max() > 0.55
+
+
+class TestExactIntegralGolden:
+    """The exact time-shift integration is pinned byte for byte through its
+    two sampled callers: it may lay out fewer events and sum differently
+    shaped arrays, but must keep every output bit.  Digests recorded with
+    the full-row integration (numpy 2.4.6)."""
+
+    def test_cesaro_time_trace(self):
+        tr = cesaro_time(renewal_ts_from_es(gamma_intervals(2.0, 1.0)),
+                         parse_eventuality("count(0,1]==0"), 512.0, 4096, seed=7)
+        blob = repr((tr.checkpoints.tobytes(), tr.values.tobytes(), tr.std_errors.tobytes(),
+                     tr.kind, tr.reps, tr.rejected))
+        assert hashlib.sha256(blob.encode()).hexdigest() == \
+            "49e42a38aef952c71d9e855527d53310a944bf7d563583a1d4b1aebbf708dcbf"
+
+    def test_es_to_ts_battery(self):
+        ests = convert_es_to_ts(renewal_es(gamma_intervals(2.0, 1.0)), list(BATTERY), 5000,
+                                seed=4, threads=2)
+        assert hashlib.sha256(repr(ests).encode()).hexdigest() == \
+            "36d47eea3e9fbd72ac2302849d5939c84e56fddaf6c76216ce02b8e47c63c6af"
 
 
 class TestVerdict:

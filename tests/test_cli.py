@@ -219,6 +219,32 @@ reps = 200
         verdict = json.loads((tmp_path / "ams_verdict.json").read_text())
         assert verdict["status"] == "Inconclusive"
 
+    @pytest.mark.parametrize("fields, key", [
+        ("n_max = 0", "'n_max'"),
+        ("n_max = -5", "'n_max'"),
+        ("kind = time\nx_max = 0", "'x_max'"),
+        ("kind = time\nx_max = -3", "'x_max'"),
+        ("kind = time\nx_max = nan", "'x_max'"),
+        ("kind = time\nx_max = inf", "'x_max'"),
+        ("tail_fraction = 0", "'tail_fraction'"),
+        ("tail_fraction = 1.5", "'tail_fraction'"),
+        ("tail_fraction = nan", "'tail_fraction'"),
+    ])
+    def test_bad_field_is_config_error(self, tmp_path, capsys, fields, key):
+        # rejected before any run: exit 2, the field named, nothing written
+        cfg = write_config(tmp_path, f"""
+[ams]
+model = poisson_ts
+rate = 1.0
+eventualities = alpha(0)>1
+reps = 20
+{fields}
+""")
+        out = tmp_path / "out"
+        assert main(["ams", "--config", cfg, "--out", str(out)]) == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
 
 class TestSuite:
     def test_only_filter_single_check(self, tmp_path):

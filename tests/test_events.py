@@ -19,7 +19,7 @@ from palmlab.events import (
 )
 from palmlab.pattern import PatternBatch, PointPattern
 
-from conftest import random_pattern
+from conftest import declared_breaks, random_pattern
 
 
 def pp(*pts, window=(-10.0, 10.0)):
@@ -191,9 +191,7 @@ class TestIntegrate:
     def pieces(ev, p, y_lo, y_hi):
         """Sorted distinct breaks of ev on p inside (y_lo, y_hi), plus the bounds."""
         lo, hi = p.window
-        brk = np.concatenate([np.ravel(b) for b in
-                              ev.breaks(p.points[None, :], np.array([lo]), np.array([hi]))]
-                             + [np.empty(0)])
+        brk = declared_breaks(ev, p.points[None, :], [lo], [hi]).ravel()
         inner = brk[(brk > y_lo) & (brk < y_hi)]
         return np.unique(np.concatenate(([y_lo, y_hi], inner)))
 

@@ -12,7 +12,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from palmlab.events import EventContext, ev_straddle, parse_eventuality
-from palmlab.pattern import MIN_GAP, PatternBatch, PointPattern
+from palmlab.pattern import MIN_GAP, PatternBatch, PointPattern, padded_rows, ragged_ranges
+
+from conftest import declared_breaks
 
 CASES = [parse_eventuality(text) for text in (
     "true",
@@ -145,9 +147,7 @@ def test_integrate(data, ev, draw):
     assert np.array_equal(ok, ok_cuts)
     for k, p in enumerate(rows):
         a, b = bounds[k]
-        brk = np.concatenate([np.ravel(m) for m in ev.breaks(
-            p.points[None, :], np.array(p.window[:1]), np.array(p.window[1:]))]
-            + [np.empty(0)])
+        brk = declared_breaks(ev, p.points[None, :], p.window[:1], p.window[1:]).ravel()
         edges = np.unique(np.concatenate(([a, b], cuts[(cuts > a) & (cuts < b)],
                                           brk[(brk > a) & (brk < b)])))
         # evaluate measures gaps between shifted times, so a gap within
@@ -172,6 +172,97 @@ def test_integrate(data, ev, draw):
             assert running[k] == pytest.approx(want_running, abs=tol)
         else:
             assert vals[k] == 0.0 and not running[k].any()
+
+
+def full_row_integrate(ev, ctx, rows, y_lo, y_hi, cuts=None):
+    """Reference for Eventuality.integrate: the breaks of every stored event
+    of each row, clipped into (y_lo, y_hi] and sorted, and one weighted
+    bincount over the pieces per cut."""
+    rows = np.asarray(rows, dtype=np.int64)
+    m = rows.size
+    lo = np.broadcast_to(np.asarray(y_lo, dtype=np.float64), (m,))[:, None]
+    hi = np.broadcast_to(np.asarray(y_hi, dtype=np.float64), (m,))[:, None]
+    starts, stops = ctx.off_lo[rows], ctx.off_hi[rows]
+    pts, _ = padded_rows(ctx.points[ragged_ranges(starts, stops)[0]], stops - starts)
+    cols = [lo, hi, declared_breaks(ev, pts, ctx.wlo[rows], ctx.whi[rows])]
+    if cuts is not None:
+        cols.append(np.broadcast_to(cuts, (m, cuts.size)))
+    edges = np.sort(np.clip(np.concatenate(cols, axis=1), lo, hi), axis=1)
+    widths = np.diff(edges, axis=1)
+    pi, ci = np.nonzero(widths > 0)
+    right = edges[pi, ci + 1]
+    y = 0.5 * (edges[pi, ci] + right)
+    rep = rows[pi]
+    codes = ev.codes_at(ctx, y, ctx.last_le(y, rep), rep)
+    part = np.where(codes == 1, widths[pi, ci], 0.0)
+    if cuts is None:
+        values = np.bincount(pi, weights=part, minlength=m)
+    else:
+        values = np.zeros((m, cuts.size))
+        for k, cut in enumerate(cuts):
+            values[:, k] = np.bincount(pi, weights=part * (right <= cut), minlength=m)
+    ok = np.ones(m, dtype=bool)
+    ok[pi[codes == -1]] = False
+    values[~ok] = 0.0
+    return values, ok
+
+
+@SETTINGS
+@given(batches, st.sampled_from(CASES), st.data())
+def test_integrate_equals_full_row(data, ev, draw):
+    """Laying out only the events whose breaks can fall inside the interval
+    and reading one running sum at the cuts changes no bit of the result:
+    on filler rows and wide windows, over one-gap intervals and over
+    intervals that end on, or one ulp from, a break or a window edge."""
+    rows, filler = data
+    batch, ids = _batch(rows, filler)
+    ctx = EventContext(batch)
+    reps, bounds, spots = [], [], []
+    for i, p in zip(ids, rows):
+        lo, hi = p.window
+        brk = declared_breaks(ev, p.points[None, :], [lo], [hi]).ravel()
+        row_spots = [u for x in np.concatenate((brk, p.points, [lo, hi])) for u in _around(x)]
+        row_spots = [u for u in row_spots if lo <= u <= hi]
+        spots += row_spots
+        # one gap, the whole window, and two ends among the breaks and edges
+        pairs = [(lo, hi), tuple(sorted(draw.draw(st.lists(
+            st.sampled_from(row_spots), min_size=2, max_size=2))))]
+        if len(p) >= 2:
+            k = draw.draw(st.integers(0, len(p) - 2))
+            pairs.append((p.points[k], p.points[k + 1]))
+        inside = st.floats(lo, hi, exclude_min=True, exclude_max=True)
+        pairs.append(tuple(sorted(draw.draw(st.lists(inside, min_size=2, max_size=2)))))
+        reps += [i] * len(pairs)
+        bounds += pairs
+    y_lo, y_hi = np.array(bounds).T
+    cuts = np.array(draw.draw(st.lists(st.sampled_from(spots) | st.floats(-20.0, 20.0),
+                                       max_size=4)))
+    for c in (None, cuts):
+        got = ev.integrate(ctx, reps, y_lo, y_hi, cuts=c)
+        want = full_row_integrate(ev, ctx, reps, y_lo, y_hi, cuts=c)
+        assert np.array_equal(got[0], want[0]), (ev.label, c)
+        assert np.array_equal(got[1], want[1]), (ev.label, c)
+
+
+@pytest.mark.parametrize("ev, y_lo, y_hi, pts, k", [
+    (parse_eventuality("count(0.5,2]==1"), -0.1394089208519178, 0.7199145702121658,
+     [-4.912046154589423, -0.4543806406261819, -0.21724279224235943, 0.36059107914808225,
+      1.609311738218329, 3.7813401201821364, 4.908386903230834], 3),
+    (ev_straddle(1, 0.7), 0.25304682452811456, 0.7560429149449331,
+     [-4.623018463619736, -1.0235703126290332, -0.44695317547188534, 0.1536528985299288,
+      1.0302197139356553, 1.1307338502836641, 2.0546156335490657], 2),
+])
+def test_integrate_keeps_the_event_at_the_lower_search(ev, y_lo, y_hi, pts, k):
+    # event k has T - y_lo rounding to <= -d but T + d rounding to > y_lo
+    # (d the largest offset): the lower search stops at T, yet T's break
+    # splits the first piece, which moves the last bit of the integral
+    t, d = pts[k], ev.offsets[-1]
+    assert t - y_lo <= -d and t + d > y_lo
+    batch, ids = _batch([PointPattern(np.array(pts), (-6.0, 6.0))], 0)
+    ctx = EventContext(batch)
+    got = ev.integrate(ctx, ids, y_lo, y_hi)
+    want = full_row_integrate(ev, ctx, ids, y_lo, y_hi)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
 def test_gap_between_shifted_times():
