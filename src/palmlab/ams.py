@@ -24,13 +24,12 @@ from .estimate import (
     guard_window,
     ratio_estimate,
     run_kernel,
-    straddle_gaps,
     _as_group,
     _events_in,
     _per_member,
 )
 from .events import HORIZON_GAPS, Eventuality, effective_radius
-from .models import ProcessModel, example44_block_ends, example44_labels
+from .models import ProcessModel, example44_block_ends, example44_times
 
 
 @dataclass(frozen=True)
@@ -84,8 +83,7 @@ def _time_checkpoints(model: ProcessModel, x_max: float) -> np.ndarray:
     cps = set(_geometric(8.0 * model.scale, float(x_max)))
     if _is_example44(model):
         n = model.descriptor["pattern_len"]
-        labels = example44_labels(n)
-        times = 1.0 + np.concatenate(([0.0], np.cumsum(2.0 - labels[:-1])))
+        times = example44_times(n)
         for b in example44_block_ends(32):
             if b <= n and times[b - 1] <= x_max:
                 cps.add(float(times[b - 1]))
@@ -143,10 +141,10 @@ def cesaro_event(
             reject[rows[bad]] = True
             running = np.cumsum(codes, axis=1, dtype=np.float64)[:, cps - 1] / cps
             cols[rows, :ncp] = running
-        return cols, reject
+        return [(cols, reject)]
 
-    sums = run_kernel(model, window, budget, ncp + 1, kernel,
-                      seed=seed, stream=stream, threads=threads)
+    (sums,) = run_kernel(model, window, budget, ncp + 1, kernel,
+                         seed=seed, stream=stream, threads=threads).members
     return CesaroTrace(cps.astype(np.float64), *_running_averages(model, sums, ncp),
                        "event", budget, int(sums.rejected.sum()))
 
@@ -177,10 +175,10 @@ def cesaro_time(
         cols = np.zeros((batch.n, ncp + 1))
         cols[:, :ncp] = integrals / cps
         cols[:, ncp] = 1.0
-        return cols, ~ok
+        return [(cols, ~ok)]
 
-    sums = run_kernel(model, window, budget, ncp + 1, kernel,
-                      seed=seed, stream=stream, threads=threads)
+    (sums,) = run_kernel(model, window, budget, ncp + 1, kernel,
+                         seed=seed, stream=stream, threads=threads).members
     return CesaroTrace(cps, *_running_averages(model, sums, ncp), "time",
                        budget, int(sums.rejected.sum()))
 
@@ -283,14 +281,15 @@ def convert_ts_to_es(
     window = guard_window(ts_model, r, 0.0, span)
 
     def kernel(batch, ctx):
-        pos0, a0, ok = straddle_gaps(batch, ctx)
+        pos0 = ctx.pos0()
+        t0, t1, ok = ctx.gap(pos0)
         e0, rows = np.clip(pos0, 0, None), np.arange(batch.n)
         den = _events_in(batch, ctx, 0.0, span)[2] / span
         out = []
         for ev in group:
             codes = ev.at_events(ctx, e0, rows)
             reject = ~ok | (codes == -1)
-            num = np.where(reject, 0.0, (codes == 1) / a0)
+            num = np.where(reject, 0.0, (codes == 1) / (t1 - t0))
             out.append((np.column_stack((num, den)), reject))
         return out
 

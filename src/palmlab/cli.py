@@ -30,6 +30,7 @@ import argparse
 import configparser
 import csv
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -95,12 +96,6 @@ class Run:
     def get(self, key: str, default=None):
         return self.cfg.get(key, default)
 
-    def require(self, key: str) -> str:
-        value = self.get(key)
-        if value is None:
-            raise ConfigError(f"missing required field {key!r} in section [{self.section}]")
-        return value
-
     def get_int(self, key: str, default=None) -> int:
         raw = self.get(key)
         if raw is None:
@@ -122,6 +117,13 @@ class Run:
             return float(raw)
         except ValueError:
             raise ConfigError(f"field {key!r} must be a number, got {raw!r}") from None
+
+    def get_positive(self, key: str, default=None) -> float:
+        """A number from the config field, which must be positive and finite."""
+        value = self.get_float(key, default)
+        if not 0.0 < value < math.inf:
+            raise ConfigError(f"{key!r} must be positive and finite, got {value}")
+        return value
 
     @property
     def seed(self) -> int:
@@ -216,7 +218,7 @@ def cmd_palm(run: Run) -> int:
     mode = run.get("mode", "zero")
     out = run.out_dir / "palm.csv"
     if mode == "zero":
-        x = run.get_float("x", 10.0 * model.scale)
+        x = run.get_positive("x", 10.0 * model.scale)
         rows = []
         for ev in evs:
             est = est_mod.est_palm_zero(
@@ -228,8 +230,12 @@ def cmd_palm(run: Run) -> int:
     elif mode == "shifted":
         lo = run.get_float("bin_lo")
         hi = run.get_float("bin_hi")
-        width = run.get_float("bin_width", 0.25 * model.scale)
+        if not -math.inf < lo < hi < math.inf:
+            raise ConfigError(f"need finite 'bin_lo' < 'bin_hi', got {lo} and {hi}")
+        width = run.get_positive("bin_width", 0.25 * model.scale)
         edges = np.arange(lo, hi + width / 2, width)
+        if edges.size < 2:
+            raise ConfigError(f"'bin_width' {width} leaves no bin in ({lo}, {hi}]")
         rows = []
         for ev in evs:
             bins = est_mod.est_shifted_palm(
@@ -275,9 +281,7 @@ def _run_ams(run: Run, model, ev, prefix: str) -> int:
         trace = ams_mod.cesaro_event(model, ev, n_max, run.reps, seed=run.seed,
                                      threads=run.threads)
     elif kind == "time":
-        x_max = run.get_float("x_max", 256.0 * model.scale)
-        if not 0.0 < x_max < np.inf:
-            raise ConfigError(f"'x_max' must be positive and finite, got {x_max}")
+        x_max = run.get_positive("x_max", 256.0 * model.scale)
         trace = ams_mod.cesaro_time(model, ev, x_max, run.reps, seed=run.seed,
                                     threads=run.threads)
     else:
@@ -388,7 +392,7 @@ def cmd_example44(run: Run) -> int:
 def cmd_example84(run: Run) -> int:
     from .models import example84_exact
 
-    rate = run.get_float("rate", 1.0)
+    rate = run.get_positive("rate", 1.0)
     model = example84_exact(rate)
     rows = []
     for x in (0.5, 1.0, 2.0):
@@ -411,18 +415,18 @@ def cmd_example84(run: Run) -> int:
         ])
 
     def ratio_kernel(batch, ctx):
-        pos0, a0, ok = est_mod.straddle_gaps(batch, ctx)
-        return np.where(ok, ctx.point(pos0 + 1) / a0, 0.0), ~ok
+        t0, t1, ok = ctx.gap(ctx.pos0())
+        return [(np.where(ok, t1 / (t1 - t0), 0.0), ~ok)]
 
     def ratio_sq_kernel(batch, ctx):
-        vals, reject = ratio_kernel(batch, ctx)
-        return vals * vals, reject
+        ((vals, reject),) = ratio_kernel(batch, ctx)
+        return [(vals * vals, reject)]
 
     window = est_mod.guard_window(model, HORIZON_GAPS * model.scale)
-    m1 = est_mod.mc_mean(model, window, ratio_kernel, run.reps,
-                         seed=run.seed, stream="e84:unif1", threads=run.threads)
-    m2 = est_mod.mc_mean(model, window, ratio_sq_kernel, run.reps,
-                         seed=run.seed, stream="e84:unif2", threads=run.threads)
+    (m1,) = est_mod.mc_mean(model, window, ratio_kernel, run.reps,
+                            seed=run.seed, stream="e84:unif1", threads=run.threads)
+    (m2,) = est_mod.mc_mean(model, window, ratio_sq_kernel, run.reps,
+                            seed=run.seed, stream="e84:unif2", threads=run.threads)
     rows.append(["arrival_ratio", "E(T1/alpha0)", m1.value, m1.std_error, 0.5])
     rows.append(["arrival_ratio", "E((T1/alpha0)^2)", m2.value, m2.std_error, 1.0 / 3.0])
     out = run.out_dir / "example84.csv"

@@ -76,10 +76,6 @@ class IntensityProfile:
     def widths(self) -> np.ndarray:
         return np.diff(self.bin_edges)
 
-    @property
-    def centers(self) -> np.ndarray:
-        return 0.5 * (self.bin_edges[:-1] + self.bin_edges[1:])
-
     def value_at(self, x: float) -> tuple[float, float]:
         """Rate and standard error of the bin containing x."""
         idx = int(np.searchsorted(self.bin_edges, x, side="left")) - 1
@@ -139,13 +135,14 @@ def run_kernel(
     seed: int,
     stream,
     threads: int = 1,
-) -> BatchSums | GroupSums:
-    """Drive `kernel(batch, ctx) -> (cols (n,k), reject (n,))` over the budget.
+) -> GroupSums:
+    """Drive `kernel(batch, ctx) -> [(cols (n,k), reject (n,)), ...]` over
+    the budget.
 
-    A kernel may instead return a list of such pairs, one per member of a
-    group evaluated on the same draws; the result is then GroupSums.  Each
-    member is weighted and reduced on its own, so its BatchSums equal those
-    of a run of that member alone, bit for bit.
+    The kernel returns a list with one pair per member of a group evaluated
+    on the same draws (a lone kernel returns a list of one).  Each member
+    is weighted and reduced on its own, so its BatchSums equal those of a
+    run of that member alone, bit for bit.
     """
     if budget < 1:
         raise ValueError("budget must be positive")
@@ -155,11 +152,8 @@ def run_kernel(
         n = min(_rng.CHUNK, budget - ci * _rng.CHUNK)
         gen = _rng.chunk_rng(seed, stream, ci)
         batch = model.sample_batch(gen, window, n)
-        out = kernel(batch, EventContext(batch))
-        pairs = out if isinstance(out, list) else [out]
-        return isinstance(out, list), [
-            _batch_reduce(batch.weights, cols, reject, n, ncols) for cols, reject in pairs
-        ]
+        return [_batch_reduce(batch.weights, cols, reject, n, ncols)
+                for cols, reject in kernel(batch, EventContext(batch))]
 
     if threads > 1 and n_chunks > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -167,22 +161,16 @@ def run_kernel(
     else:
         results = [one_chunk(ci) for ci in range(n_chunks)]
 
-    grouped, per_member = results[0][0], len(results[0][1])
-    members = tuple(
-        BatchSums(*(np.concatenate(parts) for parts in zip(*(r[1][j] for r in results))),
-                  reps=budget)
-        for j in range(per_member)
-    )
-    return GroupSums(members) if grouped else members[0]
+    return GroupSums(tuple(
+        BatchSums(*(np.concatenate(parts) for parts in zip(*member)), reps=budget)
+        for member in zip(*results)
+    ))
 
 
-def ratio_estimate(sums: BatchSums, num_col: int, den_col) -> Estimate:
-    """Delta-method ratio of two weighted column sums.
-
-    den_col may be an array of per-batch denominators instead of an index.
-    """
+def ratio_estimate(sums: BatchSums, num_col: int, den_col: int) -> Estimate:
+    """Delta-method ratio of two weighted column sums."""
     num_b = sums.cols[:, num_col]
-    den_b = sums.cols[:, den_col] if isinstance(den_col, int) else den_col
+    den_b = sums.cols[:, den_col]
     den_total = float(den_b.sum())
     if den_total == 0.0:
         raise ZeroDenominator("no occurrences observed in the denominator")
@@ -223,16 +211,6 @@ def guard_window(
     """
     guard = max(radius, 10.0 * model.scale)
     return (lo_extent - guard, hi_extent + guard)
-
-
-def straddle_gaps(batch: PatternBatch, ctx: EventContext):
-    """Per replication: raw T_0 position, straddling gap, and whether the
-    origin is actually straddled (both endpoints stored)."""
-    pos0 = ctx.pos0()
-    ok = batch.straddled(pos0)
-    safe = np.clip(pos0, 0, max(batch.points.size - 2, 0))
-    a0 = batch.points[safe + 1] - batch.points[safe]
-    return pos0, a0, ok
 
 
 def _events_in(batch: PatternBatch, ctx: EventContext, a: float, b: float):
@@ -309,28 +287,23 @@ def mc_mean(
     seed: int = 0,
     stream="mc_mean",
     threads: int = 1,
-) -> Estimate | list[Estimate]:
-    """Self-normalized mean of a per-replication scalar.
+) -> list[Estimate]:
+    """Self-normalized means of per-replication scalars, one per member.
 
-    `kernel(batch, ctx) -> (values (n,), reject (n,))`.  The extension
-    point the identity registry is built on.  A kernel that returns a list
-    of such pairs (one per member of a group) gets a list of Estimates.
+    `kernel(batch, ctx) -> [(values (n,), reject (n,)), ...]`, one pair per
+    member evaluated on the same draws; a lone kernel returns a list of one
+    and its caller unpacks `(est,) = mc_mean(...)`.  The extension point
+    the identity registry is built on.
     """
 
     def wrapped(batch, ctx):
-        out = kernel(batch, ctx)
         ones = np.ones(batch.n)
-
-        def cols(vals, reject):
-            return np.column_stack((np.asarray(vals, dtype=np.float64), ones)), reject
-
-        return [cols(*pair) for pair in out] if isinstance(out, list) else cols(*out)
+        return [(np.column_stack((np.asarray(vals, dtype=np.float64), ones)), reject)
+                for vals, reject in kernel(batch, ctx)]
 
     sums = run_kernel(model, window, budget, 2, wrapped,
                       seed=seed, stream=stream, threads=threads)
-    if isinstance(sums, GroupSums):
-        return [check_ess(model, ratio_estimate(s, 0, 1)) for s in sums.members]
-    return check_ess(model, ratio_estimate(sums, 0, 1))
+    return [check_ess(model, ratio_estimate(s, 0, 1)) for s in sums.members]
 
 
 def est_event_probability(
@@ -347,14 +320,11 @@ def est_event_probability(
     window = guard_window(model, group_radius(group, model.scale))
 
     def kernel(batch, ctx):
-        ones = np.ones(batch.n)
         codes = [ev.at_origin(ctx) for ev in group]
-        return [(np.column_stack(((c == 1).astype(np.float64), ones)), c == -1)
-                for c in codes]
+        return [((c == 1).astype(np.float64), c == -1) for c in codes]
 
-    sums = run_kernel(model, window, budget, 2, kernel,
-                      seed=seed, stream=stream, threads=threads)
-    return _per_member(sums, single, lambda s: check_ess(model, ratio_estimate(s, 0, 1)))
+    out = mc_mean(model, window, kernel, budget, seed=seed, stream=stream, threads=threads)
+    return out[0] if single else out
 
 
 def _binned_sums(
@@ -502,23 +472,20 @@ def est_intermediate(
     seed: int = 0,
     stream="intermediate",
     threads: int = 1,
-    window: tuple[float, float] | None = None,
 ) -> Estimate | list[Estimate]:
     """Probability of A seen from event T_n, conditioned on T_n being
     observable inside the window minus the guard (the finite-window proxy
     for conditioning on T_n being finite).  Coverage = 1 - rejected/reps."""
     group, single = _as_group(A)
     r = group_radius(group, model.scale)
-    if window is None:
-        pad = model.scale * (2.0 * abs(n) + 10.0 * math.sqrt(abs(n) + 1.0))
-        window = guard_window(model, r + pad)
+    pad = model.scale * (2.0 * abs(n) + 10.0 * math.sqrt(abs(n) + 1.0))
+    window = guard_window(model, r + pad)
     lo_w, hi_w = window
 
     def kernel(batch, ctx):
         pos_n = ctx.pos0() + n
         covered = (pos_n >= ctx.off_lo) & (pos_n < ctx.off_hi)
-        pc = np.clip(pos_n, 0, max(batch.points.size - 1, 0))
-        t_n = batch.points[pc]
+        t_n = ctx.point(pos_n)
         covered &= (t_n - r >= lo_w) & (t_n + r <= hi_w)
         rep = np.flatnonzero(covered)
         out = []

@@ -82,6 +82,17 @@ class EventContext:
             return np.zeros(np.shape(i))
         return np.take(self.points, i, mode="clip")
 
+    def gap(self, i: np.ndarray, rep: np.ndarray | None = None):
+        """(t_lo, t_hi, stored): the times of the events at array positions
+        i and i + 1, and whether row rep stores both (without rep, i holds
+        one position per row).  The reads clip i into [0, size - 2], so
+        t_hi - t_lo is always the gap between two distinct stored events;
+        callers mask the rows where stored fails."""
+        rows = slice(None) if rep is None else rep
+        safe = np.clip(i, 0, max(self.points.size - 2, 0))
+        return (self.point(safe), self.point(safe + 1),
+                (i >= self.off_lo[rows]) & (i + 1 < self.off_hi[rows]))
+
     def last_le(self, y: np.ndarray, rep: np.ndarray, c: float = 0.0) -> np.ndarray:
         """Array position of the last event T of row rep with T - y <= c
         (off_lo - 1 when there is none), with T - y rounded as in the
@@ -276,6 +287,8 @@ class _AlphaCmp(Eventuality):
             return None
 
     def codes_at(self, ctx, y, j, rep):
+        # not ctx.gap: this read runs at every event of an event trace, and
+        # holding both gap ends with a clipped copy of g raises peak memory
         g = j + self.n
         valid = (g >= ctx.off_lo[rep]) & (g + 1 < ctx.off_hi[rep])
         # the gap between the shifted times, rounded as the scalar form rounds it
@@ -347,11 +360,8 @@ class _FirstLe(Eventuality):
 def straddle_codes(ctx, y, j, rep, k: int, x):
     """Codes of [T_-k <= -x < T_-k+1] seen from positions y (as codes_at);
     x is one distance or an array of distances aligned with y."""
-    i = j - k
-    valid = (i >= ctx.off_lo[rep]) & (i + 1 < ctx.off_hi[rep])
-    t_lo = ctx.point(i) - y
-    t_hi = ctx.point(i + 1) - y
-    out = ((t_lo <= -x) & (-x < t_hi)).astype(np.int8)
+    t_lo, t_hi, valid = ctx.gap(j - k, rep)
+    out = ((t_lo - y <= -x) & (-x < t_hi - y)).astype(np.int8)
     out[~valid] = -1
     return out
 

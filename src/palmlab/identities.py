@@ -31,7 +31,6 @@ from .estimate import (
     guard_window,
     mc_mean,
     pstar_model,
-    straddle_gaps,
     _binned_events,
     _events_in,
     _reject_from_codes,
@@ -41,6 +40,7 @@ from .events import (
     Eventuality,
     SUITE_BATTERY,
     _kleene_and,
+    ev_true,
     parse_eventuality,
     straddle_codes,
 )
@@ -133,29 +133,29 @@ def _count_rate(model: ProcessModel, rp: RunParams, stream: str) -> Estimate:
     window = guard_window(model, model.scale, 0.0, span)
 
     def kernel(batch, ctx):
-        return _events_in(batch, ctx, 0.0, span)[2] / span, np.zeros(batch.n, dtype=bool)
+        return [(_events_in(batch, ctx, 0.0, span)[2] / span, np.zeros(batch.n, dtype=bool))]
 
-    return mc_mean(model, window, kernel, rp.budget,
-                   seed=rp.seed, stream=stream, threads=rp.threads)
+    (est,) = mc_mean(model, window, kernel, rp.budget,
+                     seed=rp.seed, stream=stream, threads=rp.threads)
+    return est
 
 
 def _mean_alpha0(model: ProcessModel, rp: RunParams, stream: str) -> Estimate:
     window = guard_window(model, HORIZON_GAPS * model.scale)
 
     def kernel(batch, ctx):
-        _, a0, ok = straddle_gaps(batch, ctx)
-        return np.where(ok, a0, 0.0), ~ok
+        t0, t1, ok = ctx.gap(ctx.pos0())
+        return [(np.where(ok, t1 - t0, 0.0), ~ok)]
 
-    return mc_mean(model, window, kernel, rp.budget,
-                   seed=rp.seed, stream=stream, threads=rp.threads)
+    (est,) = mc_mean(model, window, kernel, rp.budget,
+                     seed=rp.seed, stream=stream, threads=rp.threads)
+    return est
 
 
-def _gap_at(ctx, y: float):
-    """Per replication: array index and validity of the gap containing y
-    (an event exactly at y owns its right gap)."""
-    idx = ctx.last_le(np.full(ctx.batch.n, y), np.arange(ctx.batch.n))
-    valid = (idx >= ctx.off_lo) & (idx + 1 < ctx.off_hi)
-    return np.clip(idx, 0, max(ctx.points.size - 2, 0)), valid
+def _gap_at(ctx, y: float) -> np.ndarray:
+    """Per replication: array position of the gap containing y, that is of
+    its left end (an event exactly at y owns its right gap)."""
+    return ctx.last_le(np.full(ctx.batch.n, y), np.arange(ctx.batch.n))
 
 
 def _marked(codes: np.ndarray, ok: np.ndarray, values: np.ndarray):
@@ -171,7 +171,9 @@ def _marked(codes: np.ndarray, ok: np.ndarray, values: np.ndarray):
 # take none) and evaluates every member on the same draws, sampled on the
 # window the widest member needs.  It returns probes (note, lhs, rhs); each
 # field is one value shared by all members or a list with one value per
-# member.
+# member.  Its kernels read a gap through ctx.gap and return one (values,
+# reject) pair per member, so mc_mean gives one Estimate per member; a
+# kernel that takes no eventuality returns a list of one.
 
 
 def _run_i23(model, group, rp):
@@ -179,11 +181,11 @@ def _run_i23(model, group, rp):
     window = guard_window(model, HORIZON_GAPS * model.scale)
 
     def kernel(batch, ctx):
-        _, a0, ok = straddle_gaps(batch, ctx)
-        return np.where(ok, 1.0 / a0, 0.0), ~ok
+        t0, t1, ok = ctx.gap(ctx.pos0())
+        return [(np.where(ok, 1.0 / (t1 - t0), 0.0), ~ok)]
 
-    rhs = mc_mean(model, window, kernel, rp.budget,
-                  seed=rp.seed, stream="I-2.3:R", threads=rp.threads)
+    (rhs,) = mc_mean(model, window, kernel, rp.budget,
+                     seed=rp.seed, stream="I-2.3:R", threads=rp.threads)
     return [("rate vs E(1/alpha0)", lhs, rhs)]
 
 
@@ -209,10 +211,8 @@ def _run_i26(model, group, rp):
 
         def kernel(batch, ctx, k=k):
             # integrate over (T_-k, T_-k+1]
-            i = ctx.pos0() - k
-            y_lo, y_hi = ctx.point(i), ctx.point(i + 1)
-            rows = np.flatnonzero((i >= ctx.off_lo) & (i + 1 < ctx.off_hi)
-                                  & (y_lo >= -pad) & (y_hi <= pad))
+            y_lo, y_hi, stored = ctx.gap(ctx.pos0() - k)
+            rows = np.flatnonzero(stored & (y_lo >= -pad) & (y_hi <= pad))
             y_lo, y_hi = y_lo[rows], y_hi[rows]
             pairs = []
             for A in group:
@@ -241,11 +241,8 @@ def _run_i27a(model, group, rp):
         window = guard_window(palm, r + (abs(n) + 2) * palm.scale * 4.0)
 
         def kernel(batch, ctx, n=n):
-            i = ctx.pos0() - n
-            ok = (i >= ctx.off_lo) & (i + 1 < ctx.off_hi)
-            ic = np.clip(i, 0, max(batch.points.size - 2, 0))
-            gap = batch.points[ic + 1] - batch.points[ic]
-            return [_marked(A.at_origin(ctx), ok, gap) for A in group]
+            t_lo, t_hi, ok = ctx.gap(ctx.pos0() - n)
+            return [_marked(A.at_origin(ctx), ok, t_hi - t_lo) for A in group]
 
         rhs = mc_mean(palm, window, kernel, rp.budget,
                       seed=rp.seed, stream=f"I-2.7a:n{n}:R", threads=rp.threads)
@@ -263,11 +260,12 @@ def _run_i27b(model, group, rp):
         window = guard_window(model, r + (abs(n) + 2) * model.scale * 4.0)
 
         def kernel(batch, ctx, n=n):
-            pos0, a0, ok = straddle_gaps(batch, ctx)
+            pos0 = ctx.pos0()
+            t0, t1, ok = ctx.gap(pos0)
             e = np.clip(pos0 + n, 0, max(batch.points.size - 1, 0))
             ok = ok & (pos0 + n >= ctx.off_lo) & (pos0 + n < ctx.off_hi)
             rows = np.arange(batch.n)
-            return [_marked(A.at_events(ctx, e, rows), ok, 1.0 / a0) for A in group]
+            return [_marked(A.at_events(ctx, e, rows), ok, 1.0 / (t1 - t0)) for A in group]
 
         rhs = mc_mean(model, window, kernel, rp.budget,
                       seed=rp.seed, stream=f"I-2.7b:n{n}:R", threads=rp.threads)
@@ -285,8 +283,7 @@ def _pairing_kernel(pairs, pad: float):
     straddling gap."""
 
     def kernel(batch, ctx):
-        pos0, a0, ok = straddle_gaps(batch, ctx)
-        t0, t1 = ctx.point(pos0), ctx.point(pos0 + 1)
+        t0, t1, ok = ctx.gap(ctx.pos0())
         out = []
         for f, g in pairs:
             codes = f.at_origin(ctx)
@@ -297,7 +294,7 @@ def _pairing_kernel(pairs, pad: float):
             integrals, good = g.integrate(ctx, rows, t0[rows], t1[rows])
             reject[rows[~good]] = True
             vals = np.zeros(batch.n)
-            vals[rows] = integrals / a0[rows]
+            vals[rows] = integrals / (t1[rows] - t0[rows])
             out.append((vals, reject))
         return out
 
@@ -326,17 +323,16 @@ def _run_i210c(model, group, rp):
                               x + model.scale)
 
         def kernel(batch, ctx, x=x):
-            pos0, a0, ok = straddle_gaps(batch, ctx)
-            t0, t1 = ctx.point(pos0), ctx.point(pos0 + 1)
+            t0, t1, ok = ctx.gap(ctx.pos0())
             # count in the half-open [x+T0, x+T1): events <= the float below each end
             rows = np.arange(batch.n)
             cnt = (ctx.last_le(np.nextafter(x + t1, -np.inf), rows)
                    - ctx.last_le(np.nextafter(x + t0, -np.inf), rows))
             ok = ok & (x + t1 <= ctx.whi)
-            return np.where(ok, cnt / a0, 0.0), ~ok
+            return [(np.where(ok, cnt / (t1 - t0), 0.0), ~ok)]
 
-        lhs = mc_mean(model, window, kernel, rp.budget,
-                      seed=rp.seed, stream=f"I-2.10c:x{mult}:L", threads=rp.threads)
+        (lhs,) = mc_mean(model, window, kernel, rp.budget,
+                         seed=rp.seed, stream=f"I-2.10c:x{mult}:L", threads=rp.threads)
         out.append((f"x={x:g}", lhs, _exact(lam)))
     return out
 
@@ -415,15 +411,14 @@ def _run_i45(model, group, rp):
 
 
 def _delta0_kernel(tilt, lam: float, members):
-    """Kernel of lam * alpha0 * sigma at the base's event; with members, one
-    column per member, times its indicator at the origin.  Rows that lack a
-    gap sigma reads (ok implies straddling) are rejected, not fatal."""
+    """Kernel of lam * alpha0 * sigma at the base's event, one column per
+    member, times its indicator at the origin.  Rows that lack a gap sigma
+    reads (ok implies straddling) are rejected, not fatal."""
     def kernel(batch, ctx):
-        pos0, a0, ok = straddle_gaps(batch, ctx)
-        sigma, ok = tilt.values_at(batch.points, pos0, ok, batch.offsets[1:])
-        vals = lam * a0 * sigma
-        if members is None:
-            return np.where(~ok, 0.0, vals), ~ok
+        pos0 = ctx.pos0()
+        t0, t1, ok = ctx.gap(pos0)
+        sigma, ok = tilt.values_at(ctx.points, pos0, ok, ctx.off_hi)
+        vals = lam * (t1 - t0) * sigma
         return [_marked(A.at_origin(ctx), ok, vals) for A in members]
     return kernel
 
@@ -433,8 +428,8 @@ def _run_i52a(model, group, rp):
     palm = info.base_palm()
     lam = info.base_rate
     window = guard_window(palm, HORIZON_GAPS * palm.scale)
-    norm = mc_mean(palm, window, _delta0_kernel(info.tilt, lam, None), rp.budget,
-                   seed=rp.seed, stream="I-5.2a:norm", threads=rp.threads)
+    (norm,) = mc_mean(palm, window, _delta0_kernel(info.tilt, lam, [ev_true()]), rp.budget,
+                      seed=rp.seed, stream="I-5.2a:norm", threads=rp.threads)
     lhs_b = est_intermediate(model, 0, group, rp.budget, seed=rp.seed,
                              stream="I-5.2a:L", threads=rp.threads)
     rhs_b = mc_mean(palm, window, _delta0_kernel(info.tilt, lam, group), rp.budget,
@@ -465,15 +460,14 @@ def _run_i81a(model, group, rp):
 
         def kernel(batch, ctx, y=y):
             # sigma applied to the view from -y; values are 0 where undefined
-            vals, ok = info.tilt.values_at(ctx.points, *_gap_at(ctx, -y), ctx.off_hi)
-            return vals, ~ok
+            i = _gap_at(ctx, -y)
+            _, _, stored = ctx.gap(i)
+            vals, ok = info.tilt.values_at(ctx.points, i, stored, ctx.off_hi)
+            return [(vals, ~ok)]
 
-        rhs = _scaled(
-            mc_mean(palm, window, kernel, rp.budget,
-                    seed=rp.seed, stream=f"I-8.1a:y{y}:R", threads=rp.threads),
-            lam,
-        )
-        out.append((f"y={y:g}", lhs, rhs))
+        (rhs,) = mc_mean(palm, window, kernel, rp.budget,
+                         seed=rp.seed, stream=f"I-8.1a:y{y}:R", threads=rp.threads)
+        out.append((f"y={y:g}", lhs, _scaled(rhs, lam)))
     return out
 
 
@@ -492,9 +486,8 @@ def _run_i84rho(model, group, rp):
         window = guard_window(palm, r + HORIZON_GAPS * palm.scale + abs(x))
 
         def kernel(batch, ctx, x=x):
-            idx, ok = _gap_at(ctx, -x)
-            gap = batch.points[idx + 1] - batch.points[idx]
-            return [_marked(A.at_origin(ctx), ok, gap) for A in group]
+            t_lo, t_hi, ok = ctx.gap(_gap_at(ctx, -x))
+            return [_marked(A.at_origin(ctx), ok, t_hi - t_lo) for A in group]
 
         factor = lam / (2.0 - math.exp(-lam * abs(x)))
         rhs = mc_mean(palm, window, kernel, rp.budget,

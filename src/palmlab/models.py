@@ -566,17 +566,17 @@ def example44_block_ends(k_max: int) -> list[int]:
 def example44_labels(n: int) -> np.ndarray:
     """The 0/1 label sequence x_1..x_n: blocks alternate 1-runs and 0-runs
     with the run lengths above."""
-    out = np.empty(n, dtype=np.int8)
-    pos = 0
-    k = 0
-    a = [4]
-    while pos < n:
-        run = min(a[-1], n - pos)
-        out[pos:pos + run] = 1 if k % 2 == 0 else 0
-        pos += run
+    k = 1
+    while example44_block_ends(k)[-1] < n:
         k += 1
-        a.append(a[-1] if (k + 1) % 2 == 0 else sum(a))
-    return out
+    runs = np.repeat(1 - np.arange(k) % 2, example44_run_lengths(k))
+    return runs[:n].astype(np.int8)
+
+
+def example44_times(n: int) -> np.ndarray:
+    """Event times T_1..T_n+1 of the realization: T_1 = 1, and gap i is 1
+    where x_i = 1 and 2 where x_i = 0 (exact integers)."""
+    return np.concatenate(([1.0], 1.0 + np.cumsum(2.0 - example44_labels(n))))
 
 
 def example44_cesaro_exact(n: int) -> Fraction:
@@ -591,9 +591,7 @@ def example44(pattern_len: int) -> ProcessModel:
     x_i = 0, so the indicator of [alpha_0 = 1] seen from event i is x_i."""
     if pattern_len < 1:
         raise ValueError("need pattern_len >= 1")
-    labels = example44_labels(pattern_len)
-    gaps = 2.0 - labels.astype(np.float64)
-    right = np.concatenate(([1.0], 1.0 + np.cumsum(gaps)))  # T_1 .. T_{len+1}
+    right = example44_times(pattern_len)
 
     def batch(rng, window, n):
         lo, hi = _check_window(window)
@@ -619,9 +617,7 @@ def example44(pattern_len: int) -> ProcessModel:
 
 
 def example44_natural_window(pattern_len: int) -> tuple[float, float]:
-    labels = example44_labels(pattern_len)
-    extent = 1.0 + float(np.sum(2.0 - labels))
-    return (-2.5, extent + 0.5)
+    return (-2.5, float(example44_times(pattern_len)[-1]) + 0.5)
 
 
 # -- config round trip --------------------------------------------------------

@@ -107,10 +107,6 @@ class PointPattern:
 
     # -- misc -----------------------------------------------------------
 
-    @property
-    def gaps(self) -> np.ndarray:
-        return np.diff(self.points)
-
     def __len__(self) -> int:
         return int(self.points.size)
 

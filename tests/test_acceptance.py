@@ -20,7 +20,6 @@ from palmlab.estimate import (
     guard_window,
     mc_mean,
     pstar_model,
-    straddle_gaps,
 )
 from palmlab.events import BATTERY, HORIZON_GAPS, ev_example44, parse_eventuality
 from palmlab.identities import DEFAULT_SUITE_MODELS, REGISTRY, run_suite
@@ -140,11 +139,11 @@ def test_criterion_5_inversion_consistency():
             gs, shifts = ctx.gsorted()
             cnt = (np.searchsorted(gs, shifts + 1.0, side="right")
                    - np.searchsorted(gs, shifts, side="right"))
-            return cnt.astype(float), np.zeros(batch.n, dtype=bool)
+            return [(cnt.astype(float), np.zeros(batch.n, dtype=bool))]
 
         window = guard_window(built, HORIZON_GAPS * built.scale, 0.0, 1.0)
-        mean_count = mc_mean(built, window, count_kernel, BUDGET,
-                             seed=191, stream="acc5c")
+        (mean_count,) = mc_mean(built, window, count_kernel, BUDGET,
+                                seed=191, stream="acc5c")
         check(mean_count, 1.0, "mean count on (0, 1]")
 
 
@@ -159,21 +158,19 @@ def test_criterion_6_uniform_conditional_arrival():
         ]
 
         def ratio_kernel(batch, ctx):
-            pos0, a0, ok = straddle_gaps(batch, ctx)
-            safe = np.clip(pos0, 0, max(batch.points.size - 2, 0))
-            t1 = batch.points[safe + 1]
-            return np.where(ok, t1 / a0, 0.0), ~ok
+            t0, t1, ok = ctx.gap(ctx.pos0())
+            return [(np.where(ok, t1 / (t1 - t0), 0.0), ~ok)]
 
         def ratio_sq_kernel(batch, ctx):
-            vals, reject = ratio_kernel(batch, ctx)
-            return vals * vals, reject
+            ((vals, reject),) = ratio_kernel(batch, ctx)
+            return [(vals * vals, reject)]
 
         for i, (name, model) in enumerate(cases):
             window = guard_window(model, HORIZON_GAPS * model.scale)
-            m1 = mc_mean(model, window, ratio_kernel, BUDGET,
-                         seed=201 + i, stream=f"acc6a:{name}")
-            m2 = mc_mean(model, window, ratio_sq_kernel, BUDGET,
-                         seed=231 + i, stream=f"acc6b:{name}")
+            (m1,) = mc_mean(model, window, ratio_kernel, BUDGET,
+                            seed=201 + i, stream=f"acc6a:{name}")
+            (m2,) = mc_mean(model, window, ratio_sq_kernel, BUDGET,
+                            seed=231 + i, stream=f"acc6b:{name}")
             check(m1, 0.5, f"{name}: mean")
             check(m2, 1.0 / 3.0, f"{name}: second moment")
 

@@ -173,6 +173,36 @@ reps = 20000
             assert abs(float(row[3]) - math.exp(-1)) < 0.05
 
 
+    @pytest.mark.parametrize("fields, key", [
+        ("x = 0", "'x'"),
+        ("x = -1", "'x'"),
+        ("x = inf", "'x'"),
+        ("x = nan", "'x'"),
+        ("mode = shifted\nbin_lo = -1\nbin_hi = 1\nbin_width = 0", "'bin_width'"),
+        ("mode = shifted\nbin_lo = -1\nbin_hi = 1\nbin_width = -0.5", "'bin_width'"),
+        ("mode = shifted\nbin_lo = -1\nbin_hi = 1\nbin_width = inf", "'bin_width'"),
+        ("mode = shifted\nbin_lo = -1\nbin_hi = 1\nbin_width = 5", "'bin_width'"),
+        ("mode = shifted\nbin_lo = 1\nbin_hi = 1", "'bin_lo'"),
+        ("mode = shifted\nbin_lo = 2\nbin_hi = 1", "'bin_lo'"),
+        ("mode = shifted\nbin_lo = -inf\nbin_hi = 1", "'bin_lo'"),
+        ("mode = shifted\nbin_lo = nan\nbin_hi = 1", "'bin_lo'"),
+    ])
+    def test_bad_field_is_config_error(self, tmp_path, capsys, fields, key):
+        # rejected before any run: exit 2, the field named, nothing written
+        cfg = write_config(tmp_path, f"""
+[palm]
+model = poisson_ts
+rate = 1.0
+eventualities = alpha(0)>1
+reps = 20
+{fields}
+""")
+        out = tmp_path / "out"
+        assert main(["palm", "--config", cfg, "--out", str(out)]) == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
+
 class TestAms:
     def test_example44_not_convergent(self, tmp_path):
         cfg = write_config(tmp_path, """
@@ -352,6 +382,14 @@ class TestExampleCommands:
         assert table[2][3] == "1/2" and table[3][3] == "3/4"
         verdict = json.loads((tmp_path / "example44_verdict.json").read_text())
         assert verdict["status"] == "NotConvergent"
+
+    @pytest.mark.parametrize("rate", ["-1", "0", "nan", "inf"])
+    def test_example84_bad_rate_is_config_error(self, tmp_path, capsys, rate):
+        cfg = write_config(tmp_path, f"[example84]\nrate = {rate}\nreps = 20\n")
+        out = tmp_path / "out"
+        assert main(["example84", "--config", cfg, "--out", str(out)]) == 2
+        assert "'rate'" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
 
     def test_example84_outputs(self, tmp_path):
         assert main(["example84", "--out", str(tmp_path), "--reps", "20000",

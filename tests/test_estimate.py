@@ -19,7 +19,6 @@ from palmlab.estimate import (
     mc_mean,
     pstar_model,
     run_kernel,
-    straddle_gaps,
 )
 from palmlab.events import BATTERY, HORIZON_GAPS, ev_interval_gt, ev_true, parse_eventuality
 from palmlab.models import (
@@ -28,6 +27,7 @@ from palmlab.models import (
     example84_exact,
     exponential,
     gamma_intervals,
+    ProcessModel,
     make_tilt,
     poisson_ts,
     renewal_es,
@@ -198,10 +198,13 @@ class TestIntermediate:
             within(est, math.exp(-1), label=f"far intermediate n={n}")
 
     def test_insufficient_coverage(self):
-        m = renewal_es(deterministic(1.0))
+        # a sampler that ignores the requested window and stores (-5, 5)
+        # never holds T_30
+        base = renewal_es(deterministic(1.0))
+        m = ProcessModel(base.law_tag, base.descriptor, base.scale,
+                         lambda rng, window, n: base.sample_batch(rng, (-5.0, 5.0), n))
         with pytest.raises(InsufficientCoverage):
-            est_intermediate(m, 30, ev_interval_gt(0, 1.0, radius=2.0), 256, seed=0,
-                             window=(-5.0, 5.0))
+            est_intermediate(m, 30, ev_interval_gt(0, 1.0, radius=2.0), 256, seed=0)
 
 
 class TestResamplePstar:
@@ -209,13 +212,11 @@ class TestResamplePstar:
         ps = pstar_model(renewal_es(gamma_intervals(2.0, 1.0)))
 
         def kernel(batch, ctx):
-            pos0, a0, ok = straddle_gaps(batch, ctx)
-            safe = np.clip(pos0, 0, max(batch.points.size - 2, 0))
-            t1 = batch.points[safe + 1]
-            return np.where(ok, t1 / a0, 0.0), ~ok
+            t0, t1, ok = ctx.gap(ctx.pos0())
+            return [(np.where(ok, t1 / (t1 - t0), 0.0), ~ok)]
 
         window = guard_window(ps, HORIZON_GAPS * ps.scale)
-        est = mc_mean(ps, window, kernel, 40_000, seed=31)
+        (est,) = mc_mean(ps, window, kernel, 40_000, seed=31)
         within(est, 0.5, label="uniform ratio")
 
     def test_nested_redraws_keep_rows_inside_their_windows(self, monkeypatch):
@@ -271,12 +272,14 @@ class TestMachinery:
         m = renewal_ts_from_es(gamma_intervals(2.0, 1.0))
 
         def kernel(batch, ctx):
-            _, a0, ok = straddle_gaps(batch, ctx)
-            return np.column_stack((np.where(ok, a0, 0.0), np.ones(batch.n))), ~ok
+            t0, t1, ok = ctx.gap(ctx.pos0())
+            return [(np.column_stack((np.where(ok, t1 - t0, 0.0), np.ones(batch.n))), ~ok)]
 
         window = guard_window(m, HORIZON_GAPS * m.scale)
-        sums1 = run_kernel(m, window, 9000, 2, kernel, seed=3, stream="m", threads=1)
-        sums4 = run_kernel(m, window, 9000, 2, kernel, seed=3, stream="m", threads=4)
+        (sums1,) = run_kernel(m, window, 9000, 2, kernel, seed=3, stream="m",
+                              threads=1).members
+        (sums4,) = run_kernel(m, window, 9000, 2, kernel, seed=3, stream="m",
+                              threads=4).members
         assert np.array_equal(sums1.cols, sums4.cols)
         assert np.array_equal(sums1.w, sums4.w)
 
@@ -376,17 +379,19 @@ class TestGroups:
 
         def member(parity):
             def kernel(batch, ctx):
-                _, a0, ok = straddle_gaps(batch, ctx)
+                t0, t1, ok = ctx.gap(ctx.pos0())
                 reject = ~ok | (np.arange(batch.n) % 3 == parity)
-                return np.column_stack((np.where(ok, a0, 0.0), np.ones(batch.n))), reject
+                return [(np.column_stack((np.where(ok, t1 - t0, 0.0), np.ones(batch.n))),
+                         reject)]
             return kernel
 
         kernels = [member(0), member(1)]
 
         def joint(batch, ctx):
-            return [k(batch, ctx) for k in kernels]
+            return [pair for k in kernels for pair in k(batch, ctx)]
 
-        solo = [run_kernel(m, window, 9000, 2, k, seed=3, stream="g") for k in kernels]
+        solo = [run_kernel(m, window, 9000, 2, k, seed=3, stream="g").members[0]
+                for k in kernels]
         assert not np.array_equal(solo[0].rejected, solo[1].rejected)
         for threads in (1, 2):
             group = run_kernel(m, window, 9000, 2, joint, seed=3, stream="g", threads=threads)
@@ -403,19 +408,22 @@ class TestGroups:
             assert run(GROUP[:1]) == [run(GROUP[0])]
 
     def test_mc_mean_list_kernel(self):
+        # a two-member kernel gets the Estimates of two one-member runs
         m = poisson_ts(1.0)
         window = guard_window(m, HORIZON_GAPS)
 
         def gap(batch, ctx):
-            _, a0, ok = straddle_gaps(batch, ctx)
-            return np.where(ok, a0, 0.0), ~ok
+            t0, t1, ok = ctx.gap(ctx.pos0())
+            return [(np.where(ok, t1 - t0, 0.0), ~ok)]
 
         def inverse(batch, ctx):
-            _, a0, ok = straddle_gaps(batch, ctx)
-            return np.where(ok, 1.0 / a0, 0.0), ~ok
+            t0, t1, ok = ctx.gap(ctx.pos0())
+            return [(np.where(ok, 1.0 / (t1 - t0), 0.0), ~ok)]
 
-        got = mc_mean(m, window, lambda b, c: [gap(b, c), inverse(b, c)], 5000, seed=8)
-        assert got == [mc_mean(m, window, k, 5000, seed=8) for k in (gap, inverse)]
+        got = mc_mean(m, window, lambda b, c: gap(b, c) + inverse(b, c), 5000, seed=8)
+        solo = [mc_mean(m, window, k, 5000, seed=8) for k in (gap, inverse)]
+        assert len(got) == 2 and all(len(est) == 1 for est in solo)
+        assert got == [est for (est,) in solo]
 
     def test_mixed_radius_group_uses_widest_window(self, monkeypatch):
         m = poisson_ts(1.0)
@@ -434,11 +442,11 @@ class TestGroups:
 
         def narrow_kernel(batch, ctx):
             codes = NARROW.at_origin(ctx)
-            return (codes == 1).astype(np.float64), codes == -1
+            return [((codes == 1).astype(np.float64), codes == -1)]
 
         # the narrow member is evaluated on the draws of the widest window,
         # not on its own narrower one
-        assert got[1] == mc_mean(m, wide, narrow_kernel, 5000, seed=4, stream="prob")
+        assert [got[1]] == mc_mean(m, wide, narrow_kernel, 5000, seed=4, stream="prob")
         assert got[1] != est_event_probability(m, NARROW, 5000, seed=4)
         assert got[0] == est_event_probability(m, A_GAP, 5000, seed=4)
         with pytest.raises(ValueError):

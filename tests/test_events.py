@@ -17,6 +17,7 @@ from palmlab.events import (
     ev_true,
     parse_eventuality,
 )
+from palmlab.errors import IndexOutOfPattern
 from palmlab.pattern import PatternBatch, PointPattern
 
 from conftest import declared_breaks, random_pattern
@@ -171,6 +172,55 @@ class TestVectorizedConsistency:
                 want = ev.evaluate(shifted)
                 got = {1: True, 0: False, -1: None}[int(codes[k])]
                 assert got == want, (ev.label, k)
+
+
+class TestGap:
+    """EventContext.gap reads the gap at an array position as the scalar
+    pattern's interval at the same index."""
+
+    def test_matches_pattern_interval(self, rng):
+        # one-event rows first and last, so the reads reach both ends of
+        # the flat array
+        patterns = ([pp(0.4)] + [random_pattern(rng) for _ in range(6)]
+                    + [pp(-0.5, 0.3), pp(-0.2)])
+        batch = batch_of(patterns)
+        ctx = EventContext(batch)
+        pos0 = batch.pos0()
+        i, rep = [], []
+        for r in range(batch.n):
+            # every position from off_lo - 1 to off_hi - 1
+            lo, hi = batch.offsets[r], batch.offsets[r + 1]
+            i.extend(range(lo - 1, hi))
+            rep.extend([r] * (hi - lo + 1))
+        i, rep = np.array(i), np.array(rep)
+        assert i[0] == -1 and i[-1] == batch.points.size - 1
+        t_lo, t_hi, stored = ctx.gap(i, rep)
+        # unstored positions still read two adjacent stored events
+        safe = np.clip(i, 0, batch.points.size - 2)
+        assert np.array_equal(t_lo, batch.points[safe])
+        assert np.array_equal(t_hi, batch.points[safe + 1])
+        for k in range(i.size):
+            p = patterns[rep[k]]
+            n = int(i[k] - pos0[rep[k]])
+            try:
+                want = p.interval(n)
+            except IndexOutOfPattern:
+                assert not stored[k], k
+                continue
+            assert stored[k], k
+            assert (t_lo[k], t_hi[k]) == (p.t(n), p.t(n + 1)), k
+            assert t_hi[k] - t_lo[k] == want
+
+    def test_rows_in_order_without_rep(self, rng):
+        batch = batch_of([pp(0.4)] + [random_pattern(rng) for _ in range(6)] + [pp(-0.2)])
+        ctx = EventContext(batch)
+        rows = np.arange(batch.n)
+        for k in (-1, 0, 1):
+            got = ctx.gap(ctx.pos0() + k)
+            want = ctx.gap(ctx.pos0() + k, rows)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        # at T_0 the gap is stored exactly where the origin is straddled
+        assert np.array_equal(ctx.gap(ctx.pos0())[2], batch.straddled(ctx.pos0()))
 
 
 class TestIntegrate:

@@ -22,6 +22,7 @@ from palmlab.models import (
     example44_block_ends,
     example44_cesaro_exact,
     example44_labels,
+    example44_times,
     example44_run_lengths,
     example84_exact,
     exponential,
@@ -365,6 +366,19 @@ class TestExample44:
 
     def test_labels_prefix(self):
         assert example44_labels(10).tolist() == [1, 1, 1, 1, 0, 0, 0, 0, 1, 1]
+
+    @pytest.mark.parametrize("n", [1, 3, 4, 5, 12, 100, 900, 5000])
+    def test_labels_and_times_follow_the_run_lengths(self, n):
+        # reference: the run-length recursion written out as a loop
+        want, a, k = [], [4], 0
+        while len(want) < n:
+            want += [1 - k % 2] * a[-1]
+            k += 1
+            a.append(a[-1] if (k + 1) % 2 == 0 else sum(a))
+        labels = example44_labels(n)
+        assert labels.dtype == np.int8 and labels.tolist() == want[:n]
+        times = example44_times(n)
+        assert times[0] == 1.0 and np.diff(times).tolist() == [2 - x for x in want[:n]]
 
     def test_cesaro_exact_rationals(self):
         assert example44_cesaro_exact(8) == Fraction(1, 2)
