@@ -24,9 +24,9 @@ from .estimate import (
     guard_window,
     ratio_estimate,
     run_kernel,
-    _as_group,
     _events_in,
-    _per_member,
+    _marked,
+    _members,
 )
 from .events import HORIZON_GAPS, Eventuality, effective_radius
 from .models import ProcessModel, example44_block_ends, example44_times
@@ -218,22 +218,22 @@ def ams_verdict(trace: CesaroTrace, tail_fraction: float = 0.5,
 
 def convert_es_to_ts(
     es_model: ProcessModel,
-    A,
+    group,
     budget: int,
     *,
     seed: int = 0,
     stream="es_to_ts",
     threads: int = 1,
-) -> Estimate | list[Estimate]:
-    """Time-stationary probability from an event-stationary (ergodic) model:
-    the exact integral of the indicator over the first gap, normalized by
-    the plug-in mean gap.  A may be a group of eventualities (see estimate)."""
+) -> list[Estimate]:
+    """Time-stationary probability of each member of the group from an
+    event-stationary (ergodic) model: the exact integral of the indicator
+    over the first gap, normalized by the plug-in mean gap."""
     if not es_model.is_es:
         raise ValueError("convert_es_to_ts needs an event-stationary model")
     mean = es_model.interval.mean if es_model.interval is not None else None
     if mean is None or not (math.isfinite(mean) and mean > 0):
         raise NoMean("the event-stationary model needs a finite positive mean gap")
-    group, single = _as_group(A)
+    group = _members(group)
     r = group_radius(group, es_model.scale)
     reach = HORIZON_GAPS * es_model.scale
     window = guard_window(es_model, r, 0.0, reach)
@@ -258,25 +258,25 @@ def convert_es_to_ts(
 
     sums = run_kernel(es_model, window, budget, 2, kernel,
                       seed=seed, stream=stream, threads=threads)
-    return _per_member(sums, single, lambda s: ratio_estimate(s, 0, 1))
+    return [ratio_estimate(s, 0, 1) for s in sums.members]
 
 
 def convert_ts_to_es(
     ts_model: ProcessModel,
-    A,
+    group,
     budget: int,
     *,
     seed: int = 0,
     stream="ts_to_es",
     threads: int = 1,
-) -> Estimate | list[Estimate]:
-    """Event-stationary probability from a time-stationary (ergodic) model:
-    the gap-weighted indicator at the straddling event, normalized by the
-    plug-in count rate.  A may be a group of eventualities (see estimate)."""
+) -> list[Estimate]:
+    """Event-stationary probability of each member of the group from a
+    time-stationary (ergodic) model: the gap-weighted indicator at the
+    straddling event, normalized by the plug-in count rate."""
     if not ts_model.is_ts:
         raise ValueError("convert_ts_to_es needs a time-stationary model")
     span = 10.0 * ts_model.scale
-    group, single = _as_group(A)
+    group = _members(group)
     r = group_radius(group, ts_model.scale)
     window = guard_window(ts_model, r, 0.0, span)
 
@@ -287,12 +287,10 @@ def convert_ts_to_es(
         den = _events_in(batch, ctx, 0.0, span)[2] / span
         out = []
         for ev in group:
-            codes = ev.at_events(ctx, e0, rows)
-            reject = ~ok | (codes == -1)
-            num = np.where(reject, 0.0, (codes == 1) / (t1 - t0))
+            num, reject = _marked(ev.at_events(ctx, e0, rows), ok, 1.0 / (t1 - t0))
             out.append((np.column_stack((num, den)), reject))
         return out
 
     sums = run_kernel(ts_model, window, budget, 2, kernel,
                       seed=seed, stream=stream, threads=threads)
-    return _per_member(sums, single, lambda s: ratio_estimate(s, 0, 1))
+    return [ratio_estimate(s, 0, 1) for s in sums.members]

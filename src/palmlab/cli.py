@@ -221,8 +221,8 @@ def cmd_palm(run: Run) -> int:
         x = run.get_positive("x", 10.0 * model.scale)
         rows = []
         for ev in evs:
-            est = est_mod.est_palm_zero(
-                model, ev, x, run.reps, seed=run.seed, stream=f"palm:{ev.label}",
+            (est,) = est_mod.est_palm_zero(
+                model, [ev], x, run.reps, seed=run.seed, stream=f"palm:{ev.label}",
                 threads=run.threads,
             )
             rows.append(_estimate_rows(ev.label, est))
@@ -238,8 +238,8 @@ def cmd_palm(run: Run) -> int:
             raise ConfigError(f"'bin_width' {width} leaves no bin in ({lo}, {hi}]")
         rows = []
         for ev in evs:
-            bins = est_mod.est_shifted_palm(
-                model, ev, edges, run.reps, seed=run.seed, stream=f"palm:{ev.label}",
+            (bins,) = est_mod.est_shifted_palm(
+                model, [ev], edges, run.reps, seed=run.seed, stream=f"palm:{ev.label}",
                 threads=run.threads,
             )
             for b in bins:
@@ -397,15 +397,15 @@ def cmd_example84(run: Run) -> int:
     rows = []
     for x in (0.5, 1.0, 2.0):
         ev = parse_eventuality(f"alpha(0)>{x}")
-        est = est_mod.est_event_probability(
-            model, ev, run.reps, seed=run.seed, stream=f"e84:surv:{x}",
+        (est,) = est_mod.est_event_probability(
+            model, [ev], run.reps, seed=run.seed, stream=f"e84:surv:{x}",
             threads=run.threads,
         )
         expected = float(np.exp(-rate * x) * ((rate * x) ** 2 / 2 + rate * x + 1))
         rows.append(["survival", ev.label, est.value, est.std_error, expected])
     half = 0.025 / rate
     for y in (0.0, -2.0 / rate, 2.0 / rate):
-        prof = est_mod.est_intensity(
+        (prof,) = est_mod.est_intensity(
             model, np.array([y - half, y + half]), run.reps, seed=run.seed,
             stream=f"e84:rate:{y}", threads=run.threads,
         )

@@ -245,17 +245,22 @@ def _reject_from_codes(n: int, rep: np.ndarray, codes: np.ndarray) -> np.ndarray
     return reject
 
 
+def _marked(codes: np.ndarray, ok: np.ndarray, values: np.ndarray):
+    """(values where the eventuality holds, else 0; reject): rows are
+    rejected where ok fails or the eventuality is indeterminate."""
+    reject = ~ok | (codes == -1)
+    return np.where(~reject & (codes == 1), values, 0.0), reject
+
+
 # -- groups of eventualities ---------------------------------------------------
 
 
-def _as_group(A) -> tuple[tuple[Eventuality, ...], bool]:
-    """(members, single): a lone eventuality is a group of one."""
-    if isinstance(A, Eventuality):
-        return (A,), True
-    group = tuple(A)
-    if not group:
+def _members(group) -> tuple[Eventuality, ...]:
+    """The members of a group (a sequence of eventualities), in order."""
+    members = tuple(group)
+    if not members:
         raise ValueError("need at least one eventuality")
-    return group, False
+    return members
 
 
 def group_radius(group, scale: float) -> float:
@@ -264,18 +269,14 @@ def group_radius(group, scale: float) -> float:
     return max(effective_radius(ev, scale) for ev in group)
 
 
-def _per_member(sums: GroupSums, single: bool, finish):
-    out = [finish(s) for s in sums.members]
-    return out[0] if single else out
-
-
 # -- estimators ----------------------------------------------------------------
 #
-# Estimators that take an eventuality A also take a group of them (a
-# sequence of eventualities).  The group is sampled once, on the window its
-# widest member needs, and every member is evaluated on the same draws; the
-# result is one Estimate per member, which depends only on that member and
-# that window (a widest member's equals its own run).
+# Every estimator of an eventuality takes a group of them (a sequence of
+# eventualities; a group of one is written [A]) and returns a list with one
+# result per member, in order.  The group is sampled once, on the window its
+# widest member needs, and every member is evaluated on the same draws; a
+# member's result depends only on that member and that window (a widest
+# member's equals its own run).
 
 
 def mc_mean(
@@ -308,23 +309,22 @@ def mc_mean(
 
 def est_event_probability(
     model: ProcessModel,
-    A,
+    group,
     budget: int,
     *,
     seed: int = 0,
     stream="prob",
     threads: int = 1,
-) -> Estimate | list[Estimate]:
-    """Probability of the eventuality under the model's law (origin as-is)."""
-    group, single = _as_group(A)
+) -> list[Estimate]:
+    """Probability of each member under the model's law (origin as-is)."""
+    group = _members(group)
     window = guard_window(model, group_radius(group, model.scale))
 
     def kernel(batch, ctx):
         codes = [ev.at_origin(ctx) for ev in group]
         return [((c == 1).astype(np.float64), c == -1) for c in codes]
 
-    out = mc_mean(model, window, kernel, budget, seed=seed, stream=stream, threads=threads)
-    return out[0] if single else out
+    return mc_mean(model, window, kernel, budget, seed=seed, stream=stream, threads=threads)
 
 
 def _binned_sums(
@@ -345,6 +345,7 @@ def _binned_sums(
     shifted event-centered law and the intensity profile are all ratios of
     these columns.
     """
+    group = _members(group)
     nb = edges.size - 1
     r = group_radius(group, model.scale)
     window = guard_window(model, r, float(edges[0]), float(edges[-1]))
@@ -368,14 +369,14 @@ def _binned_sums(
 
 def est_palm_zero(
     model: ProcessModel,
-    A,
+    group,
     x: float,
     budget: int,
     *,
     seed: int = 0,
     stream="palm_zero",
     threads: int = 1,
-) -> Estimate | list[Estimate]:
+) -> list[Estimate]:
     """Event-centered probability for a time-stationary model, as the ratio
     of marked to total occurrence counts on (0, x]: the shifted law of the
     one bin (0, x]."""
@@ -383,10 +384,9 @@ def est_palm_zero(
         raise ValueError("est_palm_zero needs a time-stationary model")
     if not x > 0:
         raise ValueError("need x > 0")
-    group, single = _as_group(A)
     sums = _binned_sums(model, group, np.array([0.0, x]), budget, seed=seed,
                         stream=stream, threads=threads)
-    return _per_member(sums, single, lambda s: ratio_estimate(s, 1, 0))
+    return [ratio_estimate(s, 1, 0) for s in sums.members]
 
 
 # A shifted-law bin with fewer events than this is flagged "empty".
@@ -395,19 +395,18 @@ MIN_BIN_COUNT = 16.0
 
 def est_shifted_palm(
     model: ProcessModel,
-    A,
+    group,
     bin_edges: np.ndarray,
     budget: int,
     *,
     seed: int = 0,
     stream="shifted_palm",
     threads: int = 1,
-) -> list[BinnedEstimate] | list[list[BinnedEstimate]]:
+) -> list[list[BinnedEstimate]]:
     """Per-bin event-centered probabilities: ratio of marked to total
-    occurrences among events falling in each bin."""
+    occurrences among events falling in each bin, one profile per member."""
     edges = _bins(bin_edges)
     nb = edges.size - 1
-    group, single = _as_group(A)
     sums = _binned_sums(model, group, edges, budget, seed=seed, stream=stream,
                         threads=threads)
 
@@ -423,7 +422,7 @@ def est_shifted_palm(
             out.append(BinnedEstimate(float(edges[b]), float(edges[b + 1]), est, count, flag))
         return out
 
-    return _per_member(sums, single, finish)
+    return [finish(s) for s in sums.members]
 
 
 def est_intensity(
@@ -435,15 +434,15 @@ def est_intensity(
     seed: int = 0,
     stream="intensity",
     threads: int = 1,
-) -> IntensityProfile | list[IntensityProfile]:
-    """Occurrence rate per unit time per bin: of all events, or of the
-    A-occurrences when A (an eventuality or a group) is given."""
+) -> list[IntensityProfile]:
+    """Occurrence rate per unit time per bin of the occurrences of each
+    member of the group A, one profile per member; A=None is the group
+    (ev_true(),) of all events."""
     edges = _bins(bin_edges)
     nb = edges.size - 1
     widths = np.diff(edges)
-    group, single = _as_group(ev_true() if A is None else A)
-    sums = _binned_sums(model, group, edges, budget, seed=seed, stream=stream,
-                        threads=threads)
+    sums = _binned_sums(model, (ev_true(),) if A is None else A, edges, budget,
+                        seed=seed, stream=stream, threads=threads)
 
     def finish(s: BatchSums) -> IntensityProfile:
         counts = s.cols[:, nb:2 * nb].sum(axis=0)
@@ -456,7 +455,7 @@ def est_intensity(
                 errors[b] = est.std_error / widths[b]
         return IntensityProfile(edges, values, errors, counts, budget, int(s.rejected.sum()))
 
-    return _per_member(sums, single, finish)
+    return [finish(s) for s in sums.members]
 
 
 # est_intermediate raises InsufficientCoverage below this accepted share.
@@ -466,17 +465,17 @@ MIN_COVERAGE = 0.5
 def est_intermediate(
     model: ProcessModel,
     n: int,
-    A,
+    group,
     budget: int,
     *,
     seed: int = 0,
     stream="intermediate",
     threads: int = 1,
-) -> Estimate | list[Estimate]:
-    """Probability of A seen from event T_n, conditioned on T_n being
-    observable inside the window minus the guard (the finite-window proxy
-    for conditioning on T_n being finite).  Coverage = 1 - rejected/reps."""
-    group, single = _as_group(A)
+) -> list[Estimate]:
+    """Probability of each member seen from event T_n, conditioned on T_n
+    being observable inside the window minus the guard (the finite-window
+    proxy for conditioning on T_n being finite).  Coverage = 1 - rejected/reps."""
+    group = _members(group)
     r = group_radius(group, model.scale)
     pad = model.scale * (2.0 * abs(n) + 10.0 * math.sqrt(abs(n) + 1.0))
     window = guard_window(model, r + pad)
@@ -490,27 +489,24 @@ def est_intermediate(
         rep = np.flatnonzero(covered)
         out = []
         for ev in group:
-            codes = ev.at_events(ctx, pos_n[rep], rep)
-            num = np.zeros(batch.n)
-            den = np.zeros(batch.n)
-            num[rep[codes == 1]] = 1.0
-            den[rep[codes != -1]] = 1.0
-            reject = ~covered
-            reject[rep[codes == -1]] = True
-            out.append((np.column_stack((num, den)), reject))
+            # rows where T_n is not covered are indeterminate
+            codes = np.full(batch.n, -1, dtype=np.int8)
+            codes[rep] = ev.at_events(ctx, pos_n[rep], rep)
+            out.append((codes == 1, codes == -1))
         return out
 
-    def finish(sums: BatchSums) -> Estimate:
-        coverage = 1.0 - float(sums.rejected.sum()) / budget
-        if coverage < MIN_COVERAGE:
+    try:
+        ests = mc_mean(model, window, kernel, budget, seed=seed, stream=stream,
+                       threads=threads)
+    except ZeroDenominator:
+        # every row rejected: coverage 0, below any MIN_COVERAGE
+        raise InsufficientCoverage("conditioning proxy accepted no replication") from None
+    for est in ests:
+        if est.coverage < MIN_COVERAGE:
             raise InsufficientCoverage(
-                f"conditioning proxy accepted {coverage:.1%} of replications"
+                f"conditioning proxy accepted {est.coverage:.1%} of replications"
             )
-        return check_ess(model, ratio_estimate(sums, 0, 1))
-
-    sums = run_kernel(model, window, budget, 2, kernel,
-                      seed=seed, stream=stream, threads=threads)
-    return _per_member(sums, single, finish)
+    return ests
 
 
 # -- uniform re-centering inside the straddling gap ----------------------------

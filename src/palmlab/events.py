@@ -334,11 +334,11 @@ class _CountEq(Eventuality):
 class _FirstLe(Eventuality):
     """[T_1 <= t]: the first event after the origin arrives within t."""
 
-    def __init__(self, t: float, radius: float | None = None):
+    def __init__(self, t: float):
         if not t > 0:
             raise ValueError("need t > 0")
         self.t = float(t)
-        self.radius = radius
+        self.radius = None
         self.label = f"T1<={_fmt(self.t)}"
         # an event T is T_1 for y in [T_0, T) and within t for y >= T-t
         self.offsets = (-self.t, 0.0)
@@ -473,9 +473,9 @@ def ev_count_eq(a: float, b: float, k: int) -> Eventuality:
     return _CountEq(a, b, k)
 
 
-def ev_first_point_le(t: float, radius: float | None = None) -> Eventuality:
+def ev_first_point_le(t: float) -> Eventuality:
     """[T_1 <= t]."""
-    return _FirstLe(t, radius)
+    return _FirstLe(t)
 
 
 def ev_straddle(k: int, x: float) -> Eventuality:

@@ -33,6 +33,8 @@ from .estimate import (
     pstar_model,
     _binned_events,
     _events_in,
+    _marked,
+    _members,
     _reject_from_codes,
 )
 from .events import (
@@ -156,13 +158,6 @@ def _gap_at(ctx, y: float) -> np.ndarray:
     """Per replication: array position of the gap containing y, that is of
     its left end (an event exactly at y owns its right gap)."""
     return ctx.last_le(np.full(ctx.batch.n, y), np.arange(ctx.batch.n))
-
-
-def _marked(codes: np.ndarray, ok: np.ndarray, values: np.ndarray):
-    """(values where the eventuality holds, else 0; reject): rows are
-    rejected where ok fails or the eventuality is indeterminate."""
-    reject = ~ok | (codes == -1)
-    return np.where(~reject & (codes == 1), values, 0.0), reject
 
 
 # -- identity runners ------------------------------------------------------------
@@ -379,14 +374,13 @@ def _run_i313(model, group, rp):
     for x in (-1.0, 0.5):
         x = x * model.scale
         edges = np.array([x - 0.05 * model.scale, x + 0.05 * model.scale])
-        den = _first_bin(est_intensity(model, edges, rp.budget,
-                                       stream=f"I-3.13:x{x}:RB", **kw))
+        (den,) = est_intensity(model, edges, rp.budget, stream=f"I-3.13:x{x}:RB", **kw)
         lhs = est_shifted_palm(model, group, edges, rp.budget,
                                stream=f"I-3.13:x{x}:L", **kw)
         num = est_intensity(model, edges, rp.budget, A=group,
                             stream=f"I-3.13:x{x}:RA", **kw)
         out.append((f"x={x:g}", [bins[0].estimate for bins in lhs],
-                    [_indep_ratio(_first_bin(prof), den) for prof in num]))
+                    [_indep_ratio(_first_bin(prof), _first_bin(den)) for prof in num]))
     return out
 
 
@@ -454,8 +448,8 @@ def _run_i81a(model, group, rp):
     for y in (0.0, 1.0, -1.0, 2.0, -2.0):
         y = y * model.scale
         edges = np.array([y - half, y + half])
-        lhs = _first_bin(est_intensity(model, edges, rp.budget, seed=rp.seed,
-                                       stream=f"I-8.1a:y{y}:L", threads=rp.threads))
+        (lhs,) = est_intensity(model, edges, rp.budget, seed=rp.seed,
+                               stream=f"I-8.1a:y{y}:L", threads=rp.threads)
         window = guard_window(palm, HORIZON_GAPS * palm.scale + abs(y))
 
         def kernel(batch, ctx, y=y):
@@ -467,7 +461,7 @@ def _run_i81a(model, group, rp):
 
         (rhs,) = mc_mean(palm, window, kernel, rp.budget,
                          seed=rp.seed, stream=f"I-8.1a:y{y}:R", threads=rp.threads)
-        out.append((f"y={y:g}", lhs, _scaled(rhs, lam)))
+        out.append((f"y={y:g}", _first_bin(lhs), _scaled(rhs, lam)))
     return out
 
 
@@ -599,31 +593,29 @@ def check_identity(
     *,
     seed: int = 2026,
     threads: int = 1,
-):
-    """Evaluate one identity on one model; a report carries the worst probe.
+) -> list[IdentityReport]:
+    """Evaluate one identity on one model, one report per member of the
+    group A; a report carries the worst probe.
 
-    A is one eventuality (None for identities that take none), or a group:
-    a sequence of eventualities evaluated on one set of draws, sampled on
-    the window its widest member needs.  A group gets a list with one
-    report per member.  A member's report depends only on that member and
-    that window, so a member of the largest effective radius gets the
-    report of that member checked alone.
+    A group is a sequence of eventualities evaluated on one set of draws,
+    sampled on the window its widest member needs; A=None (for identities
+    that take none) gets a list of one report.  A member's report depends
+    only on that member and that window, so a member of the largest
+    effective radius gets the report of that member checked alone.
     """
     if not spec.applies(model):
         raise NotApplicable(f"{spec.id} does not apply to {model.label}")
-    single = A is None or isinstance(A, Eventuality)
-    group = (A,) if single else tuple(A)
-    if spec.needs_eventuality and (A is None or not group):
+    if spec.needs_eventuality and A is None:
         raise ValueError(f"{spec.id} needs an eventuality")
+    group = (None,) if A is None else _members(A)
     rp = RunParams(int(budget * spec.budget_factor), seed, threads)
     probes = spec.run(model, group, rp)
-    reports = [
+    return [
         _report(spec, model, ev.label if spec.needs_eventuality else "-",
                 [tuple(_member(field, i) for field in probe) for probe in probes],
                 rp.budget)
         for i, ev in enumerate(group)
     ]
-    return reports[0] if single else reports
 
 
 def run_suite(
@@ -649,7 +641,7 @@ def run_suite(
             if not spec.applies(model):
                 continue
             if not spec.needs_eventuality:
-                reports.append(check_identity(spec, model, None, budget, **kw))
+                reports.extend(check_identity(spec, model, None, budget, **kw))
             elif battery:
                 reports.extend(check_identity(spec, model, battery, budget, **kw))
     return reports

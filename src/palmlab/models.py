@@ -617,7 +617,8 @@ def example44(pattern_len: int) -> ProcessModel:
 
 
 def example44_natural_window(pattern_len: int) -> tuple[float, float]:
-    return (-2.5, float(example44_times(pattern_len)[-1]) + 0.5)
+    """simulate's default window: from -2.5 to the last stored event, T_n+1."""
+    return (-2.5, float(example44_times(pattern_len)[-1]))
 
 
 # -- config round trip --------------------------------------------------------

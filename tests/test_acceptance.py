@@ -70,8 +70,8 @@ def test_criterion_1_example84_survival():
     with criterion(1, "reweighted-law survival matches the closed form at x in {0.5, 1, 2}"):
         model = example84_exact(1.0)
         for i, x in enumerate((0.5, 1.0, 2.0)):
-            est = est_event_probability(
-                model, parse_eventuality(f"alpha(0)>{x}"), BUDGET,
+            (est,) = est_event_probability(
+                model, [parse_eventuality(f"alpha(0)>{x}")], BUDGET,
                 seed=101 + i, stream=f"acc1:{x}",
             )
             expected = math.exp(-x) * (x * x / 2 + x + 1)
@@ -86,7 +86,7 @@ def test_criterion_2_example84_intensity():
             (2.0, 1.0 - math.exp(-2.0) / 2.0),
             (-2.0, 1.0 - math.exp(-2.0) / 2.0),
         )):
-            prof = est_intensity(
+            (prof,) = est_intensity(
                 model, np.array([y - 0.025, y + 0.025]), BUDGET,
                 seed=111 + i, stream=f"acc2:{y}",
             )
@@ -100,8 +100,8 @@ def test_criterion_3_example84_shifted_palm_independence():
                       "exponential survival"):
         model = example84_exact(1.0)
         for i, c in enumerate((0.5, 1.0)):
-            bins = est_shifted_palm(
-                model, parse_eventuality(f"alpha(-1)>{c}"),
+            (bins,) = est_shifted_palm(
+                model, [parse_eventuality(f"alpha(-1)>{c}")],
                 np.array([-1.25, -0.75]), BUDGET,
                 seed=121 + i, stream=f"acc3:{c}",
             )
@@ -129,10 +129,10 @@ def test_criterion_5_inversion_consistency():
         built = renewal_ts_from_es(exponential(1.0))
         reference = poisson_ts(1.0)
         for i, ev in enumerate(BATTERY):
-            a = est_event_probability(built, ev, BUDGET, seed=131 + i,
-                                      stream=f"acc5a:{i}")
-            b = est_event_probability(reference, ev, BUDGET, seed=161 + i,
-                                      stream=f"acc5b:{i}")
+            (a,) = est_event_probability(built, [ev], BUDGET, seed=131 + i,
+                                         stream=f"acc5a:{i}")
+            (b,) = est_event_probability(reference, [ev], BUDGET, seed=161 + i,
+                                         stream=f"acc5b:{i}")
             check_pair(a, b, f"battery {ev.label}")
 
         def count_kernel(batch, ctx):
@@ -196,8 +196,8 @@ def test_criterion_7_identity_suite():
 def test_criterion_8_conversion_closed_form():
     with criterion(8, "event-to-time conversion of the exponential renewal law gives "
                       "2/e for the straddling-gap survival"):
-        est = convert_es_to_ts(
-            renewal_es(exponential(1.0)), parse_eventuality("alpha(0)>1"),
+        (est,) = convert_es_to_ts(
+            renewal_es(exponential(1.0)), [parse_eventuality("alpha(0)>1")],
             BUDGET, seed=261,
         )
         check(est, 2.0 * math.exp(-1.0), "converted survival")

@@ -59,7 +59,7 @@ class TestCesaroEvent:
         # far from the origin the re-centered views forget the reweighting;
         # the trace must settle at the plain event-centered value
         m = renewal_es(exponential(1.0))
-        es_ref = est_event_probability(m, A_GAP, 40_000, seed=5)
+        (es_ref,) = est_event_probability(m, [A_GAP], 40_000, seed=5)
         from palmlab.models import example84_exact
         trace = cesaro_event(example84_exact(1.0), A_GAP, 128, 3_000, seed=6)
         tail_value = trace.values[-1]
@@ -146,17 +146,17 @@ class TestVerdict:
 
 class TestConversions:
     def test_es_to_ts_closed_form(self):
-        est = convert_es_to_ts(renewal_es(exponential(1.0)), A_GAP, 50_000,
-                               seed=8)
+        (est,) = convert_es_to_ts(renewal_es(exponential(1.0)), [A_GAP], 50_000,
+                                  seed=8)
         within(est, 2.0 * math.exp(-1), label="es->ts closed form")
 
     def test_true_converts_to_one(self):
-        est = convert_es_to_ts(renewal_es(exponential(1.0)), ev_true(), 2_000,
-                               seed=9)
+        (est,) = convert_es_to_ts(renewal_es(exponential(1.0)), [ev_true()], 2_000,
+                                  seed=9)
         assert est.value == 1.0
 
     def test_ts_to_es_poisson(self):
-        est = convert_ts_to_es(poisson_ts(1.0), A_GAP, 50_000, seed=10)
+        (est,) = convert_ts_to_es(poisson_ts(1.0), [A_GAP], 50_000, seed=10)
         within(est, math.exp(-1), label="ts->es slivnyak")
 
     @pytest.mark.parametrize("d", [
@@ -168,9 +168,9 @@ class TestConversions:
         # oracle: direct simulation of the inversion-built stationary law
         ts = renewal_ts_from_es(d)
         for i, ev in enumerate([A_GAP, parse_eventuality("count(0,1]==0")]):
-            conv = convert_es_to_ts(renewal_es(d), ev, 25_000,
-                                    seed=20 + i)
-            direct = est_event_probability(ts, ev, 25_000, seed=50 + i)
+            (conv,) = convert_es_to_ts(renewal_es(d), [ev], 25_000,
+                                       seed=20 + i)
+            (direct,) = est_event_probability(ts, [ev], 25_000, seed=50 + i)
             agree(conv, direct, label=f"{d.label}:{ev.label}")
 
     def test_round_trip_recovers_es_values(self):
@@ -178,12 +178,12 @@ class TestConversions:
         ts = renewal_ts_from_es(d)
         es = renewal_es(d)
         for i, ev in enumerate(BATTERY[:5]):
-            back = convert_ts_to_es(ts, ev, 25_000, seed=30 + i)
-            direct = est_event_probability(es, ev, 25_000, seed=60 + i)
+            (back,) = convert_ts_to_es(ts, [ev], 25_000, seed=30 + i)
+            (direct,) = est_event_probability(es, [ev], 25_000, seed=60 + i)
             agree(back, direct, label=f"round trip {ev.label}")
 
     def test_requires_matching_stationarity(self):
         with pytest.raises(ValueError):
-            convert_es_to_ts(poisson_ts(1.0), A_GAP, 100)
+            convert_es_to_ts(poisson_ts(1.0), [A_GAP], 100)
         with pytest.raises(ValueError):
-            convert_ts_to_es(renewal_es(exponential(1.0)), A_GAP, 100)
+            convert_ts_to_es(renewal_es(exponential(1.0)), [A_GAP], 100)

@@ -36,6 +36,18 @@ window_hi = 40.5
         assert main(["simulate", "--config", cfg, "--out", str(out2)]) == 0
         assert (out1 / "patterns.txt").read_bytes() == (out2 / "patterns.txt").read_bytes()
 
+    def test_example44_natural_window(self, tmp_path):
+        # without window_hi the window ends at the last stored event
+        cfg = write_config(tmp_path, """
+[simulate]
+model = example44
+pattern_len = 60
+reps = 3
+""")
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 0
+        text = (tmp_path / "patterns.txt").read_text()
+        assert sum(1 for line in text.splitlines() if not line.startswith("#")) == 3
+
     def test_poisson_reproducible(self, tmp_path):
         cfg = write_config(tmp_path, """
 [simulate]
@@ -172,6 +184,22 @@ reps = 20000
         for row in rows[1:]:
             assert abs(float(row[3]) - math.exp(-1)) < 0.05
 
+
+    @pytest.mark.parametrize("fields, digest", [
+        ("model = renewal_ts\ninterval = gamma\nshape = 2\nrate = 1\n"
+         "eventualities = alpha(0)>1; count(0,1]==0\nx = 5",
+         "7c8eb5d948ffc4c5f16ef60c7e393d2085964f78a5cc9ded26e7b9f1dd8a14d1"),
+        ("model = example84\nrate = 1.0\nmode = shifted\n"
+         "eventualities = alpha(-1)>1; T1<=0.5\nbin_lo = -1.5\nbin_hi = -0.5\nbin_width = 0.5",
+         "ae9bca40a9c88fc0dd7e565911dc58564398769fb57d7174220f7c3596d7329a"),
+    ], ids=["zero", "shifted"])
+    def test_csv_pinned(self, tmp_path, fields, digest):
+        # SHA-256 of palm.csv pins every estimate of both eventualities
+        cfg = write_config(tmp_path, f"[palm]\n{fields}\n")
+        assert main(["palm", "--config", cfg, "--reps", "2000", "--seed", "11",
+                     "--out", str(tmp_path)]) == 0
+        text = (tmp_path / "palm.csv").read_bytes()
+        assert hashlib.sha256(text).hexdigest() == digest
 
     @pytest.mark.parametrize("fields, key", [
         ("x = 0", "'x'"),
@@ -390,6 +418,13 @@ class TestExampleCommands:
         assert main(["example84", "--config", cfg, "--out", str(out)]) == 2
         assert "'rate'" in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
+
+    def test_example84_csv_pinned(self, tmp_path):
+        assert main(["example84", "--out", str(tmp_path), "--reps", "2000",
+                     "--seed", "11"]) == 0
+        text = (tmp_path / "example84.csv").read_bytes()
+        assert hashlib.sha256(text).hexdigest() == (
+            "5173a067e4060c13685321c04caae3018665df7ddf7c3c01f9be867c9355b2f1")
 
     def test_example84_outputs(self, tmp_path):
         assert main(["example84", "--out", str(tmp_path), "--reps", "20000",

@@ -85,29 +85,38 @@ class TestCheckIdentity:
         with pytest.raises(ValueError):
             check_identity(REGISTRY_BY_ID["I-2.4"], poisson_ts(1.0), None, 100)
 
+    @pytest.mark.parametrize("ident", ["I-2.3", "I-2.4"])
+    def test_group_contract_edges(self, ident):
+        # an empty group and a bare eventuality are errors, not groups
+        with pytest.raises(ValueError):
+            check_identity(REGISTRY_BY_ID[ident], poisson_ts(1.0), [], 100)
+        with pytest.raises(TypeError):
+            check_identity(REGISTRY_BY_ID[ident], poisson_ts(1.0), A_GAP, 100)
+
     def test_report_shape(self):
-        rep = check_identity(REGISTRY_BY_ID["I-2.3"], poisson_ts(1.0), None,
-                             20_000, seed=3)
+        # None is a group of one report
+        (rep,) = check_identity(REGISTRY_BY_ID["I-2.3"], poisson_ts(1.0), None,
+                                20_000, seed=3)
         assert rep.id == "I-2.3"
         assert rep.eventuality == "-"
         assert rep.verdict in ("pass", "fail")
         assert rep.lhs.reps == rep.budget
 
     def test_rate_two_poisson(self):
-        rep = check_identity(REGISTRY_BY_ID["I-2.3"], poisson_ts(2.0), None,
-                             20_000, seed=3)
+        (rep,) = check_identity(REGISTRY_BY_ID["I-2.3"], poisson_ts(2.0), None,
+                                20_000, seed=3)
         assert rep.verdict == "pass"
         assert abs(rep.lhs.value - 2.0) <= 3 * rep.lhs.std_error + 0.01
 
     def test_seed_swap_stability(self):
         for seed in (11, 12):
-            rep = check_identity(REGISTRY_BY_ID["I-4.5"], poisson_ts(1.0), None,
-                                 30_000, seed=seed)
+            (rep,) = check_identity(REGISTRY_BY_ID["I-4.5"], poisson_ts(1.0), None,
+                                    30_000, seed=seed)
             assert rep.verdict == "pass"
         for seed in (11, 12):
-            rep = check_identity(REGISTRY_BY_ID["I-5.2a"],
-                                 DEFAULT_SUITE_MODELS[2], A_GAP,
-                                 30_000, seed=seed)
+            (rep,) = check_identity(REGISTRY_BY_ID["I-5.2a"],
+                                    DEFAULT_SUITE_MODELS[2], [A_GAP],
+                                    30_000, seed=seed)
             assert rep.verdict == "pass"
 
 
@@ -141,8 +150,8 @@ class TestRunSuite:
         # stay green and z-scores stay in the unbiased range
         m = poisson_ts(1.0)
         for ident in ("I-2.3", "I-2.10c", "I-4.5"):
-            small = check_identity(REGISTRY_BY_ID[ident], m, None, 10_000, seed=4)
-            big = check_identity(REGISTRY_BY_ID[ident], m, None, 40_000, seed=4)
+            (small,) = check_identity(REGISTRY_BY_ID[ident], m, None, 10_000, seed=4)
+            (big,) = check_identity(REGISTRY_BY_ID[ident], m, None, 40_000, seed=4)
             assert small.verdict == big.verdict == "pass"
             assert big.z <= 4.0
 
@@ -168,8 +177,8 @@ class TestJointEvaluation:
         assert sorted(len(g) for g in groups) == [1, 3]
         for group in groups:
             joint = check_identity(spec, model, group, 1024, seed=17, threads=threads)
-            solo = [check_identity(spec, model, A, 1024, seed=17, threads=threads)
-                    for A in group]
+            solo = [rep for A in group
+                    for rep in check_identity(spec, model, [A], 1024, seed=17, threads=threads)]
             assert joint == solo
 
     def test_group_equals_solo_across_chunks(self):
@@ -177,7 +186,8 @@ class TestJointEvaluation:
         spec, model = REGISTRY_BY_ID["I-2.7b"], poisson_ts(1.0)
         group = radius_groups(model)[0]
         joint = check_identity(spec, model, group, 9000, seed=19, threads=2)
-        assert joint == [check_identity(spec, model, A, 9000, seed=19) for A in group]
+        assert joint == [rep for A in group
+                         for rep in check_identity(spec, model, [A], 9000, seed=19)]
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_suite_rows_equal_battery_check(self, threads):
@@ -188,9 +198,9 @@ class TestJointEvaluation:
         for spec in REGISTRY:
             if not spec.applies(model):
                 continue
-            got = check_identity(spec, model, JOINT_BATTERY if spec.needs_eventuality else None,
-                                 5000, seed=2, threads=threads)
-            want.extend(got if spec.needs_eventuality else [got])
+            want.extend(check_identity(
+                spec, model, JOINT_BATTERY if spec.needs_eventuality else None,
+                5000, seed=2, threads=threads))
         assert reports == want
         assert [r.eventuality for r in reports if r.id == "I-2.4"] == [
             A.label for A in JOINT_BATTERY]
@@ -214,7 +224,7 @@ class TestJointEvaluation:
         mixed_windows, windows[:] = list(windows), []
         without = check_identity(spec, model, wide, 1024, seed=17)
         wide_windows, windows[:] = list(windows), []
-        solo = check_identity(spec, model, JOINT_BATTERY[0], 1024, seed=17)
+        (solo,) = check_identity(spec, model, JOINT_BATTERY[:1], 1024, seed=17)
         # every identity samples the windows of its widest member checked
         # alone, one per side and probe, whatever else is in the group; and
         # dropping the narrow member leaves every other report bit-identical
@@ -226,7 +236,7 @@ class TestJointEvaluation:
         spec = REGISTRY_BY_ID["I-2.3"]
         reports = check_identity(spec, poisson_ts(1.0), [A_GAP, A_GAP], 1024, seed=3)
         solo = check_identity(spec, poisson_ts(1.0), None, 1024, seed=3)
-        assert reports == [solo, solo]
+        assert reports == solo + solo
 
 
 class TestI52aRows:

@@ -227,14 +227,14 @@ class TestTilted:
         base = poisson_ts(1.0)
         tilted = tilted_ts(base, make_tilt("identity"))
         A = parse_eventuality("alpha(0)>1")
-        a = est_event_probability(tilted, A, 20_000, seed=1)
-        b = est_event_probability(base, A, 20_000, seed=2)
+        (a,) = est_event_probability(tilted, [A], 20_000, seed=1)
+        (b,) = est_event_probability(base, [A], 20_000, seed=2)
         agree(a, b, label="identity tilt")
 
     def test_alpha0_tilt_survival(self):
         tilted = tilted_ts(poisson_ts(1.0), make_tilt("alpha0", 0.5))
         A = parse_eventuality("alpha(0)>1")
-        est = est_event_probability(tilted, A, 60_000, seed=3)
+        (est,) = est_event_probability(tilted, [A], 60_000, seed=3)
         within(est, math.exp(-1) * 2.5, label="reweighted survival")
         assert 0.0 < est.ess < est.reps
 
@@ -339,8 +339,8 @@ class TestExample84:
             "alpha(0)>1", "alpha(0)>2", "alpha(1)>1", "count(0,1]==0", "T1<=0.5",
         )]
         for i, ev in enumerate(five):
-            a = est_event_probability(exact, ev, 40_000, seed=30 + i)
-            b = est_event_probability(tilted, ev, 40_000, seed=60 + i)
+            (a,) = est_event_probability(exact, [ev], 40_000, seed=30 + i)
+            (b,) = est_event_probability(tilted, [ev], 40_000, seed=60 + i)
             agree(a, b, label=f"oracle equivalence {ev.label}")
 
     def test_survival_and_mean(self):
