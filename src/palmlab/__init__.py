@@ -6,7 +6,6 @@ plus self-normalized Monte Carlo estimators and an identity-check suite.
 
 from .errors import (
     ConfigError,
-    DegenerateWindow,
     IndexOutOfPattern,
     InsufficientContext,
     InsufficientCoverage,

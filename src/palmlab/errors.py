@@ -17,10 +17,6 @@ class InsufficientContext(PalmLabError):
     """The window does not cover the dependency radius needed for an evaluation."""
 
 
-class DegenerateWindow(PalmLabError):
-    """The window is too short for the sampler to produce a usable realization."""
-
-
 class NoMean(PalmLabError):
     """An interval distribution without a finite positive mean was supplied."""
 

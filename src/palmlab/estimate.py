@@ -76,12 +76,6 @@ class IntensityProfile:
     def widths(self) -> np.ndarray:
         return np.diff(self.bin_edges)
 
-    def value_at(self, x: float) -> tuple[float, float]:
-        """Rate and standard error of the bin containing x."""
-        idx = int(np.searchsorted(self.bin_edges, x, side="left")) - 1
-        idx = min(max(idx, 0), self.values.size - 1)
-        return float(self.values[idx]), float(self.std_errors[idx])
-
 
 # -- chunked runner -----------------------------------------------------------
 
@@ -206,7 +200,8 @@ def guard_window(
 ) -> tuple[float, float]:
     """Analysis region extended by the guard margin on each side.
 
-    The floor of ten mean gaps keeps samplers far from degenerate windows
+    The floor of ten mean gaps keeps rows whose origin-straddling gap
+    reaches past the window rare (for Poisson, about e^-10 per side and row)
     even when the eventuality radius is small.
     """
     guard = max(radius, 10.0 * model.scale)

@@ -15,14 +15,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    DegenerateWindow,
-    InsufficientContext,
-    InsufficientWindow,
-    NoMean,
-    UnknownTilt,
-)
-from .pattern import MIN_GAP, PatternBatch, sort_rows
+from .errors import InsufficientContext, InsufficientWindow, NoMean, UnknownTilt
+from .pattern import MIN_GAP, PatternBatch
 
 LAW_TS = "TS"
 LAW_ES = "ES"
@@ -248,55 +242,62 @@ class ProcessModel:
 # -- batch assembly helpers ---------------------------------------------------
 
 
+# redraw_rows gives up on a row after this many rejected draws in a row:
+# the window is then too small for the law to fill it
+MAX_ROW_DRAWS = 10_000
+
+
 def redraw_rows(batch: PatternBatch, bad: np.ndarray, draw_row) -> PatternBatch:
     """Replace each flagged row's points, window and weight, in row order,
     with the first one-row batch that draw_row() returns; None rejects a
-    draw."""
+    draw, and MAX_ROW_DRAWS rejections for one row raise InsufficientWindow."""
     if not bad.any():
         return batch
-    rows = np.split(batch.points, batch.offsets[1:-1])
     windows = batch.windows.copy()
     weights = batch.weights.copy()
+    counts = np.diff(batch.offsets)
+    # the kept points between flagged rows go over in one piece each
+    pieces, kept_from = [], 0
     for i in np.flatnonzero(bad):
-        row = None
-        while row is None:
+        for _ in range(MAX_ROW_DRAWS):
             row = draw_row()
-        rows[i], windows[i], weights[i] = row.points, row.windows[0], row.weights[0]
-    counts = np.fromiter((r.size for r in rows), dtype=np.int64, count=len(rows))
+            if row is not None:
+                break
+        else:
+            raise InsufficientWindow(
+                f"no acceptable row in {MAX_ROW_DRAWS} draws: the window is too small for the law")
+        pieces += [batch.points[kept_from:batch.offsets[i]], row.points]
+        kept_from = batch.offsets[i + 1]
+        windows[i], weights[i], counts[i] = row.windows[0], row.weights[0], row.points.size
+    pieces.append(batch.points[kept_from:])
     offsets = np.concatenate(([0], np.cumsum(counts)))
-    return PatternBatch(np.concatenate(rows), offsets, windows, weights)
+    return PatternBatch(np.concatenate(pieces), offsets, windows, weights)
 
 
-def _redraw_flawed(batch: PatternBatch, draw, require_straddle: bool) -> PatternBatch:
-    """Redraw the rows _row_flaws flags from draw(1) until one passes."""
+def _redraw_flawed(batch: PatternBatch, draw, flaws) -> PatternBatch:
+    """Redraw the rows flaws(batch) flags from draw(1) until one passes."""
     def draw_row():
         row = draw(1)
-        return None if _row_flaws(row, require_straddle)[0] else row
+        return None if flaws(row)[0] else row
 
-    return redraw_rows(batch, _row_flaws(batch, require_straddle), draw_row)
+    return redraw_rows(batch, flaws(batch), draw_row)
 
 
-def _row_flaws(batch: PatternBatch, require_straddle: bool) -> np.ndarray:
-    """Rows that are empty, violate the minimum gap, or fail to straddle 0."""
-    sizes = np.diff(batch.offsets)
-    bad = sizes == 0
-    if batch.points.size:
-        gaps_ok = np.ones(batch.n, dtype=bool)
-        d = np.diff(batch.points)
-        if d.size:
-            # ignore differences that cross replication boundaries
-            boundary = np.zeros(d.size, dtype=bool)
-            inner = batch.offsets[1:-1]
-            inner = inner[(inner > 0) & (inner <= d.size)]
-            boundary[inner - 1] = True
-            tiny = (d <= MIN_GAP) & ~boundary
-            if tiny.any():
-                rep_of_gap = np.searchsorted(batch.offsets[1:], np.flatnonzero(tiny), side="right")
-                gaps_ok[rep_of_gap] = False
-        bad |= ~gaps_ok
-    if require_straddle:
-        bad |= ~batch.straddled(batch.pos0())
+def _row_flaws(batch: PatternBatch) -> np.ndarray:
+    """Rows that are empty or hold two events within MIN_GAP."""
+    bad = np.diff(batch.offsets) == 0
+    tiny = np.diff(batch.points) <= MIN_GAP
+    # a difference across a row boundary compares two rows' events
+    inner = batch.offsets[1:-1]
+    tiny[inner[(inner > 0) & (inner <= tiny.size)] - 1] = False
+    bad[np.searchsorted(batch.offsets[1:], np.flatnonzero(tiny), side="right")] = True
     return bad
+
+
+def _straddle_flaws(batch: PatternBatch) -> np.ndarray:
+    """The rows _row_flaws flags and those that do not straddle the origin
+    inside their window (poisson_ts's row rule)."""
+    return _row_flaws(batch) | ~batch.straddled(batch.pos0())
 
 
 # slack of the gap draws, in standard deviations of a Poisson count: a side
@@ -399,11 +400,11 @@ def _check_window(window) -> tuple[float, float]:
     return lo, hi
 
 
-def _anchored_ts(straddle_length, d: IntervalDistribution):
+def _anchored_ts(straddle_length, d: IntervalDistribution, flaws):
     """Batch sampler of a time-stationary law built from its event-centered
     one: the origin-straddling gap has the law of straddle_length(rng, k),
     the origin lands uniformly inside it, and i.i.d. gaps of law d extend
-    outward on both sides."""
+    outward on both sides.  Rows that flaws (a row rule) flags are redrawn."""
 
     def batch(rng, window, n):
         _check_window(window)
@@ -415,7 +416,7 @@ def _anchored_ts(straddle_length, d: IntervalDistribution):
             anchors = np.column_stack((t0, t0 + length))
             return _assemble_two_sided(rng, window, k, anchors, d, d)
 
-        return _redraw_flawed(draw(n), draw, require_straddle=False)
+        return _redraw_flawed(draw(n), draw, flaws)
 
     return batch
 
@@ -424,36 +425,19 @@ def _anchored_ts(straddle_length, d: IntervalDistribution):
 
 
 def poisson_ts(rate: float) -> ProcessModel:
-    """Time-stationary homogeneous Poisson law, conditioned (by redraw) on
-    straddling the origin."""
-    if not rate > 0:
-        raise ValueError("need rate > 0")
-
-    def batch(rng, window, n):
-        lo, hi = _check_window(window)
-        width = hi - lo
-        if width < 4.0 / rate:
-            raise DegenerateWindow(f"window of length {width} too short for rate {rate}")
-
-        def draw(k: int) -> PatternBatch:
-            counts = rng.poisson(rate * width, k)
-            total = int(counts.sum())
-            pts = lo + width * rng.random(total)
-            offsets = np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
-            sort_rows(pts, offsets)
-            windows = np.tile(np.array(window, dtype=np.float64), (k, 1))
-            return PatternBatch(pts, offsets, windows, np.ones(k))
-
-        return _redraw_flawed(draw(n), draw, require_straddle=True)
-
+    """Time-stationary homogeneous Poisson law: the renewal law with
+    exponential gaps, built by inversion from its event-centered law, so the
+    straddling gap is Gamma(2, rate).  Unlike the other laws, its rows are
+    conditioned (by redraw) on straddling the origin inside the window."""
+    d = exponential(rate)
     return ProcessModel(
         LAW_TS,
         {"model": "poisson_ts", "rate": rate},
         1.0 / rate,
-        batch,
+        _anchored_ts(d.sample_length_biased, d, _straddle_flaws),
         exact_rate=rate,
-        interval=exponential(rate),
-        palm_factory=lambda: renewal_es(exponential(rate)),
+        interval=d,
+        palm_factory=lambda: renewal_es(d),
     )
 
 
@@ -468,7 +452,7 @@ def renewal_es(d: IntervalDistribution) -> ProcessModel:
         def draw(k: int) -> PatternBatch:
             return _assemble_two_sided(rng, window, k, np.zeros((k, 1)), d, d)
 
-        return _redraw_flawed(draw(n), draw, require_straddle=False)
+        return _redraw_flawed(draw(n), draw, _row_flaws)
 
     return ProcessModel(
         LAW_ES,
@@ -490,7 +474,7 @@ def renewal_ts_from_es(d: IntervalDistribution) -> ProcessModel:
         LAW_TS,
         {"model": "renewal_ts", "interval": d.label},
         mean,
-        _anchored_ts(d.sample_length_biased, d),
+        _anchored_ts(d.sample_length_biased, d, _row_flaws),
         exact_rate=1.0 / mean,
         interval=d,
         palm_factory=lambda: renewal_es(d),
@@ -534,7 +518,8 @@ def example84_exact(rate: float) -> ProcessModel:
         LAW_TILTED_TS,
         {"model": "example84", "rate": rate},
         1.0 / rate,
-        _anchored_ts(lambda rng, k: rng.gamma(3.0, 1.0 / rate, k), exponential(rate)),
+        _anchored_ts(lambda rng, k: rng.gamma(3.0, 1.0 / rate, k), exponential(rate),
+                     _row_flaws),
         tilt_info=TiltInfo(
             make_tilt("alpha0", rate / 2.0), rate, lambda: renewal_es(exponential(rate))
         ),

@@ -88,10 +88,6 @@ class PointPattern:
         lo, hi = self.window
         return PointPattern(self.points - y, (lo - y, hi - y))
 
-    def shift_event(self, n: int) -> "PointPattern":
-        """View from event T_n; the result has an event at exactly 0."""
-        return self.shift_time(self.t(n))
-
     # -- counting -------------------------------------------------------
 
     def count(self, a: float, b: float) -> int:
@@ -188,18 +184,6 @@ def padded_rows(values: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np
     out = np.full(filled.shape, np.inf)
     out[filled] = values
     return out, filled
-
-
-def sort_rows(points: np.ndarray, offsets: np.ndarray) -> None:
-    """Sort each row points[offsets[i]:offsets[i+1]] in place, a block of
-    BLOCK_ROWS rows at a time."""
-    n = offsets.size - 1
-    for b0 in range(0, n, BLOCK_ROWS):
-        b1 = min(b0 + BLOCK_ROWS, n)
-        seg = slice(offsets[b0], offsets[b1])
-        rows, filled = padded_rows(points[seg], np.diff(offsets[b0:b1 + 1]))
-        rows.sort(axis=1)
-        points[seg] = rows[filled]
 
 
 # -- serialization ------------------------------------------------------

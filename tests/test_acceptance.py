@@ -90,7 +90,7 @@ def test_criterion_2_example84_intensity():
                 model, np.array([y - 0.025, y + 0.025]), BUDGET,
                 seed=111 + i, stream=f"acc2:{y}",
             )
-            v, s = prof.value_at(y)
+            v, s = prof.values[0], prof.std_errors[0]
             diff = abs(v - expected)
             assert diff <= 3 * s + ATOL, f"intensity at {y}: {v:.5f} vs {expected:.5f}"
 

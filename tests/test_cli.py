@@ -72,11 +72,11 @@ window_hi = 15
         ("model = example84\nrate = 1",
          "4b49d4b51f49133e600beaf7b35141cab1a8c9c54c3dccdc7f86dcff3ac21f1a"),
         ("model = poisson_ts\nrate = 1",
-         "d9dbb9e5728ef9e47a85139a672c133f86e76ea971acef8e721eeedb43c17d01"),
+         "d8d016e65ba2f9485edc1cae98d16d94b2f2377b5107345b7bbdb2f59ad2d294"),
     ], ids=["renewal_ts", "example84", "poisson_ts"])
     def test_patterns_pinned(self, tmp_path, model, digest):
         # SHA-256 of patterns.txt pins every replication's stream and values;
-        # on (-3, 3) four poisson_ts replications go through the redraw path
+        # on (-3, 3) two poisson_ts replications go through the redraw path
         cfg = write_config(tmp_path, f"""
 [simulate]
 {model}

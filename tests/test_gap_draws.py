@@ -7,6 +7,10 @@ short of the span.  `reference_side_cumsum` below is the rule it replaced
 row falls short); the samplers built on either must have the same law.
 The reference returns one matrix, which is a single block covering every
 row in `_side_cumsum`'s block form.
+
+`poisson_ts` is the anchored sampler with exponential gaps;
+`reference_poisson_ts` below is the Poisson sampler it replaced, and the two
+must have the same law, conditioned on straddling the origin.
 """
 
 import math
@@ -16,13 +20,17 @@ import pytest
 
 from palmlab import models
 from palmlab.models import (
+    LAW_TS,
     IntervalDistribution,
+    ProcessModel,
     example84_exact,
     exponential,
     gamma_intervals,
+    poisson_ts,
     renewal_es,
     renewal_ts_from_es,
 )
+from palmlab.pattern import MIN_GAP, PatternBatch
 from palmlab.rng import CHUNK, chunk_rng
 
 
@@ -37,6 +45,35 @@ def reference_side_cumsum(rng, dist, n_rows, span):
         if np.all(cum[:, -1] > span):
             return cum
         m *= 2
+
+
+def reference_poisson_ts(rate):
+    """The former Poisson sampler, kept as the reference: per row a Poisson
+    count of uniform positions on the window, sorted by (row, value) with
+    np.lexsort; a row that is empty, holds two events within MIN_GAP or does
+    not straddle the origin is redrawn one row at a time, in row order."""
+
+    def draw(rng, window, k):
+        lo, hi = window
+        counts = rng.poisson(rate * (hi - lo), k)
+        vals = lo + (hi - lo) * rng.random(int(counts.sum()))
+        vals = vals[np.lexsort((vals, np.repeat(np.arange(k), counts)))]
+        return np.split(vals, np.cumsum(counts)[:-1])
+
+    def flawed(row):
+        straddles = row.size > 0 and row[0] <= 0.0 < row[-1]
+        return not straddles or bool(np.any(np.diff(row) <= MIN_GAP))
+
+    def batch(rng, window, n):
+        rows = draw(rng, window, n)
+        for i in range(n):
+            while flawed(rows[i]):
+                (rows[i],) = draw(rng, window, 1)
+        offsets = np.concatenate(([0], np.cumsum([r.size for r in rows])))
+        windows = np.tile(np.array(window, dtype=np.float64), (n, 1))
+        return PatternBatch(np.concatenate(rows), offsets, windows, np.ones(n))
+
+    return ProcessModel(LAW_TS, {"model": "reference_poisson_ts", "rate": rate}, 1.0 / rate, batch)
 
 
 # (label, model factory, window, sub-windows (a, b] whose per-row counts are
@@ -111,6 +148,26 @@ def test_same_law_as_reference(monkeypatch, slack, label, factory, window, subs)
                         lambda *args: [(slice(None), reference_side_cumsum(*args))])
     ref = _statistics(factory(), window, subs, 92, "gap-draws:ref")
     _assert_same_law(new, ref, label)
+
+
+# (window, sub-windows) for poisson_ts(1.0); on (-3, 3) about 10% of the rows
+# do not straddle the origin as first drawn and are redrawn
+POISSON_CASES = [
+    ((-25.0, 25.0), [(-25.0, -20.0), (-3.0, 0.0), (0.0, 3.0), (20.0, 25.0), (-25.0, 25.0)]),
+    ((-3.0, 3.0), [(-3.0, -2.0), (-1.0, 0.0), (0.0, 1.0), (2.0, 3.0), (-3.0, 3.0)]),
+    ((-15.0, 441.0), [(-15.0, -10.0), (-2.0, 0.0), (0.0, 2.0), (200.0, 210.0),
+                      (431.0, 441.0), (-15.0, 441.0)]),
+]
+
+
+@pytest.mark.parametrize("window, subs", POISSON_CASES, ids=[str(c[0]) for c in POISSON_CASES])
+def test_poisson_same_law_as_former_sampler(window, subs):
+    """poisson_ts (anchored, exponential gaps) against the Poisson sampler
+    it replaced, with the statistics and tests of test_same_law_as_reference:
+    per-row counts in fixed sub-windows and the straddling gap length."""
+    new = _statistics(poisson_ts(1.0), window, subs, 94, "poisson:new")
+    ref = _statistics(reference_poisson_ts(1.0), window, subs, 95, "poisson:ref")
+    _assert_same_law(new, ref, f"poisson_ts on {window}")
 
 
 @pytest.mark.parametrize("slack", [models.GAP_SLACK, 0.0], ids=["default", "c=0"])

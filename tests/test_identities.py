@@ -160,7 +160,7 @@ class TestRunSuite:
         # keeps the draws and the arithmetic must keep this digest
         reports = run_suite(budget=4096, seed=3)
         assert hashlib.sha256(repr(reports).encode()).hexdigest() == (
-            "198253f358878dee984fe2404ab23f69a96db038dd412f8deaa3c078ae0b08ef")
+            "b6cbc4a055a393836eec2269a74eb12e6a4fb3af4cf2a14939a6530c1dfc09b4")
 
 
 class TestJointEvaluation:

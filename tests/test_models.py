@@ -6,16 +6,12 @@ import numpy as np
 import pytest
 
 from palmlab import estimate
-from palmlab.errors import (
-    DegenerateWindow,
-    InsufficientContext,
-    InsufficientWindow,
-    UnknownTilt,
-)
+from palmlab.errors import InsufficientContext, InsufficientWindow, UnknownTilt
 from palmlab.estimate import est_event_probability, pstar_model
 from palmlab.events import parse_eventuality
 from palmlab.models import (
     LAW_TS,
+    MAX_ROW_DRAWS,
     ProcessModel,
     deterministic,
     example44,
@@ -39,7 +35,7 @@ from palmlab.models import (
 )
 from palmlab.models import _assemble_two_sided, _row_flaws
 from palmlab.pattern import PatternBatch
-from palmlab.rng import chunk_rng
+from palmlab.rng import CHUNK, chunk_rng
 
 from conftest import agree, rows_batch, within
 
@@ -103,10 +99,11 @@ class TestIntervalDistributions:
 
 
 class TestPoisson:
-    def test_degenerate_window(self):
-        gen = chunk_rng(0, "x", 0)
-        with pytest.raises(DegenerateWindow):
-            poisson_ts(1.0).sample_batch(gen, (-1.0, 1.0), 1)
+    def test_window_too_small_raises(self):
+        # a row straddles (-1e-4, 1e-4) with probability about 1e-8: the
+        # redraw gives up instead of drawing forever
+        with pytest.raises(InsufficientWindow):
+            poisson_ts(1.0).sample_batch(chunk_rng(0, "x", 0), (-1e-4, 1e-4), 1)
 
     def test_mean_count(self):
         m = poisson_ts(1.0)
@@ -170,10 +167,17 @@ class TestRenewalEs:
         # rows as first drawn; the sampler redraws them
         d, window, n = gamma_intervals(0.25, 0.25), (-20.0, 20.0), 4096
         raw = _assemble_two_sided(chunk_rng(1, "x", 0), window, n, np.zeros((n, 1)), d, d)
-        assert int(_row_flaws(raw, require_straddle=False).sum()) == 153
+        assert int(_row_flaws(raw).sum()) == 153
         batch = renewal_es(d).sample_batch(chunk_rng(1, "x", 0), window, n)
-        assert not _row_flaws(batch, require_straddle=False).any()
+        assert not _row_flaws(batch).any()
         assert int(np.count_nonzero(batch.points == 0.0)) == n
+
+    def test_window_without_a_later_event(self):
+        # with gaps of 2 no row has an event in (0, 1]; the rows keep the
+        # event at 0 alone instead of being redrawn
+        m = renewal_es(deterministic(2.0))
+        batch = m.sample_batch(chunk_rng(0, "x", 0), (-1.0, 1.0), 50)
+        assert batch.points.tolist() == [0.0] * 50
 
 
 class TestRenewalTs:
@@ -206,6 +210,13 @@ class TestRenewalTs:
         assert abs(t1.mean() - 0.5) < 0.01
         assert abs(t1.var() - 1.0 / 12.0) < 0.005
 
+    def test_window_narrower_than_the_gap(self):
+        # with gaps of 2 no row straddles the origin inside (-0.5, 0.5); the
+        # empty rows are redrawn and every row keeps its one event
+        m = renewal_ts_from_es(deterministic(2.0))
+        batch = m.sample_batch(chunk_rng(0, "x", 0), (-0.5, 0.5), 50)
+        assert np.diff(batch.offsets).tolist() == [1] * 50
+
     def test_uniform_arrival_fraction(self):
         m = renewal_ts_from_es(gamma_intervals(2.0, 1.0))
         mean, se = sample_stat(m, (-25.0, 25.0), 30_000, 8,
@@ -237,6 +248,17 @@ class TestTilted:
         (est,) = est_event_probability(tilted, [A], 60_000, seed=3)
         within(est, math.exp(-1) * 2.5, label="reweighted survival")
         assert 0.0 < est.ess < est.reps
+
+    def test_alpha0_tilt_on_the_floor_window(self):
+        # every row straddles the origin inside the ten-gap floor window, so
+        # the tilt is defined on every row; a row rule without straddling
+        # lets anchored rows whose straddling gap sticks out of the window
+        # through, and tilted_ts then raises InsufficientContext on 15 of
+        # these 40 chunks
+        m = tilted_ts(poisson_ts(1.0), make_tilt("alpha0", 0.5))
+        for ci in range(40):
+            batch = m.sample_batch(chunk_rng(44, "floor-window", ci), (-10.0, 10.0), CHUNK)
+            assert batch.straddled(batch.pos0()).all()
 
     def test_alpha01_independence_frontier(self):
         # with weights (g0, g1), g1 = rate - 2 g0, the two gaps around the
@@ -288,6 +310,18 @@ class TestRedrawRows:
         assert out.weights.tolist() == [1.0, 1.0, 2.5]
         assert batch.windows.tolist() == [[-5.0, 5.0]] * 3
         assert batch.weights.tolist() == [1.0] * 3
+
+    def test_gives_up_after_max_row_draws(self):
+        batch = rows_batch([[-1.0, 1.0]], (-5.0, 5.0))
+        calls = []
+
+        def draw_row():
+            calls.append(1)
+            return None
+
+        with pytest.raises(InsufficientWindow):
+            redraw_rows(batch, np.array([True]), draw_row)
+        assert len(calls) == MAX_ROW_DRAWS
 
     def test_no_flagged_row_draws_nothing(self):
         batch = rows_batch([[-1.0, 1.0]], (-5.0, 5.0))
@@ -441,17 +475,20 @@ class TestGoldenBatches:
     two-sided samplers' digests were re-recorded when their gap draws were
     right-sized (tests/test_gap_draws.py checks the law against the former
     rule), and the two over renewal_es(Gamma(0.25, 0.25)) when renewal_es
-    began to redraw rows with two events within MIN_GAP."""
+    began to redraw rows with two events within MIN_GAP.  The digests over
+    poisson_ts were re-recorded when poisson_ts became an anchored sampler
+    (tests/test_gap_draws.py checks its law against the former sampler)."""
 
     # (label, model factory, window, rows, seed, SHA-256 of the batch's
     # points, offsets, windows and weights)
     CASES = [
         ("poisson 300 rows", lambda: poisson_ts(1.0), (-30.0, 30.0), 300, 11,
-         "61e83c016eb119910e391bc0cc629d1db9d1c5c7aa3e8c684105dded7b9413b1"),
+         "7d9e733c9e431bed3f34168cb82337a6107473612ef58322dbde02b8d1f05c6a"),
         ("poisson ams window", lambda: poisson_ts(1.0), (-15.0, 441.0), 40, 12,
-         "0c8216e04dbe416f9d2123f4b0260d9732e291cb705e609c8d68db5e208fef21"),
+         "efd11e00c114fef12c2a854787c1f963136ff83bd99264bf2ae5906e39e26bae"),
+        # 38 of the 200 rows go through the one-row redraw path (45 draws)
         ("poisson redraws", lambda: poisson_ts(1.0), (-2.5, 2.5), 200, 13,
-         "c1859d22d38f9dedc89ad9820ee5f0d2a3ded930c2f9ab8824f4effb8fad4d05"),
+         "0b6342e1faa4a4db025860a3544a4987b17e71954ddc4ba9a6407c7ffd214793"),
         ("renewal_ts", lambda: renewal_ts_from_es(gamma_intervals(2.0, 1.0)),
          (-20.0, 20.0), 100, 14,
          "f2383c132fb4f6536d1acf933c8dbadb29421196ee0c067e1b3638cd1de17c5e"),
@@ -462,13 +499,13 @@ class TestGoldenBatches:
          "a7546e246cb89cfb547d715b9ac00a5c99b7df1f191bb1054af1c3a31d67838d"),
         ("tilted alpha0", lambda: tilted_ts(poisson_ts(1.0), make_tilt("alpha0", 0.5)),
          (-20.0, 20.0), 100, 17,
-         "e0bc9be34f67dcf6480ba47a317bc62f8d76a169c82fd7659fd3464be331e7e1"),
+         "6a58c7cb357c808c6a6844fb845aae7d0ec11f1754612460dbd52cee3d5c7789"),
         ("tilted alpha01",
          lambda: tilted_ts(poisson_ts(2.0), make_tilt("alpha01", 1.0, 0.5)),
          (-10.0, 10.0), 100, 18,
-         "37a43f4f43235d3d78b1625681e6ae17336c1d72ca4ac308493227c10df4fc4d"),
+         "78b64315997839c12f3bd66570c42b3aab59ffd0b0eb9005d1eeead27ff99795"),
         ("pstar poisson", lambda: pstar_model(poisson_ts(1.0)), (-20.0, 20.0), 100, 19,
-         "2f995520d101916035af32218825b4392d5de08c25933be933619c4b3f1d8c0b"),
+         "045d0bf0238b27dbe76a8aa0039da009208eb86008995c37ee03f01b46e55940"),
         ("pstar renewal_es", lambda: pstar_model(renewal_es(gamma_intervals(2.0, 1.0))),
          (-20.0, 20.0), 100, 20,
          "4fd0b2aa8494157d86851c324a1e2a11952f901fcd682d1dd7d7258c9660fb19"),

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from palmlab.errors import IndexOutOfPattern, OutsideWindow
-from palmlab.pattern import BLOCK_ROWS, PointPattern, read_patterns, sort_rows, write_patterns
+from palmlab.pattern import PointPattern, read_patterns, write_patterns
 
 from conftest import random_pattern, rows_batch
 
@@ -97,23 +97,6 @@ class TestShifts:
         b = p.shift_time(0.75)
         assert np.allclose(a.points, b.points, rtol=0, atol=1e-12)
 
-    def test_shift_event(self):
-        p = pp(-0.2, 0.7, 2.1).shift_event(1)
-        assert np.allclose(p.points, [-0.9, 0.0, 1.4])
-        assert p.t(0) == 0.0
-
-    def test_shift_event_fixes_zero_patterns(self):
-        p = pp(0.0, 1.0, 2.5)
-        assert np.array_equal(p.shift_event(0).points, p.points)
-
-    def test_shift_event_matches_shift_time(self, rng):
-        p = random_pattern(rng)
-        assert np.array_equal(p.shift_event(1).points, p.shift_time(p.t(1)).points)
-
-    def test_shift_event_missing(self):
-        with pytest.raises(IndexOutOfPattern):
-            pp(-0.2, 0.7).shift_event(5)
-
 
 class TestCount:
     def test_basic(self):
@@ -163,38 +146,3 @@ class TestSerialization:
         path.write_text("1.0,2.0\n")
         with pytest.raises(ValueError):
             read_patterns(path)
-
-
-class TestSortRows:
-    """sort_rows must give exactly the bytes of a stable two-key lexsort
-    by (row, value), the sort it replaces in the Poisson sampler."""
-
-    @staticmethod
-    def lexsorted(vals, counts):
-        rep_of = np.repeat(np.arange(counts.size), counts)
-        return vals[np.lexsort((vals, rep_of))]
-
-    @pytest.mark.parametrize("k, mean_count", [
-        (1, 20.0),                   # one row
-        (BLOCK_ROWS + 37, 3.0),      # not a multiple of the block size
-        (3 * BLOCK_ROWS + 5, 60.0),  # several blocks
-        (2 * BLOCK_ROWS, 456.0),     # two full blocks of the ams window's width
-        (50, 0.7),                   # many rows without events
-        (0, 1.0),                    # no rows
-    ])
-    def test_matches_lexsort(self, k, mean_count):
-        rng = np.random.default_rng(k)
-        counts = rng.poisson(mean_count, k)
-        vals = -15.0 + 456.0 * rng.random(int(counts.sum()))
-        offsets = np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
-        want = self.lexsorted(vals, counts)
-        sort_rows(vals, offsets)
-        assert vals.tobytes() == want.tobytes()
-
-    def test_empty_and_tied_rows(self):
-        counts = np.array([0, 3, 0, 0, 4, 1, 0])
-        vals = np.array([2.0, -1.0, 2.0, 5.0, 0.0, 5.0, -3.0, 7.0])
-        offsets = np.concatenate(([0], np.cumsum(counts)))
-        want = self.lexsorted(vals, counts)
-        sort_rows(vals, offsets)
-        assert vals.tobytes() == want.tobytes()
