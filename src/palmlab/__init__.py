@@ -61,7 +61,6 @@ from .models import (
 from .estimate import (
     BinnedEstimate,
     Estimate,
-    IntensityProfile,
     est_event_probability,
     est_intensity,
     est_intermediate,

@@ -41,7 +41,7 @@ from . import ams as ams_mod
 from . import estimate as est_mod
 from . import identities as id_mod
 from .errors import ConfigError, PalmLabError, TooFewCheckpoints
-from .events import HORIZON_GAPS, parse_eventuality
+from .events import HORIZON_GAPS, ev_true, parse_eventuality
 from .models import (
     example44_block_ends,
     example44_cesaro_exact,
@@ -176,10 +176,15 @@ class Run:
         texts = [t.strip() for t in raw.split(";") if t.strip()]
         if not texts:
             raise ConfigError("field 'eventualities' lists no expressions")
-        try:
-            return [parse_eventuality(t) for t in texts]
-        except ValueError as exc:
-            raise ConfigError(f"bad eventuality expression: {exc}") from None
+        return [_parsed(t) for t in texts]
+
+
+def _parsed(text: str):
+    """An eventuality from a config field; a malformed one is a ConfigError."""
+    try:
+        return parse_eventuality(text)
+    except ValueError as exc:
+        raise ConfigError(f"bad eventuality expression: {exc}") from None
 
 
 def _estimate_rows(label, est):
@@ -271,6 +276,8 @@ def _verdict_json(verdict) -> dict:
 def _run_ams(run: Run, model, ev, prefix: str) -> int:
     kind = run.get("kind", "event")
     tol = run.get_float("tol", 0.05)
+    if not 0.0 <= tol < math.inf:
+        raise ConfigError(f"'tol' must be finite and at least 0, got {tol}")
     tail = run.get_float("tail_fraction", 0.5)
     if not 0.0 < tail <= 1.0:
         raise ConfigError(f"'tail_fraction' must be in (0, 1], got {tail}")
@@ -340,12 +347,18 @@ def cmd_suite(run: Run) -> int:
     battery = None
     if battery_raw is not None:
         battery = run.eventualities()
+    only = run.args.only or run.get("only")
+    if only is not None and only not in id_mod.REGISTRY_BY_ID:
+        raise ConfigError(
+            f"unknown identity id {only!r} in 'only'; known ids: "
+            f"{', '.join(id_mod.REGISTRY_BY_ID)}"
+        )
     reports = id_mod.run_suite(
         models,
         run.reps,
         seed=run.seed,
         battery=battery if battery is not None else id_mod.SUITE_BATTERY,
-        only=run.args.only or run.get("only"),
+        only=only,
         threads=run.threads,
     )
     out = run.out_dir / "suite.csv"
@@ -375,6 +388,7 @@ def cmd_example44(run: Run) -> int:
     cfg.update({"model": "example44", "pattern_len": str(pattern_len)})
     run.cfg = cfg
     run.cfg.setdefault("kind", "event")
+    ev = _parsed(run.get("eventuality", "alpha(0)==1"))
     a = example44_run_lengths(7)
     b = example44_block_ends(7)
     rows = []
@@ -384,9 +398,7 @@ def cmd_example44(run: Run) -> int:
     exact_path = run.out_dir / "example44_exact.csv"
     _write_csv(exact_path, ["k", "run_length", "block_end", "cesaro_at_block_end"], rows)
     print(f"wrote {exact_path}")
-    model = run.model()
-    ev = parse_eventuality(run.get("eventuality", "alpha(0)==1"))
-    return _run_ams(run, model, ev, "example44")
+    return _run_ams(run, run.model(), ev, "example44")
 
 
 def cmd_example84(run: Run) -> int:
@@ -405,13 +417,14 @@ def cmd_example84(run: Run) -> int:
         rows.append(["survival", ev.label, est.value, est.std_error, expected])
     half = 0.025 / rate
     for y in (0.0, -2.0 / rate, 2.0 / rate):
-        (prof,) = est_mod.est_intensity(
-            model, np.array([y - half, y + half]), run.reps, seed=run.seed,
+        ((rate_y,),) = est_mod.est_intensity(
+            model, [ev_true()], [y - half, y + half], run.reps, seed=run.seed,
             stream=f"e84:rate:{y}", threads=run.threads,
         )
         expected = float(rate - rate * np.exp(-rate * abs(y)) / 2.0)
         rows.append([
-            "intensity", f"x={y:g}", prof.values[0], prof.std_errors[0], expected,
+            "intensity", f"x={y:g}", rate_y.estimate.value, rate_y.estimate.std_error,
+            expected,
         ])
 
     def ratio_kernel(batch, ctx):

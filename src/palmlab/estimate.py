@@ -26,7 +26,7 @@ from .errors import (
     LowEffectiveSampleSize,
     ZeroDenominator,
 )
-from .events import EventContext, Eventuality, effective_radius, ev_true
+from .events import EventContext, Eventuality, effective_radius
 from .models import LAW_TILTED_TS, LAW_TS, ProcessModel, redraw_rows
 from .pattern import PatternBatch, ragged_ranges
 
@@ -52,29 +52,14 @@ class Estimate:
 
 @dataclass(frozen=True)
 class BinnedEstimate:
-    """One bin of a shifted-law profile."""
+    """One bin (bin_lo, bin_hi] of a binned profile: its estimate and the
+    weighted sums of the bin's events and of those where the member holds."""
 
     bin_lo: float
     bin_hi: float
     estimate: Estimate
-    count: float
-    flag: str = ""
-
-
-@dataclass(frozen=True)
-class IntensityProfile:
-    """Per-bin occurrence rates (events per unit time)."""
-
-    bin_edges: np.ndarray
-    values: np.ndarray
-    std_errors: np.ndarray
-    counts: np.ndarray
-    reps: int
-    rejected: int
-
-    @property
-    def widths(self) -> np.ndarray:
-        return np.diff(self.bin_edges)
+    events: float
+    marked: float
 
 
 # -- chunked runner -----------------------------------------------------------
@@ -384,8 +369,22 @@ def est_palm_zero(
     return [ratio_estimate(s, 1, 0) for s in sums.members]
 
 
-# A shifted-law bin with fewer events than this is flagged "empty".
-MIN_BIN_COUNT = 16.0
+def _binned(model, group, edges, budget, seed, stream, threads, finish):
+    """One profile per member over the checked bin edges: bin b's Estimate
+    is finish(s, b, events, marked) from the member's binned sums s."""
+    nb = edges.size - 1
+    sums = _binned_sums(model, group, edges, budget, seed=seed, stream=stream,
+                        threads=threads)
+
+    def profile(s: BatchSums) -> list[BinnedEstimate]:
+        out = []
+        for b in range(nb):
+            events, marked = float(s.cols[:, b].sum()), float(s.cols[:, nb + b].sum())
+            out.append(BinnedEstimate(float(edges[b]), float(edges[b + 1]),
+                                      finish(s, b, events, marked), events, marked))
+        return out
+
+    return [profile(s) for s in sums.members]
 
 
 def est_shifted_palm(
@@ -399,58 +398,44 @@ def est_shifted_palm(
     threads: int = 1,
 ) -> list[list[BinnedEstimate]]:
     """Per-bin event-centered probabilities: ratio of marked to total
-    occurrences among events falling in each bin, one profile per member."""
+    occurrences among events falling in each bin, one profile per member.
+    A bin without events gives nan +- inf."""
     edges = _bins(bin_edges)
     nb = edges.size - 1
-    sums = _binned_sums(model, group, edges, budget, seed=seed, stream=stream,
-                        threads=threads)
 
-    def finish(s: BatchSums) -> list[BinnedEstimate]:
-        out = []
-        for b in range(nb):
-            count = float(s.cols[:, b].sum())
-            if count == 0.0:
-                est = Estimate(math.nan, math.inf, budget, int(s.rejected.sum()), 0.0)
-            else:
-                est = check_ess(model, ratio_estimate(s, nb + b, b))
-            flag = "" if count >= MIN_BIN_COUNT else "empty"
-            out.append(BinnedEstimate(float(edges[b]), float(edges[b + 1]), est, count, flag))
-        return out
+    def finish(s: BatchSums, b: int, events: float, marked: float) -> Estimate:
+        if events == 0.0:
+            return Estimate(math.nan, math.inf, budget, int(s.rejected.sum()), 0.0)
+        return check_ess(model, ratio_estimate(s, nb + b, b))
 
-    return [finish(s) for s in sums.members]
+    return _binned(model, group, edges, budget, seed, stream, threads, finish)
 
 
 def est_intensity(
     model: ProcessModel,
+    group,
     bin_edges: np.ndarray,
     budget: int,
     *,
-    A=None,
     seed: int = 0,
     stream="intensity",
     threads: int = 1,
-) -> list[IntensityProfile]:
-    """Occurrence rate per unit time per bin of the occurrences of each
-    member of the group A, one profile per member; A=None is the group
-    (ev_true(),) of all events."""
+) -> list[list[BinnedEstimate]]:
+    """Occurrence rate per unit time per bin of the events where each member
+    holds, one profile per member; the group [ev_true()] gives the rate of
+    all events.  A bin without marked events gives 0 +- inf."""
     edges = _bins(bin_edges)
     nb = edges.size - 1
-    widths = np.diff(edges)
-    sums = _binned_sums(model, (ev_true(),) if A is None else A, edges, budget,
-                        seed=seed, stream=stream, threads=threads)
 
-    def finish(s: BatchSums) -> IntensityProfile:
-        counts = s.cols[:, nb:2 * nb].sum(axis=0)
-        values = np.zeros(nb)
-        errors = np.full(nb, math.inf)
-        for b in range(nb):
-            if counts[b] > 0.0:
-                est = check_ess(model, ratio_estimate(s, nb + b, 2 * nb))
-                values[b] = est.value / widths[b]
-                errors[b] = est.std_error / widths[b]
-        return IntensityProfile(edges, values, errors, counts, budget, int(s.rejected.sum()))
+    def finish(s: BatchSums, b: int, events: float, marked: float) -> Estimate:
+        if marked == 0.0:
+            return Estimate(0.0, math.inf, budget, int(s.rejected.sum()), 0.0)
+        est = check_ess(model, ratio_estimate(s, nb + b, 2 * nb))
+        width = float(edges[b + 1] - edges[b])
+        return Estimate(est.value / width, est.std_error / width, est.reps,
+                        est.rejected, est.ess)
 
-    return [finish(s) for s in sums.members]
+    return _binned(model, group, edges, budget, seed, stream, threads, finish)
 
 
 # est_intermediate raises InsufficientCoverage below this accepted share.

@@ -21,7 +21,6 @@ from .ams import convert_es_to_ts, convert_ts_to_es
 from .errors import NotApplicable
 from .estimate import (
     Estimate,
-    IntensityProfile,
     est_event_probability,
     est_intensity,
     est_intermediate,
@@ -32,7 +31,6 @@ from .estimate import (
     mc_mean,
     pstar_model,
     _binned_events,
-    _events_in,
     _marked,
     _members,
     _reject_from_codes,
@@ -117,11 +115,6 @@ def _indep_ratio(num: Estimate, den: Estimate) -> Estimate:
                     min(num.ess, den.ess) if num.ess and den.ess else 0.0)
 
 
-def _first_bin(prof: IntensityProfile) -> Estimate:
-    """The rate of an intensity profile's first bin as an Estimate."""
-    return Estimate(prof.values[0], prof.std_errors[0], prof.reps, prof.rejected, 0.0)
-
-
 def combined_se(a: Estimate, b: Estimate) -> float:
     return math.hypot(a.std_error, b.std_error)
 
@@ -130,16 +123,10 @@ def combined_se(a: Estimate, b: Estimate) -> float:
 
 
 def _count_rate(model: ProcessModel, rp: RunParams, stream: str) -> Estimate:
-    """Mean occurrence count per unit time on (0, span]."""
-    span = 10.0 * model.scale
-    window = guard_window(model, model.scale, 0.0, span)
-
-    def kernel(batch, ctx):
-        return [(_events_in(batch, ctx, 0.0, span)[2] / span, np.zeros(batch.n, dtype=bool))]
-
-    (est,) = mc_mean(model, window, kernel, rp.budget,
-                     seed=rp.seed, stream=stream, threads=rp.threads)
-    return est
+    """Occurrence rate of all events on (0, 10 mean gaps]."""
+    ((rate,),) = est_intensity(model, [ev_true()], [0.0, 10.0 * model.scale], rp.budget,
+                               seed=rp.seed, stream=stream, threads=rp.threads)
+    return rate.estimate
 
 
 def _mean_alpha0(model: ProcessModel, rp: RunParams, stream: str) -> Estimate:
@@ -374,13 +361,14 @@ def _run_i313(model, group, rp):
     for x in (-1.0, 0.5):
         x = x * model.scale
         edges = np.array([x - 0.05 * model.scale, x + 0.05 * model.scale])
-        (den,) = est_intensity(model, edges, rp.budget, stream=f"I-3.13:x{x}:RB", **kw)
+        ((den,),) = est_intensity(model, [ev_true()], edges, rp.budget,
+                                  stream=f"I-3.13:x{x}:RB", **kw)
         lhs = est_shifted_palm(model, group, edges, rp.budget,
                                stream=f"I-3.13:x{x}:L", **kw)
-        num = est_intensity(model, edges, rp.budget, A=group,
+        num = est_intensity(model, group, edges, rp.budget,
                             stream=f"I-3.13:x{x}:RA", **kw)
         out.append((f"x={x:g}", [bins[0].estimate for bins in lhs],
-                    [_indep_ratio(_first_bin(prof), _first_bin(den)) for prof in num]))
+                    [_indep_ratio(bins[0].estimate, den.estimate) for bins in num]))
     return out
 
 
@@ -448,8 +436,8 @@ def _run_i81a(model, group, rp):
     for y in (0.0, 1.0, -1.0, 2.0, -2.0):
         y = y * model.scale
         edges = np.array([y - half, y + half])
-        (lhs,) = est_intensity(model, edges, rp.budget, seed=rp.seed,
-                               stream=f"I-8.1a:y{y}:L", threads=rp.threads)
+        ((lhs,),) = est_intensity(model, [ev_true()], edges, rp.budget, seed=rp.seed,
+                                  stream=f"I-8.1a:y{y}:L", threads=rp.threads)
         window = guard_window(palm, HORIZON_GAPS * palm.scale + abs(y))
 
         def kernel(batch, ctx, y=y):
@@ -461,7 +449,7 @@ def _run_i81a(model, group, rp):
 
         (rhs,) = mc_mean(palm, window, kernel, rp.budget,
                          seed=rp.seed, stream=f"I-8.1a:y{y}:R", threads=rp.threads)
-        out.append((f"y={y:g}", _first_bin(lhs), _scaled(rhs, lam)))
+        out.append((f"y={y:g}", lhs.estimate, _scaled(rhs, lam)))
     return out
 
 
@@ -631,7 +619,9 @@ def run_suite(
     deterministic order; non-applicable pairs are skipped.  The whole
     battery is checked as one group (see check_identity): one set of draws
     per (identity, model), on the window of its widest member, with rows in
-    battery order."""
+    battery order.  An only that names no identity raises ValueError."""
+    if only is not None and only not in REGISTRY_BY_ID:
+        raise ValueError(f"unknown identity id {only!r}; known ids: {', '.join(REGISTRY_BY_ID)}")
     kw = dict(seed=seed, threads=threads)
     reports = []
     for spec in REGISTRY:

@@ -395,8 +395,8 @@ def _assemble_two_sided(
 
 def _check_window(window) -> tuple[float, float]:
     lo, hi = float(window[0]), float(window[1])
-    if not (lo < 0.0 < hi):
-        raise InsufficientWindow(f"window must contain the origin, got ({lo}, {hi})")
+    if not (-math.inf < lo < 0.0 < hi < math.inf):
+        raise InsufficientWindow(f"window must be finite and contain the origin, got ({lo}, {hi})")
     return lo, hi
 
 

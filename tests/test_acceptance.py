@@ -21,7 +21,7 @@ from palmlab.estimate import (
     mc_mean,
     pstar_model,
 )
-from palmlab.events import BATTERY, HORIZON_GAPS, ev_example44, parse_eventuality
+from palmlab.events import BATTERY, HORIZON_GAPS, ev_example44, ev_true, parse_eventuality
 from palmlab.identities import DEFAULT_SUITE_MODELS, REGISTRY, run_suite
 from palmlab.models import (
     example44,
@@ -86,11 +86,11 @@ def test_criterion_2_example84_intensity():
             (2.0, 1.0 - math.exp(-2.0) / 2.0),
             (-2.0, 1.0 - math.exp(-2.0) / 2.0),
         )):
-            (prof,) = est_intensity(
-                model, np.array([y - 0.025, y + 0.025]), BUDGET,
+            ((b,),) = est_intensity(
+                model, [ev_true()], np.array([y - 0.025, y + 0.025]), BUDGET,
                 seed=111 + i, stream=f"acc2:{y}",
             )
-            v, s = prof.values[0], prof.std_errors[0]
+            v, s = b.estimate.value, b.estimate.std_error
             diff = abs(v - expected)
             assert diff <= 3 * s + ATOL, f"intensity at {y}: {v:.5f} vs {expected:.5f}"
 

@@ -89,6 +89,21 @@ window_hi = 3
         text = (tmp_path / "patterns.txt").read_bytes()
         assert hashlib.sha256(text).hexdigest() == digest
 
+    @pytest.mark.parametrize("model", ["model = poisson_ts\nrate = 1",
+                                       "model = example44\npattern_len = 60"])
+    def test_non_finite_window_is_an_error(self, tmp_path, capsys, model):
+        cfg = write_config(tmp_path, f"""
+[simulate]
+{model}
+reps = 2
+window_lo = -inf
+window_hi = 5
+""")
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
     def test_invalid_model_names_field(self, tmp_path, capsys):
         cfg = write_config(tmp_path, """
 [simulate]
@@ -287,6 +302,9 @@ reps = 200
         ("tail_fraction = 0", "'tail_fraction'"),
         ("tail_fraction = 1.5", "'tail_fraction'"),
         ("tail_fraction = nan", "'tail_fraction'"),
+        ("tol = nan", "'tol'"),
+        ("tol = inf", "'tol'"),
+        ("tol = -0.1", "'tol'"),
     ])
     def test_bad_field_is_config_error(self, tmp_path, capsys, fields, key):
         # rejected before any run: exit 2, the field named, nothing written
@@ -323,6 +341,15 @@ rate = 1.0
         assert len(rows) == 2
         assert rows[1][0] == "I-2.3"
         assert rows[1][-1] == "pass"
+
+    def test_unknown_only_is_config_error(self, tmp_path, capsys):
+        # a typo in --only exits 2 and names the known ids, instead of
+        # writing an empty suite that reads as a pass
+        out = tmp_path / "out"
+        assert main(["suite", "--only", "I-9.9", "--reps", "64", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "'I-9.9'" in err and "I-2.3" in err and "I-8.4rho" in err
+        assert not out.exists() or not any(out.iterdir())
 
     def test_tiny_budget_runs_and_reports(self, tmp_path, capsys):
         cfg = write_config(tmp_path, """
@@ -410,6 +437,13 @@ class TestExampleCommands:
         assert table[2][3] == "1/2" and table[3][3] == "3/4"
         verdict = json.loads((tmp_path / "example44_verdict.json").read_text())
         assert verdict["status"] == "NotConvergent"
+
+    def test_example44_bad_eventuality_is_config_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "[example44]\neventuality = alpha(0)>>1\nreps = 1\n")
+        out = tmp_path / "out"
+        assert main(["example44", "--config", cfg, "--out", str(out)]) == 2
+        assert "bad eventuality expression" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
 
     @pytest.mark.parametrize("rate", ["-1", "0", "nan", "inf"])
     def test_example84_bad_rate_is_config_error(self, tmp_path, capsys, rate):

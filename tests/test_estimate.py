@@ -9,7 +9,6 @@ from palmlab.ams import convert_es_to_ts, convert_ts_to_es
 from palmlab.errors import InsufficientCoverage, ZeroDenominator
 from palmlab.estimate import (
     GroupSums,
-    IntensityProfile,
     est_event_probability,
     est_intensity,
     est_intermediate,
@@ -94,7 +93,7 @@ class TestShiftedPalm:
         (bins,) = est_shifted_palm(m, [A_GAP], edges, 30_000, seed=4)
         (ref,) = est_palm_zero(m, [A_GAP], 10.0, 30_000, seed=5)
         for b in bins:
-            assert b.flag == ""
+            assert b.events > 0
             agree(b.estimate, ref, label=f"bin {b.bin_lo}")
 
     def test_example84_left_side_independence(self):
@@ -110,37 +109,39 @@ class TestShiftedPalm:
         edges = np.array([-1.0, 0.0, 1.0])
         (bins,) = est_shifted_palm(m, [ev_true()], edges, 5_000, seed=2)
         for b in bins:
-            assert b.count > 0
+            assert b.events > 0 and b.marked == b.events
             assert b.estimate.value == 1.0
 
-    def test_empty_bin_flagged(self):
+    def test_empty_bin_is_nan_with_infinite_error(self):
         m = poisson_ts(1.0)
         (bins,) = est_shifted_palm(m, [ev_true()], np.array([0.0, 1e-7]), 256, seed=3)
-        assert bins[0].flag == "empty"
+        assert bins[0].events == 0.0 and bins[0].marked == 0.0
+        assert math.isnan(bins[0].estimate.value) and math.isinf(bins[0].estimate.std_error)
 
 
 class TestIntensity:
     def test_poisson_flat(self):
         m = poisson_ts(2.0)
         edges = np.linspace(-2.0, 2.0, 9)
-        (prof,) = est_intensity(m, edges, 20_000, seed=5)
-        assert np.all(np.abs(prof.values - 2.0) <= 3 * prof.std_errors + 0.01)
+        (bins,) = est_intensity(m, [ev_true()], edges, 20_000, seed=5)
+        for b in bins:
+            assert abs(b.estimate.value - 2.0) <= 3 * b.estimate.std_error + 0.01
 
     def test_profile_integrates_to_mean_count(self):
         m = poisson_ts(1.0)
         edges = np.linspace(0.0, 3.0, 7)
-        (prof,) = est_intensity(m, edges, 30_000, seed=6)
-        integral = float(np.sum(prof.values * prof.widths))
-        se = float(np.sqrt(np.sum((prof.std_errors * prof.widths) ** 2)))
+        (bins,) = est_intensity(m, [ev_true()], edges, 30_000, seed=6)
+        integral = sum(b.estimate.value * (b.bin_hi - b.bin_lo) for b in bins)
+        se = math.sqrt(sum((b.estimate.std_error * (b.bin_hi - b.bin_lo)) ** 2 for b in bins))
         assert abs(integral - 3.0) <= 4 * se
 
     def test_example84_profile(self):
         m = example84_exact(1.0)
-        (prof0,) = est_intensity(m, np.array([-0.025, 0.025]), 80_000, seed=7)
-        v0, s0 = prof0.values[0], prof0.std_errors[0]
+        ((bin0,),) = est_intensity(m, [ev_true()], np.array([-0.025, 0.025]), 80_000, seed=7)
+        v0, s0 = bin0.estimate.value, bin0.estimate.std_error
         assert abs(v0 - 0.5) <= 3 * s0 + 0.01
-        (prof2,) = est_intensity(m, np.array([1.975, 2.025]), 80_000, seed=8)
-        v2, s2 = prof2.values[0], prof2.std_errors[0]
+        ((bin2,),) = est_intensity(m, [ev_true()], np.array([1.975, 2.025]), 80_000, seed=8)
+        v2, s2 = bin2.estimate.value, bin2.estimate.std_error
         assert abs(v2 - (1.0 - math.exp(-2.0) / 2.0)) <= 3 * s2 + 0.01
 
     def test_example44_sawtooth_exact(self):
@@ -148,23 +149,23 @@ class TestIntensity:
         # the bin width, computed directly from the gap encoding
         m = example44(60)
         edges = np.arange(0.0, 12.5, 0.5)
-        (prof,) = est_intensity(m, edges, 1, seed=0)
+        (bins,) = est_intensity(m, [ev_true()], edges, 1, seed=0)
         p = m.sample_batch(np.random.default_rng(0), (-20.0, 40.0), 1).pattern(0)
-        for lo, hi, v in zip(edges[:-1], edges[1:], prof.values):
-            assert v == pytest.approx(p.count(lo, hi) / (hi - lo))
+        for lo, hi, b in zip(edges[:-1], edges[1:], bins):
+            assert b.estimate.value == pytest.approx(p.count(lo, hi) / (hi - lo))
 
     def test_empty_bin_reports_zero_rate_infinite_error(self):
         m = example44(30)
-        (prof,) = est_intensity(m, np.array([1.2, 1.8]), 1, seed=0)
-        assert prof.values[0] == 0.0 and math.isinf(prof.std_errors[0])
+        ((b,),) = est_intensity(m, [ev_true()], np.array([1.2, 1.8]), 1, seed=0)
+        assert b.marked == 0.0
+        assert b.estimate.value == 0.0 and math.isinf(b.estimate.std_error)
 
     def test_marked_intensity(self):
         # rate of events whose following gap exceeds 1, for unit Poisson:
         # lambda * P0(gap > 1) = exp(-1)
         m = poisson_ts(1.0)
-        (prof,) = est_intensity(m, np.array([-0.5, 0.5]), 40_000, A=[A_GAP],
-                                seed=9)
-        assert abs(prof.values[0] - math.exp(-1)) <= 3 * prof.std_errors[0] + 0.002
+        ((b,),) = est_intensity(m, [A_GAP], np.array([-0.5, 0.5]), 40_000, seed=9)
+        assert abs(b.estimate.value - math.exp(-1)) <= 3 * b.estimate.std_error + 0.002
 
 
 class TestIntermediate:
@@ -342,15 +343,13 @@ GROUP = [parse_eventuality(t) for t in ("alpha(0)>1", "alpha(-1)>0.5", "T1<=0.5"
 NARROW = parse_eventuality("count(0,1]==0")
 
 
-def _numbers(result):
-    """A result (or a list of them) in a form == and repr compare exactly:
-    an intensity profile holds arrays, so it becomes their bytes."""
-    if isinstance(result, list):
-        return [_numbers(r) for r in result]
-    if not isinstance(result, IntensityProfile):
-        return result
-    arrays = (result.bin_edges, result.values, result.std_errors, result.counts)
-    return tuple(a.tobytes() for a in arrays), result.reps, result.rejected
+def _bin_digest(bins) -> str:
+    """SHA-256 of a binned profile's numbers, bin by bin: the edges, value,
+    standard error, reps, rejected and both counts as float64 bytes, so it
+    pins the numbers whatever type carries them."""
+    rows = [(b.bin_lo, b.bin_hi, b.estimate.value, b.estimate.std_error,
+             b.estimate.reps, b.estimate.rejected, b.events, b.marked) for b in bins]
+    return hashlib.sha256(np.array(rows, dtype=np.float64).tobytes()).hexdigest()
 
 
 def group_runs():
@@ -362,7 +361,7 @@ def group_runs():
         "event_probability": lambda A: est_event_probability(ts, A, 5000, seed=4, threads=2),
         "palm_zero": lambda A: est_palm_zero(ts, A, 5.0, 5000, seed=4, threads=2),
         "shifted_palm": lambda A: est_shifted_palm(ts, A, edges, 5000, seed=4, threads=2),
-        "intensity": lambda A: _numbers(est_intensity(ts, edges, 5000, A=A, seed=4, threads=2)),
+        "intensity": lambda A: est_intensity(ts, A, edges, 5000, seed=4, threads=2),
         "intermediate": lambda A: est_intermediate(ts, 1, A, 5000, seed=4, threads=2),
         "es_to_ts": lambda A: convert_es_to_ts(es, A, 5000, seed=4, threads=2),
         "ts_to_es": lambda A: convert_ts_to_es(ts, A, 5000, seed=4, threads=2),
@@ -472,8 +471,11 @@ class TestGroups:
 class TestBinnedGolden:
     """Single-member binned estimates are pinned byte for byte: the event-
     centered probability on (0, x], the shifted law and the intensity
-    profile (with and without A) all come from one binned-count kernel,
-    and changing how it is shared must move none of their numbers."""
+    profile (of all events and of A-events) all come from one binned-count
+    kernel, and changing how it is shared must move none of their numbers.
+    A one-bin (0, x] probability is pinned as its Estimate's repr; a
+    profile is pinned by _bin_digest, which does not depend on the type
+    of its bins."""
 
     TS = renewal_ts_from_es(gamma_intervals(2.0, 1.0))
     E84 = example84_exact(1.0)
@@ -485,15 +487,28 @@ class TestBinnedGolden:
          lambda c: est_palm_zero(poisson_ts(1.0), [NARROW], 3.0, 5000, seed=5),
          "c6537af13c17f52a512b6d9a48ebf0f5b21cbcb10d7e7c06fea8647d89d1ce75"),
         ("shifted", lambda c: est_shifted_palm(c.E84, [A_GAP], c.EDGES, 5000, seed=4, threads=2),
-         "5733ee4f687bef1a4237c123559912ff30c3944945ee842d1f094556d8acc35f"),
-        ("intensity", lambda c: est_intensity(c.E84, c.EDGES, 5000, seed=4, threads=2),
-         "0fad297895b3caf552e4a9f7715574bd47efae85d53fbb9f6d4259568f43526a"),
+         "90d368f3077b882c58b1a936b2f53d2f3b0c0b67b8ad38c9be1fba66b02b894f"),
+        ("intensity",
+         lambda c: est_intensity(c.E84, [ev_true()], c.EDGES, 5000, seed=4, threads=2),
+         "71600ee2be25e7964c3d9bd4be1b182cddb0e9f84a5d8230b7e1e49899088b61"),
         ("intensity A",
-         lambda c: est_intensity(c.E84, c.EDGES, 5000, A=[A_GAP], seed=4, threads=2),
-         "f9a4a9a6d777e8ff92c9bb9381203aad6853fc4117e2b8427915834e4dc88871"),
+         lambda c: est_intensity(c.E84, [A_GAP], c.EDGES, 5000, seed=4, threads=2),
+         "57c710d9aa5074f4991ffd424ee06c01fc832cc4026a6220931e63f6dbf831a9"),
+        # an empty bin each: nan +- inf for the shifted law, 0 +- inf for a rate
+        ("shifted empty bin",
+         lambda c: est_shifted_palm(poisson_ts(1.0), [ev_true()], np.array([0.0, 1e-7, 1.0]),
+                                    256, seed=3),
+         "59b0a26caebb0ad3b4205e2a6cf338da0c6f0a754fc2362bb8899815f59f51ae"),
+        ("intensity empty bin",
+         lambda c: est_intensity(example44(30), [ev_true()], np.array([0.9, 1.2, 1.8, 2.1]),
+                                 1, seed=0),
+         "b81fb9928b2996d27c98bcda468418502131ecbb9de2314da52e1b530897447c"),
     ]
 
     @pytest.mark.parametrize("run, digest", [c[1:] for c in CASES], ids=[c[0] for c in CASES])
     def test_pinned(self, run, digest):
         (result,) = run(self)
-        assert hashlib.sha256(repr(_numbers(result)).encode()).hexdigest() == digest
+        if isinstance(result, list):
+            assert _bin_digest(result) == digest
+        else:
+            assert hashlib.sha256(repr(result).encode()).hexdigest() == digest

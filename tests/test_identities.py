@@ -135,6 +135,11 @@ class TestRunSuite:
         assert [r.id for r in reports] == ["I-2.3"]
         assert reports[0].verdict == "pass"
 
+    def test_unknown_only_raises(self):
+        # a typo in only must not pass as an empty, failure-free suite
+        with pytest.raises(ValueError, match="I-2.3"):
+            run_suite([poisson_ts(1.0)], 1_000, only="I-9.9")
+
     def test_deterministic_given_seed(self):
         a = run_suite([poisson_ts(1.0)], 5_000, only="I-2.10c", seed=9)
         b = run_suite([poisson_ts(1.0)], 5_000, only="I-2.10c", seed=9)
@@ -160,7 +165,7 @@ class TestRunSuite:
         # keeps the draws and the arithmetic must keep this digest
         reports = run_suite(budget=4096, seed=3)
         assert hashlib.sha256(repr(reports).encode()).hexdigest() == (
-            "b6cbc4a055a393836eec2269a74eb12e6a4fb3af4cf2a14939a6530c1dfc09b4")
+            "f49263fce48d97ad8286a113f2416f140d2a71c90773f9398fd1d5d83c192f71")
 
 
 class TestJointEvaluation:

@@ -105,6 +105,11 @@ class TestPoisson:
         with pytest.raises(InsufficientWindow):
             poisson_ts(1.0).sample_batch(chunk_rng(0, "x", 0), (-1e-4, 1e-4), 1)
 
+    @pytest.mark.parametrize("window", [(-math.inf, 5.0), (-5.0, math.inf), (math.nan, 5.0)])
+    def test_non_finite_window_raises(self, window):
+        with pytest.raises(InsufficientWindow):
+            poisson_ts(1.0).sample_batch(chunk_rng(0, "x", 0), window, 4)
+
     def test_mean_count(self):
         m = poisson_ts(1.0)
         mean, se = sample_stat(m, (-20.0, 20.0), 10_000, 11,
