@@ -30,6 +30,7 @@ from .estimate import (
 )
 from .events import HORIZON_GAPS, Eventuality, effective_radius
 from .models import ProcessModel, example44_block_ends, example44_times
+from .pattern import BLOCK_ROWS
 
 
 @dataclass(frozen=True)
@@ -133,14 +134,13 @@ def cesaro_event(
         cols = np.zeros((batch.n, ncp + 1))
         cols[:, ncp] = 1.0
         reject = ~good
-        if rows.size:
-            e = (pos0[rows, None] + 1 + np.arange(n_max)[None, :]).ravel()
-            rep = np.repeat(rows, n_max)
-            codes = A.at_events(ctx, e, rep).reshape(rows.size, n_max)
-            bad = (codes == -1).any(axis=1)
-            reject[rows[bad]] = True
-            running = np.cumsum(codes, axis=1, dtype=np.float64)[:, cps - 1] / cps
-            cols[rows, :ncp] = running
+        # rows in blocks, so the (rows, n_max) code matrix stays small
+        for b0 in range(0, rows.size, BLOCK_ROWS):
+            blk = rows[b0:b0 + BLOCK_ROWS]
+            e = (pos0[blk, None] + 1 + np.arange(n_max)[None, :]).ravel()
+            codes = A.at_events(ctx, e, np.repeat(blk, n_max)).reshape(blk.size, n_max)
+            reject[blk[(codes == -1).any(axis=1)]] = True
+            cols[blk, :ncp] = np.cumsum(codes, axis=1, dtype=np.float64)[:, cps - 1] / cps
         return [(cols, reject)]
 
     (sums,) = run_kernel(model, window, budget, ncp + 1, kernel,

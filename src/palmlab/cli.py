@@ -224,13 +224,9 @@ def cmd_palm(run: Run) -> int:
     out = run.out_dir / "palm.csv"
     if mode == "zero":
         x = run.get_positive("x", 10.0 * model.scale)
-        rows = []
-        for ev in evs:
-            (est,) = est_mod.est_palm_zero(
-                model, [ev], x, run.reps, seed=run.seed, stream=f"palm:{ev.label}",
-                threads=run.threads,
-            )
-            rows.append(_estimate_rows(ev.label, est))
+        ests = est_mod.est_palm_zero(model, evs, x, run.reps, seed=run.seed,
+                                     stream="palm:zero", threads=run.threads)
+        rows = [_estimate_rows(ev.label, est) for ev, est in zip(evs, ests)]
         _write_csv(out, ["label", "value", "std_error", "reps", "rejected", "ess"], rows)
     elif mode == "shifted":
         lo = run.get_float("bin_lo")
@@ -241,14 +237,13 @@ def cmd_palm(run: Run) -> int:
         edges = np.arange(lo, hi + width / 2, width)
         if edges.size < 2:
             raise ConfigError(f"'bin_width' {width} leaves no bin in ({lo}, {hi}]")
-        rows = []
-        for ev in evs:
-            (bins,) = est_mod.est_shifted_palm(
-                model, [ev], edges, run.reps, seed=run.seed, stream=f"palm:{ev.label}",
-                threads=run.threads,
-            )
-            for b in bins:
-                rows.append([b.bin_lo, b.bin_hi] + _estimate_rows(ev.label, b.estimate))
+        profiles = est_mod.est_shifted_palm(model, evs, edges, run.reps, seed=run.seed,
+                                            stream="palm:shifted", threads=run.threads)
+        rows = [
+            [b.bin_lo, b.bin_hi] + _estimate_rows(ev.label, b.estimate)
+            for ev, bins in zip(evs, profiles)
+            for b in bins
+        ]
         _write_csv(
             out,
             ["bin_lo", "bin_hi", "label", "value", "std_error", "reps", "rejected", "ess"],
@@ -273,7 +268,8 @@ def _verdict_json(verdict) -> dict:
     return obj
 
 
-def _run_ams(run: Run, model, ev, prefix: str) -> int:
+def _ams_trace(run: Run, model, ev):
+    """Check the AMS fields and run the trace: (trace, tail_fraction, tol)."""
     kind = run.get("kind", "event")
     tol = run.get_float("tol", 0.05)
     if not 0.0 <= tol < math.inf:
@@ -293,6 +289,10 @@ def _run_ams(run: Run, model, ev, prefix: str) -> int:
                                     threads=run.threads)
     else:
         raise ConfigError(f"field 'kind' must be 'event' or 'time', got {kind!r}")
+    return trace, tail, tol
+
+
+def _write_ams(run: Run, trace, tail: float, tol: float, prefix: str) -> int:
     trace_path = run.out_dir / f"{prefix}_trace.csv"
     _write_csv(
         trace_path,
@@ -320,7 +320,7 @@ def cmd_ams(run: Run) -> int:
     evs = run.eventualities()
     if len(evs) != 1:
         raise ConfigError("ams runs take exactly one eventuality")
-    return _run_ams(run, model, evs[0], "ams")
+    return _write_ams(run, *_ams_trace(run, model, evs[0]), "ams")
 
 
 def _suite_models(run: Run):
@@ -389,6 +389,8 @@ def cmd_example44(run: Run) -> int:
     run.cfg = cfg
     run.cfg.setdefault("kind", "event")
     ev = _parsed(run.get("eventuality", "alpha(0)==1"))
+    # the trace checks every field before the exact table is written
+    trace, tail, tol = _ams_trace(run, run.model(), ev)
     a = example44_run_lengths(7)
     b = example44_block_ends(7)
     rows = []
@@ -398,7 +400,7 @@ def cmd_example44(run: Run) -> int:
     exact_path = run.out_dir / "example44_exact.csv"
     _write_csv(exact_path, ["k", "run_length", "block_end", "cesaro_at_block_end"], rows)
     print(f"wrote {exact_path}")
-    return _run_ams(run, run.model(), ev, "example44")
+    return _write_ams(run, trace, tail, tol, "example44")
 
 
 def cmd_example84(run: Run) -> int:
@@ -407,39 +409,34 @@ def cmd_example84(run: Run) -> int:
     rate = run.get_positive("rate", 1.0)
     model = example84_exact(rate)
     rows = []
-    for x in (0.5, 1.0, 2.0):
-        ev = parse_eventuality(f"alpha(0)>{x}")
-        (est,) = est_mod.est_event_probability(
-            model, [ev], run.reps, seed=run.seed, stream=f"e84:surv:{x}",
-            threads=run.threads,
-        )
+    xs = (0.5, 1.0, 2.0)
+    evs = [parse_eventuality(f"alpha(0)>{x}") for x in xs]
+    ests = est_mod.est_event_probability(model, evs, run.reps, seed=run.seed,
+                                         stream="e84:surv", threads=run.threads)
+    for x, ev, est in zip(xs, evs, ests):
         expected = float(np.exp(-rate * x) * ((rate * x) ** 2 / 2 + rate * x + 1))
         rows.append(["survival", ev.label, est.value, est.std_error, expected])
+    # one bin (y - half, y + half] per y; the bins between them are not read
     half = 0.025 / rate
-    for y in (0.0, -2.0 / rate, 2.0 / rate):
-        ((rate_y,),) = est_mod.est_intensity(
-            model, [ev_true()], [y - half, y + half], run.reps, seed=run.seed,
-            stream=f"e84:rate:{y}", threads=run.threads,
-        )
+    ys = (0.0, -2.0 / rate, 2.0 / rate)
+    edges = sorted(y + d for y in ys for d in (-half, half))
+    (profile,) = est_mod.est_intensity(model, [ev_true()], edges, run.reps, seed=run.seed,
+                                       stream="e84:rate", threads=run.threads)
+    at = dict(zip(sorted(ys), profile[::2]))
+    for y in ys:
+        rate_y = at[y].estimate
         expected = float(rate - rate * np.exp(-rate * abs(y)) / 2.0)
-        rows.append([
-            "intensity", f"x={y:g}", rate_y.estimate.value, rate_y.estimate.std_error,
-            expected,
-        ])
+        rows.append(["intensity", f"x={y:g}", rate_y.value, rate_y.std_error, expected])
 
     def ratio_kernel(batch, ctx):
+        # T1/alpha0 and its square, on the same draws
         t0, t1, ok = ctx.gap(ctx.pos0())
-        return [(np.where(ok, t1 / (t1 - t0), 0.0), ~ok)]
-
-    def ratio_sq_kernel(batch, ctx):
-        ((vals, reject),) = ratio_kernel(batch, ctx)
-        return [(vals * vals, reject)]
+        ratio = np.where(ok, t1 / (t1 - t0), 0.0)
+        return [(ratio, ~ok), (ratio * ratio, ~ok)]
 
     window = est_mod.guard_window(model, HORIZON_GAPS * model.scale)
-    (m1,) = est_mod.mc_mean(model, window, ratio_kernel, run.reps,
-                            seed=run.seed, stream="e84:unif1", threads=run.threads)
-    (m2,) = est_mod.mc_mean(model, window, ratio_sq_kernel, run.reps,
-                            seed=run.seed, stream="e84:unif2", threads=run.threads)
+    m1, m2 = est_mod.mc_mean(model, window, ratio_kernel, run.reps,
+                             seed=run.seed, stream="e84:unif", threads=run.threads)
     rows.append(["arrival_ratio", "E(T1/alpha0)", m1.value, m1.std_error, 0.5])
     rows.append(["arrival_ratio", "E((T1/alpha0)^2)", m2.value, m2.std_error, 1.0 / 3.0])
     out = run.out_dir / "example84.csv"

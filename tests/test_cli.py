@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from palmlab import estimate
 from palmlab.cli import main
 
 
@@ -203,10 +204,10 @@ reps = 20000
     @pytest.mark.parametrize("fields, digest", [
         ("model = renewal_ts\ninterval = gamma\nshape = 2\nrate = 1\n"
          "eventualities = alpha(0)>1; count(0,1]==0\nx = 5",
-         "7c8eb5d948ffc4c5f16ef60c7e393d2085964f78a5cc9ded26e7b9f1dd8a14d1"),
+         "72859cd6a9fb349d5a7d32a34a7a78b3a0ac6b60b4b533b07bfa4768809abb5a"),
         ("model = example84\nrate = 1.0\nmode = shifted\n"
          "eventualities = alpha(-1)>1; T1<=0.5\nbin_lo = -1.5\nbin_hi = -0.5\nbin_width = 0.5",
-         "ae9bca40a9c88fc0dd7e565911dc58564398769fb57d7174220f7c3596d7329a"),
+         "d7df9b62254ca318499d2c640db25d82abf3e5bed70a7be8108210bc44379e41"),
     ], ids=["zero", "shifted"])
     def test_csv_pinned(self, tmp_path, fields, digest):
         # SHA-256 of palm.csv pins every estimate of both eventualities
@@ -215,6 +216,25 @@ reps = 20000
                      "--out", str(tmp_path)]) == 0
         text = (tmp_path / "palm.csv").read_bytes()
         assert hashlib.sha256(text).hexdigest() == digest
+
+    def test_group_row_equals_widest_member_alone(self, tmp_path):
+        # the eventualities of one command share the draws of the widest
+        # member's window, so that member's row is its own run's row
+        rows = {}
+        for name, evs in (("both", "alpha(0)>1; count(0,1]==0"), ("alone", "alpha(0)>1")):
+            cfg = write_config(tmp_path, f"""
+[palm]
+model = poisson_ts
+rate = 1.0
+eventualities = {evs}
+x = 5
+""")
+            out = tmp_path / name
+            assert main(["palm", "--config", cfg, "--reps", "3000", "--seed", "9",
+                         "--out", str(out)]) == 0
+            rows[name] = (out / "palm.csv").read_text().splitlines()
+        assert rows["both"][1].startswith("alpha(0)>1,")
+        assert rows["both"][1] == rows["alone"][1]
 
     @pytest.mark.parametrize("fields, key", [
         ("x = 0", "'x'"),
@@ -384,6 +404,37 @@ rate = 1.0
         assert rows[1][2] == "count(0,1]==0"
 
 
+class TestOneSamplingPerEstimator:
+    """Each estimator call of a command samples its group once."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counted = []
+        run_kernel = estimate.run_kernel
+
+        def counting(*args, **kwargs):
+            counted.append(kwargs["stream"])
+            return run_kernel(*args, **kwargs)
+
+        monkeypatch.setattr(estimate, "run_kernel", counting)
+        return counted
+
+    @pytest.mark.parametrize("fields", [
+        "eventualities = alpha(0)>1; count(0,1]==0; T1<=0.5\nx = 5",
+        "mode = shifted\neventualities = alpha(0)>1; T1<=0.5\n"
+        "bin_lo = -1\nbin_hi = 1\nbin_width = 0.5",
+    ], ids=["zero", "shifted"])
+    def test_palm_samples_once(self, tmp_path, calls, fields):
+        cfg = write_config(tmp_path, f"[palm]\nmodel = poisson_ts\nrate = 1\n{fields}\n")
+        assert main(["palm", "--config", cfg, "--reps", "200",
+                     "--out", str(tmp_path)]) == 0
+        assert len(calls) == 1
+
+    def test_example84_samples_once_per_estimator(self, tmp_path, calls):
+        assert main(["example84", "--reps", "200", "--out", str(tmp_path)]) == 0
+        assert len(calls) == 3
+
+
 class TestDeterminism:
     def test_thread_count_invariance(self, tmp_path):
         cfg = write_config(tmp_path, """
@@ -445,6 +496,14 @@ class TestExampleCommands:
         assert "bad eventuality expression" in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
 
+    def test_example44_bad_field_writes_nothing(self, tmp_path, capsys):
+        # every field is checked before the exact table is written
+        cfg = write_config(tmp_path, "[example44]\ntol = nan\nreps = 1\n")
+        out = tmp_path / "out"
+        assert main(["example44", "--config", cfg, "--out", str(out)]) == 2
+        assert "'tol'" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
     @pytest.mark.parametrize("rate", ["-1", "0", "nan", "inf"])
     def test_example84_bad_rate_is_config_error(self, tmp_path, capsys, rate):
         cfg = write_config(tmp_path, f"[example84]\nrate = {rate}\nreps = 20\n")
@@ -458,7 +517,7 @@ class TestExampleCommands:
                      "--seed", "11"]) == 0
         text = (tmp_path / "example84.csv").read_bytes()
         assert hashlib.sha256(text).hexdigest() == (
-            "5173a067e4060c13685321c04caae3018665df7ddf7c3c01f9be867c9355b2f1")
+            "a05883cc1c8df60624139c1ef7a26740820efe448a9888eb10080f9420e0c272")
 
     def test_example84_outputs(self, tmp_path):
         assert main(["example84", "--out", str(tmp_path), "--reps", "20000",
