@@ -17,7 +17,7 @@ lists are semicolon-separated expressions in the textual grammar.  The
 suite subcommand takes extra sections named [suite:model:<n>], one model
 each; without them it runs the default catalog.
 
-All randomness flows from one root seed through counter-based streams;
+All randomness flows from one root seed through per-chunk seeded streams;
 ``--seed`` beats the PALMLAB_SEED environment variable, which beats the
 config file.  Outputs are CSV (RFC-4180 quoting, header row always) and
 one JSON verdict object per AMS run.  Exit codes: 0 success, 1 suite

@@ -7,9 +7,9 @@ replications are dependent within a batch of 64, independent across
 batches.  Replications whose eventuality evaluation is indeterminate are
 rejected and reported, never coerced to False.
 
-Chunks of 4096 replications each draw from their own counter-based
-stream, and partial sums are kept per variance batch, so results are
-bit-identical regardless of thread count or merge order.
+Chunks of 4096 replications each draw from their own seeded stream
+(rng.chunk_rng), and partial sums are kept per variance batch, so
+results are bit-identical regardless of thread count or merge order.
 """
 
 from __future__ import annotations

@@ -303,7 +303,7 @@ def _straddle_flaws(batch: PatternBatch) -> np.ndarray:
 # slack of the gap draws, in standard deviations of a Poisson count: a side
 # draws per + c*sqrt(per + 1) + c gaps for a span of per mean gaps, and a row
 # still short of the span gets blocks of c*sqrt(per + 1) + c more gaps
-GAP_SLACK = 3.0
+GAP_SLACK = 1.0
 
 
 def _side_cumsum(rng, dist: IntervalDistribution, n_rows: int, span: float) -> list:

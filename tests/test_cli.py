@@ -69,11 +69,11 @@ window_hi = 15
 
     @pytest.mark.parametrize("model, digest", [
         ("model = renewal_ts\ninterval = gamma\nshape = 2\nrate = 1",
-         "ddba4643f768a414f35ed1b3bd77dfa1a8016a23c7cadabef1425d1e52da9433"),
+         "d3b773480c5953542b7bb61dfbb3d51e02e72a1c2848b2d3f76e61502d2ee2da"),
         ("model = example84\nrate = 1",
-         "4b49d4b51f49133e600beaf7b35141cab1a8c9c54c3dccdc7f86dcff3ac21f1a"),
+         "3b5e7dbd175002ed72ebd017498c8185ffc39e7a90561afade01942c7e686337"),
         ("model = poisson_ts\nrate = 1",
-         "d8d016e65ba2f9485edc1cae98d16d94b2f2377b5107345b7bbdb2f59ad2d294"),
+         "e5cff21da07b15dd3ae3f216a15323655be83c0be5f85ce0a0cd736abb9ee887"),
     ], ids=["renewal_ts", "example84", "poisson_ts"])
     def test_patterns_pinned(self, tmp_path, model, digest):
         # SHA-256 of patterns.txt pins every replication's stream and values;
@@ -204,10 +204,10 @@ reps = 20000
     @pytest.mark.parametrize("fields, digest", [
         ("model = renewal_ts\ninterval = gamma\nshape = 2\nrate = 1\n"
          "eventualities = alpha(0)>1; count(0,1]==0\nx = 5",
-         "72859cd6a9fb349d5a7d32a34a7a78b3a0ac6b60b4b533b07bfa4768809abb5a"),
+         "806411604e8fe41c22d846c978cdbac424819529aabf52dd2eea4be00bc51f4f"),
         ("model = example84\nrate = 1.0\nmode = shifted\n"
          "eventualities = alpha(-1)>1; T1<=0.5\nbin_lo = -1.5\nbin_hi = -0.5\nbin_width = 0.5",
-         "d7df9b62254ca318499d2c640db25d82abf3e5bed70a7be8108210bc44379e41"),
+         "22e6ce4ac1dd24031437f28b9d3a636e9bcbb6ac2f387c42eb32a5a302784ca2"),
     ], ids=["zero", "shifted"])
     def test_csv_pinned(self, tmp_path, fields, digest):
         # SHA-256 of palm.csv pins every estimate of both eventualities
@@ -517,7 +517,7 @@ class TestExampleCommands:
                      "--seed", "11"]) == 0
         text = (tmp_path / "example84.csv").read_bytes()
         assert hashlib.sha256(text).hexdigest() == (
-            "a05883cc1c8df60624139c1ef7a26740820efe448a9888eb10080f9420e0c272")
+            "0ea2d883a262a188e897ecfc4c302760afb0d414c5303dff52fa058a8d1885aa")
 
     def test_example84_outputs(self, tmp_path):
         assert main(["example84", "--out", str(tmp_path), "--reps", "20000",

@@ -165,7 +165,7 @@ class TestRunSuite:
         # keeps the draws and the arithmetic must keep this digest
         reports = run_suite(budget=4096, seed=3)
         assert hashlib.sha256(repr(reports).encode()).hexdigest() == (
-            "f49263fce48d97ad8286a113f2416f140d2a71c90773f9398fd1d5d83c192f71")
+            "6b6e06b8222f42d19fc820b6d537fc38b385312aa877add83ad08f98aed88a7a")
 
 
 class TestJointEvaluation:
