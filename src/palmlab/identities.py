@@ -7,6 +7,8 @@ probe.  Z_CRIT = 4 with atol = 0.002 is meant to keep the family-wise
 false-failure rate of the default suite (58 checks, 102 probes) low, but
 that rate is not yet confirmed: over 300 seeds of the suite at budget
 4096, 2 runs had a failing row (0.7%, 95% interval roughly 0.1-2.4%).
+That figure was measured on the Philox chunk stream, before chunks moved
+to SFC64; it is to be re-measured on the current stream (ROADMAP item 3).
 """
 
 from __future__ import annotations
