@@ -416,15 +416,12 @@ def cmd_example84(run: Run) -> int:
     for x, ev, est in zip(xs, evs, ests):
         expected = float(np.exp(-rate * x) * ((rate * x) ** 2 / 2 + rate * x + 1))
         rows.append(["survival", ev.label, est.value, est.std_error, expected])
-    # one bin (y - half, y + half] per y; the bins between them are not read
-    half = 0.025 / rate
     ys = (0.0, -2.0 / rate, 2.0 / rate)
-    edges = sorted(y + d for y in ys for d in (-half, half))
+    edges, at = est_mod.point_bins(ys, 0.025 / rate)
     (profile,) = est_mod.est_intensity(model, [ev_true()], edges, run.reps, seed=run.seed,
                                        stream="e84:rate", threads=run.threads)
-    at = dict(zip(sorted(ys), profile[::2]))
-    for y in ys:
-        rate_y = at[y].estimate
+    for y, b in zip(ys, at):
+        rate_y = profile[b].estimate
         expected = float(rate - rate * np.exp(-rate * abs(y)) / 2.0)
         rows.append(["intensity", f"x={y:g}", rate_y.value, rate_y.std_error, expected])
 

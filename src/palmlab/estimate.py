@@ -210,6 +210,14 @@ def _bins(bin_edges) -> np.ndarray:
     return edges
 
 
+def point_bins(points, half: float):
+    """Bin edges with one bin (y - half, y + half] per point y, and the index
+    of each point's bin among them; the bins between the points' bins are
+    not read.  The points' bins must not overlap."""
+    ys = sorted(points)
+    return [y + d for y in ys for d in (-half, half)], [2 * ys.index(y) for y in points]
+
+
 def _binned_events(batch: PatternBatch, ctx: EventContext, edges: np.ndarray):
     """Positions, replication ids and bin indices of the events in the bins."""
     e, rep, _ = _events_in(batch, ctx, float(edges[0]), float(edges[-1]))

@@ -2,8 +2,15 @@
 
 Each entry evaluates a left and a right side with independent seed
 streams and passes when |lhs - rhs| <= Z_CRIT * combined s.e. + atol.
-Entries may probe several parameter values; the report carries the worst
-probe.  Z_CRIT = 4 with atol = 0.002 is meant to keep the family-wise
+Entries may probe several parameter values (k, n, x or y); the report
+carries the worst probe.  The probes of a check share one sampling per
+side, on the union of their windows, so each probe's lhs and rhs stay
+independent.  The exception is the right side of I-3.13, a ratio of two
+intensities: its numerator and denominator keep separate streams, since
+on shared draws their ratio would be est_shifted_palm's own estimator,
+and the check would compare that estimator with itself.
+
+Z_CRIT = 4 with atol = 0.002 is meant to keep the family-wise
 false-failure rate of the default suite (58 checks, 102 probes) low, but
 that rate is not yet confirmed: over 300 seeds of the suite at budget
 4096, 2 runs had a failing row (0.7%, 95% interval roughly 0.1-2.4%).
@@ -31,6 +38,7 @@ from .estimate import (
     group_radius,
     guard_window,
     mc_mean,
+    point_bins,
     pstar_model,
     _binned_events,
     _marked,
@@ -61,9 +69,15 @@ ATOL = 0.002
 
 @dataclass(frozen=True)
 class RunParams:
-    budget: int = 100_000
-    seed: int = 2026
-    threads: int = 1
+    budget: int
+    seed: int
+    threads: int
+    check: str  # the identity id, the prefix of every stream tag
+
+    def side(self, name: str) -> dict:
+        """Seed, stream and threads of one side of the check: its stream is
+        tagged "<identity id>:<name>" (the model is not in the tag)."""
+        return dict(seed=self.seed, stream=f"{self.check}:{name}", threads=self.threads)
 
 
 @dataclass(frozen=True)
@@ -108,12 +122,11 @@ def _inverted(est: Estimate) -> Estimate:
 
 
 def _indep_ratio(num: Estimate, den: Estimate) -> Estimate:
+    """num / den of two independent estimates, its s.e. by the delta method;
+    a zero numerator keeps its own s.e."""
     v = num.value / den.value
-    rel = math.hypot(
-        num.std_error / num.value if num.value else 0.0,
-        den.std_error / den.value if den.value else 0.0,
-    )
-    return Estimate(v, abs(v) * rel, num.reps, num.rejected + den.rejected,
+    se = math.hypot(num.std_error / den.value, v * den.std_error / den.value)
+    return Estimate(v, se, num.reps, num.rejected + den.rejected,
                     min(num.ess, den.ess) if num.ess and den.ess else 0.0)
 
 
@@ -124,22 +137,21 @@ def combined_se(a: Estimate, b: Estimate) -> float:
 # -- shared kernels -------------------------------------------------------------
 
 
-def _count_rate(model: ProcessModel, rp: RunParams, stream: str) -> Estimate:
+def _count_rate(model: ProcessModel, rp: RunParams, side: str) -> Estimate:
     """Occurrence rate of all events on (0, 10 mean gaps]."""
     ((rate,),) = est_intensity(model, [ev_true()], [0.0, 10.0 * model.scale], rp.budget,
-                               seed=rp.seed, stream=stream, threads=rp.threads)
+                               **rp.side(side))
     return rate.estimate
 
 
-def _mean_alpha0(model: ProcessModel, rp: RunParams, stream: str) -> Estimate:
+def _mean_alpha0(model: ProcessModel, rp: RunParams, side: str) -> Estimate:
     window = guard_window(model, HORIZON_GAPS * model.scale)
 
     def kernel(batch, ctx):
         t0, t1, ok = ctx.gap(ctx.pos0())
         return [(np.where(ok, t1 - t0, 0.0), ~ok)]
 
-    (est,) = mc_mean(model, window, kernel, rp.budget,
-                     seed=rp.seed, stream=stream, threads=rp.threads)
+    (est,) = mc_mean(model, window, kernel, rp.budget, **rp.side(side))
     return est
 
 
@@ -147,6 +159,17 @@ def _gap_at(ctx, y: float) -> np.ndarray:
     """Per replication: array position of the gap containing y, that is of
     its left end (an event exactly at y owns its right gap)."""
     return ctx.last_le(np.full(ctx.batch.n, y), np.arange(ctx.batch.n))
+
+
+def _probe_means(model, window, probes, kernel, rp: RunParams, side: str) -> list:
+    """One mc_mean over all probes: kernel(batch, ctx, p) gives probe p's
+    (values, reject) pairs, and each probe gets its list of Estimates."""
+    def joint(batch, ctx):
+        return [pair for p in probes for pair in kernel(batch, ctx, p)]
+
+    ests = mc_mean(model, window, joint, rp.budget, **rp.side(side))
+    m = len(ests) // len(probes)
+    return [ests[i * m:(i + 1) * m] for i in range(len(probes))]
 
 
 # -- identity runners ------------------------------------------------------------
@@ -158,103 +181,98 @@ def _gap_at(ctx, y: float) -> np.ndarray:
 # member.  Its kernels read a gap through ctx.gap and return one (values,
 # reject) pair per member, so mc_mean gives one Estimate per member; a
 # kernel that takes no eventuality returns a list of one.
+#
+# The probes of a check share one sampling per side, on the union of their
+# windows, with one member per (probe, eventuality) (_probe_means); only an
+# estimator that takes the probe as a parameter (est_intermediate's n) is
+# called once per probe.  Each side has its own stream, rp.side(name), so a
+# probe's lhs and rhs stay independent, as combined_se assumes.  I-3.13's
+# numerator and denominator are two sides of their own: on shared draws
+# their ratio would be est_shifted_palm's estimator, the lhs itself.
 
 
 def _run_i23(model, group, rp):
-    lhs = _count_rate(model, rp, "I-2.3:L")
+    lhs = _count_rate(model, rp, "L")
     window = guard_window(model, HORIZON_GAPS * model.scale)
 
     def kernel(batch, ctx):
         t0, t1, ok = ctx.gap(ctx.pos0())
         return [(np.where(ok, 1.0 / (t1 - t0), 0.0), ~ok)]
 
-    (rhs,) = mc_mean(model, window, kernel, rp.budget,
-                     seed=rp.seed, stream="I-2.3:R", threads=rp.threads)
+    (rhs,) = mc_mean(model, window, kernel, rp.budget, **rp.side("R"))
     return [("rate vs E(1/alpha0)", lhs, rhs)]
 
 
 def _run_i24(model, group, rp):
     x1, x2 = 5.0 * model.scale, 20.0 * model.scale
-    lhs = est_palm_zero(model, group, x1, rp.budget, seed=rp.seed, stream="I-2.4:L",
-                        threads=rp.threads)
-    rhs = est_palm_zero(model, group, x2, rp.budget, seed=rp.seed, stream="I-2.4:R",
-                        threads=rp.threads)
+    lhs = est_palm_zero(model, group, x1, rp.budget, **rp.side("L"))
+    rhs = est_palm_zero(model, group, x2, rp.budget, **rp.side("R"))
     return [(f"x={x1:g} vs x={x2:g}", lhs, rhs)]
 
 
 def _run_i26(model, group, rp):
     palm = model.palm_companion()
     lam = model.exact_rate
-    r = group_radius(group, model.scale)
     pad = HORIZON_GAPS * model.scale
-    window = guard_window(palm, r + pad)
-    out = []
-    for k in (0, 1):
-        lhs = est_event_probability(model, group, rp.budget, seed=rp.seed,
-                                    stream=f"I-2.6:k{k}:L", threads=rp.threads)
+    window = guard_window(palm, group_radius(group, model.scale) + pad)
+    # the lhs does not depend on k: one estimate serves both probes
+    lhs = est_event_probability(model, group, rp.budget, **rp.side("L"))
 
-        def kernel(batch, ctx, k=k):
-            # integrate over (T_-k, T_-k+1]
-            y_lo, y_hi, stored = ctx.gap(ctx.pos0() - k)
-            rows = np.flatnonzero(stored & (y_lo >= -pad) & (y_hi <= pad))
-            y_lo, y_hi = y_lo[rows], y_hi[rows]
-            pairs = []
-            for A in group:
-                integrals, ok = A.integrate(ctx, rows, y_lo, y_hi)
-                vals = np.zeros(batch.n)
-                vals[rows] = integrals
-                reject = np.ones(batch.n, dtype=bool)
-                reject[rows[ok]] = False
-                pairs.append((vals, reject))
-            return pairs
+    def kernel(batch, ctx, k):
+        # integrate over (T_-k, T_-k+1]
+        y_lo, y_hi, stored = ctx.gap(ctx.pos0() - k)
+        rows = np.flatnonzero(stored & (y_lo >= -pad) & (y_hi <= pad))
+        y_lo, y_hi = y_lo[rows], y_hi[rows]
+        pairs = []
+        for A in group:
+            integrals, ok = A.integrate(ctx, rows, y_lo, y_hi)
+            vals = np.zeros(batch.n)
+            vals[rows] = integrals
+            reject = np.ones(batch.n, dtype=bool)
+            reject[rows[ok]] = False
+            pairs.append((vals, reject))
+        return pairs
 
-        rhs = mc_mean(palm, window, kernel, rp.budget,
-                      seed=rp.seed, stream=f"I-2.6:k{k}:R", threads=rp.threads)
-        out.append((f"k={k}", lhs, [_scaled(est, lam) for est in rhs]))
-    return out
+    ks = (0, 1)
+    rhs = _probe_means(palm, window, ks, kernel, rp, "R")
+    return [(f"k={k}", lhs, [_scaled(est, lam) for est in ests]) for k, ests in zip(ks, rhs)]
 
 
 def _run_i27a(model, group, rp):
     palm = model.palm_companion()
     lam = model.exact_rate
-    r = group_radius(group, model.scale)
-    out = []
-    for n in (0, 1):
-        lhs = est_intermediate(model, n, group, rp.budget, seed=rp.seed,
-                               stream=f"I-2.7a:n{n}:L", threads=rp.threads)
-        window = guard_window(palm, r + (abs(n) + 2) * palm.scale * 4.0)
+    ns = (0, 1)
+    lhs = [est_intermediate(model, n, group, rp.budget, **rp.side(f"n{n}:L")) for n in ns]
+    window = guard_window(palm, group_radius(group, model.scale)
+                          + (max(ns) + 2) * palm.scale * 4.0)
 
-        def kernel(batch, ctx, n=n):
-            t_lo, t_hi, ok = ctx.gap(ctx.pos0() - n)
-            return [_marked(A.at_origin(ctx), ok, t_hi - t_lo) for A in group]
+    def kernel(batch, ctx, n):
+        t_lo, t_hi, ok = ctx.gap(ctx.pos0() - n)
+        return [_marked(A.at_origin(ctx), ok, t_hi - t_lo) for A in group]
 
-        rhs = mc_mean(palm, window, kernel, rp.budget,
-                      seed=rp.seed, stream=f"I-2.7a:n{n}:R", threads=rp.threads)
-        out.append((f"n={n}", lhs, [_scaled(est, lam) for est in rhs]))
-    return out
+    rhs = _probe_means(palm, window, ns, kernel, rp, "R")
+    return [(f"n={n}", lhs_n, [_scaled(est, lam) for est in ests])
+            for n, lhs_n, ests in zip(ns, lhs, rhs)]
 
 
 def _run_i27b(model, group, rp):
     lam = model.exact_rate
-    r = group_radius(group, model.scale)
-    lhs = est_palm_zero(model, group, 10.0 * model.scale, rp.budget, seed=rp.seed,
-                        stream="I-2.7b:L", threads=rp.threads)
-    out = []
-    for n in (0, 1):
-        window = guard_window(model, r + (abs(n) + 2) * model.scale * 4.0)
+    ns = (0, 1)
+    lhs = est_palm_zero(model, group, 10.0 * model.scale, rp.budget, **rp.side("L"))
+    window = guard_window(model, group_radius(group, model.scale)
+                          + (max(ns) + 2) * model.scale * 4.0)
 
-        def kernel(batch, ctx, n=n):
-            pos0 = ctx.pos0()
-            t0, t1, ok = ctx.gap(pos0)
-            e = np.clip(pos0 + n, 0, max(batch.points.size - 1, 0))
-            ok = ok & (pos0 + n >= ctx.off_lo) & (pos0 + n < ctx.off_hi)
-            rows = np.arange(batch.n)
-            return [_marked(A.at_events(ctx, e, rows), ok, 1.0 / (t1 - t0)) for A in group]
+    def kernel(batch, ctx, n):
+        pos0 = ctx.pos0()
+        t0, t1, ok = ctx.gap(pos0)
+        e = np.clip(pos0 + n, 0, max(batch.points.size - 1, 0))
+        ok = ok & (pos0 + n >= ctx.off_lo) & (pos0 + n < ctx.off_hi)
+        rows = np.arange(batch.n)
+        return [_marked(A.at_events(ctx, e, rows), ok, 1.0 / (t1 - t0)) for A in group]
 
-        rhs = mc_mean(model, window, kernel, rp.budget,
-                      seed=rp.seed, stream=f"I-2.7b:n{n}:R", threads=rp.threads)
-        out.append((f"n={n}", lhs, [_scaled(est, 1.0 / lam) for est in rhs]))
-    return out
+    rhs = _probe_means(model, window, ns, kernel, rp, "R")
+    return [(f"n={n}", lhs, [_scaled(est, 1.0 / lam) for est in ests])
+            for n, ests in zip(ns, rhs)]
 
 
 def _i28c_partner(A: Eventuality) -> Eventuality:
@@ -291,34 +309,27 @@ def _run_i28c(model, group, rp):
     # one window covers every member and every partner
     window = guard_window(model, group_radius([*group, *partners], model.scale) + pad)
     pairs = list(zip(group, partners))
-    lhs = mc_mean(model, window, _pairing_kernel(pairs, pad), rp.budget,
-                  seed=rp.seed, stream="I-2.8c:L", threads=rp.threads)
+    lhs = mc_mean(model, window, _pairing_kernel(pairs, pad), rp.budget, **rp.side("L"))
     rhs = mc_mean(model, window, _pairing_kernel([(g, f) for f, g in pairs], pad),
-                  rp.budget, seed=rp.seed, stream="I-2.8c:R", threads=rp.threads)
+                  rp.budget, **rp.side("R"))
     return [([f"partner={partner.label}" for partner in partners], lhs, rhs)]
 
 
 def _run_i210c(model, group, rp):
-    lam = model.exact_rate
-    out = []
-    for mult in (0.5, 1.0, 3.0):
-        x = mult * model.scale
-        window = guard_window(model, HORIZON_GAPS * model.scale, 0.0,
-                              x + model.scale)
+    xs = [mult * model.scale for mult in (0.5, 1.0, 3.0)]
+    window = guard_window(model, HORIZON_GAPS * model.scale, 0.0, max(xs) + model.scale)
 
-        def kernel(batch, ctx, x=x):
-            t0, t1, ok = ctx.gap(ctx.pos0())
-            # count in the half-open [x+T0, x+T1): events <= the float below each end
-            rows = np.arange(batch.n)
-            cnt = (ctx.last_le(np.nextafter(x + t1, -np.inf), rows)
-                   - ctx.last_le(np.nextafter(x + t0, -np.inf), rows))
-            ok = ok & (x + t1 <= ctx.whi)
-            return [(np.where(ok, cnt / (t1 - t0), 0.0), ~ok)]
+    def kernel(batch, ctx, x):
+        t0, t1, ok = ctx.gap(ctx.pos0())
+        # count in the half-open [x+T0, x+T1): events <= the float below each end
+        rows = np.arange(batch.n)
+        cnt = (ctx.last_le(np.nextafter(x + t1, -np.inf), rows)
+               - ctx.last_le(np.nextafter(x + t0, -np.inf), rows))
+        ok = ok & (x + t1 <= ctx.whi)
+        return [(np.where(ok, cnt / (t1 - t0), 0.0), ~ok)]
 
-        (lhs,) = mc_mean(model, window, kernel, rp.budget,
-                         seed=rp.seed, stream=f"I-2.10c:x{mult}:L", threads=rp.threads)
-        out.append((f"x={x:g}", lhs, _exact(lam)))
-    return out
+    lhs = _probe_means(model, window, xs, kernel, rp, "L")
+    return [(f"x={x:g}", est, _exact(model.exact_rate)) for x, (est,) in zip(xs, lhs)]
 
 
 def _run_i37(model, group, rp):
@@ -328,69 +339,54 @@ def _run_i37(model, group, rp):
     # condition, which is first order in the width.
     width = 0.1 * model.scale
     span = 14.0 * model.scale
-    r = group_radius(group, model.scale)
-    out = []
-    for k in (0, 1):
-        lhs = est_intermediate(model, k, group, rp.budget, seed=rp.seed,
-                               stream=f"I-3.7:k{k}:L", threads=rp.threads)
-        if k == 0:
-            edges = np.arange(-span, 0.0 + width / 2, width)
-        else:
-            edges = np.arange(0.0, span + width / 2, width)
-        centers = 0.5 * (edges[:-1] + edges[1:])
-        window = guard_window(model, r + 2.0 * span, float(edges[0]), float(edges[-1]))
+    ks = (0, 1)
+    lhs = [est_intermediate(model, k, group, rp.budget, **rp.side(f"k{k}:L")) for k in ks]
+    # k=0 integrates over bins on (-span, 0], k=1 over bins on (0, span]
+    edges = (np.arange(-span, 0.0 + width / 2, width), np.arange(0.0, span + width / 2, width))
+    window = guard_window(model, group_radius(group, model.scale) + 2.0 * span,
+                          float(edges[0][0]), float(edges[1][-1]))
 
-        def kernel(batch, ctx, k=k, edges=edges, centers=centers):
-            # [T_-k <= -x < T_-k+1] with x the centre of each event's bin
-            e, rep, bin_idx = _binned_events(batch, ctx, edges)
-            codes_b = straddle_codes(ctx, ctx.points[e], e, rep, k, centers[bin_idx])
-            pairs = []
-            for A in group:
-                both = _kleene_and(A.at_events(ctx, e, rep), codes_b)
-                vals = np.bincount(rep[both == 1], minlength=batch.n).astype(np.float64)
-                pairs.append((vals, _reject_from_codes(batch.n, rep, both)))
-            return pairs
+    def kernel(batch, ctx, k):
+        # [T_-k <= -x < T_-k+1] with x the centre of each event's bin
+        centers = 0.5 * (edges[k][:-1] + edges[k][1:])
+        e, rep, bin_idx = _binned_events(batch, ctx, edges[k])
+        codes_b = straddle_codes(ctx, ctx.points[e], e, rep, k, centers[bin_idx])
+        pairs = []
+        for A in group:
+            both = _kleene_and(A.at_events(ctx, e, rep), codes_b)
+            vals = np.bincount(rep[both == 1], minlength=batch.n).astype(np.float64)
+            pairs.append((vals, _reject_from_codes(batch.n, rep, both)))
+        return pairs
 
-        rhs = mc_mean(model, window, kernel, rp.budget,
-                      seed=rp.seed, stream=f"I-3.7:k{k}:R", threads=rp.threads)
-        out.append((f"k={k}", lhs, rhs))
-    return out
+    rhs = _probe_means(model, window, ks, kernel, rp, "R")
+    return [(f"k={k}", lhs_k, rhs_k) for k, lhs_k, rhs_k in zip(ks, lhs, rhs)]
 
 
 def _run_i313(model, group, rp):
-    kw = dict(seed=rp.seed, threads=rp.threads)
-    out = []
-    for x in (-1.0, 0.5):
-        x = x * model.scale
-        edges = np.array([x - 0.05 * model.scale, x + 0.05 * model.scale])
-        ((den,),) = est_intensity(model, [ev_true()], edges, rp.budget,
-                                  stream=f"I-3.13:x{x}:RB", **kw)
-        lhs = est_shifted_palm(model, group, edges, rp.budget,
-                               stream=f"I-3.13:x{x}:L", **kw)
-        num = est_intensity(model, group, edges, rp.budget,
-                            stream=f"I-3.13:x{x}:RA", **kw)
-        out.append((f"x={x:g}", [bins[0].estimate for bins in lhs],
-                    [_indep_ratio(bins[0].estimate, den.estimate) for bins in num]))
-    return out
+    xs = [x * model.scale for x in (-1.0, 0.5)]
+    edges, at = point_bins(xs, 0.05 * model.scale)
+    lhs = est_shifted_palm(model, group, edges, rp.budget, **rp.side("L"))
+    # numerator and denominator on streams of their own (see the runner notes)
+    num = est_intensity(model, group, edges, rp.budget, **rp.side("RA"))
+    (den,) = est_intensity(model, [ev_true()], edges, rp.budget, **rp.side("RB"))
+    return [(f"x={x:g}", [bins[b].estimate for bins in lhs],
+             [_indep_ratio(bins[b].estimate, den[b].estimate) for bins in num])
+            for x, b in zip(xs, at)]
 
 
 def _run_i44(model, group, rp):
     ts_member, es_member = _companion_pair(model)
-    lhs1 = convert_es_to_ts(es_member, group, rp.budget, seed=rp.seed,
-                            stream="I-4.4:es2ts:L", threads=rp.threads)
-    rhs1 = est_event_probability(ts_member, group, rp.budget, seed=rp.seed,
-                                 stream="I-4.4:es2ts:R", threads=rp.threads)
-    lhs2 = convert_ts_to_es(ts_member, group, rp.budget, seed=rp.seed,
-                            stream="I-4.4:ts2es:L", threads=rp.threads)
-    rhs2 = est_event_probability(es_member, group, rp.budget, seed=rp.seed,
-                                 stream="I-4.4:ts2es:R", threads=rp.threads)
+    lhs1 = convert_es_to_ts(es_member, group, rp.budget, **rp.side("es2ts:L"))
+    rhs1 = est_event_probability(ts_member, group, rp.budget, **rp.side("es2ts:R"))
+    lhs2 = convert_ts_to_es(ts_member, group, rp.budget, **rp.side("ts2es:L"))
+    rhs2 = est_event_probability(es_member, group, rp.budget, **rp.side("ts2es:R"))
     return [("es->ts", lhs1, rhs1), ("ts->es", lhs2, rhs2)]
 
 
 def _run_i45(model, group, rp):
     ts_member, es_member = _companion_pair(model)
-    lhs = _count_rate(ts_member, rp, "I-4.5:L")
-    rhs = _inverted(_mean_alpha0(es_member, rp, "I-4.5:R"))
+    lhs = _count_rate(ts_member, rp, "L")
+    rhs = _inverted(_mean_alpha0(es_member, rp, "R"))
     return [("rate vs 1/mean gap", lhs, rhs)]
 
 
@@ -410,75 +406,58 @@ def _delta0_kernel(tilt, lam: float, members):
 def _run_i52a(model, group, rp):
     info = model.tilt_info
     palm = info.base_palm()
-    lam = info.base_rate
     window = guard_window(palm, HORIZON_GAPS * palm.scale)
-    (norm,) = mc_mean(palm, window, _delta0_kernel(info.tilt, lam, [ev_true()]), rp.budget,
-                      seed=rp.seed, stream="I-5.2a:norm", threads=rp.threads)
-    lhs_b = est_intermediate(model, 0, group, rp.budget, seed=rp.seed,
-                             stream="I-5.2a:L", threads=rp.threads)
-    rhs_b = mc_mean(palm, window, _delta0_kernel(info.tilt, lam, group), rp.budget,
-                    seed=rp.seed, stream="I-5.2a:R", threads=rp.threads)
-    return [("normalization", norm, _exact(1.0)), ("reweighted", lhs_b, rhs_b)]
+    lhs = est_intermediate(model, 0, group, rp.budget, **rp.side("L"))
+    # the normalization is the member ev_true() of the rhs sampling
+    kernel = _delta0_kernel(info.tilt, info.base_rate, [ev_true(), *group])
+    norm, *rhs = mc_mean(palm, window, kernel, rp.budget, **rp.side("R"))
+    return [("normalization", norm, _exact(1.0)), ("reweighted", lhs, rhs)]
 
 
 def _run_i71b(model, group, rp):
-    lhs = est_event_probability(model, group, rp.budget, seed=rp.seed,
-                                stream="I-7.1b:L", threads=rp.threads)
-    rhs = est_event_probability(pstar_model(model), group, rp.budget, seed=rp.seed,
-                                stream="I-7.1b:R", threads=rp.threads)
+    lhs = est_event_probability(model, group, rp.budget, **rp.side("L"))
+    rhs = est_event_probability(pstar_model(model), group, rp.budget, **rp.side("R"))
     return [("uniform re-centering fixed point", lhs, rhs)]
 
 
 def _run_i81a(model, group, rp):
     info = model.tilt_info
     palm = info.base_palm()
-    lam = info.base_rate
-    half = 0.025 * model.scale
-    out = []
-    for y in (0.0, 1.0, -1.0, 2.0, -2.0):
-        y = y * model.scale
-        edges = np.array([y - half, y + half])
-        ((lhs,),) = est_intensity(model, [ev_true()], edges, rp.budget, seed=rp.seed,
-                                  stream=f"I-8.1a:y{y}:L", threads=rp.threads)
-        window = guard_window(palm, HORIZON_GAPS * palm.scale + abs(y))
+    ys = [y * model.scale for y in (0.0, 1.0, -1.0, 2.0, -2.0)]
+    edges, at = point_bins(ys, 0.025 * model.scale)
+    (lhs,) = est_intensity(model, [ev_true()], edges, rp.budget, **rp.side("L"))
+    window = guard_window(palm, HORIZON_GAPS * palm.scale + max(map(abs, ys)))
 
-        def kernel(batch, ctx, y=y):
-            # sigma applied to the view from -y; values are 0 where undefined
-            i = _gap_at(ctx, -y)
-            _, _, stored = ctx.gap(i)
-            vals, ok = info.tilt.values_at(ctx.points, i, stored, ctx.off_hi)
-            return [(vals, ~ok)]
+    def kernel(batch, ctx, y):
+        # sigma applied to the view from -y; values are 0 where undefined
+        i = _gap_at(ctx, -y)
+        _, _, stored = ctx.gap(i)
+        vals, ok = info.tilt.values_at(ctx.points, i, stored, ctx.off_hi)
+        return [(vals, ~ok)]
 
-        (rhs,) = mc_mean(palm, window, kernel, rp.budget,
-                         seed=rp.seed, stream=f"I-8.1a:y{y}:R", threads=rp.threads)
-        out.append((f"y={y:g}", lhs.estimate, _scaled(rhs, lam)))
-    return out
+    rhs = _probe_means(palm, window, ys, kernel, rp, "R")
+    return [(f"y={y:g}", lhs[b].estimate, _scaled(est, info.base_rate))
+            for y, b, (est,) in zip(ys, at, rhs)]
 
 
 def _run_i84rho(model, group, rp):
     info = model.tilt_info
     palm = info.base_palm()
     lam = info.base_rate
-    half = 0.05 * model.scale
-    r = group_radius(group, model.scale)
-    out = []
-    for x in (-1.0, 0.5):
-        x = x * model.scale
-        edges = np.array([x - half, x + half])
-        lhs = est_shifted_palm(model, group, edges, rp.budget, seed=rp.seed,
-                               stream=f"I-8.4rho:x{x}:L", threads=rp.threads)
-        window = guard_window(palm, r + HORIZON_GAPS * palm.scale + abs(x))
+    xs = [x * model.scale for x in (-1.0, 0.5)]
+    edges, at = point_bins(xs, 0.05 * model.scale)
+    lhs = est_shifted_palm(model, group, edges, rp.budget, **rp.side("L"))
+    window = guard_window(palm, group_radius(group, model.scale)
+                          + HORIZON_GAPS * palm.scale + max(map(abs, xs)))
 
-        def kernel(batch, ctx, x=x):
-            t_lo, t_hi, ok = ctx.gap(_gap_at(ctx, -x))
-            return [_marked(A.at_origin(ctx), ok, t_hi - t_lo) for A in group]
+    def kernel(batch, ctx, x):
+        t_lo, t_hi, ok = ctx.gap(_gap_at(ctx, -x))
+        return [_marked(A.at_origin(ctx), ok, t_hi - t_lo) for A in group]
 
-        factor = lam / (2.0 - math.exp(-lam * abs(x)))
-        rhs = mc_mean(palm, window, kernel, rp.budget,
-                      seed=rp.seed, stream=f"I-8.4rho:x{x}:R", threads=rp.threads)
-        out.append((f"x={x:g}", [bins[0].estimate for bins in lhs],
-                    [_scaled(est, factor) for est in rhs]))
-    return out
+    rhs = _probe_means(palm, window, xs, kernel, rp, "R")
+    return [(f"x={x:g}", [bins[b].estimate for bins in lhs],
+             [_scaled(est, lam / (2.0 - math.exp(-lam * abs(x)))) for est in ests])
+            for x, b, ests in zip(xs, at, rhs)]
 
 
 # -- applicability --------------------------------------------------------------
@@ -592,13 +571,19 @@ def check_identity(
     that take none) gets a list of one report.  A member's report depends
     only on that member and that window, so a member of the largest
     effective radius gets the report of that member checked alone.
+
+    The probes share the draws too: each side samples once, on the union
+    of its probes' windows, on the stream "<spec.id>:<side>", so a probe's
+    two sides stay independent.  I-3.13's intensity ratio keeps separate
+    streams for its numerator and denominator, which on shared draws
+    would give est_shifted_palm's estimator, its own lhs.
     """
     if not spec.applies(model):
         raise NotApplicable(f"{spec.id} does not apply to {model.label}")
     if spec.needs_eventuality and A is None:
         raise ValueError(f"{spec.id} needs an eventuality")
     group = (None,) if A is None else _members(A)
-    rp = RunParams(int(budget * spec.budget_factor), seed, threads)
+    rp = RunParams(int(budget * spec.budget_factor), seed, threads, spec.id)
     probes = spec.run(model, group, rp)
     return [
         _report(spec, model, ev.label if spec.needs_eventuality else "-",

@@ -16,6 +16,7 @@ from palmlab.estimate import (
     est_shifted_palm,
     guard_window,
     mc_mean,
+    point_bins,
     pstar_model,
     run_kernel,
 )
@@ -159,6 +160,14 @@ class TestIntensity:
         ((b,),) = est_intensity(m, [ev_true()], np.array([1.2, 1.8]), 1, seed=0)
         assert b.marked == 0.0
         assert b.estimate.value == 0.0 and math.isinf(b.estimate.std_error)
+
+    def test_point_bins(self):
+        # one bin around each point, in sorted order; each point reads its own
+        edges, at = point_bins([0.0, -2.0, 2.0], 0.5)
+        assert edges == [-2.5, -1.5, -0.5, 0.5, 1.5, 2.5]
+        assert at == [2, 0, 4]
+        with pytest.raises(ValueError):
+            est_intensity(poisson_ts(1.0), [ev_true()], point_bins([0.0, 0.5], 0.5)[0], 10)
 
     def test_marked_intensity(self):
         # rate of events whose following gap exceeds 1, for unit Poisson:

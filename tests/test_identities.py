@@ -1,11 +1,12 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
 
 from palmlab import ams, estimate
 from palmlab.errors import NotApplicable
-from palmlab.estimate import _binned_events
+from palmlab.estimate import Estimate, _binned_events
 from palmlab.events import (
     SUITE_BATTERY,
     EventContext,
@@ -20,6 +21,7 @@ from palmlab.identities import (
     REGISTRY,
     REGISTRY_BY_ID,
     _delta0_kernel,
+    _indep_ratio,
     check_identity,
     run_suite,
 )
@@ -42,6 +44,36 @@ A_GAP = parse_eventuality("alpha(0)>1")
 JOINT_BATTERY = tuple(SUITE_BATTERY) + (parse_eventuality("T1<=0.5"),)
 JOINT_CASES = [(spec, model) for spec in REGISTRY if spec.needs_eventuality
                for model in DEFAULT_SUITE_MODELS if spec.applies(model)]
+
+
+SUITE_CASES = [(spec, model) for spec in REGISTRY for model in DEFAULT_SUITE_MODELS
+               if spec.applies(model)]
+
+# run_kernel calls of one check on a default model: one sampling per side,
+# shared by the probes, plus one lhs per n or k where the estimator takes it
+# (est_intermediate); I-3.13's intensity ratio keeps separate streams for
+# its numerator and denominator, and I-4.4 has two pairs of sides.
+CALLS_PER_CHECK = {
+    "I-2.3": 2, "I-2.4": 2, "I-2.6": 2, "I-2.7a": 3, "I-2.7b": 2, "I-2.8c": 2,
+    "I-2.10c": 1, "I-3.7": 3, "I-3.13": 3, "I-4.4": 4, "I-4.5": 2, "I-5.2a": 2,
+    "I-7.1b": 2, "I-8.1a": 2, "I-8.4rho": 2,
+}
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """(window, stream) of every run_kernel call made by the test, in order."""
+    calls = []
+    run = estimate.run_kernel
+
+    def recording(model, window, *args, **kwargs):
+        calls.append((window, kwargs["stream"]))
+        return run(model, window, *args, **kwargs)
+
+    monkeypatch.setattr(estimate, "run_kernel", recording)
+    # ams imports run_kernel by name
+    monkeypatch.setattr(ams, "run_kernel", recording)
+    return calls
 
 
 def radius_groups(model, battery=JOINT_BATTERY):
@@ -165,7 +197,7 @@ class TestRunSuite:
         # keeps the draws and the arithmetic must keep this digest
         reports = run_suite(budget=4096, seed=3)
         assert hashlib.sha256(repr(reports).encode()).hexdigest() == (
-            "6b6e06b8222f42d19fc820b6d537fc38b385312aa877add83ad08f98aed88a7a")
+            "83d2104eeb775f67b040741c6c79a14b874d711bb7938aedfcb6976e5f5be20a")
 
 
 class TestJointEvaluation:
@@ -212,28 +244,20 @@ class TestJointEvaluation:
 
     @pytest.mark.parametrize("spec, model", JOINT_CASES,
                              ids=[f"{s.id}-{m.descriptor['model']}" for s, m in JOINT_CASES])
-    def test_mixed_radius_group_uses_widest_window(self, spec, model, monkeypatch):
+    def test_mixed_radius_group_uses_widest_window(self, spec, model, kernel_calls):
         # JOINT_BATTERY mixes count(0,1]==0 (radius 1) with horizon-radius members
         wide = [A for A in JOINT_BATTERY if A.radius is None]
         assert len(wide) == len(JOINT_BATTERY) - 1 and wide[0] == JOINT_BATTERY[0]
-        windows = []
-        run = estimate.run_kernel
-
-        def recording(model, window, *args, **kwargs):
-            windows.append(window)
-            return run(model, window, *args, **kwargs)
-
-        monkeypatch.setattr(estimate, "run_kernel", recording)
-        monkeypatch.setattr(ams, "run_kernel", recording)
         joint = check_identity(spec, model, JOINT_BATTERY, 1024, seed=17)
-        mixed_windows, windows[:] = list(windows), []
+        mixed_calls, kernel_calls[:] = list(kernel_calls), []
         without = check_identity(spec, model, wide, 1024, seed=17)
-        wide_windows, windows[:] = list(windows), []
+        wide_calls, kernel_calls[:] = list(kernel_calls), []
         (solo,) = check_identity(spec, model, JOINT_BATTERY[:1], 1024, seed=17)
         # every identity samples the windows of its widest member checked
-        # alone, one per side and probe, whatever else is in the group; and
-        # dropping the narrow member leaves every other report bit-identical
-        assert mixed_windows == wide_windows == windows
+        # alone, one per side (and per n or k for est_intermediate), whatever
+        # else is in the group; and dropping the narrow member leaves every
+        # other report bit-identical
+        assert mixed_calls == wide_calls == kernel_calls
         assert [r for r, A in zip(joint, JOINT_BATTERY) if A.radius is None] == without
         assert joint[0] == solo
 
@@ -242,6 +266,36 @@ class TestJointEvaluation:
         reports = check_identity(spec, poisson_ts(1.0), [A_GAP, A_GAP], 1024, seed=3)
         solo = check_identity(spec, poisson_ts(1.0), None, 1024, seed=3)
         assert reports == solo + solo
+
+
+class TestSamplingsPerCheck:
+    """The probes of a check share one sampling per side."""
+
+    def test_default_suite_total(self):
+        assert sum(CALLS_PER_CHECK[spec.id] for spec, _ in SUITE_CASES) == 54
+
+    @pytest.mark.parametrize("spec, model", SUITE_CASES,
+                             ids=[f"{s.id}-{m.descriptor['model']}" for s, m in SUITE_CASES])
+    def test_calls_and_streams_pinned(self, spec, model, kernel_calls):
+        check_identity(spec, model, SUITE_BATTERY if spec.needs_eventuality else None,
+                       1024, seed=17)
+        streams = [stream for _, stream in kernel_calls]
+        assert len(streams) == CALLS_PER_CHECK[spec.id]
+        # every side draws from its own stream, tagged with the identity id
+        assert len(set(streams)) == len(streams)
+        assert all(stream.startswith(f"{spec.id}:") for stream in streams)
+
+
+@pytest.mark.parametrize("num, want", [
+    ((0.0, math.inf), (0.0, math.inf)),
+    ((0.0, 0.02), (0.0, 0.04)),
+    ((0.3, 0.01), (0.6, 0.6 * math.hypot(0.01 / 0.3, 0.02))),
+], ids=["empty-bin", "zero", "nonzero"])
+def test_indep_ratio_delta_method(num, want):
+    # (value, s.e.) over 0.5 +- 0.01: a zero numerator keeps its own
+    # uncertainty, so 0 +- inf is not a certain 0
+    got = _indep_ratio(Estimate(*num, 100, 0, 100.0), Estimate(0.5, 0.01, 100, 0, 100.0))
+    assert (got.value, got.std_error) == pytest.approx(want, rel=1e-12)
 
 
 class TestI52aRows:
