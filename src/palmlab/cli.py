@@ -417,8 +417,8 @@ def cmd_example84(run: Run) -> int:
         expected = float(np.exp(-rate * x) * ((rate * x) ** 2 / 2 + rate * x + 1))
         rows.append(["survival", ev.label, est.value, est.std_error, expected])
     ys = (0.0, -2.0 / rate, 2.0 / rate)
-    edges, at = est_mod.point_bins(ys, 0.025 / rate)
-    (profile,) = est_mod.est_intensity(model, [ev_true()], edges, run.reps, seed=run.seed,
+    bins, at = est_mod.point_bins(ys, 0.025 / rate)
+    (profile,) = est_mod.est_intensity(model, [ev_true()], bins, run.reps, seed=run.seed,
                                        stream="e84:rate", threads=run.threads)
     for y, b in zip(ys, at):
         rate_y = profile[b].estimate

@@ -203,26 +203,33 @@ def _events_in(batch: PatternBatch, ctx: EventContext, a: float, b: float):
 
 
 def _bins(bin_edges) -> np.ndarray:
-    """Checked bin edges."""
-    edges = np.asarray(bin_edges, dtype=np.float64)
-    if edges.ndim != 1 or edges.size < 2 or np.any(np.diff(edges) <= 0):
-        raise ValueError("bin_edges must be strictly increasing with >= 2 entries")
-    return edges
+    """Checked bins as rows (lo, hi]: increasing edges give one bin between
+    each two neighbours; increasing disjoint rows (lo, hi) leave the space
+    between them unbinned."""
+    b = np.asarray(bin_edges, dtype=np.float64)
+    b = np.column_stack((b[:-1], b[1:])) if b.ndim == 1 else b
+    if (b.ndim != 2 or b.shape[1] != 2 or b.size == 0 or np.any(b[:, 1] <= b[:, 0])
+            or np.any(b[1:, 0] < b[:-1, 1])):
+        raise ValueError("need >= 2 increasing edges or increasing disjoint rows (lo, hi)")
+    return b
 
 
 def point_bins(points, half: float):
-    """Bin edges with one bin (y - half, y + half] per point y, and the index
-    of each point's bin among them; the bins between the points' bins are
-    not read.  The points' bins must not overlap."""
+    """Rows (y - half, y + half], one per point y in sorted order, and the
+    index of each point's row; events between the rows are in no bin, so
+    they are never evaluated.  The rows must not overlap."""
     ys = sorted(points)
-    return [y + d for y in ys for d in (-half, half)], [2 * ys.index(y) for y in points]
+    return [(y - half, y + half) for y in ys], [ys.index(y) for y in points]
 
 
-def _binned_events(batch: PatternBatch, ctx: EventContext, edges: np.ndarray):
+def _binned_events(batch: PatternBatch, ctx: EventContext, bins: np.ndarray):
     """Positions, replication ids and bin indices of the events in the bins."""
-    e, rep, _ = _events_in(batch, ctx, float(edges[0]), float(edges[-1]))
-    bin_idx = np.searchsorted(edges, batch.points[e], side="left") - 1
-    ok = (bin_idx >= 0) & (bin_idx < edges.size - 1)
+    lo, hi = bins.T
+    e, rep, _ = _events_in(batch, ctx, float(lo[0]), float(hi[-1]))
+    # an event is in the first bin ending at or after it, unless left of it
+    x = batch.points[e]
+    bin_idx = np.searchsorted(hi, x, side="left")
+    ok = x > lo[bin_idx]
     return e[ok], rep[ok], bin_idx[ok]
 
 
@@ -318,7 +325,7 @@ def est_event_probability(
 def _binned_sums(
     model: ProcessModel,
     group,
-    edges: np.ndarray,
+    bins: np.ndarray,
     budget: int,
     *,
     seed: int,
@@ -327,19 +334,19 @@ def _binned_sums(
 ) -> GroupSums:
     """Per member A of the group, on one set of draws sampled on the window
     its widest member needs: the columns (events per bin | A-events per bin
-    | 1) over the bins (lo, hi] of edges.
+    | 1) over the bins; only events in a bin are evaluated or can reject.
 
     By Campbell's equation the event-centered probability on (0, x], the
     shifted event-centered law and the intensity profile are all ratios of
     these columns.
     """
     group = _members(group)
-    nb = edges.size - 1
+    nb = len(bins)
     r = group_radius(group, model.scale)
-    window = guard_window(model, r, float(edges[0]), float(edges[-1]))
+    window = guard_window(model, r, float(bins[0, 0]), float(bins[-1, 1]))
 
     def kernel(batch, ctx):
-        e, rep, bin_idx = _binned_events(batch, ctx, edges)
+        e, rep, bin_idx = _binned_events(batch, ctx, bins)
         flat, size = rep * nb + bin_idx, batch.n * nb
         den = np.bincount(flat, minlength=size).reshape(batch.n, nb)
         ones = np.ones((batch.n, 1))
@@ -372,23 +379,23 @@ def est_palm_zero(
         raise ValueError("est_palm_zero needs a time-stationary model")
     if not x > 0:
         raise ValueError("need x > 0")
-    sums = _binned_sums(model, group, np.array([0.0, x]), budget, seed=seed,
+    sums = _binned_sums(model, group, np.array([[0.0, x]]), budget, seed=seed,
                         stream=stream, threads=threads)
     return [ratio_estimate(s, 1, 0) for s in sums.members]
 
 
-def _binned(model, group, edges, budget, seed, stream, threads, finish):
-    """One profile per member over the checked bin edges: bin b's Estimate
-    is finish(s, b, events, marked) from the member's binned sums s."""
-    nb = edges.size - 1
-    sums = _binned_sums(model, group, edges, budget, seed=seed, stream=stream,
+def _binned(model, group, bins, budget, seed, stream, threads, finish):
+    """One profile per member over the checked bins: bin b's Estimate is
+    finish(s, b, events, marked) from the member's binned sums s."""
+    nb = len(bins)
+    sums = _binned_sums(model, group, bins, budget, seed=seed, stream=stream,
                         threads=threads)
 
     def profile(s: BatchSums) -> list[BinnedEstimate]:
         out = []
         for b in range(nb):
             events, marked = float(s.cols[:, b].sum()), float(s.cols[:, nb + b].sum())
-            out.append(BinnedEstimate(float(edges[b]), float(edges[b + 1]),
+            out.append(BinnedEstimate(float(bins[b, 0]), float(bins[b, 1]),
                                       finish(s, b, events, marked), events, marked))
         return out
 
@@ -407,16 +414,17 @@ def est_shifted_palm(
 ) -> list[list[BinnedEstimate]]:
     """Per-bin event-centered probabilities: ratio of marked to total
     occurrences among events falling in each bin, one profile per member.
-    A bin without events gives nan +- inf."""
-    edges = _bins(bin_edges)
-    nb = edges.size - 1
+    Bins are increasing edges or disjoint rows (lo, hi), as point_bins
+    gives.  A bin without events gives nan +- inf."""
+    bins = _bins(bin_edges)
+    nb = len(bins)
 
     def finish(s: BatchSums, b: int, events: float, marked: float) -> Estimate:
         if events == 0.0:
             return Estimate(math.nan, math.inf, budget, int(s.rejected.sum()), 0.0)
         return check_ess(model, ratio_estimate(s, nb + b, b))
 
-    return _binned(model, group, edges, budget, seed, stream, threads, finish)
+    return _binned(model, group, bins, budget, seed, stream, threads, finish)
 
 
 def est_intensity(
@@ -431,19 +439,20 @@ def est_intensity(
 ) -> list[list[BinnedEstimate]]:
     """Occurrence rate per unit time per bin of the events where each member
     holds, one profile per member; the group [ev_true()] gives the rate of
-    all events.  A bin without marked events gives 0 +- inf."""
-    edges = _bins(bin_edges)
-    nb = edges.size - 1
+    all events; bins as for est_shifted_palm.  A bin without marked
+    events gives 0 +- inf."""
+    bins = _bins(bin_edges)
+    nb = len(bins)
 
     def finish(s: BatchSums, b: int, events: float, marked: float) -> Estimate:
         if marked == 0.0:
             return Estimate(0.0, math.inf, budget, int(s.rejected.sum()), 0.0)
         est = check_ess(model, ratio_estimate(s, nb + b, 2 * nb))
-        width = float(edges[b + 1] - edges[b])
+        width = float(bins[b, 1] - bins[b, 0])
         return Estimate(est.value / width, est.std_error / width, est.reps,
                         est.rejected, est.ess)
 
-    return _binned(model, group, edges, budget, seed, stream, threads, finish)
+    return _binned(model, group, bins, budget, seed, stream, threads, finish)
 
 
 # est_intermediate raises InsufficientCoverage below this accepted share.

@@ -41,6 +41,7 @@ from .estimate import (
     point_bins,
     pstar_model,
     _binned_events,
+    _bins,
     _marked,
     _members,
     _reject_from_codes,
@@ -342,15 +343,14 @@ def _run_i37(model, group, rp):
     ks = (0, 1)
     lhs = [est_intermediate(model, k, group, rp.budget, **rp.side(f"k{k}:L")) for k in ks]
     # k=0 integrates over bins on (-span, 0], k=1 over bins on (0, span]
-    edges = (np.arange(-span, 0.0 + width / 2, width), np.arange(0.0, span + width / 2, width))
+    bins = [_bins(np.arange(lo, lo + span + width / 2, width)) for lo in (-span, 0.0)]
     window = guard_window(model, group_radius(group, model.scale) + 2.0 * span,
-                          float(edges[0][0]), float(edges[1][-1]))
+                          float(bins[0][0, 0]), float(bins[1][-1, 1]))
 
     def kernel(batch, ctx, k):
         # [T_-k <= -x < T_-k+1] with x the centre of each event's bin
-        centers = 0.5 * (edges[k][:-1] + edges[k][1:])
-        e, rep, bin_idx = _binned_events(batch, ctx, edges[k])
-        codes_b = straddle_codes(ctx, ctx.points[e], e, rep, k, centers[bin_idx])
+        e, rep, bin_idx = _binned_events(batch, ctx, bins[k])
+        codes_b = straddle_codes(ctx, ctx.points[e], e, rep, k, bins[k][bin_idx].mean(axis=1))
         pairs = []
         for A in group:
             both = _kleene_and(A.at_events(ctx, e, rep), codes_b)
@@ -364,13 +364,13 @@ def _run_i37(model, group, rp):
 
 def _run_i313(model, group, rp):
     xs = [x * model.scale for x in (-1.0, 0.5)]
-    edges, at = point_bins(xs, 0.05 * model.scale)
-    lhs = est_shifted_palm(model, group, edges, rp.budget, **rp.side("L"))
+    bins, at = point_bins(xs, 0.05 * model.scale)
+    lhs = est_shifted_palm(model, group, bins, rp.budget, **rp.side("L"))
     # numerator and denominator on streams of their own (see the runner notes)
-    num = est_intensity(model, group, edges, rp.budget, **rp.side("RA"))
-    (den,) = est_intensity(model, [ev_true()], edges, rp.budget, **rp.side("RB"))
-    return [(f"x={x:g}", [bins[b].estimate for bins in lhs],
-             [_indep_ratio(bins[b].estimate, den[b].estimate) for bins in num])
+    num = est_intensity(model, group, bins, rp.budget, **rp.side("RA"))
+    (den,) = est_intensity(model, [ev_true()], bins, rp.budget, **rp.side("RB"))
+    return [(f"x={x:g}", [prof[b].estimate for prof in lhs],
+             [_indep_ratio(prof[b].estimate, den[b].estimate) for prof in num])
             for x, b in zip(xs, at)]
 
 
@@ -424,8 +424,8 @@ def _run_i81a(model, group, rp):
     info = model.tilt_info
     palm = info.base_palm()
     ys = [y * model.scale for y in (0.0, 1.0, -1.0, 2.0, -2.0)]
-    edges, at = point_bins(ys, 0.025 * model.scale)
-    (lhs,) = est_intensity(model, [ev_true()], edges, rp.budget, **rp.side("L"))
+    bins, at = point_bins(ys, 0.025 * model.scale)
+    (lhs,) = est_intensity(model, [ev_true()], bins, rp.budget, **rp.side("L"))
     window = guard_window(palm, HORIZON_GAPS * palm.scale + max(map(abs, ys)))
 
     def kernel(batch, ctx, y):
@@ -445,8 +445,8 @@ def _run_i84rho(model, group, rp):
     palm = info.base_palm()
     lam = info.base_rate
     xs = [x * model.scale for x in (-1.0, 0.5)]
-    edges, at = point_bins(xs, 0.05 * model.scale)
-    lhs = est_shifted_palm(model, group, edges, rp.budget, **rp.side("L"))
+    bins, at = point_bins(xs, 0.05 * model.scale)
+    lhs = est_shifted_palm(model, group, bins, rp.budget, **rp.side("L"))
     window = guard_window(palm, group_radius(group, model.scale)
                           + HORIZON_GAPS * palm.scale + max(map(abs, xs)))
 
@@ -455,7 +455,7 @@ def _run_i84rho(model, group, rp):
         return [_marked(A.at_origin(ctx), ok, t_hi - t_lo) for A in group]
 
     rhs = _probe_means(palm, window, xs, kernel, rp, "R")
-    return [(f"x={x:g}", [bins[b].estimate for bins in lhs],
+    return [(f"x={x:g}", [prof[b].estimate for prof in lhs],
              [_scaled(est, lam / (2.0 - math.exp(-lam * abs(x)))) for est in ests])
             for x, b, ests in zip(xs, at, rhs)]
 

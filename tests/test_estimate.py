@@ -20,7 +20,14 @@ from palmlab.estimate import (
     pstar_model,
     run_kernel,
 )
-from palmlab.events import BATTERY, HORIZON_GAPS, ev_interval_gt, ev_true, parse_eventuality
+from palmlab.events import (
+    BATTERY,
+    HORIZON_GAPS,
+    Eventuality,
+    ev_interval_gt,
+    ev_true,
+    parse_eventuality,
+)
 from palmlab.models import (
     deterministic,
     example44,
@@ -163,11 +170,30 @@ class TestIntensity:
 
     def test_point_bins(self):
         # one bin around each point, in sorted order; each point reads its own
-        edges, at = point_bins([0.0, -2.0, 2.0], 0.5)
-        assert edges == [-2.5, -1.5, -0.5, 0.5, 1.5, 2.5]
-        assert at == [2, 0, 4]
+        bins, at = point_bins([0.0, -2.0, 2.0], 0.5)
+        assert bins == [(-2.5, -1.5), (-0.5, 0.5), (1.5, 2.5)]
+        assert at == [1, 0, 2]
         with pytest.raises(ValueError):
             est_intensity(poisson_ts(1.0), [ev_true()], point_bins([0.0, 0.5], 0.5)[0], 10)
+
+    def test_events_between_point_bins_are_not_evaluated(self):
+        class IndeterminateNearOrigin(Eventuality):
+            label, radius = "indeterminate on (-1, 1]", 1.0
+
+            def at_events(self, ctx, e, rep):
+                x = ctx.points[e]
+                return np.where((x > -1.0) & (x <= 1.0), -1, 1).astype(np.int8)
+
+        m, ev = poisson_ts(1.0), IndeterminateNearOrigin()
+        bins, _ = point_bins([-2.0, 2.0], 0.5)
+        (apart,) = est_shifted_palm(m, [ev], bins, 256, seed=4)
+        # edges over the same range put the events between into a bin of
+        # their own, where they reject their rows
+        (spanned,) = est_shifted_palm(m, [ev], [-2.5, -1.5, 1.5, 2.5], 256, seed=4)
+        assert [b.estimate.rejected for b in apart] == [0, 0]
+        assert [b.estimate.value for b in apart] == [1.0, 1.0]
+        assert min(b.events for b in apart) > 100
+        assert spanned[0].estimate.rejected > 100
 
     def test_marked_intensity(self):
         # rate of events whose following gap exceeds 1, for unit Poisson:

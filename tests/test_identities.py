@@ -6,7 +6,7 @@ import pytest
 
 from palmlab import ams, estimate
 from palmlab.errors import NotApplicable
-from palmlab.estimate import Estimate, _binned_events
+from palmlab.estimate import Estimate, _binned_events, _bins
 from palmlab.events import (
     SUITE_BATTERY,
     EventContext,
@@ -271,9 +271,6 @@ class TestJointEvaluation:
 class TestSamplingsPerCheck:
     """The probes of a check share one sampling per side."""
 
-    def test_default_suite_total(self):
-        assert sum(CALLS_PER_CHECK[spec.id] for spec, _ in SUITE_CASES) == 54
-
     @pytest.mark.parametrize("spec, model", SUITE_CASES,
                              ids=[f"{s.id}-{m.descriptor['model']}" for s, m in SUITE_CASES])
     def test_calls_and_streams_pinned(self, spec, model, kernel_calls):
@@ -333,7 +330,7 @@ def test_i37_straddle_codes_equal_per_bin_loop(k):
     edges = (np.arange(-span, 0.0 + width / 2, width) if k == 0
              else np.arange(0.0, span + width / 2, width))
     centers = 0.5 * (edges[:-1] + edges[1:])
-    e, rep, bin_idx = _binned_events(batch, ctx, edges)
+    e, rep, bin_idx = _binned_events(batch, ctx, _bins(edges))
     per_bin = np.empty(e.size, dtype=np.int8)
     for b, c in enumerate(centers):
         sel = bin_idx == b
