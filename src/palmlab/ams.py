@@ -30,7 +30,7 @@ from .estimate import (
 )
 from .events import HORIZON_GAPS, Eventuality, effective_radius
 from .models import ProcessModel, example44_block_ends, example44_times
-from .pattern import BLOCK_ROWS
+from .pattern import BLOCK_CELLS
 
 
 @dataclass(frozen=True)
@@ -135,8 +135,9 @@ def cesaro_event(
         cols[:, ncp] = 1.0
         reject = ~good
         # rows in blocks, so the (rows, n_max) code matrix stays small
-        for b0 in range(0, rows.size, BLOCK_ROWS):
-            blk = rows[b0:b0 + BLOCK_ROWS]
+        step = max(1, BLOCK_CELLS // n_max)
+        for b0 in range(0, rows.size, step):
+            blk = rows[b0:b0 + step]
             e = (pos0[blk, None] + 1 + np.arange(n_max)[None, :]).ravel()
             codes = A.at_events(ctx, e, np.repeat(blk, n_max)).reshape(blk.size, n_max)
             reject[blk[(codes == -1).any(axis=1)]] = True

@@ -17,7 +17,9 @@ can change (y = T + d per stored event T, plus window edges for counts).
 Evaluation at events and at the origin are `codes_at` at those positions,
 and `integrate` sums the piecewise-constant code between sorted breaks to
 get exact integrals over time shifts, laying out only the events whose
-breaks can fall inside the interval.
+breaks can fall inside the interval.  The sort of those breaks also says
+which events lie left of each piece, so `integrate` reads the positions
+`codes_at` needs off it and only checks them, instead of searching.
 
 Textual form (used by the CLI and round-tripped by the parser):
 
@@ -37,7 +39,7 @@ import re
 import numpy as np
 
 from .errors import IndexOutOfPattern, OutsideWindow
-from .pattern import BLOCK_ROWS, PatternBatch, PointPattern, padded_rows, ragged_ranges
+from .pattern import BLOCK_CELLS, PatternBatch, PointPattern, padded_rows, ragged_ranges
 
 _PATTERN_ERRORS = (IndexOutOfPattern, OutsideWindow)
 
@@ -98,14 +100,19 @@ class EventContext:
         (off_lo - 1 when there is none), with T - y rounded as in the
         scalar shift_time.
 
-        One searchsorted on the globally sorted points gives a first guess;
-        comparing unshifted values then moves it to the exact position, so
-        the offsets' rounding never decides a comparison.
+        One searchsorted on the globally sorted points gives a first guess,
+        which `settle` moves to the exact position.
         """
-        lo = self.off_lo[rep] - 1
-        hi = self.off_hi[rep] - 1
         gs, shifts = self.gsorted()
         j = np.searchsorted(gs, (y + c) + shifts[rep], side="right") - 1
+        return self.settle(j, y, rep, c)
+
+    def settle(self, j: np.ndarray, y: np.ndarray, rep: np.ndarray, c: float = 0.0) -> np.ndarray:
+        """The exact last_le(y, rep, c) from guesses j near it: comparing
+        unshifted values moves each guess one event at a time, so the
+        rounding of a guess's search key never decides a comparison."""
+        lo = self.off_lo[rep] - 1
+        hi = self.off_hi[rep] - 1
         j = np.clip(j, lo, hi)
         while True:
             down = (j > lo) & (self.point(j) - y > c)
@@ -113,6 +120,35 @@ class EventContext:
             if not (down.any() or up.any()):
                 return j
             j = j - down + up
+
+
+class _PieceContext(EventContext):
+    """A context seen from the piece midpoints y of one `integrate` block.
+
+    kind says which offset's break (-1: none) sits at each sorted position
+    left of a piece, and before + 1 is the first laid-out event per piece,
+    so a running count of offset d's breaks gives the laid-out events with
+    T + d left of the piece: a guess of last_le(y, rep, -d).  last_le at
+    this very array y and such an offset settles that guess once (a
+    midpoint can round onto the piece's right edge); every other call
+    searches as EventContext.last_le does.
+    """
+
+    __slots__ = ("y", "offsets", "kind", "before", "live", "known")
+
+    def __init__(self, ctx: EventContext, y, offsets, kind, before, live):
+        for name in EventContext.__slots__:
+            setattr(self, name, getattr(ctx, name))
+        self.y, self.offsets, self.kind, self.before, self.live = y, offsets, kind, before, live
+        self.known = {}
+
+    def last_le(self, y, rep, c=0.0):
+        if y is not self.y or -c not in self.offsets:
+            return super().last_le(y, rep, c)
+        if c not in self.known:
+            count = np.cumsum(self.kind == self.offsets.index(-c), axis=1, dtype=np.int32)
+            self.known[c] = self.settle(self.before + count.ravel()[self.live], y, rep, c)
+        return self.known[c]
 
 
 def _kleene_and(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -177,6 +213,10 @@ class Eventuality:
         it is evaluated once per piece, at the piece's midpoint; only the
         events whose breaks can fall inside (y_lo, y_hi) are laid out, so the
         cost follows the pieces inside the interval, not the row's length.
+        Rows go in blocks of at most BLOCK_CELLS laid-out cells.  The sort of
+        a block's breaks supplies the event positions codes_at needs at the
+        declared offsets (see _PieceContext), so only eventualities without
+        a 0 offset search for j.
         With cuts (fixed positions), column k holds the integral over
         (y_lo, min(cuts[k], y_hi)].  Returns (values, ok): ok is False for
         rows where a piece of positive width is indeterminate; their values
@@ -194,28 +234,44 @@ class Eventuality:
             # Breaks outside (y_lo, y_hi) clip to an end: zero-width pieces.
             # The searches bound the events with T + d inside, up to the
             # rounding of T - y against T + d, which one more event on each
-            # side absorbs (events are more than MIN_GAP apart).
+            # side absorbs (events are more than MIN_GAP apart).  Every event
+            # before starts has T - y <= -d for all d and all y > y_lo.
             starts = np.maximum(ctx.last_le(y_lo, rows, -self.offsets[-1]), starts)
             stops = np.minimum(ctx.last_le(y_hi, rows, -self.offsets[0]) + 2, ctx.off_hi[rows])
-        for b0 in range(0, m_all, BLOCK_ROWS):
-            blk = slice(b0, b0 + BLOCK_ROWS)
+        fixed = 2 + 2 * len(self.edge_offsets) + (0 if cuts is None else cuts.size)
+        widest = fixed + len(self.offsets) * int(np.max(stops - starts, initial=0))
+        step = max(1, BLOCK_CELLS // widest)
+        for b0 in range(0, m_all, step):
+            blk = slice(b0, b0 + step)
             r = rows[blk]
             lo, hi = y_lo[blk, None], y_hi[blk, None]
             flat, _ = ragged_ranges(starts[blk], stops[blk])
             pts, _ = padded_rows(ctx.points[flat], stops[blk] - starts[blk])
+            width = pts.shape[1]
             cols = [lo, hi] + [pts + d for d in self.offsets]
             for p, q in self.edge_offsets:
                 cols += [(ctx.wlo[r] + p)[:, None], (ctx.whi[r] + q)[:, None]]
             if cuts is not None:
                 cols.append(np.broadcast_to(cuts, (r.size, cuts.size)))
-            edges = np.sort(np.clip(np.concatenate(cols, axis=1), lo, hi), axis=1)
+            raw = np.clip(np.concatenate(cols, axis=1), lo, hi)
+            order = np.argsort(raw, axis=1, kind="stable")
+            edges = np.take_along_axis(raw, order, axis=1)
             left, right = edges[:, :-1], edges[:, 1:]
             widths = right - left
-            live = widths > 0
-            y = 0.5 * (left + right)[live]
-            rep = np.broadcast_to(r[:, None], live.shape)[live]
-            codes = np.zeros(live.shape, dtype=np.int8)
-            codes[live] = self.codes_at(ctx, y, ctx.last_le(y, rep), rep)
+            # the pieces of positive width, as flat indices in row order
+            live = np.flatnonzero(widths > 0)
+            at = live // widths.shape[1]
+            y = (0.5 * (left + right)).ravel()[live]
+            rep = r[at]
+            # the offset of each sorted break column (-1: bounds, window
+            # edges, cuts); pads clip to hi and so never sit left of a piece
+            kind = np.full(raw.shape[1], -1, dtype=np.int16)
+            kind[2:2 + len(self.offsets) * width] = np.repeat(
+                np.arange(len(self.offsets), dtype=np.int16), width)
+            pieces = _PieceContext(ctx, y, self.offsets, kind[order[:, :-1]],
+                                   starts[blk][at] - 1, live)
+            codes = np.zeros(widths.shape, dtype=np.int8)
+            codes.ravel()[live] = self.codes_at(pieces, y, pieces.last_le(y, rep), rep)
             ok[blk] = ~(codes == -1).any(axis=1)
             # one sequential running sum per row, from 0 over the pieces in order
             run = np.zeros(edges.shape)

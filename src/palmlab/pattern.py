@@ -17,9 +17,10 @@ from .errors import IndexOutOfPattern, OutsideWindow
 # Simpleness guard: two events closer than this are a construction error.
 MIN_GAP = 1e-12
 
-# Rows per block wherever ragged rows are laid out as a padded matrix: a
-# block holds this many rows times the longest row's event count.
-BLOCK_ROWS = 256
+# Cells per block wherever ragged rows are laid out as a padded matrix: a
+# block holds as many rows as fit this many cells at the laid-out width
+# (the longest row's column count), and always at least one row.
+BLOCK_CELLS = 65536
 
 
 @dataclass(frozen=True)

@@ -55,6 +55,20 @@ class TestCesaroEvent:
         assert verdict.status == "NotConvergent"
         assert verdict.oscillation >= 0.2
 
+    def test_blocks_of_256_rows_at_default_n_max(self, monkeypatch):
+        # BLOCK_CELLS // n_max rows per block: 256 at n_max = 256
+        A = parse_eventuality("alpha(0)>1")
+        sizes = []
+        original = A.at_events
+
+        def recording(ctx, e, rep):
+            sizes.append(e.size // 256)
+            return original(ctx, e, rep)
+
+        monkeypatch.setattr(A, "at_events", recording)
+        cesaro_event(renewal_es(exponential(1.0)), A, 256, 3_000, seed=2)
+        assert max(sizes) == 256 and sizes.count(256) >= len(sizes) - 1
+
     def test_example84_approaches_es_limit(self):
         # far from the origin the re-centered views forget the reweighting;
         # the trace must settle at the plain event-centered value

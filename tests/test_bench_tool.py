@@ -17,7 +17,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 import bench  # noqa: E402
 
 from palmlab import ams, estimate, identities  # noqa: E402
-from palmlab.models import IntervalDistribution, exponential  # noqa: E402
+from palmlab.events import parse_eventuality  # noqa: E402
+from palmlab.models import IntervalDistribution, exponential, poisson_ts  # noqa: E402
+from palmlab.rng import CHUNK  # noqa: E402
 
 
 @pytest.fixture
@@ -69,11 +71,12 @@ def _wrappers():
         (bench.counted_run_kernel(budgets), [(estimate, "run_kernel"), (ams, "run_kernel")]),
         (bench.counted_gaps(sizes), [(IntervalDistribution, "sample")]),
         (bench.counted_checks({}, budgets, sizes), [(identities, "check_identity")]),
+        (bench.counted_searches([]), [(np, "searchsorted")]),
     ]
 
 
 @pytest.mark.parametrize("raises", [False, True])
-@pytest.mark.parametrize("which", range(3))
+@pytest.mark.parametrize("which", range(4))
 def test_wrappers_put_the_originals_back(which, raises):
     wrapper, targets = _wrappers()[which]
     originals = [getattr(owner, name) for owner, name in targets]
@@ -92,6 +95,29 @@ def test_gaps_are_counted_by_values_drawn():
         exponential(1.0).sample(np.random.default_rng(0), (3, 4))
         exponential(1.0).sample(np.random.default_rng(0), 5)
     assert sizes == [12, 5]
+
+
+def test_searches_are_counted_by_keys():
+    keys = []
+    with bench.counted_searches(keys):
+        np.searchsorted(np.arange(5.0), np.zeros((2, 3)))
+        np.searchsorted(np.arange(5.0), 2.5, side="right")
+    assert keys == [6, 1]
+
+
+def test_integrate_counts_searched_keys(monkeypatch):
+    # each member with offsets searches its rows' first and last laid-out
+    # events; `true` has none and searches one key per piece, one per row
+    def stub():
+        def calls(ctx):
+            rows = np.arange(ctx.batch.n)
+            return [lambda A=parse_eventuality(text): A.integrate(ctx, rows, -1.0, 1.0)
+                    for text in ("count(0,1]==0", "alpha(0)>1", "true")]
+        return poisson_ts(1.0), (-5.0, 5.0), calls
+
+    monkeypatch.setitem(bench.INTEGRATE_WINDOWS, "stub", stub)
+    res = bench._integrate_window("stub", 2, 7, 1)
+    assert res["searched_keys_per_chunk"] == (2 + 2 + 1) * CHUNK
 
 
 def test_suite_counts_sum_over_identities():

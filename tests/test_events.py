@@ -18,7 +18,7 @@ from palmlab.events import (
     parse_eventuality,
 )
 from palmlab.errors import IndexOutOfPattern
-from palmlab.pattern import PatternBatch, PointPattern
+from palmlab.pattern import PatternBatch, PointPattern, padded_rows
 
 from conftest import declared_breaks, random_pattern
 
@@ -287,6 +287,20 @@ class TestIntegrate:
                 assert np.all(ok_k[ok])
                 np.testing.assert_allclose(running[ok, k], whole[ok], rtol=1e-12, atol=1e-12)
 
+    @staticmethod
+    def laid_out(monkeypatch):
+        """Record the per-row event counts of every block integrate lays out."""
+        import palmlab.events as events_mod
+
+        blocks = []
+
+        def recording(values, lengths):
+            blocks.append(lengths.tolist())
+            return padded_rows(values, lengths)
+
+        monkeypatch.setattr(events_mod, "padded_rows", recording)
+        return blocks
+
     def test_block_boundaries_do_not_matter(self, rng, monkeypatch):
         import palmlab.events as events_mod
 
@@ -294,11 +308,34 @@ class TestIntegrate:
         ctx = EventContext(batch_of(patterns))
         rows = np.array([6, 0, 3, 3, 5, 1, 2, 4])
         ev = self.CASES[5]
+        blocks = self.laid_out(monkeypatch)
         want = ev.integrate(ctx, rows, -2.0, 2.5)
-        monkeypatch.setattr(events_mod, "BLOCK_ROWS", 3)
+        (whole,) = blocks
+        assert len(set(whole)) > 1, "rows of one width do not test the cut"
+        # laid-out columns: both bounds, one per event and offset, two per
+        # edge offset pair; three rows of the widest fit in one block
+        widest = 2 + 2 * len(ev.edge_offsets) + len(ev.offsets) * max(whole)
+        monkeypatch.setattr(events_mod, "BLOCK_CELLS", 3 * widest + 2)
+        blocks.clear()
         got = ev.integrate(ctx, rows, -2.0, 2.5)
+        assert blocks == [whole[:3], whole[3:6], whole[6:]]
         np.testing.assert_array_equal(got[0], want[0])
         np.testing.assert_array_equal(got[1], want[1])
+
+    def test_narrow_rows_fit_one_block(self, rng, monkeypatch):
+        # a one-gap integral lays out a few columns per row, so a whole
+        # chunk's rows go in one block
+        patterns = [random_pattern(rng) for _ in range(40)]
+        ctx = EventContext(batch_of(patterns))
+        rows = np.repeat(np.arange(len(patterns)), 100)
+        i = ctx.pos0()[rows]
+        blocks = self.laid_out(monkeypatch)
+        vals, ok = parse_eventuality("alpha(0)>1").integrate(
+            ctx, rows, ctx.point(i), ctx.point(i + 1))
+        assert len(blocks) == 1 and len(blocks[0]) == rows.size
+        gaps = ctx.point(i + 1) - ctx.point(i)
+        assert ok.all()
+        np.testing.assert_array_equal(vals, np.where(gaps > 1, gaps, 0.0))
 
     def test_first_point_without_successor_is_indeterminate(self):
         # no stored event after y in (1, 4]: T_1 is unknown there, so the

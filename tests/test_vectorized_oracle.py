@@ -265,6 +265,22 @@ def test_integrate_keeps_the_event_at_the_lower_search(ev, y_lo, y_hi, pts, k):
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
+@pytest.mark.parametrize("text", ["alpha(0)>1", "T1<=0.5", "count(0,1]==0", "alpha(-1)>0.5"])
+def test_integrate_over_one_ulp_piece(text):
+    # the one piece (a, T] is one ulp wide and its midpoint rounds onto the
+    # event T, so the events left of the piece are not those left of the
+    # midpoint: T is the last event <= y there, not the one before it
+    t = 1.0 + 2.0 ** -51
+    a = np.nextafter(t, -np.inf)
+    assert 0.5 * (a + t) == t
+    batch, ids = _batch([PointPattern(np.array([0.3, t, 2.6]), (-6.0, 6.0))], 0)
+    ctx = EventContext(batch)
+    ev = parse_eventuality(text)
+    got = ev.integrate(ctx, ids, a, t)
+    want = full_row_integrate(ev, ctx, ids, a, t)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
 def test_gap_between_shifted_times():
     # seen from y = 0.5 the gap before T_0 rounds to exactly 0.5, while the
     # unshifted event times lie one ulp more than 0.5 apart

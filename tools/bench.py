@@ -95,6 +95,18 @@ def counted_gaps(sizes: list[int]):
     return patched(wrap, (IntervalDistribution, "sample"))
 
 
+def counted_searches(keys: list[int]):
+    """Record the number of keys of every np.searchsorted call made inside
+    the block."""
+    def wrap(original):
+        def counting(a, v, *args, **kwargs):
+            keys.append(np.size(v))
+            return original(a, v, *args, **kwargs)
+        return counting
+
+    return patched(wrap, (np, "searchsorted"))
+
+
 def counted_checks(checks: dict[str, list], budgets: list[int], sizes: list[int]):
     """Sum [wall seconds, run_kernel calls, gaps drawn] of the check_identity
     calls made inside the block by identity id; budgets and sizes are the
@@ -234,13 +246,16 @@ INTEGRATE_WINDOWS = {"cesaro-time": _cesaro_time, "one-gap": _one_gap}
 
 def _integrate_window(name: str, chunks: int, seed: int, repeats: int) -> dict:
     model, window, calls = INTEGRATE_WINDOWS[name]()
-    per_chunk, parts, events = [], [], 0
+    per_chunk, parts, events, keys = [], [], 0, []
     for ci in range(chunks):
         batch = model.sample_batch(chunk_rng(seed, name, ci), window, CHUNK)
         ctx = EventContext(batch)
         ctx.gsorted()
         todo = calls(ctx)
         events += batch.points.size
+        with counted_searches(keys):
+            for call in todo:
+                call()
         best = float("inf")
         for _ in range(repeats):
             wall, outs = timed(lambda: [call() for call in todo])
@@ -250,6 +265,7 @@ def _integrate_window(name: str, chunks: int, seed: int, repeats: int) -> dict:
     return {
         "window": [float(w) for w in window],
         "events_per_chunk": events / chunks,
+        "searched_keys_per_chunk": sum(keys) / chunks,
         "ms_per_chunk": statistics.median(per_chunk),
         "ms_per_chunk_all": per_chunk,
         "output_sha256": sha256(parts),
@@ -271,13 +287,16 @@ def integrate(budget: int, seed: int, repeats: int) -> dict:
 
     Sampling and the context's globally sorted points are built before the
     clock starts.  Each chunk is timed `repeats` times, keeping its fastest
-    run; records the median over chunks and a SHA-256 of every output.
+    run; records the median over chunks and a SHA-256 of every output, and
+    the keys passed to `np.searchsorted` per chunk, counted in one more
+    untimed run.
     """
     windows = {}
     for name in INTEGRATE_WINDOWS:
         res = windows[name] = _integrate_window(name, budget // CHUNK, seed, repeats)
         print(f"{name}: {res['ms_per_chunk']:.1f} ms/chunk "
-              f"({res['events_per_chunk']:.0f} events), sha256 {res['output_sha256'][:16]}")
+              f"({res['events_per_chunk']:.0f} events, {res['searched_keys_per_chunk']:.0f} "
+              f"searched keys), sha256 {res['output_sha256'][:16]}")
     return {"rows_per_chunk": CHUNK, "chunks": budget // CHUNK, "x_max": X_MAX,
             "windows": windows}
 
