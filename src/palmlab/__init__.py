@@ -19,7 +19,7 @@ from .errors import (
     UnknownTilt,
     ZeroDenominator,
 )
-from .pattern import IndexedPoint, PatternBatch, PointPattern, read_patterns, write_patterns
+from .pattern import PatternBatch, PointPattern, read_patterns, write_patterns
 from .events import (
     BATTERY,
     Eventuality,

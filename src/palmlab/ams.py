@@ -241,20 +241,13 @@ def convert_es_to_ts(
     hi_w = window[1]
 
     def kernel(batch, ctx):
-        # T_1 exists where a stored event follows the origin
-        pos1 = ctx.pos0() + 1
-        t1 = ctx.point(pos1)
-        stored = np.flatnonzero((pos1 < ctx.off_hi) & (t1 + r <= hi_w))
+        # the origin is the event T_0 = 0, so the first gap is (0, T_1]
+        pos0 = ctx.pos0()
+        t1 = ctx.point(pos0 + 1)
         out = []
         for ev in group:
-            integrals, ok = ev.integrate(ctx, stored, 0.0, t1[stored])
-            rows = stored[ok]
-            cols = np.zeros((batch.n, 2))
-            cols[rows, 0] = integrals[ok]
-            cols[rows, 1] = t1[rows]
-            reject = np.ones(batch.n, dtype=bool)
-            reject[rows] = False
-            out.append((cols, reject))
+            integrals, reject = ev.integrate_gap(ctx, pos0, t1 + r <= hi_w)
+            out.append((np.column_stack((integrals, t1)), reject))
         return out
 
     sums = run_kernel(es_model, window, budget, 2, kernel,

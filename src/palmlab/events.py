@@ -14,12 +14,15 @@ The scalar `evaluate` is the reference semantics.  Vectorized evaluation
 rests on `codes_at`, the code seen from arbitrary positions y of a batch's
 rows, and on declared break offsets, the only positions where that code
 can change (y = T + d per stored event T, plus window edges for counts).
-Evaluation at events and at the origin are `codes_at` at those positions,
-and `integrate` sums the piecewise-constant code between sorted breaks to
-get exact integrals over time shifts, laying out only the events whose
-breaks can fall inside the interval.  The sort of those breaks also says
-which events lie left of each piece, so `integrate` reads the positions
-`codes_at` needs off it and only checks them, instead of searching.
+`codes_at` reads event positions from one `Positions` view, which finds
+each offset's positions once: known at events and at the origin, settled
+from a guess in `integrate`, searched otherwise.  Evaluation at events
+and at the origin are `codes_at` at those positions, and `integrate` sums
+the piecewise-constant code between sorted breaks to get exact integrals
+over time shifts, laying out only the events whose breaks can fall inside
+the interval; the sort of those breaks says which events lie left of each
+piece, which is its guess.  `integrate_gap` is the one integral over a gap
+between two events, per row of a batch, that the Palm kernels share.
 
 Textual form (used by the CLI and round-tripped by the parser):
 
@@ -122,33 +125,29 @@ class EventContext:
             j = j - down + up
 
 
-class _PieceContext(EventContext):
-    """A context seen from the piece midpoints y of one `integrate` block.
+class Positions:
+    """Event positions seen from positions y of rows rep: le(c) is
+    ctx.last_le(y, rep, c), found once per offset c and kept.
 
-    kind says which offset's break (-1: none) sits at each sorted position
-    left of a piece, and before + 1 is the first laid-out event per piece,
-    so a running count of offset d's breaks gives the laid-out events with
-    T + d left of the piece: a guess of last_le(y, rep, -d).  last_le at
-    this very array y and such an offset settles that guess once (a
-    midpoint can round onto the piece's right edge); every other call
-    searches as EventContext.last_le does.
+    known is the answer at c = 0 where the caller has it (the events
+    themselves, or T_0 at the origin); guess(d), where it is not None,
+    gives positions near the answer at c = -d, which ctx.settle makes
+    exact (integrate reads them off its sorted breaks); any other offset
+    is searched.
     """
 
-    __slots__ = ("y", "offsets", "kind", "before", "live", "known")
+    __slots__ = ("ctx", "y", "rep", "guess", "_le")
 
-    def __init__(self, ctx: EventContext, y, offsets, kind, before, live):
-        for name in EventContext.__slots__:
-            setattr(self, name, getattr(ctx, name))
-        self.y, self.offsets, self.kind, self.before, self.live = y, offsets, kind, before, live
-        self.known = {}
+    def __init__(self, ctx: EventContext, y, rep, known=None, guess=None):
+        self.ctx, self.y, self.rep, self.guess = ctx, y, rep, guess
+        self._le = {} if known is None else {0.0: known}
 
-    def last_le(self, y, rep, c=0.0):
-        if y is not self.y or -c not in self.offsets:
-            return super().last_le(y, rep, c)
-        if c not in self.known:
-            count = np.cumsum(self.kind == self.offsets.index(-c), axis=1, dtype=np.int32)
-            self.known[c] = self.settle(self.before + count.ravel()[self.live], y, rep, c)
-        return self.known[c]
+    def le(self, c: float = 0.0) -> np.ndarray:
+        if c not in self._le:
+            j = None if self.guess is None else self.guess(-c)
+            self._le[c] = (self.ctx.last_le(self.y, self.rep, c) if j is None
+                           else self.ctx.settle(j, self.y, self.rep, c))
+        return self._le[c]
 
 
 def _kleene_and(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -188,22 +187,20 @@ class Eventuality:
         """True/False, or None when the pattern lacks the needed context."""
         raise NotImplementedError
 
-    def codes_at(self, ctx: EventContext, y: np.ndarray, j: np.ndarray,
-                 rep: np.ndarray) -> np.ndarray:
-        """Codes (1/0/-1) of the eventuality seen from positions y in rows
-        rep, i.e. of evaluate(pattern.shift_time(y)); j is the array
-        position of the last event <= y (off_lo - 1 when there is none),
-        that is ctx.last_le(y, rep)."""
+    def codes_at(self, pos: Positions) -> np.ndarray:
+        """Codes (1/0/-1) of the eventuality seen from positions pos.y in
+        rows pos.rep, i.e. of evaluate(pattern.shift_time(y)); the event
+        positions it needs come from pos.le."""
         raise NotImplementedError
 
     def at_events(self, ctx: EventContext, e: np.ndarray, rep: np.ndarray) -> np.ndarray:
         """Codes (1/0/-1) of the eventuality seen from events at array positions e."""
-        return self.codes_at(ctx, ctx.points[e], e, rep)
+        return self.codes_at(Positions(ctx, ctx.points[e], rep, known=e))
 
     def at_origin(self, ctx: EventContext) -> np.ndarray:
         """Codes (1/0/-1) of the eventuality at each replication's own origin."""
         n = ctx.batch.n
-        return self.codes_at(ctx, np.zeros(n), ctx.pos0(), np.arange(n))
+        return self.codes_at(Positions(ctx, np.zeros(n), np.arange(n), known=ctx.pos0()))
 
     def integrate(self, ctx: EventContext, rows: np.ndarray, y_lo, y_hi, cuts=None):
         """Exact integral of the indicator seen from y over y in (y_lo, y_hi].
@@ -214,9 +211,9 @@ class Eventuality:
         events whose breaks can fall inside (y_lo, y_hi) are laid out, so the
         cost follows the pieces inside the interval, not the row's length.
         Rows go in blocks of at most BLOCK_CELLS laid-out cells.  The sort of
-        a block's breaks supplies the event positions codes_at needs at the
-        declared offsets (see _PieceContext), so only eventualities without
-        a 0 offset search for j.
+        a block's breaks counts, per piece and declared offset d, the
+        laid-out events with T + d left of it: the guess of the Positions
+        that codes_at reads, so no piece searches at a declared offset.
         With cuts (fixed positions), column k holds the integral over
         (y_lo, min(cuts[k], y_hi)].  Returns (values, ok): ok is False for
         rows where a piece of positive width is indeterminate; their values
@@ -268,10 +265,20 @@ class Eventuality:
             kind = np.full(raw.shape[1], -1, dtype=np.int16)
             kind[2:2 + len(self.offsets) * width] = np.repeat(
                 np.arange(len(self.offsets), dtype=np.int16), width)
-            pieces = _PieceContext(ctx, y, self.offsets, kind[order[:, :-1]],
-                                   starts[blk][at] - 1, live)
+            kind = kind[order[:, :-1]]
+            before = starts[blk][at] - 1
+
+            def guess(d):
+                # before + 1 is each piece's first laid-out event, so the
+                # count of offset d's breaks left of the piece guesses
+                # last_le(y, rep, -d)
+                if d not in self.offsets:
+                    return None
+                count = np.cumsum(kind == self.offsets.index(d), axis=1, dtype=np.int32)
+                return before + count.ravel()[live]
+
             codes = np.zeros(widths.shape, dtype=np.int8)
-            codes.ravel()[live] = self.codes_at(pieces, y, pieces.last_le(y, rep), rep)
+            codes.ravel()[live] = self.codes_at(Positions(ctx, y, rep, guess=guess))
             ok[blk] = ~(codes == -1).any(axis=1)
             # one sequential running sum per row, from 0 over the pieces in order
             run = np.zeros(edges.shape)
@@ -284,6 +291,20 @@ class Eventuality:
                     values[blk, k] = run[np.arange(r.size), (right <= cut).sum(axis=1)]
         values[~ok] = 0.0
         return values, ok
+
+    def integrate_gap(self, ctx: EventContext, i: np.ndarray, keep: np.ndarray):
+        """Per row of the batch, (values, reject) of the exact integral over
+        the gap (T, T'] between the events at array positions i and i + 1:
+        kept where keep holds, the row stores both ends and the integral is
+        determinate; every other row is rejected with value 0."""
+        t_lo, t_hi, stored = ctx.gap(i)
+        rows = np.flatnonzero(keep & stored)
+        integrals, ok = self.integrate(ctx, rows, t_lo[rows], t_hi[rows])
+        values = np.zeros(ctx.batch.n)
+        values[rows] = integrals
+        reject = np.ones(ctx.batch.n, dtype=bool)
+        reject[rows[ok]] = False
+        return values, reject
 
     # -- sugar --------------------------------------------------------------
 
@@ -315,8 +336,8 @@ class _Const(Eventuality):
     def evaluate(self, p):
         return self.value
 
-    def codes_at(self, ctx, y, j, rep):
-        return np.full(y.shape, 1 if self.value else 0, dtype=np.int8)
+    def codes_at(self, pos):
+        return np.full(pos.y.shape, 1 if self.value else 0, dtype=np.int8)
 
 
 class _AlphaCmp(Eventuality):
@@ -342,10 +363,11 @@ class _AlphaCmp(Eventuality):
         except _PATTERN_ERRORS:
             return None
 
-    def codes_at(self, ctx, y, j, rep):
+    def codes_at(self, pos):
         # not ctx.gap: this read runs at every event of an event trace, and
         # holding both gap ends with a clipped copy of g raises peak memory
-        g = j + self.n
+        ctx, y, rep = pos.ctx, pos.y, pos.rep
+        g = pos.le() + self.n
         valid = (g >= ctx.off_lo[rep]) & (g + 1 < ctx.off_hi[rep])
         # the gap between the shifted times, rounded as the scalar form rounds it
         out = self._cmp((ctx.point(g + 1) - y) - (ctx.point(g) - y)).astype(np.int8)
@@ -377,11 +399,9 @@ class _CountEq(Eventuality):
         except OutsideWindow:
             return None
 
-    def codes_at(self, ctx, y, j, rep):
-        # j is the search at offset 0, so an endpoint at 0 reuses it
-        cnt = (j if self.b == 0 else ctx.last_le(y, rep, self.b)) \
-            - (j if self.a == 0 else ctx.last_le(y, rep, self.a))
-        out = (cnt == self.k).astype(np.int8)
+    def codes_at(self, pos):
+        ctx, y, rep = pos.ctx, pos.y, pos.rep
+        out = (pos.le(self.b) - pos.le(self.a) == self.k).astype(np.int8)
         valid = (ctx.wlo[rep] - y <= self.a) & (ctx.whi[rep] - y >= self.b)
         out[~valid] = -1
         return out
@@ -405,19 +425,19 @@ class _FirstLe(Eventuality):
         except _PATTERN_ERRORS:
             return None
 
-    def codes_at(self, ctx, y, j, rep):
-        nxt = j + 1  # T_1; indeterminate when no stored event follows y
-        valid = nxt < ctx.off_hi[rep]
-        out = (ctx.point(nxt) - y <= self.t).astype(np.int8)
+    def codes_at(self, pos):
+        nxt = pos.le() + 1  # T_1; indeterminate when no stored event follows y
+        valid = nxt < pos.ctx.off_hi[pos.rep]
+        out = (pos.ctx.point(nxt) - pos.y <= self.t).astype(np.int8)
         out[~valid] = -1
         return out
 
 
-def straddle_codes(ctx, y, j, rep, k: int, x):
-    """Codes of [T_-k <= -x < T_-k+1] seen from positions y (as codes_at);
-    x is one distance or an array of distances aligned with y."""
-    t_lo, t_hi, valid = ctx.gap(j - k, rep)
-    out = ((t_lo - y <= -x) & (-x < t_hi - y)).astype(np.int8)
+def straddle_codes(pos: Positions, k: int, x):
+    """Codes of [T_-k <= -x < T_-k+1] seen from positions pos (as codes_at);
+    x is one distance or an array of distances aligned with pos.y."""
+    t_lo, t_hi, valid = pos.ctx.gap(pos.le() - k, pos.rep)
+    out = ((t_lo - pos.y <= -x) & (-x < t_hi - pos.y)).astype(np.int8)
     out[~valid] = -1
     return out
 
@@ -440,8 +460,8 @@ class _PrevStraddle(Eventuality):
         except _PATTERN_ERRORS:
             return None
 
-    def codes_at(self, ctx, y, j, rep):
-        return straddle_codes(ctx, y, j, rep, self.k, self.x)
+    def codes_at(self, pos):
+        return straddle_codes(pos, self.k, self.x)
 
 
 class _Not(Eventuality):
@@ -457,8 +477,8 @@ class _Not(Eventuality):
         v = self.inner.evaluate(p)
         return None if v is None else not v
 
-    def codes_at(self, ctx, y, j, rep):
-        return _kleene_not(self.inner.codes_at(ctx, y, j, rep))
+    def codes_at(self, pos):
+        return _kleene_not(self.inner.codes_at(pos))
 
 
 class _Binary(Eventuality):
@@ -484,9 +504,8 @@ class _And(_Binary):
             return None
         return True
 
-    def codes_at(self, ctx, y, j, rep):
-        return _kleene_and(self.left.codes_at(ctx, y, j, rep),
-                           self.right.codes_at(ctx, y, j, rep))
+    def codes_at(self, pos):
+        return _kleene_and(self.left.codes_at(pos), self.right.codes_at(pos))
 
 
 class _Or(_Binary):
@@ -500,9 +519,8 @@ class _Or(_Binary):
             return None
         return False
 
-    def codes_at(self, ctx, y, j, rep):
-        return _kleene_or(self.left.codes_at(ctx, y, j, rep),
-                          self.right.codes_at(ctx, y, j, rep))
+    def codes_at(self, pos):
+        return _kleene_or(self.left.codes_at(pos), self.right.codes_at(pos))
 
 
 # -- catalog constructors -------------------------------------------------

@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .ams import convert_es_to_ts, convert_ts_to_es
-from .errors import NotApplicable
+from .errors import NotApplicable, ZeroDenominator
 from .estimate import (
     Estimate,
     est_event_probability,
@@ -49,6 +49,7 @@ from .estimate import (
 from .events import (
     HORIZON_GAPS,
     Eventuality,
+    Positions,
     SUITE_BATTERY,
     _kleene_and,
     ev_true,
@@ -124,7 +125,10 @@ def _inverted(est: Estimate) -> Estimate:
 
 def _indep_ratio(num: Estimate, den: Estimate) -> Estimate:
     """num / den of two independent estimates, its s.e. by the delta method;
-    a zero numerator keeps its own s.e."""
+    a zero numerator keeps its own s.e., and a zero denominator (no event
+    in an intensity's bin) raises ZeroDenominator, as ratio_estimate does."""
+    if den.value == 0.0:
+        raise ZeroDenominator("no occurrences observed in the denominator")
     v = num.value / den.value
     se = math.hypot(num.std_error / den.value, v * den.std_error / den.value)
     return Estimate(v, se, num.reps, num.rejected + den.rejected,
@@ -221,18 +225,10 @@ def _run_i26(model, group, rp):
 
     def kernel(batch, ctx, k):
         # integrate over (T_-k, T_-k+1]
-        y_lo, y_hi, stored = ctx.gap(ctx.pos0() - k)
-        rows = np.flatnonzero(stored & (y_lo >= -pad) & (y_hi <= pad))
-        y_lo, y_hi = y_lo[rows], y_hi[rows]
-        pairs = []
-        for A in group:
-            integrals, ok = A.integrate(ctx, rows, y_lo, y_hi)
-            vals = np.zeros(batch.n)
-            vals[rows] = integrals
-            reject = np.ones(batch.n, dtype=bool)
-            reject[rows[ok]] = False
-            pairs.append((vals, reject))
-        return pairs
+        i = ctx.pos0() - k
+        y_lo, y_hi, _ = ctx.gap(i)
+        keep = (y_lo >= -pad) & (y_hi <= pad)
+        return [A.integrate_gap(ctx, i, keep) for A in group]
 
     ks = (0, 1)
     rhs = _probe_means(palm, window, ks, kernel, rp, "R")
@@ -286,19 +282,17 @@ def _pairing_kernel(pairs, pad: float):
     straddling gap."""
 
     def kernel(batch, ctx):
-        t0, t1, ok = ctx.gap(ctx.pos0())
+        pos0 = ctx.pos0()
+        t0, t1, ok = ctx.gap(pos0)
+        inside = (t0 >= -pad) & (t1 <= pad)
         out = []
         for f, g in pairs:
             codes = f.at_origin(ctx)
-            reject = (~ok) | (codes == -1)
-            rows = np.flatnonzero(~reject & (codes == 1))
-            reject[rows] = (t0[rows] < -pad) | (t1[rows] > pad)
-            rows = rows[~reject[rows]]
-            integrals, good = g.integrate(ctx, rows, t0[rows], t1[rows])
-            reject[rows[~good]] = True
-            vals = np.zeros(batch.n)
-            vals[rows] = integrals / (t1[rows] - t0[rows])
-            out.append((vals, reject))
+            integrals, reject = g.integrate_gap(ctx, pos0, inside & (codes == 1))
+            # a row where f fails counts, with value 0
+            reject &= ~(ok & (codes == 0))
+            out.append((np.divide(integrals, t1 - t0, out=np.zeros(batch.n), where=~reject),
+                        reject))
         return out
 
     return kernel
@@ -350,7 +344,8 @@ def _run_i37(model, group, rp):
     def kernel(batch, ctx, k):
         # [T_-k <= -x < T_-k+1] with x the centre of each event's bin
         e, rep, bin_idx = _binned_events(batch, ctx, bins[k])
-        codes_b = straddle_codes(ctx, ctx.points[e], e, rep, k, bins[k][bin_idx].mean(axis=1))
+        codes_b = straddle_codes(Positions(ctx, ctx.points[e], rep, known=e), k,
+                                 bins[k][bin_idx].mean(axis=1))
         pairs = []
         for A in group:
             both = _kleene_and(A.at_events(ctx, e, rep), codes_b)

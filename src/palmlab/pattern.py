@@ -24,14 +24,6 @@ BLOCK_CELLS = 65536
 
 
 @dataclass(frozen=True)
-class IndexedPoint:
-    """An event together with its index in the T_n convention."""
-
-    index: int
-    time: float
-
-
-@dataclass(frozen=True)
 class PointPattern:
     """Immutable sorted realization on a window. All operations are pure."""
 
@@ -69,9 +61,6 @@ class PointPattern:
     def t(self, n: int) -> float:
         """Time of event T_n."""
         return float(self.points[self.position(n)])
-
-    def event(self, n: int) -> IndexedPoint:
-        return IndexedPoint(n, self.t(n))
 
     def interval(self, n: int) -> float:
         """Gap length between T_n and T_n+1 (always > 0)."""

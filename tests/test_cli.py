@@ -371,6 +371,14 @@ rate = 1.0
         assert "'I-9.9'" in err and "I-2.3" in err and "I-8.4rho" in err
         assert not out.exists() or not any(out.iterdir())
 
+    def test_empty_denominator_bin_is_an_error(self, tmp_path, capsys):
+        # at 16 replications some model has no event in one of I-3.13's
+        # denominator bins: exit 2 with the error named, no traceback
+        out = tmp_path / "out"
+        assert main(["suite", "--only", "I-3.13", "--reps", "16", "--seed", "0",
+                     "--out", str(out)]) == 2
+        assert "error: no occurrences observed in the denominator" in capsys.readouterr().err
+
     def test_tiny_budget_runs_and_reports(self, tmp_path, capsys):
         cfg = write_config(tmp_path, """
 [suite]

@@ -6,6 +6,7 @@ import pytest
 from palmlab.events import (
     BATTERY,
     EventContext,
+    Positions,
     ev_and,
     ev_count_eq,
     ev_example44,
@@ -345,8 +346,7 @@ class TestIntegrate:
         ctx = EventContext(batch_of([p]))
         for y in (1.5, 3.0, 4.0):
             assert ev.evaluate(p.shift_time(y)) is None
-            code = ev.codes_at(ctx, np.array([y]), ctx.last_le(np.array([y]), np.array([0])),
-                               np.array([0]))
+            code = ev.codes_at(Positions(ctx, np.array([y]), np.array([0])))
             assert code[0] == -1
         vals, ok = ev.integrate(ctx, [0, 0], [0.0, 0.0], [1.0, 3.0])
         assert ok.tolist() == [True, False]

@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 from palmlab import ams, estimate
-from palmlab.errors import NotApplicable
+from palmlab.errors import NotApplicable, ZeroDenominator
 from palmlab.estimate import Estimate, _binned_events, _bins
 from palmlab.events import (
     SUITE_BATTERY,
     EventContext,
+    Positions,
     effective_radius,
     ev_straddle,
     ev_true,
@@ -295,6 +296,13 @@ def test_indep_ratio_delta_method(num, want):
     assert (got.value, got.std_error) == pytest.approx(want, rel=1e-12)
 
 
+def test_indep_ratio_empty_denominator_bin():
+    # est_intensity reports an empty bin as 0 +- inf; a ratio over it is
+    # undefined, not a float division error
+    with pytest.raises(ZeroDenominator):
+        _indep_ratio(Estimate(0.3, 0.01, 16, 0, 16.0), Estimate(0.0, math.inf, 16, 0, 0.0))
+
+
 class TestI52aRows:
     """An event-centered base row with no event after 0 is rejected by
     I-5.2a's kernel instead of failing the chunk."""
@@ -335,6 +343,6 @@ def test_i37_straddle_codes_equal_per_bin_loop(k):
     for b, c in enumerate(centers):
         sel = bin_idx == b
         per_bin[sel] = ev_straddle(k, float(c)).at_events(ctx, e[sel], rep[sel])
-    joint = straddle_codes(ctx, ctx.points[e], e, rep, k, centers[bin_idx])
+    joint = straddle_codes(Positions(ctx, ctx.points[e], rep, known=e), k, centers[bin_idx])
     assert e.size > 5_000 and {0, 1} <= set(np.unique(joint).tolist())
     assert joint.dtype == per_bin.dtype and joint.tobytes() == per_bin.tobytes()

@@ -56,8 +56,7 @@ class TestIndexing:
 
     def test_indexed_point(self):
         p = pp(-0.2, 0.7)
-        ev = p.event(1)
-        assert (ev.index, ev.time) == (1, 0.7)
+        assert (p.position(1), p.t(1)) == (1, 0.7)
         with pytest.raises(IndexOutOfPattern):
             p.t(2)
 

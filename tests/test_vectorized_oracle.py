@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from palmlab.events import EventContext, ev_straddle, parse_eventuality
+from palmlab.events import EventContext, Positions, ev_straddle, parse_eventuality
 from palmlab.pattern import MIN_GAP, PatternBatch, PointPattern, padded_rows, ragged_ranges
 
 from conftest import declared_breaks
@@ -120,7 +120,7 @@ def test_codes_at_positions(data, ev, draw):
     inside = (lo - y < 0) & (hi - y > 0)
     y, rep = y[inside], rep[inside]
     j = ctx.last_le(y, rep)
-    codes = ev.codes_at(ctx, y, j, rep)
+    codes = ev.codes_at(Positions(ctx, y, rep))
     for k in range(y.size):
         p = rows[ids.index(rep[k])]
         want_j = batch.offsets[rep[k]] + np.searchsorted(p.points, y[k], side="right") - 1
@@ -193,7 +193,7 @@ def full_row_integrate(ev, ctx, rows, y_lo, y_hi, cuts=None):
     right = edges[pi, ci + 1]
     y = 0.5 * (edges[pi, ci] + right)
     rep = rows[pi]
-    codes = ev.codes_at(ctx, y, ctx.last_le(y, rep), rep)
+    codes = ev.codes_at(Positions(ctx, y, rep))
     part = np.where(codes == 1, widths[pi, ci], 0.0)
     if cuts is None:
         values = np.bincount(pi, weights=part, minlength=m)
@@ -281,6 +281,54 @@ def test_integrate_over_one_ulp_piece(text):
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
+def _captured(ev, call) -> list:
+    """The Positions views that call() hands to ev.codes_at."""
+    seen = []
+
+    def record(pos):
+        seen.append(pos)
+        return type(ev).codes_at(ev, pos)
+
+    ev.codes_at = record
+    try:
+        call()
+    finally:
+        del ev.codes_at
+    return seen
+
+
+# the row and piece of test_integrate_over_one_ulp_piece
+ULP_T = 1.0 + 2.0 ** -51
+ULP_ROW = PointPattern(np.array([0.3, ULP_T, 2.6]), (-6.0, 6.0))
+
+
+@SETTINGS
+@given(batches, st.sampled_from(CASES), st.data())
+def test_positions_equal_searches(data, ev, draw):
+    """The Positions that integrate, at_events and at_origin build answer
+    le(-d) as ctx.last_le does at every declared offset d and at 0, whether
+    the answer is known, settled from integrate's guess or searched; the
+    batch always holds the one-ulp piece whose midpoint rounds onto an event."""
+    rows, filler = data
+    batch, ids = _batch(rows + [ULP_ROW], filler)
+    ctx = EventContext(batch)
+    bounds = []
+    for p in rows:
+        lo, hi = p.window
+        inside = st.floats(lo, hi, exclude_min=True, exclude_max=True)
+        bounds.append(sorted(draw.draw(st.lists(inside, min_size=2, max_size=2))))
+    bounds.append((np.nextafter(ULP_T, -np.inf), ULP_T))
+    y_lo, y_hi = np.array(bounds).T
+    e = np.arange(batch.offsets[ids[0]], batch.points.size)
+    rep = np.repeat(ids, np.diff(batch.offsets)[ids])
+    seen = _captured(ev, lambda: (ev.integrate(ctx, ids, y_lo, y_hi),
+                                  ev.at_events(ctx, e, rep), ev.at_origin(ctx)))
+    assert len(seen) == 3
+    for pos in seen:
+        for d in {0.0, *ev.offsets}:
+            assert np.array_equal(pos.le(-d), ctx.last_le(pos.y, pos.rep, -d)), (ev.label, d)
+
+
 def test_gap_between_shifted_times():
     # seen from y = 0.5 the gap before T_0 rounds to exactly 0.5, while the
     # unshifted event times lie one ulp more than 0.5 apart
@@ -290,7 +338,7 @@ def test_gap_between_shifted_times():
     ev = parse_eventuality("alpha(-1)>0.5")
     y, rep = np.array([0.5]), np.array([i])
     assert ev.evaluate(p.shift_time(0.5)) is False
-    assert ev.codes_at(ctx, y, ctx.last_le(y, rep), rep)[0] == 0
+    assert ev.codes_at(Positions(ctx, y, rep))[0] == 0
 
 
 def test_wide_window_point_past_count_edge():

@@ -6,10 +6,13 @@ Usage:
 
 The layers are `sampler`, `integrate`, `cli` and `suite`; each function's
 docstring says what it times and counts.  Every run records the core
-count, the Python and numpy versions and the layer's budget, seed and
-repeats, and is stored under its label in the output file, which keeps
-the runs of other labels.  To compare two checkouts on one machine, run
-each one's src/ on PYTHONPATH under its own label with the same --out.
+count, the Python and numpy versions, the layer's budget, seed and
+repeats, and the host speed as `speed_probe_s`: the median time of
+perfbench's speed probe over 5 calls before the layer and 5 after it, so
+drift of a shared host shows next to the layer's times.  Each run is
+stored under its label in the output file, which keeps the runs of other
+labels.  To compare two checkouts on one machine, run each one's src/ on
+PYTHONPATH under its own label with the same --out.
 """
 
 from __future__ import annotations
@@ -39,7 +42,10 @@ from palmlab.models import IntervalDistribution, example84_exact, exponential, \
 from palmlab.rng import CHUNK, chunk_rng
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from speed import SpeedProbe  # noqa: E402
 from workloads import WORKLOADS, argv_for, write_configs  # noqa: E402
+
+PROBES = 5
 
 
 def timed(fn):
@@ -438,8 +444,13 @@ def main(argv=None) -> None:
     parser.add_argument("--out", help="output file (default BENCH_<layer>.json)")
     args = parser.parse_args(argv)
     fn, params = LAYERS[args.layer]
+    probe = SpeedProbe()
+    before = statistics.median(probe() for _ in range(PROBES))
+    res = fn(**params)
+    after = statistics.median(probe() for _ in range(PROBES))
     run = {"cores": os.cpu_count(), "python": platform.python_version(),
-           "numpy": np.__version__, **params, **fn(**params)}
+           "numpy": np.__version__, "speed_probe_s": {"before": before, "after": after},
+           **params, **res}
     out = args.out or f"BENCH_{args.layer}.json"
     record(out, args.label, run)
     print(f"{args.label}: {args.layer} run written to {out}")
