@@ -92,10 +92,12 @@ def _time_checkpoints(model: ProcessModel, x_max: float) -> np.ndarray:
 
 
 def _running_averages(model: ProcessModel, sums, ncp: int):
-    """Values and standard errors of the checkpoint columns 0..ncp-1 over
-    the count column ncp.  A deterministic law runs one replication, which
-    is exact: its errors are 0, not the unknown spread of one batch."""
-    ests = [ratio_estimate(sums, j, ncp) for j in range(ncp)]
+    """Values and standard errors of the checkpoint columns 0..ncp-1, each a
+    self-normalized mean over the row weights (so a weighted trace fails
+    loudly when its weights degenerate).  A deterministic law runs one
+    replication, which is exact: its errors are 0, not the unknown spread
+    of one batch."""
+    ests = [ratio_estimate(sums, j) for j in range(ncp)]
     values = np.array([e.value for e in ests])
     if model.is_deterministic:
         return values, np.zeros(ncp)
@@ -131,8 +133,7 @@ def cesaro_event(
         # events 1..n_max all sit strictly right of T_0
         good = pos0 + n_max < ctx.off_hi
         rows = np.flatnonzero(good)
-        cols = np.zeros((batch.n, ncp + 1))
-        cols[:, ncp] = 1.0
+        cols = np.zeros((batch.n, ncp))
         reject = ~good
         # rows in blocks, so the (rows, n_max) code matrix stays small
         step = max(1, BLOCK_CELLS // n_max)
@@ -141,10 +142,10 @@ def cesaro_event(
             e = (pos0[blk, None] + 1 + np.arange(n_max)[None, :]).ravel()
             codes = A.at_events(ctx, e, np.repeat(blk, n_max)).reshape(blk.size, n_max)
             reject[blk[(codes == -1).any(axis=1)]] = True
-            cols[blk, :ncp] = np.cumsum(codes, axis=1, dtype=np.float64)[:, cps - 1] / cps
+            cols[blk] = np.cumsum(codes, axis=1, dtype=np.float64)[:, cps - 1] / cps
         return [(cols, reject)]
 
-    (sums,) = run_kernel(model, window, budget, ncp + 1, kernel,
+    (sums,) = run_kernel(model, window, budget, ncp, kernel,
                          seed=seed, stream=stream, threads=threads).members
     return CesaroTrace(cps.astype(np.float64), *_running_averages(model, sums, ncp),
                        "event", budget, int(sums.rejected.sum()))
@@ -173,12 +174,9 @@ def cesaro_time(
 
     def kernel(batch, ctx):
         integrals, ok = A.integrate(ctx, np.arange(batch.n), 0.0, x_max, cuts=cps)
-        cols = np.zeros((batch.n, ncp + 1))
-        cols[:, :ncp] = integrals / cps
-        cols[:, ncp] = 1.0
-        return [(cols, ~ok)]
+        return [(integrals / cps, ~ok)]
 
-    (sums,) = run_kernel(model, window, budget, ncp + 1, kernel,
+    (sums,) = run_kernel(model, window, budget, ncp, kernel,
                          seed=seed, stream=stream, threads=threads).members
     return CesaroTrace(cps, *_running_averages(model, sums, ncp), "time",
                        budget, int(sums.rejected.sum()))

@@ -1,11 +1,12 @@
 """Monte Carlo estimators for event-centered and shifted laws.
 
-All estimators are self-normalized ratios of weighted batch sums, so the
-same machinery serves exact samplers (unit weights) and importance
-samplers.  Standard errors come from the delta method over batch means;
-replications are dependent within a batch of 64, independent across
-batches.  Replications whose eventuality evaluation is indeterminate are
-rejected and reported, never coerced to False.
+All estimators are self-normalized ratios of weighted batch sums, finished
+by ratio_estimate, so the same machinery serves exact samplers (unit
+weights) and importance samplers, whose ESS it checks.  Standard errors
+come from the delta method over batch means; replications are dependent
+within a batch of 64, independent across batches.  Replications whose
+eventuality evaluation is indeterminate are rejected and reported, never
+coerced to False.
 
 Chunks of 4096 replications each draw from their own seeded stream
 (rng.chunk_rng), and partial sums are kept per variance batch, so
@@ -146,10 +147,23 @@ def run_kernel(
     ))
 
 
-def ratio_estimate(sums: BatchSums, num_col: int, den_col: int) -> Estimate:
-    """Delta-method ratio of two weighted column sums."""
+# An estimate whose effective sample size falls below this share of its
+# accepted replications raises LowEffectiveSampleSize.
+ESS_FLOOR = 0.1
+
+
+def ratio_estimate(sums: BatchSums, num_col: int, den_col: int | None = None) -> Estimate:
+    """Delta-method ratio of two weighted sums: column num_col over column
+    den_col, or over the row weights when den_col is None (a self-
+    normalized mean; with unit weights, over the accepted count).
+
+    Every estimate is finished here, so every weighted run fails loudly
+    when its weights degenerate: an ESS below ESS_FLOOR of the accepted
+    replications raises LowEffectiveSampleSize.  Unit weights sum exactly
+    to the accepted count a, so their ESS is a^2 / a = a and never trips.
+    """
     num_b = sums.cols[:, num_col]
-    den_b = sums.cols[:, den_col]
+    den_b = sums.w if den_col is None else sums.cols[:, den_col]
     den_total = float(den_b.sum())
     if den_total == 0.0:
         raise ZeroDenominator("no occurrences observed in the denominator")
@@ -161,17 +175,10 @@ def ratio_estimate(sums: BatchSums, num_col: int, den_col: int) -> Estimate:
     w_total = float(sums.w.sum())
     w2_total = float(sums.w2.sum())
     ess = (w_total * w_total / w2_total) if w2_total > 0 else 0.0
-    return Estimate(r, se, sums.reps, int(sums.rejected.sum()), ess)
-
-
-ESS_FLOOR = 0.1
-
-
-def check_ess(model: ProcessModel, est: Estimate) -> Estimate:
-    """Weighted runs fail loudly when the weights degenerate."""
-    if model.weighted and est.accepted > 0 and est.ess < ESS_FLOOR * est.accepted:
+    est = Estimate(r, se, sums.reps, int(sums.rejected.sum()), ess)
+    if est.accepted > 0 and ess < ESS_FLOOR * est.accepted:
         raise LowEffectiveSampleSize(
-            f"effective sample size {est.ess:.0f} below "
+            f"effective sample size {ess:.0f} below "
             f"{ESS_FLOOR:.0%} of {est.accepted} accepted replications"
         )
     return est
@@ -288,18 +295,13 @@ def mc_mean(
 
     `kernel(batch, ctx) -> [(values (n,), reject (n,)), ...]`, one pair per
     member evaluated on the same draws; a lone kernel returns a list of one
-    and its caller unpacks `(est,) = mc_mean(...)`.  The extension point
+    and its caller unpacks `(est,) = mc_mean(...)`.  Each mean is the
+    weighted sum of the values over the row weights.  The extension point
     the identity registry is built on.
     """
-
-    def wrapped(batch, ctx):
-        ones = np.ones(batch.n)
-        return [(np.column_stack((np.asarray(vals, dtype=np.float64), ones)), reject)
-                for vals, reject in kernel(batch, ctx)]
-
-    sums = run_kernel(model, window, budget, 2, wrapped,
+    sums = run_kernel(model, window, budget, 1, kernel,
                       seed=seed, stream=stream, threads=threads)
-    return [check_ess(model, ratio_estimate(s, 0, 1)) for s in sums.members]
+    return [ratio_estimate(s, 0) for s in sums.members]
 
 
 def est_event_probability(
@@ -333,12 +335,12 @@ def _binned_sums(
     threads: int,
 ) -> GroupSums:
     """Per member A of the group, on one set of draws sampled on the window
-    its widest member needs: the columns (events per bin | A-events per bin
-    | 1) over the bins; only events in a bin are evaluated or can reject.
+    its widest member needs: the columns (events per bin | A-events per bin)
+    over the bins; only events in a bin are evaluated or can reject.
 
-    By Campbell's equation the event-centered probability on (0, x], the
-    shifted event-centered law and the intensity profile are all ratios of
-    these columns.
+    By Campbell's equation the event-centered probability on (0, x] and the
+    shifted event-centered law are ratios of these columns, and the
+    intensity profile is the ratio of a column to the row weights.
     """
     group = _members(group)
     nb = len(bins)
@@ -349,16 +351,15 @@ def _binned_sums(
         e, rep, bin_idx = _binned_events(batch, ctx, bins)
         flat, size = rep * nb + bin_idx, batch.n * nb
         den = np.bincount(flat, minlength=size).reshape(batch.n, nb)
-        ones = np.ones((batch.n, 1))
         out = []
         for ev in group:
             codes = ev.at_events(ctx, e, rep)
             num = np.bincount(flat[codes == 1], minlength=size).reshape(batch.n, nb)
-            out.append((np.hstack((den, num, ones)),
+            out.append((np.hstack((den, num)),
                         _reject_from_codes(batch.n, rep, codes)))
         return out
 
-    return run_kernel(model, window, budget, 2 * nb + 1, kernel,
+    return run_kernel(model, window, budget, 2 * nb, kernel,
                       seed=seed, stream=stream, threads=threads)
 
 
@@ -422,7 +423,7 @@ def est_shifted_palm(
     def finish(s: BatchSums, b: int, events: float, marked: float) -> Estimate:
         if events == 0.0:
             return Estimate(math.nan, math.inf, budget, int(s.rejected.sum()), 0.0)
-        return check_ess(model, ratio_estimate(s, nb + b, b))
+        return ratio_estimate(s, nb + b, b)
 
     return _binned(model, group, bins, budget, seed, stream, threads, finish)
 
@@ -447,7 +448,7 @@ def est_intensity(
     def finish(s: BatchSums, b: int, events: float, marked: float) -> Estimate:
         if marked == 0.0:
             return Estimate(0.0, math.inf, budget, int(s.rejected.sum()), 0.0)
-        est = check_ess(model, ratio_estimate(s, nb + b, 2 * nb))
+        est = ratio_estimate(s, nb + b)
         width = float(bins[b, 1] - bins[b, 0])
         return Estimate(est.value / width, est.std_error / width, est.reps,
                         est.rejected, est.ess)
@@ -556,6 +557,5 @@ def pstar_model(base: ProcessModel) -> ProcessModel:
         dict(base.descriptor, model="pstar", base=base.descriptor["model"]),
         base.scale,
         batch,
-        weighted=base.weighted,
         tilt_info=base.tilt_info,
     )

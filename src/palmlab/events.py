@@ -327,17 +327,17 @@ class Eventuality:
         return f"<Eventuality {self.label}>"
 
 
-class _Const(Eventuality):
-    def __init__(self, value: bool):
-        self.value = bool(value)
-        self.label = "true" if value else "!true"
-        self.radius = 0.0
+class _True(Eventuality):
+    """The sure eventuality; its negation is ev_not(ev_true()), label !true."""
+
+    label = "true"
+    radius = 0.0
 
     def evaluate(self, p):
-        return self.value
+        return True
 
     def codes_at(self, pos):
-        return np.full(pos.y.shape, 1 if self.value else 0, dtype=np.int8)
+        return np.full(pos.y.shape, 1, dtype=np.int8)
 
 
 class _AlphaCmp(Eventuality):
@@ -527,7 +527,7 @@ class _Or(_Binary):
 
 
 def ev_true() -> Eventuality:
-    return _Const(True)
+    return _True()
 
 
 def ev_interval_gt(n: int, c: float, radius: float | None = None) -> Eventuality:

@@ -192,7 +192,6 @@ class ProcessModel:
         scale: float,
         batch_fn: Callable[[np.random.Generator, tuple[float, float], int], PatternBatch],
         *,
-        weighted: bool = False,
         exact_rate: float | None = None,
         interval: IntervalDistribution | None = None,
         tilt_info: TiltInfo | None = None,
@@ -201,7 +200,6 @@ class ProcessModel:
         self.law_tag = law_tag
         self.descriptor = dict(descriptor)
         self.scale = float(scale)
-        self.weighted = weighted
         self.exact_rate = exact_rate
         self.interval = interval
         self.tilt_info = tilt_info
@@ -503,7 +501,6 @@ def tilted_ts(base: ProcessModel, tilt: Tilt) -> ProcessModel:
         dict(base.descriptor, model="tilted_ts", base=base.descriptor["model"], tilt=tilt.label),
         base.scale,
         batch,
-        weighted=True,
         tilt_info=TiltInfo(tilt, base_rate, lambda: base.palm_companion()),
     )
 

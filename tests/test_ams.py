@@ -13,10 +13,11 @@ from palmlab.ams import (
     convert_es_to_ts,
     convert_ts_to_es,
 )
-from palmlab.errors import TooFewCheckpoints
+from palmlab.errors import LowEffectiveSampleSize, TooFewCheckpoints
 from palmlab.estimate import est_event_probability
 from palmlab.events import BATTERY, ev_example44, ev_true, parse_eventuality
 from palmlab.models import (
+    ProcessModel,
     example44,
     exponential,
     gamma_intervals,
@@ -25,6 +26,7 @@ from palmlab.models import (
     renewal_ts_from_es,
     uniform_intervals,
 )
+from palmlab.pattern import PatternBatch
 
 from conftest import agree, within
 
@@ -130,6 +132,44 @@ class TestExactIntegralGolden:
                                 seed=4, threads=2)
         assert hashlib.sha256(repr(ests).encode()).hexdigest() == \
             "edf5cf19014d741122ea0d11c151c620b06e533b453b5722948b5a7867dda05c"
+
+
+class TestEssFloor:
+    """A trace of a weighted model fails loudly when its weights degenerate,
+    as every estimate does: one row carries all the weight."""
+
+    @staticmethod
+    def degenerate():
+        base = poisson_ts(1.0)
+
+        def batch(rng, window, n):
+            out = base.sample_batch(rng, window, n)
+            w = np.full(n, 1e-9)
+            w[0] = 1.0
+            return PatternBatch(out.points, out.offsets, out.windows, w)
+
+        return ProcessModel("TILTED_TS", {"model": "degenerate"}, 1.0, batch)
+
+    def test_event_trace(self):
+        with pytest.raises(LowEffectiveSampleSize):
+            cesaro_event(self.degenerate(), A_GAP, 64, 256, seed=0)
+
+    def test_time_trace(self):
+        with pytest.raises(LowEffectiveSampleSize):
+            cesaro_time(self.degenerate(), A_GAP, 32.0, 256, seed=0)
+
+
+class TestEventTraceGolden:
+    """The event trace's reduction is pinned byte for byte: its running
+    averages are finished over the row weights, and moving where that
+    denominator is summed must move none of its bits."""
+
+    def test_cesaro_event_trace(self):
+        tr = cesaro_event(poisson_ts(1.0), A_GAP, 256, 4096, seed=3)
+        blob = repr((tr.checkpoints.tobytes(), tr.values.tobytes(), tr.std_errors.tobytes(),
+                     tr.kind, tr.reps, tr.rejected))
+        assert hashlib.sha256(blob.encode()).hexdigest() == \
+            "56b8d1ed07c2ee7d64a6b040919b6af8a24d0404bebe4067d597482eb6f8c17e"
 
 
 class TestVerdict:

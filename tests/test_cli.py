@@ -180,6 +180,20 @@ eventualities =
         assert main(["palm", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert "eventualities" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fields", [
+        "model = renewal_es\ninterval = exponential\nrate = 1",
+        "model = example84\nrate = 1",
+    ], ids=["renewal_es", "example84"])
+    def test_zero_mode_needs_time_stationary_model(self, tmp_path, capsys, fields):
+        # a config the estimator cannot run: exit 2, mode and model named
+        cfg = write_config(tmp_path, f"[palm]\n{fields}\neventualities = alpha(0)>1\n"
+                                     "mode = zero\nreps = 20\n")
+        out = tmp_path / "out"
+        assert main(["palm", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "'zero'" in err and fields.split()[2] in err
+        assert not out.exists() or not any(out.iterdir())
+
     def test_shifted_mode_writes_bins(self, tmp_path):
         cfg = write_config(tmp_path, """
 [palm]

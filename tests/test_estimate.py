@@ -366,8 +366,7 @@ class TestMachinery:
             w[0] = 1.0
             return PatternBatch(out.points, out.offsets, out.windows, w)
 
-        bad = ProcessModel("TILTED_TS", {"model": "degenerate"}, 1.0,
-                           degenerate, weighted=True)
+        bad = ProcessModel("TILTED_TS", {"model": "degenerate"}, 1.0, degenerate)
         with pytest.raises(LowEffectiveSampleSize):
             est_event_probability(bad, [ev_true()], 256, seed=0)
 
@@ -508,6 +507,17 @@ class TestGroups:
             mixed = run([GROUP[0], NARROW, *GROUP[1:]])
             assert [mixed[0], *mixed[2:]] == run(GROUP)
             assert [mixed[0]] == run(GROUP[:1])
+
+
+class TestWeightedGolden:
+    """An importance-sampled estimate is pinned byte for byte, its ESS
+    included: value, error and ESS all come from the weighted batch sums."""
+
+    def test_tilted_event_probability(self):
+        tilted = tilted_ts(poisson_ts(1.0), make_tilt("alpha0", 0.5))
+        ests = est_event_probability(tilted, [A_GAP], 8192, seed=11)
+        assert hashlib.sha256(repr(ests).encode()).hexdigest() == \
+            "fb29a0fda6d836221e07cde45905d4e72ab7c58d8e7478f15bbbcb50f92d14d5"
 
 
 class TestBinnedGolden:
