@@ -20,15 +20,14 @@ import numpy as np
 from .errors import NoMean, TooFewCheckpoints
 from .estimate import (
     Estimate,
-    group_radius,
-    guard_window,
     ratio_estimate,
+    row_need,
     run_kernel,
     _events_in,
     _marked,
     _members,
 )
-from .events import HORIZON_GAPS, Eventuality, effective_radius
+from .events import Eventuality
 from .models import ProcessModel, example44_block_ends, example44_times
 from .pattern import BLOCK_CELLS
 
@@ -121,12 +120,6 @@ def cesaro_event(
         budget = 1
     cps = _event_checkpoints(model, n_max)
     ncp = cps.size
-    r = effective_radius(A, model.scale)
-    if model.is_deterministic:
-        reach = 2.0 * model.scale * n_max + 10.0 * model.scale
-    else:
-        reach = model.scale * (n_max + 10.0 * math.sqrt(n_max) + 10.0)
-    window = guard_window(model, r, 0.0, reach)
 
     def kernel(batch, ctx):
         pos0 = ctx.pos0()
@@ -145,7 +138,7 @@ def cesaro_event(
             cols[blk] = np.cumsum(codes, axis=1, dtype=np.float64)[:, cps - 1] / cps
         return [(cols, reject)]
 
-    (sums,) = run_kernel(model, window, budget, ncp, kernel,
+    (sums,) = run_kernel(model, row_need([A], at=(1, n_max)), budget, ncp, kernel,
                          seed=seed, stream=stream, threads=threads).members
     return CesaroTrace(cps.astype(np.float64), *_running_averages(model, sums, ncp),
                        "event", budget, int(sums.rejected.sum()))
@@ -169,14 +162,13 @@ def cesaro_time(
         budget = 1
     cps = _time_checkpoints(model, x_max)
     ncp = cps.size
-    r = effective_radius(A, model.scale)
-    window = guard_window(model, r, 0.0, x_max)
 
     def kernel(batch, ctx):
         integrals, ok = A.integrate(ctx, np.arange(batch.n), 0.0, x_max, cuts=cps)
         return [(integrals / cps, ~ok)]
 
-    (sums,) = run_kernel(model, window, budget, ncp, kernel,
+    # y in (0, x_max] reads from T_0 on, through the events of the extent
+    (sums,) = run_kernel(model, row_need([A], after=x_max, at=(0, 1)), budget, ncp, kernel,
                          seed=seed, stream=stream, threads=threads).members
     return CesaroTrace(cps, *_running_averages(model, sums, ncp), "time",
                        budget, int(sums.rejected.sum()))
@@ -233,10 +225,6 @@ def convert_es_to_ts(
     if mean is None or not (math.isfinite(mean) and mean > 0):
         raise NoMean("the event-stationary model needs a finite positive mean gap")
     group = _members(group)
-    r = group_radius(group, es_model.scale)
-    reach = HORIZON_GAPS * es_model.scale
-    window = guard_window(es_model, r, 0.0, reach)
-    hi_w = window[1]
 
     def kernel(batch, ctx):
         # the origin is the event T_0 = 0, so the first gap is (0, T_1]
@@ -244,11 +232,11 @@ def convert_es_to_ts(
         t1 = ctx.point(pos0 + 1)
         out = []
         for ev in group:
-            integrals, reject = ev.integrate_gap(ctx, pos0, t1 + r <= hi_w)
+            integrals, reject = ev.integrate_gap(ctx, pos0, True)
             out.append((np.column_stack((integrals, t1)), reject))
         return out
 
-    sums = run_kernel(es_model, window, budget, 2, kernel,
+    sums = run_kernel(es_model, row_need(group, at=(0, 1)), budget, 2, kernel,
                       seed=seed, stream=stream, threads=threads)
     return [ratio_estimate(s, 0, 1) for s in sums.members]
 
@@ -269,8 +257,6 @@ def convert_ts_to_es(
         raise ValueError("convert_ts_to_es needs a time-stationary model")
     span = 10.0 * ts_model.scale
     group = _members(group)
-    r = group_radius(group, ts_model.scale)
-    window = guard_window(ts_model, r, 0.0, span)
 
     def kernel(batch, ctx):
         pos0 = ctx.pos0()
@@ -283,6 +269,6 @@ def convert_ts_to_es(
             out.append((np.column_stack((num, den)), reject))
         return out
 
-    sums = run_kernel(ts_model, window, budget, 2, kernel,
+    sums = run_kernel(ts_model, row_need(group, after=span), budget, 2, kernel,
                       seed=seed, stream=stream, threads=threads)
     return [ratio_estimate(s, 0, 1) for s in sums.members]

@@ -8,6 +8,11 @@ within a batch of 64, independent across batches.  Replications whose
 eventuality evaluation is indeterminate are rejected and reported, never
 coerced to False.
 
+Every kernel declares what it reads of each row, and row_need turns that
+declaration, with the eventualities it evaluates, into the Need its rows
+are sampled to: each row is drawn just as far as its kernel reads, so no
+replication of an index-based eventuality is rejected for lack of events.
+
 Chunks of 4096 replications each draw from their own seeded stream
 (rng.chunk_rng), and partial sums are kept per variance batch, so
 results are bit-identical regardless of thread count or merge order.
@@ -23,12 +28,19 @@ import numpy as np
 
 from . import rng as _rng
 from .errors import (
+    InsufficientContext,
     InsufficientCoverage,
     LowEffectiveSampleSize,
     ZeroDenominator,
 )
-from .events import EventContext, Eventuality, effective_radius
-from .models import LAW_TILTED_TS, LAW_TS, ProcessModel, redraw_rows
+from .events import EventContext, Eventuality
+from .models import (
+    LAW_TILTED_TS,
+    LAW_TS,
+    Need,
+    ProcessModel,
+    redraw_flawed,
+)
 from .pattern import PatternBatch, ragged_ranges
 
 
@@ -184,20 +196,24 @@ def ratio_estimate(sums: BatchSums, num_col: int, den_col: int | None = None) ->
     return est
 
 
-def guard_window(
-    model: ProcessModel,
-    radius: float,
-    lo_extent: float = 0.0,
-    hi_extent: float = 0.0,
-) -> tuple[float, float]:
-    """Analysis region extended by the guard margin on each side.
+def row_need(group=(), *, before: float = 0.0, after: float = 0.0,
+             at: tuple[int, int] = (0, 0)) -> Need:
+    """The Need of a kernel that evaluates every member of the group at the
+    event positions at[0]..at[1] from T_0, and reads every event within
+    before of T_0 and after of T_1.  Positions count outward from those
+    extents: 0 and below from the outermost event within before of T_0, 1
+    and above from the outermost event within after of T_1, so a kernel
+    evaluating the events of its extents declares at=(0, 1).
 
-    The floor of ten mean gaps keeps rows whose origin-straddling gap
-    reaches past the window rare (for Poisson, about e^-10 per side and row)
-    even when the eventuality radius is small.
+    A member reaching positions (a, b) from a point needs the events from
+    at[0] + a to at[1] + b, and its radius of time past the outermost; the
+    point itself is read as well.
     """
-    guard = max(radius, 10.0 * model.scale)
-    return (lo_extent - guard, hi_extent + guard)
+    reach = [ev.reach for ev in group if ev.reach is not None]
+    a = min([0, *(r[0] for r in reach)])
+    b = max([0, *(r[1] for r in reach)])
+    return Need(before, after, max(0, -(at[0] + a)), max(0, at[1] + b - 1),
+                max([0.0, *(ev.radius for ev in group)]))
 
 
 def _events_in(batch: PatternBatch, ctx: EventContext, a: float, b: float):
@@ -265,20 +281,14 @@ def _members(group) -> tuple[Eventuality, ...]:
     return members
 
 
-def group_radius(group, scale: float) -> float:
-    """The largest effective radius of the group's members: the window the
-    widest member needs serves every member."""
-    return max(effective_radius(ev, scale) for ev in group)
-
-
 # -- estimators ----------------------------------------------------------------
 #
 # Every estimator of an eventuality takes a group of them (a sequence of
 # eventualities; a group of one is written [A]) and returns a list with one
-# result per member, in order.  The group is sampled once, on the window its
-# widest member needs, and every member is evaluated on the same draws; a
-# member's result depends only on that member and that window (a widest
-# member's equals its own run).
+# result per member, in order.  The group is sampled once, to the union of
+# its members' needs, and every member is evaluated on the same draws; a
+# member's result depends only on that member and that need (a member whose
+# own need is the group's gets its own run).
 
 
 def mc_mean(
@@ -296,7 +306,10 @@ def mc_mean(
     `kernel(batch, ctx) -> [(values (n,), reject (n,)), ...]`, one pair per
     member evaluated on the same draws; a lone kernel returns a list of one
     and its caller unpacks `(est,) = mc_mean(...)`.  Each mean is the
-    weighted sum of the values over the row weights.  The extension point
+    weighted sum of the values over the row weights.  `window` is what the
+    kernel reads of each row: a Need (row_need builds one from the
+    eventualities the kernel evaluates), or a plain window (lo, hi), whose
+    rows hold that time extent and are clipped to it.  The extension point
     the identity registry is built on.
     """
     sums = run_kernel(model, window, budget, 1, kernel,
@@ -315,13 +328,13 @@ def est_event_probability(
 ) -> list[Estimate]:
     """Probability of each member under the model's law (origin as-is)."""
     group = _members(group)
-    window = guard_window(model, group_radius(group, model.scale))
 
     def kernel(batch, ctx):
         codes = [ev.at_origin(ctx) for ev in group]
         return [((c == 1).astype(np.float64), c == -1) for c in codes]
 
-    return mc_mean(model, window, kernel, budget, seed=seed, stream=stream, threads=threads)
+    return mc_mean(model, row_need(group), kernel, budget, seed=seed, stream=stream,
+                   threads=threads)
 
 
 def _binned_sums(
@@ -334,9 +347,9 @@ def _binned_sums(
     stream,
     threads: int,
 ) -> GroupSums:
-    """Per member A of the group, on one set of draws sampled on the window
-    its widest member needs: the columns (events per bin | A-events per bin)
-    over the bins; only events in a bin are evaluated or can reject.
+    """Per member A of the group, on one set of draws sampled to the group's
+    need: the columns (events per bin | A-events per bin) over the bins;
+    only events in a bin are evaluated or can reject.
 
     By Campbell's equation the event-centered probability on (0, x] and the
     shifted event-centered law are ratios of these columns, and the
@@ -344,8 +357,8 @@ def _binned_sums(
     """
     group = _members(group)
     nb = len(bins)
-    r = group_radius(group, model.scale)
-    window = guard_window(model, r, float(bins[0, 0]), float(bins[-1, 1]))
+    need = row_need(group, before=max(0.0, -float(bins[0, 0])),
+                    after=max(0.0, float(bins[-1, 1])), at=(0, 1))
 
     def kernel(batch, ctx):
         e, rep, bin_idx = _binned_events(batch, ctx, bins)
@@ -359,7 +372,7 @@ def _binned_sums(
                         _reject_from_codes(batch.n, rep, codes)))
         return out
 
-    return run_kernel(model, window, budget, 2 * nb, kernel,
+    return run_kernel(model, need, budget, 2 * nb, kernel,
                       seed=seed, stream=stream, threads=threads)
 
 
@@ -471,20 +484,15 @@ def est_intermediate(
     threads: int = 1,
 ) -> list[Estimate]:
     """Probability of each member seen from event T_n, conditioned on T_n
-    being observable inside the window minus the guard (the finite-window
-    proxy for conditioning on T_n being finite).  Coverage = 1 - rejected/reps."""
+    being stored (the finite-window proxy for conditioning on T_n being
+    finite).  Rows are drawn until they hold T_n and what the members read
+    from it, so only a sampler that ignores the need leaves rows uncovered.
+    Coverage = 1 - rejected/reps."""
     group = _members(group)
-    r = group_radius(group, model.scale)
-    pad = model.scale * (2.0 * abs(n) + 10.0 * math.sqrt(abs(n) + 1.0))
-    window = guard_window(model, r + pad)
-    lo_w, hi_w = window
 
     def kernel(batch, ctx):
         pos_n = ctx.pos0() + n
-        covered = (pos_n >= ctx.off_lo) & (pos_n < ctx.off_hi)
-        t_n = ctx.point(pos_n)
-        covered &= (t_n - r >= lo_w) & (t_n + r <= hi_w)
-        rep = np.flatnonzero(covered)
+        rep = np.flatnonzero((pos_n >= ctx.off_lo) & (pos_n < ctx.off_hi))
         out = []
         for ev in group:
             # rows where T_n is not covered are indeterminate
@@ -494,8 +502,8 @@ def est_intermediate(
         return out
 
     try:
-        ests = mc_mean(model, window, kernel, budget, seed=seed, stream=stream,
-                       threads=threads)
+        ests = mc_mean(model, row_need(group, at=(n, n)), kernel, budget, seed=seed,
+                       stream=stream, threads=threads)
     except ZeroDenominator:
         # every row rejected: coverage 0, below any MIN_COVERAGE
         raise InsufficientCoverage("conditioning proxy accepted no replication") from None
@@ -510,47 +518,25 @@ def est_intermediate(
 # -- uniform re-centering inside the straddling gap ----------------------------
 
 
-# Pad, in mean gaps of the base law, added to each side of pstar_model's
-# window: the base is sampled on the padded window and re-centered by at
-# most the pad.
-PSTAR_PAD_GAPS = 12.0
-
-
 def pstar_model(base: ProcessModel) -> ProcessModel:
     """The pushforward of the base law under uniform re-centering: the
-    origin moves to T_0 + u * alpha_0 with u uniform(0, 1)."""
-    pad = PSTAR_PAD_GAPS * base.scale
+    origin moves to T_0 + u * alpha_0 with u uniform(0, 1).
 
-    def recenter(out, pos0, u):
-        """The shift y per row and the rows viewed from y."""
-        safe = np.clip(pos0, 0, max(out.points.size - 2, 0))
-        y = out.points[safe] + u * (out.points[safe + 1] - out.points[safe])
-        return y, PatternBatch(
-            out.points - np.repeat(y, np.diff(out.offsets)),
-            out.offsets,
-            out.windows - y[:, None],
-            out.weights,
-        )
+    The new origin stays inside the straddling gap, so the base row's
+    anchors are the new row's, and a need measured from them is held by
+    the base row as it stands."""
 
-    def batch(rng, window, n):
-        lo, hi = window
-        padded = (lo - pad, hi + pad)
+    def batch(rng, need, n):
+        def draw(k: int) -> PatternBatch:
+            out = base.sample_batch(rng, need, k)
+            pos0 = out.pos0()
+            if not out.straddled(pos0).all():
+                raise InsufficientContext("pstar_model needs a base whose rows hold T_0 and T_1")
+            y = out.points[pos0] + rng.random(k) * (out.points[pos0 + 1] - out.points[pos0])
+            return PatternBatch(out.points - np.repeat(y, np.diff(out.offsets)), out.offsets,
+                                out.windows - y[:, None], out.weights)
 
-        def draw_row():
-            row = base.sample_batch(rng, padded, 1)
-            pos0 = row.pos0()
-            # no u is drawn for a base row that does not straddle the origin
-            if not row.straddled(pos0)[0]:
-                return None
-            y, view = recenter(row, pos0, rng.random(1))
-            return view if abs(y[0]) <= pad else None
-
-        out = base.sample_batch(rng, padded, n)
-        pos0 = out.pos0()
-        y, view = recenter(out, pos0, rng.random(n))
-        # a base draw without straddle, or a straddling gap wider than the
-        # pad: redraw those rows until the shifted window covers the target
-        return redraw_rows(view, ~out.straddled(pos0) | (np.abs(y) > pad), draw_row)
+        return redraw_flawed(draw(n), draw)
 
     return ProcessModel(
         LAW_TS if base.is_ts else LAW_TILTED_TS,

@@ -1,10 +1,12 @@
 """Eventualities: local boolean functionals on patterns, with combinators.
 
-An eventuality carries a dependency radius: its value may only depend on
-events within [-radius, radius] of the pattern it is applied to.  Index
-based families (gap comparisons, first-arrival bounds) have no a priori
-bound, so their radius is None and estimators size their windows by the
-fixed horizon HORIZON_GAPS (15 mean gaps).
+An eventuality declares what it reads of the pattern it is applied to:
+its event reach, the positions (a, b) of the events T_a..T_b it reads
+(None when it reads none), and its time radius, every event within
+[-radius, radius].  Gap comparisons and first-arrival bounds read events
+only (radius 0), counts read time only (reach None).  Estimators turn
+these declarations into what each sampled row must hold (estimate.row_need),
+so a row is drawn just far enough for its kernel.
 
 Evaluations are three-valued.  When the window does not hold the events
 needed to decide, the result is Indeterminate (None, or code -1 in array
@@ -175,11 +177,14 @@ class Eventuality:
     vectorized `codes_at`, the three-valued code seen from given positions,
     and declared break offsets, the only y where that code can change: T + d
     for every stored event T and d in `offsets`, and wlo + p, whi + q (the
-    row's window edges) for every (p, q) in `edge_offsets`.
+    row's window edges) for every (p, q) in `edge_offsets`.  It reads the
+    events at positions `reach` (from T_0 of the point it is seen from) and
+    every event within `radius` of that point.
     """
 
     label: str
-    radius: float | None
+    radius: float
+    reach: tuple[int, int] | None = None
     offsets: tuple[float, ...] = ()
     edge_offsets: tuple[tuple[float, float], ...] = ()
 
@@ -286,9 +291,12 @@ class Eventuality:
             if cuts is None:
                 values[blk] = run[:, -1]
             else:
-                # the pieces with right edge <= cut are a prefix of the row
-                for k, cut in enumerate(cuts):
-                    values[blk, k] = run[np.arange(r.size), (right <= cut).sum(axis=1)]
+                # the pieces left of a cut's sorted position are those with
+                # right edge <= cut, up to pieces of zero width: the cut
+                # columns come last, so they sort after every equal break
+                first = raw.shape[1] - cuts.size
+                row, at = np.nonzero(order >= first)
+                values[blk][row, order[row, at] - first] = run[row, at]
         values[~ok] = 0.0
         return values, ok
 
@@ -343,13 +351,14 @@ class _True(Eventuality):
 class _AlphaCmp(Eventuality):
     """Gap comparison [alpha_n > c] or [alpha_n == c]."""
 
-    def __init__(self, n: int, c: float, op: str, radius: float | None = None):
+    def __init__(self, n: int, c: float, op: str, radius: float = 0.0):
         if op not in (">", "=="):
             raise ValueError(f"unsupported comparison {op!r}")
         self.n = int(n)
         self.c = float(c)
         self.op = op
-        self.radius = radius
+        self.radius = float(radius)
+        self.reach = (self.n, self.n + 1)
         self.label = f"alpha({self.n}){op}{_fmt(self.c)}"
         # the gap in question changes only when y crosses an event
         self.offsets = (0.0,)
@@ -414,7 +423,8 @@ class _FirstLe(Eventuality):
         if not t > 0:
             raise ValueError("need t > 0")
         self.t = float(t)
-        self.radius = None
+        self.radius = 0.0
+        self.reach = (1, 1)
         self.label = f"T1<={_fmt(self.t)}"
         # an event T is T_1 for y in [T_0, T) and within t for y >= T-t
         self.offsets = (-self.t, 0.0)
@@ -449,7 +459,8 @@ class _PrevStraddle(Eventuality):
     def __init__(self, k: int, x: float):
         self.k = int(k)
         self.x = float(x)
-        self.radius = None
+        self.radius = 0.0
+        self.reach = (-self.k, -self.k + 1)
         self.label = f"straddle({self.k},{_fmt(self.x)})"
         # T_-k <= y - x flips at y = T + x
         self.offsets = tuple(sorted({0.0, self.x}))
@@ -466,7 +477,7 @@ class _PrevStraddle(Eventuality):
 
 class _Not(Eventuality):
     def __init__(self, inner: Eventuality):
-        self.inner, self.radius = inner, inner.radius
+        self.inner, self.radius, self.reach = inner, inner.radius, inner.reach
         self.offsets, self.edge_offsets = inner.offsets, inner.edge_offsets
         body = inner.label
         if isinstance(inner, _Binary):
@@ -482,12 +493,14 @@ class _Not(Eventuality):
 
 
 class _Binary(Eventuality):
-    """Shared by & and |: the radius, the label and the union of the breaks."""
+    """Shared by & and |: what both sides read, the label and the union of
+    the breaks."""
 
     def __init__(self, left, right):
         self.left, self.right = left, right
-        self.radius = (None if left.radius is None or right.radius is None
-                       else max(left.radius, right.radius))
+        self.radius = max(left.radius, right.radius)
+        reach = [r for r in (left.reach, right.reach) if r is not None]
+        self.reach = (min(r[0] for r in reach), max(r[1] for r in reach)) if reach else None
         self.label = f"({left.label} {self.op} {right.label})"
         self.offsets = tuple(sorted({*left.offsets, *right.offsets}))
         self.edge_offsets = tuple(sorted({*left.edge_offsets, *right.edge_offsets}))
@@ -530,14 +543,15 @@ def ev_true() -> Eventuality:
     return _True()
 
 
-def ev_interval_gt(n: int, c: float, radius: float | None = None) -> Eventuality:
-    """[alpha_n > c]; radius is a caller-supplied bound covering T_n and T_n+1."""
+def ev_interval_gt(n: int, c: float, radius: float = 0.0) -> Eventuality:
+    """[alpha_n > c]; it reads T_n and T_n+1, and radius is a time radius the
+    caller declares it reads as well."""
     if c < 0:
         raise ValueError("need c >= 0")
     return _AlphaCmp(n, c, ">", radius)
 
 
-def ev_interval_eq(n: int, c: float, radius: float | None = None) -> Eventuality:
+def ev_interval_eq(n: int, c: float, radius: float = 0.0) -> Eventuality:
     """[alpha_n == c]; useful for lattice patterns where gaps are exact floats."""
     return _AlphaCmp(n, c, "==", radius)
 
@@ -573,18 +587,8 @@ def ev_not(e: Eventuality) -> Eventuality:
 
 # [alpha_0 = 1]: the distinguished eventuality of the non-AMS lattice model,
 # whose gap encoding makes its indicator at T_i reproduce the 0/1 label x_i.
-# Gaps there are 1 or 2, so a radius of 4 always covers T_0 and T_1.
 def ev_example44() -> Eventuality:
-    return ev_interval_eq(0, 1.0, radius=4.0)
-
-
-# Horizon, in mean gaps, for eventualities without a declared radius.
-HORIZON_GAPS = 15.0
-
-
-def effective_radius(ev: Eventuality, scale: float) -> float:
-    """Concrete radius when declared, otherwise the horizon."""
-    return ev.radius if ev.radius is not None else HORIZON_GAPS * scale
+    return ev_interval_eq(0, 1.0)
 
 
 # -- parser ---------------------------------------------------------------

@@ -4,7 +4,7 @@ Each entry evaluates a left and a right side with independent seed
 streams and passes when |lhs - rhs| <= Z_CRIT * combined s.e. + atol.
 Entries may probe several parameter values (k, n, x or y); the report
 carries the worst probe.  The probes of a check share one sampling per
-side, on the union of their windows, so each probe's lhs and rhs stay
+side, to the union of their needs, so each probe's lhs and rhs stay
 independent.  The exception is the right side of I-3.13, a ratio of two
 intensities: its numerator and denominator keep separate streams, since
 on shared draws their ratio would be est_shifted_palm's own estimator,
@@ -35,11 +35,10 @@ from .estimate import (
     est_intermediate,
     est_palm_zero,
     est_shifted_palm,
-    group_radius,
-    guard_window,
     mc_mean,
     point_bins,
     pstar_model,
+    row_need,
     _binned_events,
     _bins,
     _marked,
@@ -47,16 +46,17 @@ from .estimate import (
     _reject_from_codes,
 )
 from .events import (
-    HORIZON_GAPS,
     Eventuality,
     Positions,
     SUITE_BATTERY,
     _kleene_and,
+    ev_straddle,
     ev_true,
     parse_eventuality,
     straddle_codes,
 )
 from .models import (
+    Need,
     ProcessModel,
     example84_exact,
     gamma_intervals,
@@ -74,11 +74,12 @@ class RunParams:
     budget: int
     seed: int
     threads: int
-    check: str  # the identity id, the prefix of every stream tag
+    check: str  # "<identity id>:<model label>", the prefix of every stream tag
 
     def side(self, name: str) -> dict:
         """Seed, stream and threads of one side of the check: its stream is
-        tagged "<identity id>:<name>" (the model is not in the tag)."""
+        tagged "<identity id>:<model label>:<name>", so the checks of one
+        identity on different models draw from different streams."""
         return dict(seed=self.seed, stream=f"{self.check}:{name}", threads=self.threads)
 
 
@@ -150,13 +151,12 @@ def _count_rate(model: ProcessModel, rp: RunParams, side: str) -> Estimate:
 
 
 def _mean_alpha0(model: ProcessModel, rp: RunParams, side: str) -> Estimate:
-    window = guard_window(model, HORIZON_GAPS * model.scale)
-
     def kernel(batch, ctx):
         t0, t1, ok = ctx.gap(ctx.pos0())
         return [(np.where(ok, t1 - t0, 0.0), ~ok)]
 
-    (est,) = mc_mean(model, window, kernel, rp.budget, **rp.side(side))
+    # the straddling gap is the anchors' own
+    (est,) = mc_mean(model, Need(), kernel, rp.budget, **rp.side(side))
     return est
 
 
@@ -166,13 +166,13 @@ def _gap_at(ctx, y: float) -> np.ndarray:
     return ctx.last_le(np.full(ctx.batch.n, y), np.arange(ctx.batch.n))
 
 
-def _probe_means(model, window, probes, kernel, rp: RunParams, side: str) -> list:
+def _probe_means(model, need, probes, kernel, rp: RunParams, side: str) -> list:
     """One mc_mean over all probes: kernel(batch, ctx, p) gives probe p's
     (values, reject) pairs, and each probe gets its list of Estimates."""
     def joint(batch, ctx):
         return [pair for p in probes for pair in kernel(batch, ctx, p)]
 
-    ests = mc_mean(model, window, joint, rp.budget, **rp.side(side))
+    ests = mc_mean(model, need, joint, rp.budget, **rp.side(side))
     m = len(ests) // len(probes)
     return [ests[i * m:(i + 1) * m] for i in range(len(probes))]
 
@@ -180,15 +180,16 @@ def _probe_means(model, window, probes, kernel, rp: RunParams, side: str) -> lis
 # -- identity runners ------------------------------------------------------------
 #
 # A runner gets a group of eventualities (or (None,) for identities that
-# take none) and evaluates every member on the same draws, sampled on the
-# window the widest member needs.  It returns probes (note, lhs, rhs); each
-# field is one value shared by all members or a list with one value per
-# member.  Its kernels read a gap through ctx.gap and return one (values,
-# reject) pair per member, so mc_mean gives one Estimate per member; a
-# kernel that takes no eventuality returns a list of one.
+# take none) and evaluates every member on the same draws, sampled to the
+# need of its kernel and the whole group (row_need).  It returns probes
+# (note, lhs, rhs); each field is one value shared by all members or a list
+# with one value per member.  Its kernels read a gap through ctx.gap and
+# return one (values, reject) pair per member, so mc_mean gives one
+# Estimate per member; a kernel that takes no eventuality returns a list of
+# one.
 #
-# The probes of a check share one sampling per side, on the union of their
-# windows, with one member per (probe, eventuality) (_probe_means); only an
+# The probes of a check share one sampling per side, to the union of their
+# needs, with one member per (probe, eventuality) (_probe_means); only an
 # estimator that takes the probe as a parameter (est_intermediate's n) is
 # called once per probe.  Each side has its own stream, rp.side(name), so a
 # probe's lhs and rhs stay independent, as combined_se assumes.  I-3.13's
@@ -198,13 +199,12 @@ def _probe_means(model, window, probes, kernel, rp: RunParams, side: str) -> lis
 
 def _run_i23(model, group, rp):
     lhs = _count_rate(model, rp, "L")
-    window = guard_window(model, HORIZON_GAPS * model.scale)
 
     def kernel(batch, ctx):
         t0, t1, ok = ctx.gap(ctx.pos0())
         return [(np.where(ok, 1.0 / (t1 - t0), 0.0), ~ok)]
 
-    (rhs,) = mc_mean(model, window, kernel, rp.budget, **rp.side("R"))
+    (rhs,) = mc_mean(model, Need(), kernel, rp.budget, **rp.side("R"))
     return [("rate vs E(1/alpha0)", lhs, rhs)]
 
 
@@ -218,20 +218,16 @@ def _run_i24(model, group, rp):
 def _run_i26(model, group, rp):
     palm = model.palm_companion()
     lam = model.exact_rate
-    pad = HORIZON_GAPS * model.scale
-    window = guard_window(palm, group_radius(group, model.scale) + pad)
     # the lhs does not depend on k: one estimate serves both probes
     lhs = est_event_probability(model, group, rp.budget, **rp.side("L"))
 
     def kernel(batch, ctx, k):
         # integrate over (T_-k, T_-k+1]
-        i = ctx.pos0() - k
-        y_lo, y_hi, _ = ctx.gap(i)
-        keep = (y_lo >= -pad) & (y_hi <= pad)
-        return [A.integrate_gap(ctx, i, keep) for A in group]
+        return [A.integrate_gap(ctx, ctx.pos0() - k, True) for A in group]
 
     ks = (0, 1)
-    rhs = _probe_means(palm, window, ks, kernel, rp, "R")
+    # a shift in (T_-1, T_1] is seen from T_-1, T_0 or T_1
+    rhs = _probe_means(palm, row_need(group, at=(-1, 1)), ks, kernel, rp, "R")
     return [(f"k={k}", lhs, [_scaled(est, lam) for est in ests]) for k, ests in zip(ks, rhs)]
 
 
@@ -240,14 +236,14 @@ def _run_i27a(model, group, rp):
     lam = model.exact_rate
     ns = (0, 1)
     lhs = [est_intermediate(model, n, group, rp.budget, **rp.side(f"n{n}:L")) for n in ns]
-    window = guard_window(palm, group_radius(group, model.scale)
-                          + (max(ns) + 2) * palm.scale * 4.0)
 
     def kernel(batch, ctx, n):
         t_lo, t_hi, ok = ctx.gap(ctx.pos0() - n)
         return [_marked(A.at_origin(ctx), ok, t_hi - t_lo) for A in group]
 
-    rhs = _probe_means(palm, window, ns, kernel, rp, "R")
+    # the gaps read reach back to T_-max(ns)
+    need = row_need(group) | Need(left=max(ns))
+    rhs = _probe_means(palm, need, ns, kernel, rp, "R")
     return [(f"n={n}", lhs_n, [_scaled(est, lam) for est in ests])
             for n, lhs_n, ests in zip(ns, lhs, rhs)]
 
@@ -256,8 +252,6 @@ def _run_i27b(model, group, rp):
     lam = model.exact_rate
     ns = (0, 1)
     lhs = est_palm_zero(model, group, 10.0 * model.scale, rp.budget, **rp.side("L"))
-    window = guard_window(model, group_radius(group, model.scale)
-                          + (max(ns) + 2) * model.scale * 4.0)
 
     def kernel(batch, ctx, n):
         pos0 = ctx.pos0()
@@ -267,7 +261,7 @@ def _run_i27b(model, group, rp):
         rows = np.arange(batch.n)
         return [_marked(A.at_events(ctx, e, rows), ok, 1.0 / (t1 - t0)) for A in group]
 
-    rhs = _probe_means(model, window, ns, kernel, rp, "R")
+    rhs = _probe_means(model, row_need(group, at=(min(ns), max(ns))), ns, kernel, rp, "R")
     return [(f"n={n}", lhs, [_scaled(est, 1.0 / lam) for est in ests])
             for n, ests in zip(ns, rhs)]
 
@@ -277,18 +271,17 @@ def _i28c_partner(A: Eventuality) -> Eventuality:
     return parse_eventuality("count(0,1]==0") if partner == A else partner
 
 
-def _pairing_kernel(pairs, pad: float):
+def _pairing_kernel(pairs):
     """Per pair (f, g): [f at the origin] times the mean of [g] over the
     straddling gap."""
 
     def kernel(batch, ctx):
         pos0 = ctx.pos0()
         t0, t1, ok = ctx.gap(pos0)
-        inside = (t0 >= -pad) & (t1 <= pad)
         out = []
         for f, g in pairs:
             codes = f.at_origin(ctx)
-            integrals, reject = g.integrate_gap(ctx, pos0, inside & (codes == 1))
+            integrals, reject = g.integrate_gap(ctx, pos0, codes == 1)
             # a row where f fails counts, with value 0
             reject &= ~(ok & (codes == 0))
             out.append((np.divide(integrals, t1 - t0, out=np.zeros(batch.n), where=~reject),
@@ -300,19 +293,18 @@ def _pairing_kernel(pairs, pad: float):
 
 def _run_i28c(model, group, rp):
     partners = [_i28c_partner(A) for A in group]
-    pad = HORIZON_GAPS * model.scale
-    # one window covers every member and every partner
-    window = guard_window(model, group_radius([*group, *partners], model.scale) + pad)
+    # one need covers every member and every partner, at the origin and
+    # over the straddling gap
+    need = row_need([*group, *partners], at=(0, 1))
     pairs = list(zip(group, partners))
-    lhs = mc_mean(model, window, _pairing_kernel(pairs, pad), rp.budget, **rp.side("L"))
-    rhs = mc_mean(model, window, _pairing_kernel([(g, f) for f, g in pairs], pad),
+    lhs = mc_mean(model, need, _pairing_kernel(pairs), rp.budget, **rp.side("L"))
+    rhs = mc_mean(model, need, _pairing_kernel([(g, f) for f, g in pairs]),
                   rp.budget, **rp.side("R"))
     return [([f"partner={partner.label}" for partner in partners], lhs, rhs)]
 
 
 def _run_i210c(model, group, rp):
     xs = [mult * model.scale for mult in (0.5, 1.0, 3.0)]
-    window = guard_window(model, HORIZON_GAPS * model.scale, 0.0, max(xs) + model.scale)
 
     def kernel(batch, ctx, x):
         t0, t1, ok = ctx.gap(ctx.pos0())
@@ -323,7 +315,8 @@ def _run_i210c(model, group, rp):
         ok = ok & (x + t1 <= ctx.whi)
         return [(np.where(ok, cnt / (t1 - t0), 0.0), ~ok)]
 
-    lhs = _probe_means(model, window, xs, kernel, rp, "L")
+    # the counts read up to x + T_1
+    lhs = _probe_means(model, Need(after=max(xs)), xs, kernel, rp, "L")
     return [(f"x={x:g}", est, _exact(model.exact_rate)) for x, (est,) in zip(xs, lhs)]
 
 
@@ -338,8 +331,9 @@ def _run_i37(model, group, rp):
     lhs = [est_intermediate(model, k, group, rp.budget, **rp.side(f"k{k}:L")) for k in ks]
     # k=0 integrates over bins on (-span, 0], k=1 over bins on (0, span]
     bins = [_bins(np.arange(lo, lo + span + width / 2, width)) for lo in (-span, 0.0)]
-    window = guard_window(model, group_radius(group, model.scale) + 2.0 * span,
-                          float(bins[0][0, 0]), float(bins[1][-1, 1]))
+    # every event of the bins is seen with the members and both straddles
+    need = row_need([*group, *(ev_straddle(k, 0.0) for k in ks)], before=span, after=span,
+                    at=(0, 1))
 
     def kernel(batch, ctx, k):
         # [T_-k <= -x < T_-k+1] with x the centre of each event's bin
@@ -353,7 +347,7 @@ def _run_i37(model, group, rp):
             pairs.append((vals, _reject_from_codes(batch.n, rep, both)))
         return pairs
 
-    rhs = _probe_means(model, window, ks, kernel, rp, "R")
+    rhs = _probe_means(model, need, ks, kernel, rp, "R")
     return [(f"k={k}", lhs_k, rhs_k) for k, lhs_k, rhs_k in zip(ks, lhs, rhs)]
 
 
@@ -401,11 +395,11 @@ def _delta0_kernel(tilt, lam: float, members):
 def _run_i52a(model, group, rp):
     info = model.tilt_info
     palm = info.base_palm()
-    window = guard_window(palm, HORIZON_GAPS * palm.scale)
     lhs = est_intermediate(model, 0, group, rp.budget, **rp.side("L"))
     # the normalization is the member ev_true() of the rhs sampling
     kernel = _delta0_kernel(info.tilt, info.base_rate, [ev_true(), *group])
-    norm, *rhs = mc_mean(palm, window, kernel, rp.budget, **rp.side("R"))
+    need = row_need(group) | info.tilt.need
+    norm, *rhs = mc_mean(palm, need, kernel, rp.budget, **rp.side("R"))
     return [("normalization", norm, _exact(1.0)), ("reweighted", lhs, rhs)]
 
 
@@ -421,7 +415,10 @@ def _run_i81a(model, group, rp):
     ys = [y * model.scale for y in (0.0, 1.0, -1.0, 2.0, -2.0)]
     bins, at = point_bins(ys, 0.025 * model.scale)
     (lhs,) = est_intensity(model, [ev_true()], bins, rp.budget, **rp.side("L"))
-    window = guard_window(palm, HORIZON_GAPS * palm.scale + max(map(abs, ys)))
+    # the gap holding -y starts at most one event outside the extent, and
+    # the tilt reads on from there
+    y_max = max(map(abs, ys))
+    need = Need(before=y_max, after=y_max, left=1, right=info.tilt.need.right + 1)
 
     def kernel(batch, ctx, y):
         # sigma applied to the view from -y; values are 0 where undefined
@@ -430,7 +427,7 @@ def _run_i81a(model, group, rp):
         vals, ok = info.tilt.values_at(ctx.points, i, stored, ctx.off_hi)
         return [(vals, ~ok)]
 
-    rhs = _probe_means(palm, window, ys, kernel, rp, "R")
+    rhs = _probe_means(palm, need, ys, kernel, rp, "R")
     return [(f"y={y:g}", lhs[b].estimate, _scaled(est, info.base_rate))
             for y, b, (est,) in zip(ys, at, rhs)]
 
@@ -442,14 +439,15 @@ def _run_i84rho(model, group, rp):
     xs = [x * model.scale for x in (-1.0, 0.5)]
     bins, at = point_bins(xs, 0.05 * model.scale)
     lhs = est_shifted_palm(model, group, bins, rp.budget, **rp.side("L"))
-    window = guard_window(palm, group_radius(group, model.scale)
-                          + HORIZON_GAPS * palm.scale + max(map(abs, xs)))
 
     def kernel(batch, ctx, x):
         t_lo, t_hi, ok = ctx.gap(_gap_at(ctx, -x))
         return [_marked(A.at_origin(ctx), ok, t_hi - t_lo) for A in group]
 
-    rhs = _probe_means(palm, window, xs, kernel, rp, "R")
+    # the gap holding -x ends at most one event outside the extent
+    x_max = max(map(abs, xs))
+    need = row_need(group) | Need(before=x_max, after=x_max, left=1, right=1)
+    rhs = _probe_means(palm, need, xs, kernel, rp, "R")
     return [(f"x={x:g}", [prof[b].estimate for prof in lhs],
              [_scaled(est, lam / (2.0 - math.exp(-lam * abs(x)))) for est in ests])
             for x, b, ests in zip(xs, at, rhs)]
@@ -562,14 +560,14 @@ def check_identity(
     group A; a report carries the worst probe.
 
     A group is a sequence of eventualities evaluated on one set of draws,
-    sampled on the window its widest member needs; A=None (for identities
+    sampled to the union of what its members need; A=None (for identities
     that take none) gets a list of one report.  A member's report depends
-    only on that member and that window, so a member of the largest
-    effective radius gets the report of that member checked alone.
+    only on that member and that need, so a member whose own need is the
+    group's gets the report of that member checked alone.
 
-    The probes share the draws too: each side samples once, on the union
-    of its probes' windows, on the stream "<spec.id>:<side>", so a probe's
-    two sides stay independent.  I-3.13's intensity ratio keeps separate
+    The probes share the draws too: each side samples once, to the union
+    of its probes' needs, on the stream "<spec.id>:<model label>:<side>",
+    so a probe's two sides stay independent.  I-3.13's intensity ratio keeps separate
     streams for its numerator and denominator, which on shared draws
     would give est_shifted_palm's estimator, its own lhs.
     """
@@ -578,7 +576,7 @@ def check_identity(
     if spec.needs_eventuality and A is None:
         raise ValueError(f"{spec.id} needs an eventuality")
     group = (None,) if A is None else _members(A)
-    rp = RunParams(int(budget * spec.budget_factor), seed, threads, spec.id)
+    rp = RunParams(int(budget * spec.budget_factor), seed, threads, f"{spec.id}:{model.label}")
     probes = spec.run(model, group, rp)
     return [
         _report(spec, model, ev.label if spec.needs_eventuality else "-",
@@ -600,7 +598,7 @@ def run_suite(
     """Every applicable (identity, model, battery-eventuality) triple, in
     deterministic order; non-applicable pairs are skipped.  The whole
     battery is checked as one group (see check_identity): one set of draws
-    per (identity, model), on the window of its widest member, with rows in
+    per (identity, model), to the union of its members' needs, with rows in
     battery order.  An only that names no identity raises ValueError."""
     if only is not None and only not in REGISTRY_BY_ID:
         raise ValueError(f"unknown identity id {only!r}; known ids: {', '.join(REGISTRY_BY_ID)}")

@@ -1,13 +1,19 @@
 """Seedable exact samplers for every process law the toolkit verifies.
 
-Samplers fill the requested window; estimators choose windows wide enough
-that shifted evaluations inside their analysis region never reach the
-edge.  All samplers are pure functions of (generator, window), so
-replications are reproducible and parallelism-independent.
+A sampler takes what its caller reads of each row: a Need, or a plain
+window (lo, hi).  Every two-sided row holds two anchor events, T_0 and
+T_1, and draws i.i.d. gaps outward from them, each side until the row
+holds the need measured from its anchor (T_0 leftwards, T_1 rightwards);
+such a row's window ends at its outermost stored events.  A plain window
+(lo, hi) is read as the need of that time extent (ProcessModel.sample_batch)
+and the rows are clipped to it.
+All samplers are pure functions of (generator, need), so replications are
+reproducible and parallelism-independent.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -56,6 +62,17 @@ class IntervalDistribution:
             return rng.exponential(1.0 / self.params[0], size)
         if self.family == "gamma":
             shape, rate = self.params
+            if shape == 2.0:
+                # Erlang(2) as -log((1 - u1)(1 - u2)) / rate, in place; 1 - u
+                # lies in (0, 1], so the product cannot be 0
+                g = rng.random(size)
+                np.subtract(1.0, g, out=g)
+                u2 = rng.random(size)
+                np.subtract(1.0, u2, out=u2)
+                g *= u2
+                np.log(g, out=g)
+                g /= -rate
+                return g
             return rng.gamma(shape, 1.0 / rate, size)
         if self.family == "deterministic":
             return np.full(size, self.params[0])
@@ -108,6 +125,10 @@ def uniform_intervals(a: float, b: float) -> IntervalDistribution:
 # -- weight functionals (tilts) ---------------------------------------------
 
 
+# how many gaps each registered tilt reads, the straddling gap first
+TILT_GAPS = {"identity": 1, "alpha0": 1, "alpha01": 2}
+
+
 @dataclass(frozen=True)
 class Tilt:
     """Nonnegative weight functional of the straddling gaps.
@@ -121,6 +142,19 @@ class Tilt:
     name: str
     params: tuple[float, ...]
 
+    @property
+    def gaps(self) -> int:
+        """How many gaps the tilt reads, the straddling gap first."""
+        if self.name not in TILT_GAPS:
+            raise UnknownTilt(self.name)
+        return TILT_GAPS[self.name]
+
+    @property
+    def need(self) -> "Need":
+        """What the tilt reads of a row past T_1: its gaps after the
+        straddling one."""
+        return Need(right=self.gaps - 1)
+
     def value_batch(self, batch: PatternBatch) -> tuple[np.ndarray, np.ndarray]:
         """Per row, the value at the row's own origin and whether the row
         stores every gap the tilt reads (see values_at)."""
@@ -132,10 +166,7 @@ class Tilt:
         after it, per row, and the rows whose values are defined: those
         where ok (the gap is stored) and every further gap read ends before
         the row's end offset row_end.  Values are 0 where not defined."""
-        if self.name not in ("identity", "alpha0", "alpha01"):
-            raise UnknownTilt(self.name)
-        if self.name == "alpha01":
-            ok = ok & (i + 2 < row_end)
+        ok = ok & (i + self.gaps < row_end)
         i = i[ok]
         values = np.zeros(ok.size)
         if self.name == "identity":
@@ -190,7 +221,7 @@ class ProcessModel:
         law_tag: str,
         descriptor: dict,
         scale: float,
-        batch_fn: Callable[[np.random.Generator, tuple[float, float], int], PatternBatch],
+        batch_fn: Callable[[np.random.Generator, "Need", int], PatternBatch],
         *,
         exact_rate: float | None = None,
         interval: IntervalDistribution | None = None,
@@ -219,7 +250,19 @@ class ProcessModel:
         return self.law_tag == LAW_DETERMINISTIC
 
     def sample_batch(self, rng, window, n: int) -> PatternBatch:
-        return self._batch_fn(rng, window, n)
+        """n rows drawn to window, a Need, or seen through window, a plain
+        (lo, hi).  Every row's anchors bracket the origin, so rows drawn to
+        Need(before=-lo, after=hi) hold (lo, hi); they are clipped to it,
+        and rows left empty are redrawn."""
+        if isinstance(window, Need):
+            return self._batch_fn(rng, window, n)
+        lo, hi = _check_window(window)
+        need = Need(before=-lo, after=hi)
+
+        def draw(k: int) -> PatternBatch:
+            return clip_rows(self._batch_fn(rng, need, k), (lo, hi))
+
+        return redraw_flawed(draw(n), draw)
 
     def palm_companion(self) -> "ProcessModel | None":
         """The event-stationary law standing to this one as its Palm version."""
@@ -237,7 +280,148 @@ class ProcessModel:
         return f"<ProcessModel {self.label} [{self.law_tag}]>"
 
 
-# -- batch assembly helpers ---------------------------------------------------
+# -- what a row must hold --------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Need:
+    """What a kernel reads of each row, measured outward from the row's
+    anchors (T_0 leftwards, T_1 rightwards): every event within `before`
+    of T_0 and `after` of T_1, `left` and `right` more events past the
+    outermost of those on each side, and `radius` of time past the
+    outermost event read.  Anchored this way, one need serves every row,
+    wherever its origin sits between T_0 and T_1.  The union of two needs
+    (a | b) holds both."""
+
+    before: float = 0.0
+    after: float = 0.0
+    left: int = 0
+    right: int = 0
+    radius: float = 0.0
+
+    def __post_init__(self):
+        if not all(0 <= v < math.inf for v in dataclasses.astuple(self)):
+            raise InsufficientWindow(f"a need must be finite and nonnegative, got {self}")
+
+    def __or__(self, other: "Need") -> "Need":
+        return Need(*(max(a, b) for a, b in zip(dataclasses.astuple(self),
+                                                dataclasses.astuple(other))))
+
+
+def _check_window(window) -> tuple[float, float]:
+    lo, hi = float(window[0]), float(window[1])
+    if not (-math.inf < lo < 0.0 < hi < math.inf):
+        raise InsufficientWindow(f"window must be finite and contain the origin, got ({lo}, {hi})")
+    return lo, hi
+
+
+def _stop(cum: np.ndarray, span: float, k: int, r: float) -> np.ndarray:
+    """Per row of sums c_1 < c_2 < ... outward from an anchor (c_0 = 0), the
+    number of sums the row keeps: through the first c_m >= max(span, c_q +
+    r), where q is k past the last sum within span; -1 where the row's sums
+    end too soon to tell."""
+    n, w = cum.shape
+    q = np.count_nonzero(cum <= span, axis=1) + k
+    c_q = np.where(q > 0, cum[np.arange(n), np.clip(q - 1, 0, w - 1)], 0.0)
+    t = np.maximum(span, c_q + r)
+    m = np.count_nonzero(cum < t[:, None], axis=1) + (t > 0)
+    return np.where((q <= w) & (m <= w), m, -1)
+
+
+# slack of the gap draws, in standard deviations of a Poisson count: a side
+# draws per + c*sqrt(per + 1) + c gaps for a need of per mean gaps, and a row
+# still short of it gets blocks of c*sqrt(per + 1) + c more gaps
+GAP_SLACK = 1.0
+
+
+def _side_cumsum(rng, dist: IntervalDistribution, n_rows: int, span: float, k: int = 0,
+                 r: float = 0.0):
+    """Per-row cumulative sums of i.i.d. gaps outward from an anchor, each
+    row drawn until it holds every sum within span, k sums past those and
+    r of time past the last of them (_stop).
+
+    Returns (blocks, keep): blocks (rows, sums) in drawing order, where a
+    later block holds its rows' sums in full, and keep, the sums each row
+    keeps.  The first block holds every row; each later block tops up only
+    the rows still short.  Whether a row draws again reads only its own
+    sums, so every row stays an i.i.d. gap sequence.
+    """
+    per = (span + r) / dist.mean + k
+    if per == 0.0:
+        # nothing past the anchor is read
+        return [], np.zeros(n_rows, dtype=np.int64)
+    extra = max(1, int(GAP_SLACK * (math.sqrt(per + 1.0) + 1.0)))
+    cum = dist.sample(rng, (n_rows, int(per) + extra))
+    np.cumsum(cum, axis=1, out=cum)
+    rows, blocks = slice(None), []
+    keep = np.empty(n_rows, dtype=np.int64)
+    while True:
+        blocks.append((rows, cum))
+        m = _stop(cum, span, k, r)
+        keep[rows] = m
+        short = np.flatnonzero(m < 0)
+        if not short.size:
+            return blocks, keep
+        top = dist.sample(rng, (short.size, extra))
+        top[:, 0] += cum[short, -1]
+        np.cumsum(top, axis=1, out=top)
+        rows = np.arange(n_rows)[rows][short]
+        cum = np.hstack((cum[short], top))
+
+
+def _put_columns(blocks, dst: np.ndarray) -> None:
+    """Write the leading columns of each block's rows into dst, later blocks
+    over earlier ones; cells past a row's sums are left as they are."""
+    for rows, b in blocks:
+        w = min(b.shape[1], dst.shape[1])
+        dst[rows, :w] = b[:, :w]
+
+
+def _assemble_two_sided(
+    rng,
+    need: Need,
+    n: int,
+    anchors: np.ndarray,
+    left_dist: IntervalDistribution,
+    right_dist: IntervalDistribution,
+) -> PatternBatch:
+    """Anchor columns T_0, T_1 per row plus i.i.d. gaps outward from them,
+    each side drawn until the row holds the need."""
+    left, lkeep = _side_cumsum(rng, left_dist, n, need.before, need.left, need.radius)
+    right, rkeep = _side_cumsum(rng, right_dist, n, need.after, need.right, need.radius)
+    for rows, b in left:
+        np.subtract(anchors[rows, :1], b, out=b)
+    for rows, b in right:
+        np.add(anchors[rows, -1:], b, out=b)
+    kl, kr, ka = int(np.max(lkeep)), int(np.max(rkeep)), anchors.shape[1]
+    matrix = np.empty((n, kl + ka + kr))
+    _put_columns(left, matrix[:, :kl][:, ::-1])
+    matrix[:, kl:kl + ka] = anchors
+    _put_columns(right, matrix[:, kl + ka:])
+    first, last = kl - lkeep, kl + ka - 1 + rkeep
+    cols = np.arange(matrix.shape[1])
+    valid = (cols >= first[:, None]) & (cols <= last[:, None])
+    rows = np.arange(n)
+    offsets = np.concatenate(([0], np.cumsum(last - first + 1, dtype=np.int64)))
+    return PatternBatch(matrix[valid], offsets,
+                        np.column_stack((matrix[rows, first], matrix[rows, last])), np.ones(n))
+
+
+def clip_rows(batch: PatternBatch, window) -> PatternBatch:
+    """The batch seen through the plain window (lo, hi): events outside it
+    are dropped and every row's window is (lo, hi).  Raises
+    InsufficientWindow if a row's own window does not hold (lo, hi)."""
+    lo, hi = window
+    if np.any(batch.windows[:, 0] > lo) or np.any(batch.windows[:, 1] < hi):
+        raise InsufficientWindow(
+            f"window ({lo}, {hi}) reaches past what the rows store: "
+            f"({batch.windows[:, 0].max()}, {batch.windows[:, 1].min()})")
+    keep = (batch.points >= lo) & (batch.points <= hi)
+    counts = np.add.reduceat(np.append(keep, False), batch.offsets[:-1])
+    counts[np.diff(batch.offsets) == 0] = 0
+    offsets = np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
+    windows = np.tile(np.array((lo, hi), dtype=np.float64), (batch.n, 1))
+    return PatternBatch(batch.points[keep], offsets, windows, batch.weights)
 
 
 # redraw_rows gives up on a row after this many rejected draws in a row:
@@ -272,13 +456,13 @@ def redraw_rows(batch: PatternBatch, bad: np.ndarray, draw_row) -> PatternBatch:
     return PatternBatch(np.concatenate(pieces), offsets, windows, weights)
 
 
-def _redraw_flawed(batch: PatternBatch, draw, flaws) -> PatternBatch:
-    """Redraw the rows flaws(batch) flags from draw(1) until one passes."""
+def redraw_flawed(batch: PatternBatch, draw) -> PatternBatch:
+    """Redraw the rows _row_flaws flags from draw(1) until one passes."""
     def draw_row():
         row = draw(1)
-        return None if flaws(row)[0] else row
+        return None if _row_flaws(row)[0] else row
 
-    return redraw_rows(batch, flaws(batch), draw_row)
+    return redraw_rows(batch, _row_flaws(batch), draw_row)
 
 
 def _row_flaws(batch: PatternBatch) -> np.ndarray:
@@ -292,129 +476,21 @@ def _row_flaws(batch: PatternBatch) -> np.ndarray:
     return bad
 
 
-def _straddle_flaws(batch: PatternBatch) -> np.ndarray:
-    """The rows _row_flaws flags and those that do not straddle the origin
-    inside their window (poisson_ts's row rule)."""
-    return _row_flaws(batch) | ~batch.straddled(batch.pos0())
-
-
-# slack of the gap draws, in standard deviations of a Poisson count: a side
-# draws per + c*sqrt(per + 1) + c gaps for a span of per mean gaps, and a row
-# still short of the span gets blocks of c*sqrt(per + 1) + c more gaps
-GAP_SLACK = 1.0
-
-
-def _side_cumsum(rng, dist: IntervalDistribution, n_rows: int, span: float) -> list:
-    """Per-row cumulative sums of i.i.d. gaps, each row drawn until a sum
-    exceeds span, as blocks (rows, sums) laid side by side.
-
-    The first block holds every row.  Each later block tops up only the
-    rows still short of span and continues their sums.  Whether a row draws
-    again reads only its own sums, so every row stays an i.i.d. gap
-    sequence.
-    """
-    per = max(span, 0.0) / dist.mean
-    extra = max(1, int(GAP_SLACK * (math.sqrt(per + 1.0) + 1.0)))
-    cum = dist.sample(rng, (n_rows, int(per) + extra))
-    np.cumsum(cum, axis=1, out=cum)
-    blocks = [(slice(None), cum)]
-    rows = np.flatnonzero(cum[:, -1] <= span)
-    last = cum[rows, -1]
-    while rows.size:
-        top = dist.sample(rng, (rows.size, extra))
-        top[:, 0] += last
-        np.cumsum(top, axis=1, out=top)
-        blocks.append((rows, top))
-        short = top[:, -1] <= span
-        rows, last = rows[short], top[short, -1]
-    return blocks
-
-
-def _used_columns(blocks, inside) -> int:
-    """Number of leading columns of the side-by-side blocks in which some
-    row is inside (a boolean function of a block), for rows that leave the
-    window monotonically (inside is a per-row prefix)."""
-    used = start = 0
-    for _, b in blocks:
-        k = int(np.count_nonzero(inside(b).any(axis=0)))
-        if k:
-            used = start + k
-        start += b.shape[1]
-    return used
-
-
-def _put_columns(blocks, dst: np.ndarray, pad: float) -> None:
-    """Write the leading columns of the side-by-side blocks into dst, with
-    pad where a row has no draw."""
-    k = dst.shape[1]
-    start = 0
-    for rows, b in blocks:
-        if start >= k:
-            break
-        w = min(b.shape[1], k - start)
-        if start:
-            dst[:, start:start + w] = pad
-        dst[rows, start:start + w] = b[:, :w]
-        start += b.shape[1]
-
-
-def _assemble_two_sided(
-    rng,
-    window,
-    n: int,
-    anchors: np.ndarray,
-    left_dist: IntervalDistribution,
-    right_dist: IntervalDistribution,
-) -> PatternBatch:
-    """Anchor columns (ascending per row) plus i.i.d. gaps extending to both
-    window edges; events outside the window are discarded."""
-    lo, hi = window
-    left = _side_cumsum(rng, left_dist, n, float(np.max(anchors[:, 0]) - lo))
-    right = _side_cumsum(rng, right_dist, n, float(hi - np.min(anchors[:, -1])))
-    # event times outward from the anchors; the trailing columns that no row
-    # keeps are left out of the matrix, which drops no event
-    for rows, b in left:
-        np.subtract(anchors[rows, :1], b, out=b)
-    for rows, b in right:
-        np.add(anchors[rows, -1:], b, out=b)
-    kl = _used_columns(left, lambda b: b >= lo)
-    kr = _used_columns(right, lambda b: b <= hi)
-    ka = anchors.shape[1]
-    matrix = np.empty((n, kl + ka + kr))
-    _put_columns(left, matrix[:, :kl][:, ::-1], -np.inf)
-    matrix[:, kl:kl + ka] = anchors
-    _put_columns(right, matrix[:, kl + ka:], np.inf)
-    valid = (matrix >= lo) & (matrix <= hi)
-    counts = valid.sum(axis=1)
-    offsets = np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
-    windows = np.tile(np.array(window, dtype=np.float64), (n, 1))
-    return PatternBatch(matrix[valid], offsets, windows, np.ones(n))
-
-
-def _check_window(window) -> tuple[float, float]:
-    lo, hi = float(window[0]), float(window[1])
-    if not (-math.inf < lo < 0.0 < hi < math.inf):
-        raise InsufficientWindow(f"window must be finite and contain the origin, got ({lo}, {hi})")
-    return lo, hi
-
-
-def _anchored_ts(straddle_length, d: IntervalDistribution, flaws):
+def _anchored_ts(straddle_length, d: IntervalDistribution):
     """Batch sampler of a time-stationary law built from its event-centered
     one: the origin-straddling gap has the law of straddle_length(rng, k),
     the origin lands uniformly inside it, and i.i.d. gaps of law d extend
-    outward on both sides.  Rows that flaws (a row rule) flags are redrawn."""
+    outward on both sides."""
 
-    def batch(rng, window, n):
-        _check_window(window)
-
+    def batch(rng, need, n):
         def draw(k: int) -> PatternBatch:
             length = straddle_length(rng, k)
             u = rng.random(k)
             t0 = -u * length
             anchors = np.column_stack((t0, t0 + length))
-            return _assemble_two_sided(rng, window, k, anchors, d, d)
+            return _assemble_two_sided(rng, need, k, anchors, d, d)
 
-        return _redraw_flawed(draw(n), draw, flaws)
+        return redraw_flawed(draw(n), draw)
 
     return batch
 
@@ -425,14 +501,13 @@ def _anchored_ts(straddle_length, d: IntervalDistribution, flaws):
 def poisson_ts(rate: float) -> ProcessModel:
     """Time-stationary homogeneous Poisson law: the renewal law with
     exponential gaps, built by inversion from its event-centered law, so the
-    straddling gap is Gamma(2, rate).  Unlike the other laws, its rows are
-    conditioned (by redraw) on straddling the origin inside the window."""
+    straddling gap is Gamma(2, rate)."""
     d = exponential(rate)
     return ProcessModel(
         LAW_TS,
         {"model": "poisson_ts", "rate": rate},
         1.0 / rate,
-        _anchored_ts(d.sample_length_biased, d, _straddle_flaws),
+        _anchored_ts(d.sample_length_biased, d),
         exact_rate=rate,
         interval=d,
         palm_factory=lambda: renewal_es(d),
@@ -440,17 +515,17 @@ def poisson_ts(rate: float) -> ProcessModel:
 
 
 def renewal_es(d: IntervalDistribution) -> ProcessModel:
-    """Event-stationary renewal law: an event at exactly 0 and i.i.d. gaps
-    extended independently to both window edges.  Rows with two events
-    within MIN_GAP are redrawn, as in every other sampler."""
+    """Event-stationary renewal law: an event at exactly 0, the anchor T_0,
+    and i.i.d. gaps extended independently to both sides, the first of them
+    to the anchor T_1.  Rows with two events within MIN_GAP are redrawn, as
+    in every other sampler."""
 
-    def batch(rng, window, n):
-        _check_window(window)
-
+    def batch(rng, need, n):
         def draw(k: int) -> PatternBatch:
-            return _assemble_two_sided(rng, window, k, np.zeros((k, 1)), d, d)
+            anchors = np.column_stack((np.zeros(k), d.sample(rng, k)))
+            return _assemble_two_sided(rng, need, k, anchors, d, d)
 
-        return _redraw_flawed(draw(n), draw, _row_flaws)
+        return redraw_flawed(draw(n), draw)
 
     return ProcessModel(
         LAW_ES,
@@ -472,7 +547,7 @@ def renewal_ts_from_es(d: IntervalDistribution) -> ProcessModel:
         LAW_TS,
         {"model": "renewal_ts", "interval": d.label},
         mean,
-        _anchored_ts(d.sample_length_biased, d, _row_flaws),
+        _anchored_ts(d.sample_length_biased, d),
         exact_rate=1.0 / mean,
         interval=d,
         palm_factory=lambda: renewal_es(d),
@@ -481,15 +556,16 @@ def renewal_ts_from_es(d: IntervalDistribution) -> ProcessModel:
 
 def tilted_ts(base: ProcessModel, tilt: Tilt) -> ProcessModel:
     """Importance sampler for the law obtained by reweighting a TS base with
-    the given functional; estimators self-normalize the weights."""
+    the given functional; estimators self-normalize the weights.  The base
+    rows are drawn to the need widened by the gaps the tilt reads."""
     if not base.is_ts:
         raise ValueError("tilted_ts needs a time-stationary base model")
     if base.exact_rate is None:
         raise ValueError("tilted_ts needs a base with known intensity")
     base_rate = base.exact_rate
 
-    def batch(rng, window, n):
-        out = base.sample_batch(rng, window, n)
+    def batch(rng, need, n):
+        out = base.sample_batch(rng, need | tilt.need, n)
         sigma, ok = tilt.value_batch(out)
         if not ok.all():
             raise InsufficientContext("tilt evaluation needs origin-straddling patterns "
@@ -515,8 +591,7 @@ def example84_exact(rate: float) -> ProcessModel:
         LAW_TILTED_TS,
         {"model": "example84", "rate": rate},
         1.0 / rate,
-        _anchored_ts(lambda rng, k: rng.gamma(3.0, 1.0 / rate, k), exponential(rate),
-                     _row_flaws),
+        _anchored_ts(lambda rng, k: rng.gamma(3.0, 1.0 / rate, k), exponential(rate)),
         tilt_info=TiltInfo(
             make_tilt("alpha0", rate / 2.0), rate, lambda: renewal_es(exponential(rate))
         ),
@@ -575,19 +650,18 @@ def example44(pattern_len: int) -> ProcessModel:
         raise ValueError("need pattern_len >= 1")
     right = example44_times(pattern_len)
 
-    def batch(rng, window, n):
-        lo, hi = _check_window(window)
-        if hi > right[-1]:
-            raise InsufficientWindow(
-                f"window reaches {hi} but the realization stops at {right[-1]}; "
-                f"increase pattern_len"
-            )
-        left = -np.arange(0.0, -lo + 1.0)  # 0, -1, -2, ...
-        left = left[left >= lo][::-1]
-        pts = np.concatenate((left, right[right <= hi]))
+    def batch(rng, need, n):
+        # the need, held on the unit gaps left of the anchor T_0 = 0 and on
+        # the stored gaps right of the anchor T_1 = 1; a need that reaches
+        # past the realization gets all of it, and the row's window ends at
+        # its last event, so what lies past it reads as unknown
+        before = np.arange(1.0, need.before + need.left + need.radius + 3.0)
+        (kl,) = _stop(before[None], need.before, need.left, need.radius)
+        (kr,) = _stop(right[None, 1:] - right[0], need.after, need.right, need.radius)
+        pts = np.concatenate((-before[:kl][::-1], [0.0], right if kr < 0 else right[:kr + 1]))
         counts = np.full(n, pts.size, dtype=np.int64)
         offsets = np.concatenate(([0], np.cumsum(counts)))
-        windows = np.tile(np.array((lo, hi), dtype=np.float64), (n, 1))
+        windows = np.tile(np.array((pts[0], pts[-1])), (n, 1))
         return PatternBatch(np.tile(pts, n), offsets, windows, np.ones(n))
 
     return ProcessModel(

@@ -1,9 +1,11 @@
 """Point patterns on a finite observation window.
 
 A pattern is a finite, strictly increasing set of event times inside a
-window [lo, hi] with lo < 0 < hi.  Event indexing follows the convention
+window [lo, hi] with lo <= 0 < hi.  Event indexing follows the convention
 that T_0 is the largest time <= 0 and T_1 the smallest time > 0; other
-indices are offsets from there.  Counting uses half-open intervals (a, b].
+indices are offsets from there.  A window may start at an event at 0, as
+the window of a row drawn to a need starts at its first stored event.
+Counting uses half-open intervals (a, b].
 """
 
 from __future__ import annotations
@@ -38,8 +40,8 @@ class PointPattern:
         object.__setattr__(self, "window", (float(lo), float(hi)))
         if pts.ndim != 1 or pts.size == 0:
             raise ValueError("pattern must hold at least one event time")
-        if not (lo < 0.0 < hi):
-            raise ValueError(f"window must contain the origin in its interior, got {self.window}")
+        if not (lo <= 0.0 < hi):
+            raise ValueError(f"window must hold the origin, lo <= 0 < hi, got {self.window}")
         if pts[0] < lo or pts[-1] > hi:
             raise OutsideWindow(f"events outside window [{lo}, {hi}]")
         if pts.size > 1 and np.min(np.diff(pts)) <= MIN_GAP:

@@ -69,15 +69,14 @@ window_hi = 15
 
     @pytest.mark.parametrize("model, digest", [
         ("model = renewal_ts\ninterval = gamma\nshape = 2\nrate = 1",
-         "d3b773480c5953542b7bb61dfbb3d51e02e72a1c2848b2d3f76e61502d2ee2da"),
+         "a6686c0f7e188489cb0ec7e06c2c0d4de06fc39bd21c5b41429ad36438df35a2"),
         ("model = example84\nrate = 1",
-         "3b5e7dbd175002ed72ebd017498c8185ffc39e7a90561afade01942c7e686337"),
+         "e5232706d9a593fc710940968d7521523f171b010ec8d2fea2dabf5a3b3999ea"),
         ("model = poisson_ts\nrate = 1",
-         "e5cff21da07b15dd3ae3f216a15323655be83c0be5f85ce0a0cd736abb9ee887"),
+         "610f505594f0d2ed522949fb436918d07a180611b9917df08d7f0991240088f2"),
     ], ids=["renewal_ts", "example84", "poisson_ts"])
     def test_patterns_pinned(self, tmp_path, model, digest):
-        # SHA-256 of patterns.txt pins every replication's stream and values;
-        # on (-3, 3) two poisson_ts replications go through the redraw path
+        # SHA-256 of patterns.txt pins every replication's stream and values
         cfg = write_config(tmp_path, f"""
 [simulate]
 {model}
@@ -218,10 +217,10 @@ reps = 20000
     @pytest.mark.parametrize("fields, digest", [
         ("model = renewal_ts\ninterval = gamma\nshape = 2\nrate = 1\n"
          "eventualities = alpha(0)>1; count(0,1]==0\nx = 5",
-         "806411604e8fe41c22d846c978cdbac424819529aabf52dd2eea4be00bc51f4f"),
+         "b2c0c9059f5cd3619b3662789e4999096bb86012cc5c6539e21c94efcd99580f"),
         ("model = example84\nrate = 1.0\nmode = shifted\n"
          "eventualities = alpha(-1)>1; T1<=0.5\nbin_lo = -1.5\nbin_hi = -0.5\nbin_width = 0.5",
-         "22e6ce4ac1dd24031437f28b9d3a636e9bcbb6ac2f387c42eb32a5a302784ca2"),
+         "c3b4953b5b7cbb179dd014a5cd6c7abdab3116b1d58905262f2b981e82d73327"),
     ], ids=["zero", "shifted"])
     def test_csv_pinned(self, tmp_path, fields, digest):
         # SHA-256 of palm.csv pins every estimate of both eventualities
@@ -232,10 +231,11 @@ reps = 20000
         assert hashlib.sha256(text).hexdigest() == digest
 
     def test_group_row_equals_widest_member_alone(self, tmp_path):
-        # the eventualities of one command share the draws of the widest
-        # member's window, so that member's row is its own run's row
+        # the eventualities of one command share the draws of the group's
+        # need; T1<=0.5 needs no more of a row than alpha(0)>1 does, so the
+        # row of alpha(0)>1 is its own run's row
         rows = {}
-        for name, evs in (("both", "alpha(0)>1; count(0,1]==0"), ("alone", "alpha(0)>1")):
+        for name, evs in (("both", "alpha(0)>1; T1<=0.5"), ("alone", "alpha(0)>1")):
             cfg = write_config(tmp_path, f"""
 [palm]
 model = poisson_ts
@@ -539,7 +539,7 @@ class TestExampleCommands:
                      "--seed", "11"]) == 0
         text = (tmp_path / "example84.csv").read_bytes()
         assert hashlib.sha256(text).hexdigest() == (
-            "0ea2d883a262a188e897ecfc4c302760afb0d414c5303dff52fa058a8d1885aa")
+            "f32bfd539520e7b2a90682f3897e05f92ff1e03bc025ba3815ddb34acdbeb5af")
 
     def test_example84_outputs(self, tmp_path):
         assert main(["example84", "--out", str(tmp_path), "--reps", "20000",

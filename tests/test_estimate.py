@@ -6,7 +6,7 @@ import pytest
 
 from palmlab import estimate
 from palmlab.ams import convert_es_to_ts, convert_ts_to_es
-from palmlab.errors import InsufficientCoverage, ZeroDenominator
+from palmlab.errors import InsufficientContext, InsufficientCoverage, ZeroDenominator
 from palmlab.estimate import (
     GroupSums,
     est_event_probability,
@@ -14,21 +14,21 @@ from palmlab.estimate import (
     est_intermediate,
     est_palm_zero,
     est_shifted_palm,
-    guard_window,
     mc_mean,
     point_bins,
     pstar_model,
+    row_need,
     run_kernel,
 )
 from palmlab.events import (
     BATTERY,
-    HORIZON_GAPS,
     Eventuality,
     ev_interval_gt,
     ev_true,
     parse_eventuality,
 )
 from palmlab.models import (
+    Need,
     deterministic,
     example44,
     example84_exact,
@@ -251,31 +251,50 @@ class TestResamplePstar:
             t0, t1, ok = ctx.gap(ctx.pos0())
             return [(np.where(ok, t1 / (t1 - t0), 0.0), ~ok)]
 
-        window = guard_window(ps, HORIZON_GAPS * ps.scale)
-        (est,) = mc_mean(ps, window, kernel, 40_000, seed=31)
+        (est,) = mc_mean(ps, Need(), kernel, 40_000, seed=31)
         within(est, 0.5, label="uniform ratio")
 
-    def test_nested_redraws_keep_rows_inside_their_windows(self, monkeypatch):
-        # with a pad of half a mean gap many rows of both layers are redrawn;
-        # a redrawn row carries its own window, not the discarded row's
-        monkeypatch.setattr(estimate, "PSTAR_PAD_GAPS", 0.5)
+    def test_nested_redraws_keep_rows_inside_their_windows(self):
+        # re-centered twice, a row drawn to a need keeps its own window,
+        # from its first to its last event, and holds the need around its
+        # anchors; on a plain window the re-centered rows are clipped to it,
+        # and the rows left empty are redrawn
         m = pstar_model(pstar_model(renewal_es(exponential(1.0))))
-        b = m.sample_batch(chunk_rng(35, "nested", 0), (-3.0, 3.0), 400)
-        rep = np.repeat(np.arange(b.n), np.diff(b.offsets))
-        assert np.all(b.points >= b.windows[rep, 0])
-        assert np.all(b.points <= b.windows[rep, 1])
-        assert np.all(b.windows[:, 0] <= -3.0) and np.all(b.windows[:, 1] >= 3.0)
+        need = Need(3.0, 3.0)
+        for window in (need, (-0.5, 0.5)):
+            b = m.sample_batch(chunk_rng(35, "nested", 0), window, 400)
+            rep = np.repeat(np.arange(b.n), np.diff(b.offsets))
+            assert np.all(b.points >= b.windows[rep, 0])
+            assert np.all(b.points <= b.windows[rep, 1])
+            assert np.all(np.diff(b.offsets) > 0)
+        pos0 = b.pos0()
+        assert np.all(b.windows == (-0.5, 0.5)) and not b.straddled(pos0).all()
+        b = m.sample_batch(chunk_rng(35, "nested", 0), need, 400)
+        pos0 = b.pos0()
+        assert b.straddled(pos0).all()
+        assert np.array_equal(b.windows[:, 0], b.points[b.offsets[:-1]])
+        assert np.array_equal(b.windows[:, 1], b.points[b.offsets[1:] - 1])
+        assert np.all(b.windows[:, 0] <= b.points[pos0] - 3.0)
+        assert np.all(b.windows[:, 1] >= b.points[pos0 + 1] + 3.0)
 
-    def test_redrawn_rows_keep_their_weights(self, monkeypatch):
+    def test_redrawn_rows_keep_their_weights(self):
         # re-centering stays inside the straddling gap, so an alpha0-tilted
-        # row keeps weight c * alpha_0 whether or not it was redrawn
-        monkeypatch.setattr(estimate, "PSTAR_PAD_GAPS", 0.5)
+        # row keeps weight c * alpha_0
         m = pstar_model(tilted_ts(poisson_ts(1.0), make_tilt("alpha0", 0.5)))
-        b = m.sample_batch(chunk_rng(36, "weighted", 0), (-3.0, 3.0), 200)
+        b = m.sample_batch(chunk_rng(36, "weighted", 0), Need(1.0, 1.0), 200)
         pos0 = b.pos0()
         assert b.straddled(pos0).all()
         a0 = b.points[pos0 + 1] - b.points[pos0]
         np.testing.assert_allclose(b.weights, 0.5 * a0, rtol=1e-12)
+
+    def test_base_without_anchors_is_an_error(self):
+        # a base that ignores the need and samples (-0.5, 0.5) leaves rows
+        # without T_0 or T_1, which the re-centering cannot read
+        base = poisson_ts(1.0)
+        narrow = ProcessModel(base.law_tag, base.descriptor, base.scale,
+                              lambda rng, window, n: base.sample_batch(rng, (-0.5, 0.5), n))
+        with pytest.raises(InsufficientContext):
+            pstar_model(narrow).sample_batch(chunk_rng(37, "anchors", 0), Need(), 400)
 
     def test_idempotent_in_distribution(self):
         base = renewal_es(exponential(1.0))
@@ -311,7 +330,7 @@ class TestMachinery:
             t0, t1, ok = ctx.gap(ctx.pos0())
             return [(np.column_stack((np.where(ok, t1 - t0, 0.0), np.ones(batch.n))), ~ok)]
 
-        window = guard_window(m, HORIZON_GAPS * m.scale)
+        window = Need()
         (sums1,) = run_kernel(m, window, 9000, 2, kernel, seed=3, stream="m",
                               threads=1).members
         (sums4,) = run_kernel(m, window, 9000, 2, kernel, seed=3, stream="m",
@@ -371,10 +390,15 @@ class TestMachinery:
             est_event_probability(bad, [ev_true()], 256, seed=0)
 
 
-# three members sharing the 15-gap horizon
-GROUP = [parse_eventuality(t) for t in ("alpha(0)>1", "alpha(-1)>0.5", "T1<=0.5")]
-# declares radius 1, narrower than the 15-gap horizon of GROUP's members
+# three members that read different events but need the same of every row,
+# in every estimator: nothing left of T_0, and as far right as T_1 or T_2
+GROUP = [parse_eventuality(t) for t in ("alpha(0)>1", "T1<=0.5", "alpha(0)>0.5")]
+# reads nothing but the anchors: its need lies inside GROUP's in every estimator
+INNER = ev_true()
+# reads the time radius 1 and no event
 NARROW = parse_eventuality("count(0,1]==0")
+# reads T_-1: wider than A_GAP at the origin
+WIDE = parse_eventuality("alpha(-1)>0.5")
 
 
 def _bin_digest(bins) -> str:
@@ -408,7 +432,7 @@ class TestGroups:
 
     def test_run_kernel_members_get_their_solo_sums(self):
         m = tilted_ts(poisson_ts(1.0), make_tilt("alpha0", 0.5))
-        window = guard_window(m, HORIZON_GAPS * m.scale)
+        window = Need()
 
         def member(parity):
             def kernel(batch, ctx):
@@ -453,7 +477,7 @@ class TestGroups:
     def test_mc_mean_list_kernel(self):
         # a two-member kernel gets the Estimates of two one-member runs
         m = poisson_ts(1.0)
-        window = guard_window(m, HORIZON_GAPS)
+        window = Need()
 
         def gap(batch, ctx):
             t0, t1, ok = ctx.gap(ctx.pos0())
@@ -469,8 +493,9 @@ class TestGroups:
         assert got == [est for (est,) in solo]
 
     def test_mixed_radius_group_uses_widest_window(self, monkeypatch):
+        # at the origin WIDE needs T_-1 and A_GAP only the anchors
         m = poisson_ts(1.0)
-        wide = guard_window(m, HORIZON_GAPS * m.scale)
+        wide = row_need([WIDE])
         windows = []
         run = estimate.run_kernel
 
@@ -479,12 +504,12 @@ class TestGroups:
             return run(model, window, *args, **kwargs)
 
         monkeypatch.setattr(estimate, "run_kernel", recording)
-        got = est_event_probability(m, [A_GAP, NARROW], 5000, seed=4)
+        got = est_event_probability(m, [WIDE, A_GAP], 5000, seed=4)
         assert windows == [wide]
-        # alone, the narrow member samples its own, narrower window, whose
-        # draws differ from the wide window's from the first chunk on
+        # alone, the narrow member samples to its own, smaller need, whose
+        # draws differ from the wide need's from the first chunk on
         windows.clear()
-        est_event_probability(m, [NARROW], 5000, seed=4)
+        est_event_probability(m, [A_GAP], 5000, seed=4)
         (narrow,) = windows
         assert narrow != wide
         first = [m.sample_batch(chunk_rng(4, "prob", 0), w, CHUNK) for w in (narrow, wide)]
@@ -492,19 +517,20 @@ class TestGroups:
         monkeypatch.undo()
 
         def narrow_kernel(batch, ctx):
-            codes = NARROW.at_origin(ctx)
+            codes = A_GAP.at_origin(ctx)
             return [((codes == 1).astype(np.float64), codes == -1)]
 
-        # the narrow member is evaluated on the draws of the widest window,
-        # not on its own narrower one
+        # the narrow member is evaluated on the draws of the wide need, not
+        # on its own smaller one
         assert [got[1]] == mc_mean(m, wide, narrow_kernel, 5000, seed=4, stream="prob")
-        assert [got[0]] == est_event_probability(m, [A_GAP], 5000, seed=4)
+        assert [got[0]] == est_event_probability(m, [WIDE], 5000, seed=4)
 
     def test_member_depends_only_on_itself_and_the_window(self):
-        # dropping a narrower member changes no other member's estimate, and
-        # a member of the widest radius gets its solo estimate
+        # dropping a member whose need lies inside the others' changes no
+        # other member's estimate, and a member whose need is the group's
+        # gets its solo estimate
         for run in group_runs().values():
-            mixed = run([GROUP[0], NARROW, *GROUP[1:]])
+            mixed = run([GROUP[0], INNER, *GROUP[1:]])
             assert [mixed[0], *mixed[2:]] == run(GROUP)
             assert [mixed[0]] == run(GROUP[:1])
 
@@ -534,23 +560,23 @@ class TestBinnedGolden:
     EDGES = np.array([-1.25, -0.75, 0.0, 0.5])
     CASES = [
         ("palm zero", lambda c: est_palm_zero(c.TS, [A_GAP], 5.0, 5000, seed=4, threads=2),
-         "f6147c071910d7d49ae7cb7fdd2a79ab79f0f22baca89b7953a1ebe43f415ff3"),
+         "8cd21506af23a119a5a455d07c17bc3f176ca2445f2645f5ac36b4d53268527e"),
         ("palm zero narrow",
          lambda c: est_palm_zero(poisson_ts(1.0), [NARROW], 3.0, 5000, seed=5),
-         "284b9bf018c116207964acec04c248ab8b2220519ec060b0582497e085814fa8"),
+         "05a900ed2f5f91b09b7b7f54bbd85fc58c54df3c67858b9159cc0feccb0022bb"),
         ("shifted", lambda c: est_shifted_palm(c.E84, [A_GAP], c.EDGES, 5000, seed=4, threads=2),
-         "4a301ba44ddb9ed1bca0694beae9170167d1632a5783d05bfe36b57258e14dd6"),
+         "97b2ce130638a2ca31ed47b2cb42334b4e4409516af961de3850625aafa37b46"),
         ("intensity",
          lambda c: est_intensity(c.E84, [ev_true()], c.EDGES, 5000, seed=4, threads=2),
-         "68f19a9ca6720afbac353500f8c5a1f9de9ce75c3d5c2e97becc26b84f24dd9c"),
+         "f3a46bc3d4f6f99f48072d1a765249cb9ead74d60b7faf62651c799f65668f41"),
         ("intensity A",
          lambda c: est_intensity(c.E84, [A_GAP], c.EDGES, 5000, seed=4, threads=2),
-         "af3c897ffee0f2559bfc688252e077ba641d45cb008b944fb4652c60c0f1b20b"),
+         "9acf29eaddd3470fe9ecd3471be43c1d830b3f8a26ec549d38a47cd2f06f7980"),
         # an empty bin each: nan +- inf for the shifted law, 0 +- inf for a rate
         ("shifted empty bin",
          lambda c: est_shifted_palm(poisson_ts(1.0), [ev_true()], np.array([0.0, 1e-7, 1.0]),
                                     256, seed=3),
-         "ccd7d693f31b9a1c7ee8df166e8a706550b2bd62524147d29a4dbb39a4b1790b"),
+         "61ea395abd15c99a9e78d6c98327e0f5d7ced74178210c0df9309eeab0464bb6"),
         ("intensity empty bin",
          lambda c: est_intensity(example44(30), [ev_true()], np.array([0.9, 1.2, 1.8, 2.1]),
                                  1, seed=0),

@@ -96,11 +96,16 @@ class TestCombinators:
             assert ev_or(A, ev_not(A)).evaluate(p) is True
 
     def test_radius_propagation(self):
+        # a combination reads what both sides read: the larger time radius
+        # and the union of the event reaches
         A = ev_count_eq(0, 2, 1)
         B = ev_count_eq(-3, 1, 0)
-        assert ev_and(A, B).radius == 3.0
+        assert ev_and(A, B).radius == 3.0 and ev_and(A, B).reach is None
         assert ev_not(A).radius == 2.0
-        assert ev_or(A, ev_interval_gt(0, 1.0)).radius is None
+        mixed = ev_or(A, ev_interval_gt(0, 1.0))
+        assert (mixed.radius, mixed.reach) == (2.0, (0, 1))
+        assert ev_and(ev_straddle(1, 0.5), ev_first_point_le(1.0)).reach == (-1, 1)
+        assert ev_not(ev_interval_gt(-2, 1.0)).reach == (-2, -1)
 
     def test_indeterminate_absorption(self):
         # False & Indeterminate is False; True | Indeterminate is True

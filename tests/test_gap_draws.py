@@ -1,9 +1,9 @@
 """The two-sided samplers' gap draws: right-sized with top-ups, same law.
 
 `models._side_cumsum` draws per + c*sqrt(per + 1) + c gaps per row for a
-span of per mean gaps (c = models.GAP_SLACK = 1, so with exponential gaps
+need of per mean gaps (c = models.GAP_SLACK = 1, so with exponential gaps
 about one row in six is short after the first block) and tops up only the
-rows still short of the span, with blocks of c*sqrt(per + 1) + c gaps.
+rows still short of the need, with blocks of c*sqrt(per + 1) + c gaps.
 `reference_side_cumsum` below is the rule it replaced (generous first
 block, the whole matrix redrawn at twice the width when any row falls
 short); the samplers built on either must have the same law.
@@ -11,8 +11,14 @@ The reference returns one matrix, which is a single block covering every
 row in `_side_cumsum`'s block form.
 
 `poisson_ts` is the anchored sampler with exponential gaps;
-`reference_poisson_ts` below is the Poisson sampler it replaced, and the two
-must have the same law, conditioned on straddling the origin.
+`reference_poisson_ts` below is the Poisson sampler it replaced, which
+conditioned its rows on straddling the origin; the two must have the same
+law on the rows that straddle the origin inside the window.
+
+A row drawn to a Need (event-indexed) stops once it holds what its kernel
+reads; the events it holds must have the law they have on a wide time
+window.  Gamma(2) gaps are drawn as -log of a product of two uniforms and
+must have the law of `Generator.gamma`.
 """
 
 import math
@@ -21,9 +27,11 @@ import numpy as np
 import pytest
 
 from palmlab import models
+from palmlab.estimate import pstar_model
 from palmlab.models import (
     LAW_TS,
     IntervalDistribution,
+    Need,
     ProcessModel,
     example84_exact,
     exponential,
@@ -36,16 +44,17 @@ from palmlab.pattern import MIN_GAP, PatternBatch
 from palmlab.rng import CHUNK, chunk_rng
 
 
-def reference_side_cumsum(rng, dist, n_rows, span):
-    """Per-row cumulative gap sums guaranteed to exceed span (the former
-    sampler rule, kept as the reference)."""
-    per = max(span, 0.0) / dist.mean
+def reference_side_cumsum(rng, dist, n_rows, span, k=0, r=0.0):
+    """Per-row cumulative gap sums guaranteed to hold the need (the former
+    sampler rule, kept as the reference), and the sums each row keeps."""
+    per = (span + r) / dist.mean + k
     m = int(per + 10.0 * math.sqrt(per + 1.0) + 10.0)
     while True:
         cum = dist.sample(rng, (n_rows, m))
         np.cumsum(cum, axis=1, out=cum)
-        if np.all(cum[:, -1] > span):
-            return cum
+        keep = models._stop(cum, span, k, r)
+        if np.all(keep >= 0):
+            return cum, keep
         m *= 2
 
 
@@ -66,7 +75,10 @@ def reference_poisson_ts(rate):
         straddles = row.size > 0 and row[0] <= 0.0 < row[-1]
         return not straddles or bool(np.any(np.diff(row) <= MIN_GAP))
 
-    def batch(rng, window, n):
+    def batch(rng, need, n):
+        # a plain window reaches the sampler as Need(before=-lo, after=hi);
+        # the rows fill that window and the clip to it changes nothing
+        window = (-need.before, need.after)
         rows = draw(rng, window, n)
         for i in range(n):
             while flawed(rows[i]):
@@ -99,7 +111,8 @@ KS_CRIT = math.sqrt(-0.5 * math.log(0.5e-4))
 
 def _statistics(model, window, subs, seed, stream):
     """Per-row counts in each sub-window and the straddling gap T_1 - T_0,
-    over ROWS rows drawn chunk by chunk, as one column each."""
+    over the rows that straddle the origin inside the window among ROWS
+    rows drawn chunk by chunk, as one column each."""
     cols = []
     for ci in range(ROWS // CHUNK):
         batch = model.sample_batch(chunk_rng(seed, stream, ci), window, CHUNK)
@@ -108,8 +121,9 @@ def _statistics(model, window, subs, seed, stream):
         counts = [np.bincount(rep[(pts > a) & (pts <= b)], minlength=batch.n)
                   for a, b in subs]
         pos0 = batch.pos0()
-        assert batch.straddled(pos0).all()
-        cols.append(np.column_stack(counts + [pts[pos0 + 1] - pts[pos0]]))
+        ok = batch.straddled(pos0)
+        gap = pts[np.where(ok, pos0 + 1, 0)] - pts[np.where(ok, pos0, 0)]
+        cols.append(np.column_stack(counts + [gap])[ok])
     return np.vstack(cols).astype(np.float64)
 
 
@@ -126,7 +140,8 @@ def _assert_same_law(new, ref, label):
         z = (x.mean() - y.mean()) / math.sqrt(x.var(ddof=1) / x.size + y.var(ddof=1) / y.size)
         assert abs(z) < Z_CRIT, f"{label} statistic {k}: z = {z:.2f}"
         d = _ks(x, y)
-        assert d < KS_CRIT * math.sqrt(2.0 / ROWS), f"{label} statistic {k}: KS D = {d:.4f}"
+        assert d < KS_CRIT * math.sqrt(1.0 / x.size + 1.0 / y.size), \
+            f"{label} statistic {k}: KS D = {d:.4f}"
 
 
 @pytest.mark.parametrize("slack", [models.GAP_SLACK, 0.0], ids=["default", "c=0"])
@@ -146,14 +161,19 @@ def test_same_law_as_reference(monkeypatch, slack, label, factory, window, subs)
     """
     monkeypatch.setattr(models, "GAP_SLACK", slack)
     new = _statistics(factory(), window, subs, 91, "gap-draws:new")
-    monkeypatch.setattr(models, "_side_cumsum",
-                        lambda *args: [(slice(None), reference_side_cumsum(*args))])
+
+    def reference(*args):
+        cum, keep = reference_side_cumsum(*args)
+        return [(slice(None), cum)], keep
+
+    monkeypatch.setattr(models, "_side_cumsum", reference)
     ref = _statistics(factory(), window, subs, 92, "gap-draws:ref")
     _assert_same_law(new, ref, label)
 
 
 # (window, sub-windows) for poisson_ts(1.0); on (-3, 3) about 10% of the rows
-# do not straddle the origin as first drawn and are redrawn
+# do not straddle the origin inside the window, and both sides compare the
+# rows that do
 POISSON_CASES = [
     ((-25.0, 25.0), [(-25.0, -20.0), (-3.0, 0.0), (0.0, 3.0), (20.0, 25.0), (-25.0, 25.0)]),
     ((-3.0, 3.0), [(-3.0, -2.0), (-1.0, 0.0), (0.0, 1.0), (2.0, 3.0), (-3.0, 3.0)]),
@@ -166,37 +186,59 @@ POISSON_CASES = [
 def test_poisson_same_law_as_former_sampler(window, subs):
     """poisson_ts (anchored, exponential gaps) against the Poisson sampler
     it replaced, with the statistics and tests of test_same_law_as_reference:
-    per-row counts in fixed sub-windows and the straddling gap length."""
+    per-row counts in fixed sub-windows and the straddling gap length, on
+    the rows that straddle the origin inside the window (the law the
+    former sampler drew by redraw)."""
     new = _statistics(poisson_ts(1.0), window, subs, 94, "poisson:new")
     ref = _statistics(reference_poisson_ts(1.0), window, subs, 95, "poisson:ref")
     _assert_same_law(new, ref, f"poisson_ts on {window}")
 
 
-@pytest.mark.parametrize("slack", [models.GAP_SLACK, 0.0], ids=["default", "c=0"])
-@pytest.mark.parametrize("dist", [exponential(1.0), gamma_intervals(0.25, 0.25),
-                                  gamma_intervals(2.0, 1.0)], ids=lambda d: d.label)
-def test_side_cumsum_rows(monkeypatch, slack, dist):
+def _check_side_cumsum(dist, slack, k, r):
     """Laid side by side, every row is an increasing run of partial sums
-    that passes span, padded with +inf after its last draw; rows short of
-    span after the first block are exactly the ones that were topped up."""
-    monkeypatch.setattr(models, "GAP_SLACK", slack)
+    that keeps exactly what the stopping rule asks: through the first sum
+    at or past max(span, c_q + r), q being k sums past the last one within
+    span (checked here row by row in plain Python); rows short of that
+    after the first block are exactly the ones that were topped up."""
     span = 30.0
-    blocks = models._side_cumsum(np.random.default_rng(3), dist, 2000, span)
-    cum = np.empty((2000, sum(b.shape[1] for _, b in blocks)))
-    models._put_columns(blocks, cum, np.inf)
-    finite = np.isfinite(cum)
-    last = finite.sum(axis=1) - 1
-    assert np.all(finite[:, 0])
-    # finite entries form a prefix of each row
-    assert np.array_equal(finite, np.arange(cum.shape[1])[None, :] <= last[:, None])
-    assert np.all(cum[np.arange(cum.shape[0]), last] > span)
-    assert np.all(cum[:, 1:][finite[:, 1:]] >= cum[:, :-1][finite[:, 1:]])
-    per = span / dist.mean
+    blocks, keep = models._side_cumsum(np.random.default_rng(3), dist, 2000, span, k, r)
+    cum = np.full((2000, max(b.shape[1] for _, b in blocks)), np.inf)
+    models._put_columns(blocks, cum)
+    for row, m in zip(cum, keep):
+        sums = [0.0] + [float(c) for c in row if math.isfinite(c)]
+        assert all(a <= b for a, b in zip(sums, sums[1:]))
+        q = sum(c <= span for c in sums[1:]) + k
+        t = max(span, sums[q] + r)
+        assert m == next(j for j, c in enumerate(sums) if c >= t)
+    per = (span + r) / dist.mean + k
     first = int(per) + max(1, int(slack * (math.sqrt(per + 1.0) + 1.0)))
-    topped = cum[:, first - 1] <= span
-    assert np.array_equal(topped, last >= first)
+    topped = np.zeros(2000, dtype=bool)
+    for rows, _ in blocks[1:]:
+        topped[rows] = True
+    assert np.array_equal(topped, keep > first)
     if slack == 0.0:
         assert topped.mean() > 0.3
+
+
+GAP_LAWS = [exponential(1.0), gamma_intervals(0.25, 0.25), gamma_intervals(2.0, 1.0)]
+
+
+@pytest.mark.parametrize("slack", [models.GAP_SLACK, 0.0], ids=["default", "c=0"])
+@pytest.mark.parametrize("dist", GAP_LAWS, ids=lambda d: d.label)
+def test_side_cumsum_rows(monkeypatch, slack, dist):
+    """The rows drawn for a span alone: each keeps its sums through the
+    first one past the span (see _check_side_cumsum)."""
+    monkeypatch.setattr(models, "GAP_SLACK", slack)
+    _check_side_cumsum(dist, slack, 0, 0.0)
+
+
+@pytest.mark.parametrize("slack", [models.GAP_SLACK, 0.0], ids=["default", "c=0"])
+@pytest.mark.parametrize("dist", GAP_LAWS, ids=lambda d: d.label)
+def test_side_cumsum_rows_hold_events_and_radius_past_the_span(monkeypatch, slack, dist):
+    """The rows drawn for a span, 3 events past it and a time radius of 2.5
+    past those (see _check_side_cumsum)."""
+    monkeypatch.setattr(models, "GAP_SLACK", slack)
+    _check_side_cumsum(dist, slack, 3, 2.5)
 
 
 @pytest.mark.parametrize("label, factory, window, bound", [
@@ -221,3 +263,63 @@ def test_gaps_drawn_per_event_kept(monkeypatch, label, factory, window, bound):
     monkeypatch.setattr(IntervalDistribution, "sample", counting)
     batch = factory().sample_batch(chunk_rng(93, "gap-draws:count", 0), window, CHUNK)
     assert sum(drawn) / batch.points.size <= bound
+
+
+# (label, model factory); pstar re-centers a Gamma(2) renewal law
+NEED_CASES = [
+    ("poisson_ts", lambda: poisson_ts(1.0)),
+    ("renewal_ts gamma(2,1)", lambda: renewal_ts_from_es(gamma_intervals(2.0, 1.0))),
+    ("renewal_es exp(1)", lambda: renewal_es(exponential(1.0))),
+    ("example84", lambda: example84_exact(1.0)),
+    ("pstar renewal_es gamma(2,1)", lambda: pstar_model(renewal_es(gamma_intervals(2.0, 1.0)))),
+]
+
+# what the statistics below read: every event in (-2, 2], and T_-3..T_3
+# (three events past T_0 and two past T_1, even where no event but the
+# anchors lies within 2 of them)
+NEED = Need(before=2.0, after=2.0, left=3, right=2)
+
+
+def _event_statistics(model, window, seed, stream):
+    """Per row: the gaps between T_-3 and T_3 (six columns), T_1, and the
+    counts in (-2, 0] and (0, 2], over ROWS rows drawn chunk by chunk."""
+    cols = []
+    for ci in range(ROWS // CHUNK):
+        batch = model.sample_batch(chunk_rng(seed, stream, ci), window, CHUNK)
+        pos0, pts = batch.pos0(), batch.points
+        assert np.all(pos0 - 3 >= batch.offsets[:-1]) and np.all(pos0 + 3 < batch.offsets[1:])
+        ev = pts[pos0[:, None] + np.arange(-3, 4)]
+        rep = np.repeat(np.arange(batch.n), np.diff(batch.offsets))
+        counts = [np.bincount(rep[(pts > a) & (pts <= b)], minlength=batch.n)
+                  for a, b in ((-2.0, 0.0), (0.0, 2.0))]
+        cols.append(np.column_stack([np.diff(ev, axis=1), ev[:, 4], *counts]))
+    return np.vstack(cols).astype(np.float64)
+
+
+@pytest.mark.parametrize("label, factory", NEED_CASES, ids=[c[0] for c in NEED_CASES])
+def test_event_indexed_rows_same_law_as_time_window(label, factory):
+    """Rows drawn to a Need against rows of the time window (-40, 40), with
+    the tests of test_same_law_as_reference, on the statistics a kernel
+    with that need reads: the six gaps from T_-3 to T_3, T_1, and the
+    counts in (-2, 0] and (0, 2].  No event-indexed row is short of them."""
+    model = factory()
+    new = _event_statistics(model, NEED, 96, "need:new")
+    ref = _event_statistics(model, (-40.0, 40.0), 97, "need:ref")
+    _assert_same_law(new, ref, f"{label} event-indexed")
+
+
+def test_gamma2_gaps_same_law_as_generator_gamma():
+    """Gamma(2, rate) gaps, drawn as -log((1 - u1)(1 - u2)) / rate, against
+    Generator.gamma(2, 1/rate) on 65,536 draws each (independent streams):
+    a two-sample z-test on the mean and on the mean of the logarithm, and
+    the two-sample Kolmogorov-Smirnov test at level 1e-4."""
+    n, rate = 16 * CHUNK, 1.5
+    new = gamma_intervals(2.0, rate).sample(chunk_rng(98, "gamma2:new", 0), (n // 64, 64))
+    ref = chunk_rng(99, "gamma2:ref", 0).gamma(2.0, 1.0 / rate, n)
+    assert new.shape == (n // 64, 64) and np.all(new > 0.0)
+    new = new.ravel()
+    for f in (lambda x: x, np.log):
+        x, y = f(new), f(ref)
+        z = (x.mean() - y.mean()) / math.sqrt(x.var(ddof=1) / n + y.var(ddof=1) / n)
+        assert abs(z) < Z_CRIT
+    assert _ks(new, ref) < KS_CRIT * math.sqrt(2.0 / n)

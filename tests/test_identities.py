@@ -4,14 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from palmlab import ams, estimate
+from palmlab import ams, estimate, identities
 from palmlab.errors import NotApplicable, ZeroDenominator
 from palmlab.estimate import Estimate, _binned_events, _bins
 from palmlab.events import (
     SUITE_BATTERY,
     EventContext,
     Positions,
-    effective_radius,
     ev_straddle,
     ev_true,
     parse_eventuality,
@@ -22,6 +21,7 @@ from palmlab.identities import (
     REGISTRY,
     REGISTRY_BY_ID,
     _delta0_kernel,
+    _i28c_partner,
     _indep_ratio,
     check_identity,
     run_suite,
@@ -41,8 +41,14 @@ from conftest import rows_batch
 A_GAP = parse_eventuality("alpha(0)>1")
 
 # The suite battery plus T1<=0.5, whose I-2.8c partner differs from the
-# other members' (the partner swap), in the same radius group as the gaps.
+# other members' (the partner swap).
 JOINT_BATTERY = tuple(SUITE_BATTERY) + (parse_eventuality("T1<=0.5"),)
+# reads what A_GAP reads, with the same I-2.8c partner: the two need the
+# same of every row in every identity
+TWIN = parse_eventuality("alpha(0)>0.5")
+# reads every event and time any member of JOINT_BATTERY reads, partners
+# included, so its need is the need of any group it is in
+WIDEST = parse_eventuality("((alpha(-1)>0.5 & count(0,1]==0) | T1<=0.5)")
 JOINT_CASES = [(spec, model) for spec in REGISTRY if spec.needs_eventuality
                for model in DEFAULT_SUITE_MODELS if spec.applies(model)]
 
@@ -77,10 +83,13 @@ def kernel_calls(monkeypatch):
     return calls
 
 
-def radius_groups(model, battery=JOINT_BATTERY):
+def need_groups(battery=JOINT_BATTERY + (TWIN,)):
+    """The battery's members grouped by what they declare they read (and
+    their I-2.8c partner): members of one group need the same of every row
+    in every identity."""
     groups: dict = {}
     for A in battery:
-        groups.setdefault(effective_radius(A, model.scale), []).append(A)
+        groups.setdefault((A.reach, A.radius, _i28c_partner(A)), []).append(A)
     return list(groups.values())
 
 
@@ -198,21 +207,20 @@ class TestRunSuite:
         # keeps the draws and the arithmetic must keep this digest
         reports = run_suite(budget=4096, seed=3)
         assert hashlib.sha256(repr(reports).encode()).hexdigest() == (
-            "83d2104eeb775f67b040741c6c79a14b874d711bb7938aedfcb6976e5f5be20a")
+            "e93082dfdb3648e0307ef780354cd07b7495d2e452421bb242f32e205ceb1983")
 
 
 class TestJointEvaluation:
-    """A battery is checked on one set of draws, on the window its widest
-    member needs.  A member's report depends only on that member and that
-    window: members sharing an effective radius get their solo reports
-    exactly."""
+    """A battery is checked on one set of draws, sampled to the union of
+    its members' needs.  A member's report depends only on that member and
+    that need: members sharing a need get their solo reports exactly."""
 
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("spec, model", JOINT_CASES,
                              ids=[f"{s.id}-{m.descriptor['model']}" for s, m in JOINT_CASES])
     def test_group_equals_solo(self, spec, model, threads):
-        groups = radius_groups(model)
-        assert sorted(len(g) for g in groups) == [1, 3]
+        groups = need_groups()
+        assert sorted(len(g) for g in groups) == [1, 1, 1, 2]
         for group in groups:
             joint = check_identity(spec, model, group, 1024, seed=17, threads=threads)
             solo = [rep for A in group
@@ -222,7 +230,7 @@ class TestJointEvaluation:
     def test_group_equals_solo_across_chunks(self):
         # three chunks on a thread pool against one thread, member by member
         spec, model = REGISTRY_BY_ID["I-2.7b"], poisson_ts(1.0)
-        group = radius_groups(model)[0]
+        group = [A_GAP, TWIN]
         joint = check_identity(spec, model, group, 9000, seed=19, threads=2)
         assert joint == [rep for A in group
                          for rep in check_identity(spec, model, [A], 9000, seed=19)]
@@ -246,20 +254,22 @@ class TestJointEvaluation:
     @pytest.mark.parametrize("spec, model", JOINT_CASES,
                              ids=[f"{s.id}-{m.descriptor['model']}" for s, m in JOINT_CASES])
     def test_mixed_radius_group_uses_widest_window(self, spec, model, kernel_calls):
-        # JOINT_BATTERY mixes count(0,1]==0 (radius 1) with horizon-radius members
-        wide = [A for A in JOINT_BATTERY if A.radius is None]
-        assert len(wide) == len(JOINT_BATTERY) - 1 and wide[0] == JOINT_BATTERY[0]
-        joint = check_identity(spec, model, JOINT_BATTERY, 1024, seed=17)
+        # WIDEST first, then JOINT_BATTERY, whose count(0,1]==0 reads no
+        # event and is dropped below
+        battery = (WIDEST, *JOINT_BATTERY)
+        wide = [A for A in battery if A.reach is not None]
+        assert len(wide) == len(battery) - 1 and wide[0] == WIDEST
+        joint = check_identity(spec, model, battery, 1024, seed=17)
         mixed_calls, kernel_calls[:] = list(kernel_calls), []
         without = check_identity(spec, model, wide, 1024, seed=17)
         wide_calls, kernel_calls[:] = list(kernel_calls), []
-        (solo,) = check_identity(spec, model, JOINT_BATTERY[:1], 1024, seed=17)
-        # every identity samples the windows of its widest member checked
+        (solo,) = check_identity(spec, model, [WIDEST], 1024, seed=17)
+        # every identity samples to the needs of its widest member checked
         # alone, one per side (and per n or k for est_intermediate), whatever
-        # else is in the group; and dropping the narrow member leaves every
-        # other report bit-identical
+        # else is in the group; and dropping a member whose need lies inside
+        # leaves every other report bit-identical
         assert mixed_calls == wide_calls == kernel_calls
-        assert [r for r, A in zip(joint, JOINT_BATTERY) if A.radius is None] == without
+        assert [r for r, A in zip(joint, battery) if A.reach is not None] == without
         assert joint[0] == solo
 
     def test_identity_without_eventuality_reports_each_member(self):
@@ -267,6 +277,38 @@ class TestJointEvaluation:
         reports = check_identity(spec, poisson_ts(1.0), [A_GAP, A_GAP], 1024, seed=3)
         solo = check_identity(spec, poisson_ts(1.0), None, 1024, seed=3)
         assert reports == solo + solo
+
+
+class TestStreamsAndRejections:
+    def test_models_of_one_identity_draw_different_streams(self, kernel_calls):
+        # the stream tag names the model, so I-2.3's rows on poisson_ts and
+        # renewal_ts do not share draws
+        for model in DEFAULT_SUITE_MODELS[:2]:
+            check_identity(REGISTRY_BY_ID["I-2.3"], model, None, 256, seed=17)
+        streams = [stream for _, stream in kernel_calls]
+        assert len(streams) == 4 and len(set(streams)) == 4
+        assert [s.split(":")[1] for s in streams] == [DEFAULT_SUITE_MODELS[0].label] * 2 + [
+            DEFAULT_SUITE_MODELS[1].label] * 2
+
+    def test_index_based_members_are_never_rejected(self, monkeypatch):
+        # every probe of every check of the default suite: rows are drawn
+        # as far as their kernel reads, so no row of an index-based member
+        # (nor of any identity that takes no eventuality) is rejected
+        probes = []
+        report = identities._report
+
+        def recording(spec, model, label, member_probes, budget):
+            probes.extend((spec.id, label, lhs, rhs) for _, lhs, rhs in member_probes)
+            return report(spec, model, label, member_probes, budget)
+
+        monkeypatch.setattr(identities, "_report", recording)
+        reports = run_suite(budget=4096, seed=5)
+        assert len(probes) > len(reports) == 58
+        index_based = {"-", "alpha(0)>1", "alpha(-1)>0.5"}
+        assert {label for _, label, _, _ in probes} == index_based | {"count(0,1]==0"}
+        for ident, label, lhs, rhs in probes:
+            if label in index_based:
+                assert lhs.rejected == rhs.rejected == 0, (ident, label)
 
 
 class TestSamplingsPerCheck:

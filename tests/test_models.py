@@ -5,13 +5,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from palmlab import estimate
 from palmlab.errors import InsufficientContext, InsufficientWindow, UnknownTilt
 from palmlab.estimate import est_event_probability, pstar_model
 from palmlab.events import parse_eventuality
 from palmlab.models import (
     LAW_TS,
     MAX_ROW_DRAWS,
+    Need,
     ProcessModel,
     deterministic,
     example44,
@@ -33,7 +33,7 @@ from palmlab.models import (
     tilted_ts,
     uniform_intervals,
 )
-from palmlab.models import _assemble_two_sided, _row_flaws
+from palmlab.models import _assemble_two_sided, _row_flaws, clip_rows
 from palmlab.pattern import PatternBatch
 from palmlab.rng import CHUNK, chunk_rng
 
@@ -116,15 +116,21 @@ class TestIntervalDistributions:
 
 class TestPoisson:
     def test_window_too_small_raises(self):
-        # a row straddles (-1e-4, 1e-4) with probability about 1e-8: the
-        # redraw gives up instead of drawing forever
+        # a row holds an event of (-1e-9, 1e-9) with probability about
+        # 2e-9: the redraw of empty rows gives up instead of drawing forever
         with pytest.raises(InsufficientWindow):
-            poisson_ts(1.0).sample_batch(chunk_rng(0, "x", 0), (-1e-4, 1e-4), 1)
+            poisson_ts(1.0).sample_batch(chunk_rng(0, "x", 0), (-1e-9, 1e-9), 1)
 
     @pytest.mark.parametrize("window", [(-math.inf, 5.0), (-5.0, math.inf), (math.nan, 5.0)])
     def test_non_finite_window_raises(self, window):
         with pytest.raises(InsufficientWindow):
             poisson_ts(1.0).sample_batch(chunk_rng(0, "x", 0), window, 4)
+
+    @pytest.mark.parametrize("field", ["before", "after", "left", "right", "radius"])
+    @pytest.mark.parametrize("value", [-1, math.inf, math.nan])
+    def test_malformed_need_raises(self, field, value):
+        with pytest.raises(InsufficientWindow):
+            Need(**{field: value})
 
     def test_mean_count(self):
         m = poisson_ts(1.0)
@@ -187,7 +193,8 @@ class TestRenewalEs:
         # gaps of shape 0.25 put two events within MIN_GAP in 143 of these
         # rows as first drawn; the sampler redraws them
         d, window, n = gamma_intervals(0.25, 0.25), (-20.0, 20.0), 4096
-        raw = _assemble_two_sided(chunk_rng(1, "x", 0), window, n, np.zeros((n, 1)), d, d)
+        raw = _assemble_two_sided(chunk_rng(1, "x", 0), Need(before=20.0, after=20.0), n,
+                                  np.zeros((n, 1)), d, d)
         assert int(_row_flaws(raw).sum()) == 143
         batch = renewal_es(d).sample_batch(chunk_rng(1, "x", 0), window, n)
         assert not _row_flaws(batch).any()
@@ -271,15 +278,35 @@ class TestTilted:
         assert 0.0 < est.ess < est.reps
 
     def test_alpha0_tilt_on_the_floor_window(self):
-        # every row straddles the origin inside the ten-gap floor window, so
-        # the tilt is defined on every row; a row rule without straddling
-        # lets anchored rows whose straddling gap sticks out of the window
-        # through, and tilted_ts then raises InsufficientContext on 15 of
-        # these 40 chunks
-        m = tilted_ts(poisson_ts(1.0), make_tilt("alpha0", 0.5))
-        for ci in range(40):
-            batch = m.sample_batch(chunk_rng(44, "floor-window", ci), (-10.0, 10.0), CHUNK)
-            assert batch.straddled(batch.pos0()).all()
+        # the smallest need, the anchors alone, stores the straddling gap of
+        # every row, so the tilt is defined on every row (the ten-gap floor
+        # window it once took is gone)
+        for tilt in (make_tilt("alpha0", 0.5), make_tilt("alpha01", 1.0, 0.5)):
+            m = tilted_ts(poisson_ts(1.0), tilt)
+            for ci in range(10):
+                batch = m.sample_batch(chunk_rng(44, "floor-window", ci), Need(), CHUNK)
+                pos0 = batch.pos0()
+                assert batch.straddled(pos0).all()
+                assert np.array_equal(batch.weights, tilt.value_batch(batch)[0])
+
+    def test_tilt_on_a_plain_window(self):
+        # a plain window is the need of its extent: the weights are the tilt
+        # values of the rows drawn to it, taken before the rows are clipped,
+        # so every chunk samples although no poisson_ts row is conditioned
+        # on straddling the window
+        for tilt in (make_tilt("alpha0", 0.5), make_tilt("alpha01", 1.0, 0.5)):
+            m = tilted_ts(poisson_ts(1.0), tilt)
+            for ci in range(40):
+                full = m.sample_batch(chunk_rng(44, "floor-window", ci),
+                                      Need(before=10.0, after=10.0), CHUNK)
+                batch = m.sample_batch(chunk_rng(44, "floor-window", ci), (-10.0, 10.0), CHUNK)
+                assert np.array_equal(batch.weights, tilt.value_batch(full)[0])
+                assert np.array_equal(batch.points, clip_rows(full, (-10.0, 10.0)).points)
+            # on (-0.5, 0.5) most straddling gaps stick out of the window
+            batch = m.sample_batch(chunk_rng(44, "narrow-window", 0), (-0.5, 0.5), CHUNK)
+            values, ok = tilt.value_batch(batch)
+            assert (batch.weights > 0).all() and ok.mean() < 0.5
+            assert np.array_equal(batch.weights[ok], values[ok])
 
     def test_alpha01_independence_frontier(self):
         # with weights (g0, g1), g1 = rate - 2 g0, the two gaps around the
@@ -459,8 +486,18 @@ class TestExample44:
 
     def test_window_past_realization(self):
         m = example44(5)
+        last = float(example44_times(5)[-1])
         with pytest.raises(InsufficientWindow):
             m.sample_batch(chunk_rng(0, "d", 0), (-2.5, 100.0), 1)
+        with pytest.raises(InsufficientWindow):
+            m.sample_batch(chunk_rng(0, "d", 0), (-2.5, last + 0.5), 1)
+        # the window that ends at the last stored event is held
+        row = m.sample_batch(chunk_rng(0, "d", 0), (-2.5, last), 1)
+        assert row.points[-1] == last and row.windows.tolist() == [[-2.5, last]]
+        # a need past the realization gets all of it, and the row's window
+        # ends at its last event
+        row = m.sample_batch(chunk_rng(0, "d", 0), Need(after=100.0), 1)
+        assert row.points[-1] == last and row.windows[0, 1] == last
 
 
 class TestConfigRoundTrip:
@@ -500,54 +537,81 @@ class TestGoldenBatches:
     poisson_ts were re-recorded when poisson_ts became an anchored sampler
     (tests/test_gap_draws.py checks its law against the former sampler).
     All of them were re-recorded when the first block of gap draws shrank
-    to GAP_SLACK = 1 and the chunk streams moved from Philox to SFC64."""
+    to GAP_SLACK = 1 and the chunk streams moved from Philox to SFC64, and
+    again when rows came to be drawn to a Need (event-indexed), Gamma(2)
+    gaps came to be drawn from two uniforms, renewal_es came to draw T_1 as
+    an anchor and poisson_ts stopped redrawing rows that do not straddle
+    the origin inside a plain window.  The plain-window digests moved once
+    more when a plain window (lo, hi) became Need(before=-lo, after=hi),
+    measured from the anchors, for every sampler alike."""
 
     # (label, model factory, window, rows, seed, SHA-256 of the batch's
     # points, offsets, windows and weights)
     CASES = [
         ("poisson 300 rows", lambda: poisson_ts(1.0), (-30.0, 30.0), 300, 11,
-         "710fdc1952f017d71608a2216d0de6db11d1c665b63edfc97e6b15492fe34d6a"),
+         "933abafc922e71d7a80ac562aba62a918a41266b41dc42d10c2c056778ee5883"),
         ("poisson ams window", lambda: poisson_ts(1.0), (-15.0, 441.0), 40, 12,
-         "8c06aedc42b4ac552d3517f200e8c5024a6cf0c3cb940a046245b113dbff8a37"),
-        # 38 of the 200 rows go through the one-row redraw path (48 draws)
+         "9b452d43c7c83ca951b96486c09fea2ea8ece0bde2445cd1e52679376ba1b816"),
+        # 2 of the 200 rows hold no event of the window and go through the
+        # one-row redraw path
         ("poisson redraws", lambda: poisson_ts(1.0), (-2.5, 2.5), 200, 13,
-         "8599f9cdaa71fde6c60327b9db43466a9b5c64acf2c23c6ccafa430ae87e73e1"),
+         "43fad59d67b349b8e966345a4d8ed2f5077f11a85f88c6a2c1f52fb70bf912f4"),
         ("renewal_ts", lambda: renewal_ts_from_es(gamma_intervals(2.0, 1.0)),
          (-20.0, 20.0), 100, 14,
-         "582d10bc78b23b4728dfa29349cace966096732d7e55f1f82c9774bf60ed4ca2"),
+         "0475a79170cfa6bdab8b8d47657fbffa1f190eaac1f7c781c02bad0079161aad"),
         ("renewal_es", lambda: renewal_es(uniform_intervals(0.5, 1.5)),
          (-20.0, 20.0), 100, 15,
-         "fd11a993989aff280be4471075c66053e3f7bb884b2d32c1294392d8b6195880"),
+         "508d826b25a193e12ebbc44b19bdf5b8a0cff5429a54275ca5b1d926bae5e62a"),
         ("example84", lambda: example84_exact(1.0), (-20.0, 20.0), 100, 16,
-         "5353fb198d9f8404279161b2efd42d85cc5cdfea23ea56b7217c36117c4f1ae1"),
+         "d759c5c16c185fa5fd9de0a8bb02adbe2a752ae4f8de738311f50629301e6492"),
         ("tilted alpha0", lambda: tilted_ts(poisson_ts(1.0), make_tilt("alpha0", 0.5)),
          (-20.0, 20.0), 100, 17,
-         "74ba492b080c2c0aa09d1c5bd326f209ddf01d8f75f91ee7ca9a427043edd95c"),
+         "8aefb47426fcf330304b8cba2a056c0f30966425a07896d9f4795924be480b3e"),
         ("tilted alpha01",
          lambda: tilted_ts(poisson_ts(2.0), make_tilt("alpha01", 1.0, 0.5)),
          (-10.0, 10.0), 100, 18,
-         "4814477570183f9e10f947659218241b986aa9996e2d2c9d54592dbdbab38d04"),
+         "91748e955054566a0e1e28ad37dcec2406b8c4db9570fe1a5a1a68872f92d1c5"),
         ("pstar poisson", lambda: pstar_model(poisson_ts(1.0)), (-20.0, 20.0), 100, 19,
-         "10b7445eecef92a0a2a3a889b6880c53fa72cd23535dbe90d472ca3ceff58260"),
+         "b2625fcc13220e45958d5b4f37473bd0ff8bd2c0acb3181c26a5139409cdfd90"),
         ("pstar renewal_es", lambda: pstar_model(renewal_es(gamma_intervals(2.0, 1.0))),
          (-20.0, 20.0), 100, 20,
-         "8b4434df5000abc73e70e4c4703f0ed98159586b094a5514b5c70d79291baf2a"),
-        # 5 of the 200 rows go through the one-row redraw path
+         "af8cb92d2c49e42ce89ea2b13625be28bd736651fec8eb33b2f92a1e8feb28e5"),
+        # 5 of the 200 rows hold no event of the window and go through the
+        # one-row redraw path
         ("example84 redraws", lambda: example84_exact(1.0), (-2.5, 2.5), 200, 21,
-         "97ebc533247a4c2994f4978ec15735404d98601003fdcf60c4ad1fad653cf37b"),
+         "1ef8484c7acd1e571056bba9e584fb90a05e2f49d1053d39cd0b843d30fd88f3"),
         ("renewal_ts ams window", lambda: renewal_ts_from_es(gamma_intervals(2.0, 1.0)),
          (-15.0, 441.0), 40, 22,
-         "18d61f07d7916a4c7b7cad5e0e59b3e0f5d7173af0e1e1840612eac4aa684b33"),
-        # gaps with coefficient of variation 2: 34 rows are topped up on the
-        # left and 41 on the right (five rounds each), and the two rows with
-        # two events within MIN_GAP are redrawn
+         "55f997a45ce96d2092ab07d000dbe8f120bc27a758df22b32f82a9513cfac2d9"),
+        # gaps with coefficient of variation 2: 36 rows are topped up on the
+        # left (four rounds) and 38 on the right (five rounds), and the two
+        # rows with two events within MIN_GAP are redrawn
         ("renewal_es top-ups", lambda: renewal_es(gamma_intervals(0.25, 0.25)),
          (-20.0, 20.0), 100, 23,
-         "8fa05ca07bd392c5e9e83e5ab916728371fb3f7e472e1f17d903303c060837b6"),
-        # 20 of the 200 rows go through the one-row redraw path (22 draws)
+         "8a6f88fcfce6fb95fdc8702b969668c4fab972a1f0f235064e3b445fb3930581"),
+        # 20 of the 200 rows go through the one-row redraw path (21 draws)
         ("renewal_ts redraws", lambda: renewal_ts_from_es(gamma_intervals(2.0, 1.0)),
          (-1.5, 1.5), 200, 31,
-         "b8b8ef71b77b991f9ea04d3334c80e4927d49487e79ff8a6885271116aa9d198"),
+         "e4a5f2e32c311697de05ea74092b61687dd8dd67957aa2e05765115eb55513da"),
+    ]
+
+    # rows drawn to a Need: each ends its window at its outermost events
+    CASES += [
+        ("poisson need", lambda: poisson_ts(1.0), Need(2.0, 3.0, 1, 2, 1.0), 300, 41,
+         "dfa86d35e34f4f974a9b93d2e189b5737563824681f975ab0ff7188ecf0bdbc6"),
+        ("renewal_es need", lambda: renewal_es(gamma_intervals(2.0, 1.0)),
+         Need(0.0, 5.0, 2, 0, 0.5), 100, 42,
+         "758d184635d920adfd6b0b4a404cff906a2d2380ef5f0e28873bc49ff332361d"),
+        # the anchors alone, widened by the gap the tilt reads past T_1
+        ("tilted alpha01 need",
+         lambda: tilted_ts(poisson_ts(2.0), make_tilt("alpha01", 1.0, 0.5)), Need(), 100, 43,
+         "50e103915cea609c8d9b4ad37f2413e0252aa3340a0a3bd9f2ac6c24c3230464"),
+        ("pstar need",
+         lambda: pstar_model(pstar_model(renewal_es(gamma_intervals(0.25, 0.25)))),
+         Need(1.0, 1.0, 1, 1), 100, 44,
+         "95d3a7d302c2d15c960693ac9d06fdea33207b68b23274e30df9ab8a503c48e8"),
+        ("example44 need", lambda: example44(60), Need(2.0, 10.0, 1, 3, 1.5), 3, 45,
+         "ed55f366419a11d3f8d5ef0bb8416e2b3e9f8d9007bc3ec6f080bec4f8512ecb"),
     ]
 
     @pytest.mark.parametrize("label, factory, window, n, seed, digest", CASES,
@@ -556,12 +620,11 @@ class TestGoldenBatches:
         batch = factory().sample_batch(chunk_rng(seed, "golden", 0), window, n)
         assert _batch_digest(batch) == digest
 
-    def test_pstar_redraws(self, monkeypatch):
-        # a pad of half a mean gap: 47 of the 200 rows are redrawn, taking 63
-        # one-row base draws, 6 of which do not straddle the origin (no u is
-        # drawn for those)
-        monkeypatch.setattr(estimate, "PSTAR_PAD_GAPS", 0.5)
+    def test_pstar_redraws(self):
+        # re-centered rows clipped to the plain window (-0.2, 0.2): 47 of the
+        # 200 rows hold no event of it and are redrawn, taking 57 one-row
+        # draws (and one base row with two events within MIN_GAP is redrawn)
         m = pstar_model(renewal_es(gamma_intervals(0.25, 0.25)))
-        batch = m.sample_batch(chunk_rng(34, "golden", 0), (-3.0, 3.0), 200)
+        batch = m.sample_batch(chunk_rng(34, "golden", 0), (-0.2, 0.2), 200)
         assert _batch_digest(batch) == (
-            "7802dd8c8ddaab26d9d5b2f92d3ca63cf3f8ed5b45e817349eb4c71d0625d08d")
+            "ee3b4db8152ed4f7908e29b452817c6eca296d0ef706e1854387c87778768862")

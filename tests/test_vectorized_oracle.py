@@ -2,8 +2,10 @@
 
 `codes_at` (and through it `at_events`, `at_origin` and `integrate`) must
 give exactly the three-valued result of `evaluate` on the shifted pattern,
-including on wide windows, where the globally sorted search rounds, and
-for events at or one ulp away from an eventuality's boundaries.
+including on wide windows, where the globally sorted search rounds, on
+windows that end at the first and last stored events (as every row drawn
+to a need has), and for events at or one ulp away from an eventuality's
+boundaries.
 """
 
 import numpy as np
@@ -172,6 +174,57 @@ def test_integrate(data, ev, draw):
             assert running[k] == pytest.approx(want_running, abs=tol)
         else:
             assert vals[k] == 0.0 and not running[k].any()
+
+
+@st.composite
+def row_window_patterns(draw):
+    """One pattern whose window ends at its first and last events, as the
+    rows drawn to a need end theirs (the first may be an event at 0), with
+    events at (or one ulp from) the boundaries seen from the origin and
+    from both edges."""
+    lo = draw(st.sampled_from([0.0]) | st.floats(-12.0, -1e-6))
+    hi = draw(st.floats(1e-6, 12.0))
+    pts = draw(st.lists(st.floats(lo, hi), max_size=20)) + [lo, hi]
+    for t in (0.0, lo, hi):
+        for c in draw(st.lists(st.sampled_from(BOUNDARIES), max_size=4)):
+            pts += _around(t + c)
+    pts = np.unique(np.clip(np.array(pts), lo, hi))
+    keep = np.concatenate(([True], np.diff(pts) > 2 * MIN_GAP))
+    pts = pts[keep]
+    return PointPattern(pts, (pts[0], pts[-1]))
+
+
+@SETTINGS
+@given(st.tuples(st.lists(row_window_patterns(), min_size=1, max_size=3),
+                 st.sampled_from([0, 4000])),
+       st.sampled_from(CASES))
+def test_codes_on_row_windows(data, ev):
+    """On windows that end at the first and last stored events, as every
+    row drawn to a need has, the codes at the origin, at every event but
+    the last and at positions around the boundaries seen from both edges
+    are evaluate's three-valued result on the row's own window."""
+    rows, filler = data
+    batch, ids = _batch(rows, filler)
+    ctx = EventContext(batch)
+    origin = ev.at_origin(ctx)
+    ys, reps = [], []
+    for i, p in zip(ids, rows):
+        assert CODE[int(origin[i])] == ev.evaluate(p), (ev.label, p)
+        # seen from the last event the window would end at the origin,
+        # where no pattern is defined
+        e = np.arange(batch.offsets[i], batch.offsets[i + 1] - 1)
+        codes = ev.at_events(ctx, e, np.full(e.size, i))
+        for k, t in enumerate(p.points[:-1]):
+            assert CODE[int(codes[k])] == ev.evaluate(p.shift_time(float(t))), (ev.label, t)
+        lo, hi = p.window
+        near = [u for x in (lo, hi) for c in BOUNDARIES for u in _around(x + c) if lo < u < hi]
+        ys += near
+        reps += [i] * len(near)
+    y, rep = np.array(ys, dtype=np.float64), np.array(reps, dtype=np.int64)
+    codes = ev.codes_at(Positions(ctx, y, rep))
+    for k in range(y.size):
+        p = rows[ids.index(rep[k])]
+        assert CODE[int(codes[k])] == ev.evaluate(p.shift_time(float(y[k]))), (ev.label, y[k])
 
 
 def full_row_integrate(ev, ctx, rows, y_lo, y_hi, cuts=None):

@@ -34,9 +34,8 @@ import numpy as np
 
 from palmlab import ams, cli, estimate, identities
 from palmlab.ams import _time_checkpoints
-from palmlab.estimate import group_radius, guard_window, pstar_model
-from palmlab.events import HORIZON_GAPS, SUITE_BATTERY, EventContext, effective_radius, \
-    parse_eventuality
+from palmlab.estimate import pstar_model, row_need
+from palmlab.events import SUITE_BATTERY, EventContext, parse_eventuality
 from palmlab.models import IntervalDistribution, example84_exact, exponential, \
     gamma_intervals, poisson_ts, renewal_es, renewal_ts_from_es
 from palmlab.rng import CHUNK, chunk_rng
@@ -140,7 +139,10 @@ def run_command(workload, cmd, cfg: dict, seed: int, out: Path) -> None:
         raise SystemExit(f"error: {' '.join(argv)} exited {code}")
 
 
-# name -> (model factory, window)
+# name -> (model factory, plain window or Need); the plain windows are the
+# ones the suite's kernels sampled before rows were drawn to their need, the
+# needs those of two kernels of the suite battery: the probability at the
+# origin and the binned count on (0, 10]
 SAMPLER_MODELS = {
     "renewal_ts": (lambda: renewal_ts_from_es(gamma_intervals(2.0, 1.0)), (-30.0, 40.0)),
     "renewal_es": (lambda: renewal_es(exponential(1.0)), (-15.0, 15.0)),
@@ -148,6 +150,9 @@ SAMPLER_MODELS = {
     "poisson_ts": (lambda: poisson_ts(1.0), (-15.0, 15.0)),
     "poisson_ts ams": (lambda: poisson_ts(1.0), (-15.0, 441.0)),
     "pstar": (lambda: pstar_model(poisson_ts(1.0)), (-15.0, 15.0)),
+    "poisson_ts origin need": (lambda: poisson_ts(1.0), row_need(SUITE_BATTERY)),
+    "renewal_ts binned need": (lambda: renewal_ts_from_es(gamma_intervals(2.0, 1.0)),
+                               row_need(SUITE_BATTERY, after=10.0, at=(0, 1))),
 }
 
 
@@ -175,10 +180,11 @@ def _sampler_model(name: str, chunks: int, seed: int, repeats: int) -> dict:
         times.append(best)
         digests.append(seen)
     return {
-        "window": list(window),
+        "window": list(window) if isinstance(window, tuple) else repr(window),
         "ms_per_chunk": 1e3 * statistics.median(times),
         "ms_per_chunk_all": [1e3 * t for t in times],
         "gaps_drawn": sum(sizes),
+        "gaps_per_chunk": sum(sizes) / chunks,
         "events_kept": points,
         "gaps_per_event_kept": sum(sizes) / points,
         "batch_sha256": digests,
@@ -188,18 +194,19 @@ def _sampler_model(name: str, chunks: int, seed: int, repeats: int) -> dict:
 def sampler(budget: int, seed: int, repeats: int) -> dict:
     """Per-chunk timing and gap-draw counts of the two-sided samplers.
 
-    Times `ProcessModel.sample_batch` for each model and window of
+    Times `ProcessModel.sample_batch` for each model and window or need of
     SAMPLER_MODELS on budget / CHUNK fixed-seed chunks, each `repeats`
     times from a fresh chunk generator, keeping its fastest run; records
     the median over chunks and a SHA-256 of every chunk's batch.  Counts
-    gaps drawn per event kept on those chunks, and in one pass of each
-    perfbench workload run in-process.
+    gaps drawn per chunk and per event kept on those chunks, and in one
+    pass of each perfbench workload run in-process.
     """
     models = {}
     for name in SAMPLER_MODELS:
         res = models[name] = _sampler_model(name, budget // CHUNK, seed, repeats)
-        print(f"{name} {tuple(res['window'])}: {res['ms_per_chunk']:.2f} ms/chunk, "
-              f"{res['gaps_per_event_kept']:.3f} gaps drawn per event kept")
+        print(f"{name} {res['window']}: {res['ms_per_chunk']:.2f} ms/chunk, "
+              f"{res['gaps_per_chunk']:.0f} gaps drawn per chunk, "
+              f"{res['gaps_per_event_kept']:.3f} per event kept")
     passes = {}
     with tempfile.TemporaryDirectory() as tmp:
         for name, workload in WORKLOADS.items():
@@ -222,7 +229,7 @@ def _cesaro_time():
     model = renewal_ts_from_es(gamma_intervals(2.0, 1.0))
     A = parse_eventuality("count(0,1]==0")
     cps = _time_checkpoints(model, X_MAX)
-    window = guard_window(model, effective_radius(A, model.scale), 0.0, X_MAX)
+    window = row_need([A], after=X_MAX, at=(0, 1))
 
     def calls(ctx):
         rows = np.arange(ctx.batch.n)
@@ -233,14 +240,12 @@ def _cesaro_time():
 
 def _one_gap():
     model = renewal_ts_from_es(gamma_intervals(2.0, 1.0)).palm_companion()
-    pad = HORIZON_GAPS * model.scale
-    window = guard_window(model, group_radius(SUITE_BATTERY, model.scale) + pad)
+    window = row_need(SUITE_BATTERY, at=(-1, 1))
 
     def calls(ctx):
         i = ctx.pos0()
         y_lo, y_hi = ctx.point(i), ctx.point(i + 1)
-        rows = np.flatnonzero((i >= ctx.off_lo) & (i + 1 < ctx.off_hi)
-                              & (y_lo >= -pad) & (y_hi <= pad))
+        rows = np.flatnonzero((i >= ctx.off_lo) & (i + 1 < ctx.off_hi))
         return [lambda A=A: A.integrate(ctx, rows, y_lo[rows], y_hi[rows])
                 for A in SUITE_BATTERY]
 
@@ -269,7 +274,7 @@ def _integrate_window(name: str, chunks: int, seed: int, repeats: int) -> dict:
         parts += [arr.tobytes() for values, ok in outs for arr in (values, ok)]
         per_chunk.append(1e3 * best)
     return {
-        "window": [float(w) for w in window],
+        "window": repr(window),
         "events_per_chunk": events / chunks,
         "searched_keys_per_chunk": sum(keys) / chunks,
         "ms_per_chunk": statistics.median(per_chunk),
@@ -281,13 +286,13 @@ def _integrate_window(name: str, chunks: int, seed: int, repeats: int) -> dict:
 def integrate(budget: int, seed: int, repeats: int) -> dict:
     """Per-chunk timing of the exact segment integration layer.
 
-    Times `Eventuality.integrate` on budget / CHUNK fixed-seed chunks in
-    two windows, Gamma(2,1) renewal gaps in both:
+    Times `Eventuality.integrate` on budget / CHUNK fixed-seed chunks drawn
+    to two needs, Gamma(2,1) renewal gaps in both:
 
-    - `cesaro-time`: the `ams kind=time` window, `count(0,1]==0` integrated
-      over (0, X_MAX] with the trace's checkpoints as cuts (one call per
-      chunk);
-    - `one-gap`: the I-2.6 window of the Palm companion, each member of the
+    - `cesaro-time`: the need of `ams kind=time`, `count(0,1]==0`
+      integrated over (0, X_MAX] with the trace's checkpoints as cuts (one
+      call per chunk);
+    - `one-gap`: the I-2.6 need of the Palm companion, each member of the
       suite battery integrated over the straddling gap (T_0, T_1] (one
       call per member per chunk).
 
