@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoMean, TooFewCheckpoints
+from .errors import InsufficientWindow, NoMean, TooFewCheckpoints
 from .estimate import (
     Estimate,
     ratio_estimate,
@@ -95,7 +95,13 @@ def _running_averages(model: ProcessModel, sums, ncp: int):
     self-normalized mean over the row weights (so a weighted trace fails
     loudly when its weights degenerate).  A deterministic law runs one
     replication, which is exact: its errors are 0, not the unknown spread
-    of one batch."""
+    of one batch, and its row is rejected only where the trace reads past
+    the stored realization, which more replications cannot mend."""
+    if model.is_deterministic and sums.rejected.any():
+        n = model.descriptor["pattern_len"]
+        raise InsufficientWindow(
+            f"the trace reads past the stored realization of {model.label}, "
+            f"whose last event is at {example44_times(n)[-1]:g}")
     ests = [ratio_estimate(sums, j) for j in range(ncp)]
     values = np.array([e.value for e in ests])
     if model.is_deterministic:

@@ -16,15 +16,20 @@ The scalar `evaluate` is the reference semantics.  Vectorized evaluation
 rests on `codes_at`, the code seen from arbitrary positions y of a batch's
 rows, and on declared break offsets, the only positions where that code
 can change (y = T + d per stored event T, plus window edges for counts).
-`codes_at` reads event positions from one `Positions` view, which finds
-each offset's positions once: known at events and at the origin, settled
-from a guess in `integrate`, searched otherwise.  Evaluation at events
-and at the origin are `codes_at` at those positions, and `integrate` sums
-the piecewise-constant code between sorted breaks to get exact integrals
-over time shifts, laying out only the events whose breaks can fall inside
-the interval; the sort of those breaks says which events lie left of each
-piece, which is its guess.  `integrate_gap` is the one integral over a gap
-between two events, per row of a batch, that the Palm kernels share.
+`codes_at` reads event positions, row bounds and window edges from one
+`Positions` view, which finds each offset's positions once.  At events
+and at the origin the answer at offset 0 is known and every other offset
+is walked from it, event by event.  In `integrate` the answers are taken
+from the sort of the breaks, which counts the events left of each piece:
+exact on every piece wider than a bound on the rounding, walked from the
+count on the narrower ones.  A view that knows nothing searches the
+globally sorted points once, then walks.  Evaluation at events and at the
+origin are `codes_at` at those positions, and `integrate` sums the
+piecewise-constant code between sorted breaks to get exact integrals over
+time shifts, laying out only the events whose breaks can fall inside the
+interval and evaluating a whole block of rows at once.  `integrate_gap`
+is the one integral over a gap between two events, per row of a batch,
+that the Palm kernels share.
 
 Textual form (used by the CLI and round-tripped by the parser):
 
@@ -39,6 +44,7 @@ Textual form (used by the CLI and round-tripped by the parser):
 
 from __future__ import annotations
 
+import functools
 import re
 
 import numpy as np
@@ -89,67 +95,116 @@ class EventContext:
             return np.zeros(np.shape(i))
         return np.take(self.points, i, mode="clip")
 
-    def gap(self, i: np.ndarray, rep: np.ndarray | None = None):
+    def gap(self, i: np.ndarray, bounds=None):
         """(t_lo, t_hi, stored): the times of the events at array positions
-        i and i + 1, and whether row rep stores both (without rep, i holds
-        one position per row).  The reads clip i into [0, size - 2], so
-        t_hi - t_lo is always the gap between two distinct stored events;
-        callers mask the rows where stored fails."""
-        rows = slice(None) if rep is None else rep
+        i and i + 1, and whether their row stores both.  bounds are the row
+        bounds aligned with i (Positions.bounds); without them i holds one
+        position per row.  The reads clip i into [0, size - 2], so t_hi -
+        t_lo is always the gap between two distinct stored events; callers
+        mask the entries where stored fails."""
+        lo, hi = (self.off_lo - 1, self.off_hi - 1) if bounds is None else bounds
         safe = np.clip(i, 0, max(self.points.size - 2, 0))
-        return (self.point(safe), self.point(safe + 1),
-                (i >= self.off_lo[rows]) & (i + 1 < self.off_hi[rows]))
+        return self.point(safe), self.point(safe + 1), (i > lo) & (i < hi)
 
     def last_le(self, y: np.ndarray, rep: np.ndarray, c: float = 0.0) -> np.ndarray:
         """Array position of the last event T of row rep with T - y <= c
         (off_lo - 1 when there is none), with T - y rounded as in the
-        scalar shift_time.
+        scalar shift_time: one searchsorted on the globally sorted points,
+        settled by a view that knows nothing else."""
+        return Positions(self, y, rep).le(c)
 
-        One searchsorted on the globally sorted points gives a first guess,
-        which `settle` moves to the exact position.
-        """
-        gs, shifts = self.gsorted()
-        j = np.searchsorted(gs, (y + c) + shifts[rep], side="right") - 1
-        return self.settle(j, y, rep, c)
-
-    def settle(self, j: np.ndarray, y: np.ndarray, rep: np.ndarray, c: float = 0.0) -> np.ndarray:
-        """The exact last_le(y, rep, c) from guesses j near it: comparing
-        unshifted values moves each guess one event at a time, so the
-        rounding of a guess's search key never decides a comparison."""
-        lo = self.off_lo[rep] - 1
-        hi = self.off_hi[rep] - 1
+    def settle(self, j, y, lo, hi, c: float = 0.0, steps=(-1, 1)) -> np.ndarray:
+        """The exact last_le from guesses j near it, for aligned flat arrays
+        of guesses, positions and row bounds (lo = off_lo - 1, hi = off_hi -
+        1).  Comparing unshifted values walks each guess one event at a
+        time, so the rounding of a guess never decides a comparison; after
+        one look at every entry only the entries still moving are walked.
+        steps are the directions to walk, both unless the caller knows on
+        which side of the answer its guesses lie."""
         j = np.clip(j, lo, hi)
-        while True:
-            down = (j > lo) & (self.point(j) - y > c)
-            up = (j < hi) & (self.point(j + 1) - y <= c)
-            if not (down.any() or up.any()):
-                return j
-            j = j - down + up
+        for step in steps:
+            at = slice(None)
+            while True:
+                k, t = j[at], y[at]
+                if step < 0:
+                    move = (k > lo[at]) & (self.point(k) - t > c)
+                else:
+                    move = (k < hi[at]) & (self.point(k + 1) - t <= c)
+                at = np.flatnonzero(move) if isinstance(at, slice) else at[move]
+                if not at.size:
+                    break
+                j[at] += step
+        return j
 
 
 class Positions:
     """Event positions seen from positions y of rows rep: le(c) is
-    ctx.last_le(y, rep, c), found once per offset c and kept.
+    ctx.last_le(y, rep, c) at every live entry, found once per offset c
+    and kept.  y and rep broadcast: integrate passes its (rows, pieces)
+    matrix of midpoints with rep a (rows, 1) column, and live marks the
+    pieces of positive width, the only entries whose codes it reads (None:
+    every entry is read).
 
-    known is the answer at c = 0 where the caller has it (the events
-    themselves, or T_0 at the origin); guess(d), where it is not None,
-    gives positions near the answer at c = -d, which ctx.settle makes
-    exact (integrate reads them off its sorted breaks); any other offset
-    is searched.
+    The view owns every per-row read, gathered once per view (or once per
+    row, broadcast): bounds, the positions before each row's first event
+    and of its last (off_lo - 1, off_hi - 1), and window, its edges (wlo,
+    whi).  How le(c) is found:
+
+    - known: the answer at c = 0, where the caller has it (the events
+      themselves at events, T_0 at the origin); every other offset is
+      walked from it by settle, one event at a time, in the one direction
+      le moves with c;
+    - taken from the sort: guess(d), where it gives counts, counts per
+      entry the events with T + d left of it (integrate reads them off the
+      sort of its breaks); the counts are exact except at the flat indices
+      unsure (every entry when unsure is None), which settle walks;
+    - searched: a view that knows nothing (last_le, and through it
+      integrate's bounds and the kernels' own searches) looks each entry up
+      once in the globally sorted points, then settle walks.
     """
 
-    __slots__ = ("ctx", "y", "rep", "guess", "_le")
-
-    def __init__(self, ctx: EventContext, y, rep, known=None, guess=None):
-        self.ctx, self.y, self.rep, self.guess = ctx, y, rep, guess
+    def __init__(self, ctx: EventContext, y, rep, known=None, guess=None,
+                 live=None, unsure=None):
+        self.ctx, self.y, self.rep = ctx, y, rep
+        self.guess, self.live, self.unsure = guess, live, unsure
         self._le = {} if known is None else {0.0: known}
+
+    @functools.cached_property
+    def bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """(lo, hi): the position before each row's first event and of its last."""
+        return self.ctx.off_lo[self.rep] - 1, self.ctx.off_hi[self.rep] - 1
+
+    @functools.cached_property
+    def window(self) -> tuple[np.ndarray, np.ndarray]:
+        """(wlo, whi): each row's window edges."""
+        return self.ctx.wlo[self.rep], self.ctx.whi[self.rep]
 
     def le(self, c: float = 0.0) -> np.ndarray:
         if c not in self._le:
             j = None if self.guess is None else self.guess(-c)
-            self._le[c] = (self.ctx.last_le(self.y, self.rep, c) if j is None
-                           else self.ctx.settle(j, self.y, self.rep, c))
+            if j is not None:
+                self._le[c] = self.settle(j, c, self.unsure)
+            elif 0.0 in self._le:
+                # le grows with c, so the walk from le(0) goes one way
+                self._le[c] = self.settle(self._le[0.0], c, steps=(1,) if c > 0 else (-1,))
+            else:
+                gs, shifts = self.ctx.gsorted()
+                j = np.searchsorted(gs, (self.y + c) + shifts[self.rep], side="right") - 1
+                self._le[c] = self.settle(j, c)
         return self._le[c]
+
+    def settle(self, j: np.ndarray, c: float, at=None, steps=(-1, 1)) -> np.ndarray:
+        """ctx.settle of the guesses j at offset c, at every entry or at the
+        flat indices at (the others are kept as they are)."""
+        lo, hi = self.bounds
+        if at is None:
+            y, lo, hi = (np.broadcast_to(a, j.shape).ravel() for a in (self.y, lo, hi))
+            return self.ctx.settle(j.ravel(), y, lo, hi, c, steps).reshape(j.shape)
+        if at.size:
+            idx = np.unravel_index(at, j.shape)
+            y, lo, hi = (np.broadcast_to(a, j.shape)[idx] for a in (self.y, lo, hi))
+            j[idx] = self.ctx.settle(j[idx], y, lo, hi, c)
+        return j
 
 
 def _kleene_and(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -215,14 +270,29 @@ class Eventuality:
         it is evaluated once per piece, at the piece's midpoint; only the
         events whose breaks can fall inside (y_lo, y_hi) are laid out, so the
         cost follows the pieces inside the interval, not the row's length.
-        Rows go in blocks of at most BLOCK_CELLS laid-out cells.  The sort of
-        a block's breaks counts, per piece and declared offset d, the
-        laid-out events with T + d left of it: the guess of the Positions
-        that codes_at reads, so no piece searches at a declared offset.
-        With cuts (fixed positions), column k holds the integral over
+        Rows go in blocks of at most BLOCK_CELLS laid-out cells, and codes_at
+        sees a block whole: one Positions over its (rows, pieces) matrix of
+        midpoints, whose pieces of zero width count neither in ok nor in the
+        sums.  With cuts (fixed positions), column k holds the integral over
         (y_lo, min(cuts[k], y_hi)].  Returns (values, ok): ok is False for
         rows where a piece of positive width is indeterminate; their values
         are 0.
+
+        The sort of a block's breaks counts, per piece and declared offset d,
+        the laid-out events with T + d left of it, which is the piece's guess
+        of le(-d).  Every event before the laid-out ones has T - y <= -d and
+        none after them has (see the bounds below), so the guess is exact
+        when every laid-out event's break sits on the side of the piece
+        where T - y, rounded, puts it.  Let M be a row's largest magnitude of
+        y_lo, y_hi and its laid-out T, plus the largest |d|, and s =
+        spacing(M).  Rounding moves T + d by at most s/2, the midpoint y by
+        at most s/2, T - y by at most s and the piece's width w by at most s.
+        A break left of the piece then has T + d <= y exactly once w/2 >= s,
+        so T - y <= -d also after rounding; a break right of it has T + d - y
+        >= w/2 - s, which keeps the rounded T - y above -d once w/2 > 2 s.
+        With the width's own rounding, every piece wider than 8 s (half its
+        width above 4 s) takes its guesses as they stand, and only the
+        narrower pieces of positive width are walked.
         """
         rows = np.asarray(rows, dtype=np.int64)
         m_all = rows.size
@@ -234,12 +304,19 @@ class Eventuality:
         starts = stops = ctx.off_lo[rows]
         if self.offsets:
             # Breaks outside (y_lo, y_hi) clip to an end: zero-width pieces.
-            # The searches bound the events with T + d inside, up to the
-            # rounding of T - y against T + d, which one more event on each
-            # side absorbs (events are more than MIN_GAP apart).  Every event
-            # before starts has T - y <= -d for all d and all y > y_lo.
+            # Every event before starts has T - y <= -d for all d and all
+            # y > y_lo, and every event from the one after last_le(y_hi, -d
+            # for the smallest d) on has T - y > -d for all d and y <= y_hi;
+            # one more event past it absorbs the rounding of T - y against
+            # T + d, so that every break inside lies in the laid-out span.
             starts = np.maximum(ctx.last_le(y_lo, rows, -self.offsets[-1]), starts)
             stops = np.minimum(ctx.last_le(y_hi, rows, -self.offsets[0]) + 2, ctx.off_hi[rows])
+        laid = stops > starts
+        mag = np.maximum(np.abs(y_lo), np.abs(y_hi))
+        mag[laid] = np.maximum(mag[laid], np.maximum(np.abs(ctx.point(starts[laid])),
+                                                     np.abs(ctx.point(stops[laid] - 1))))
+        # pieces wider than this take their guesses as they stand (see above)
+        sure_width = 8.0 * np.spacing(mag + max(map(abs, self.offsets), default=0.0))
         fixed = 2 + 2 * len(self.edge_offsets) + (0 if cuts is None else cuts.size)
         widest = fixed + len(self.offsets) * int(np.max(stops - starts, initial=0))
         step = max(1, BLOCK_CELLS // widest)
@@ -257,37 +334,42 @@ class Eventuality:
                 cols.append(np.broadcast_to(cuts, (r.size, cuts.size)))
             raw = np.clip(np.concatenate(cols, axis=1), lo, hi)
             order = np.argsort(raw, axis=1, kind="stable")
-            edges = np.take_along_axis(raw, order, axis=1)
-            left, right = edges[:, :-1], edges[:, 1:]
-            widths = right - left
-            # the pieces of positive width, as flat indices in row order
-            live = np.flatnonzero(widths > 0)
-            at = live // widths.shape[1]
-            y = (0.5 * (left + right)).ravel()[live]
-            rep = r[at]
+            edges = raw.ravel()[order + np.arange(0, raw.size, raw.shape[1])[:, None]]
+            widths = np.diff(edges, axis=1)
+            live = widths > 0
+            # the pieces past the last one of positive width in any row are
+            # all at hi: they are neither evaluated nor summed
+            n = int(np.max(np.flatnonzero(live.any(axis=0)), initial=-1)) + 1
+            left, right = edges[:, :n], edges[:, 1:n + 1]
+            widths, live = widths[:, :n], live[:, :n]
             # the offset of each sorted break column (-1: bounds, window
             # edges, cuts); pads clip to hi and so never sit left of a piece
+            # of positive width
             kind = np.full(raw.shape[1], -1, dtype=np.int16)
             kind[2:2 + len(self.offsets) * width] = np.repeat(
                 np.arange(len(self.offsets), dtype=np.int16), width)
-            kind = kind[order[:, :-1]]
-            before = starts[blk][at] - 1
+            kind = kind[order[:, :n]]
+            before = starts[blk, None] - 1
 
             def guess(d):
-                # before + 1 is each piece's first laid-out event, so the
-                # count of offset d's breaks left of the piece guesses
+                # before + 1 is each row's first laid-out event, so the
+                # count of offset d's breaks left of a piece guesses
                 # last_le(y, rep, -d)
                 if d not in self.offsets:
                     return None
-                count = np.cumsum(kind == self.offsets.index(d), axis=1, dtype=np.int32)
-                return before + count.ravel()[live]
+                count = np.cumsum(kind == self.offsets.index(d), axis=1)
+                count += before
+                return count
 
-            codes = np.zeros(widths.shape, dtype=np.int8)
-            codes.ravel()[live] = self.codes_at(Positions(ctx, y, rep, guess=guess))
-            ok[blk] = ~(codes == -1).any(axis=1)
-            # one sequential running sum per row, from 0 over the pieces in order
+            unsure = np.flatnonzero(live & (widths <= sure_width[blk, None]))
+            codes = self.codes_at(Positions(ctx, 0.5 * (left + right), r[:, None],
+                                            guess=guess, live=live, unsure=unsure))
+            ok[blk] = ~((codes == -1) & live).any(axis=1)
+            # one sequential running sum per row, from 0 over the pieces in
+            # order; a piece of zero width adds 0 whatever its code
             run = np.zeros(edges.shape)
-            np.cumsum(np.where(codes == 1, widths, 0.0), axis=1, out=run[:, 1:])
+            np.cumsum(widths * (codes == 1), axis=1, out=run[:, 1:n + 1])
+            run[:, n + 1:] = run[:, n:n + 1]
             if cuts is None:
                 values[blk] = run[:, -1]
             else:
@@ -375,9 +457,10 @@ class _AlphaCmp(Eventuality):
     def codes_at(self, pos):
         # not ctx.gap: this read runs at every event of an event trace, and
         # holding both gap ends with a clipped copy of g raises peak memory
-        ctx, y, rep = pos.ctx, pos.y, pos.rep
+        ctx, y = pos.ctx, pos.y
         g = pos.le() + self.n
-        valid = (g >= ctx.off_lo[rep]) & (g + 1 < ctx.off_hi[rep])
+        lo, hi = pos.bounds
+        valid = (g > lo) & (g < hi)
         # the gap between the shifted times, rounded as the scalar form rounds it
         out = self._cmp((ctx.point(g + 1) - y) - (ctx.point(g) - y)).astype(np.int8)
         out[~valid] = -1
@@ -409,9 +492,9 @@ class _CountEq(Eventuality):
             return None
 
     def codes_at(self, pos):
-        ctx, y, rep = pos.ctx, pos.y, pos.rep
         out = (pos.le(self.b) - pos.le(self.a) == self.k).astype(np.int8)
-        valid = (ctx.wlo[rep] - y <= self.a) & (ctx.whi[rep] - y >= self.b)
+        wlo, whi = pos.window
+        valid = (wlo - pos.y <= self.a) & (whi - pos.y >= self.b)
         out[~valid] = -1
         return out
 
@@ -436,9 +519,9 @@ class _FirstLe(Eventuality):
             return None
 
     def codes_at(self, pos):
-        nxt = pos.le() + 1  # T_1; indeterminate when no stored event follows y
-        valid = nxt < pos.ctx.off_hi[pos.rep]
-        out = (pos.ctx.point(nxt) - pos.y <= self.t).astype(np.int8)
+        j = pos.le()  # T_1 is j + 1; indeterminate when no stored event follows y
+        valid = j < pos.bounds[1]
+        out = (pos.ctx.point(j + 1) - pos.y <= self.t).astype(np.int8)
         out[~valid] = -1
         return out
 
@@ -446,7 +529,7 @@ class _FirstLe(Eventuality):
 def straddle_codes(pos: Positions, k: int, x):
     """Codes of [T_-k <= -x < T_-k+1] seen from positions pos (as codes_at);
     x is one distance or an array of distances aligned with pos.y."""
-    t_lo, t_hi, valid = pos.ctx.gap(pos.le() - k, pos.rep)
+    t_lo, t_hi, valid = pos.ctx.gap(pos.le() - k, pos.bounds)
     out = ((t_lo - pos.y <= -x) & (-x < t_hi - pos.y)).astype(np.int8)
     out[~valid] = -1
     return out

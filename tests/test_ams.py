@@ -13,7 +13,7 @@ from palmlab.ams import (
     convert_es_to_ts,
     convert_ts_to_es,
 )
-from palmlab.errors import LowEffectiveSampleSize, TooFewCheckpoints
+from palmlab.errors import InsufficientWindow, LowEffectiveSampleSize, TooFewCheckpoints
 from palmlab.estimate import est_event_probability
 from palmlab.events import BATTERY, ev_example44, ev_true, parse_eventuality
 from palmlab.models import (
@@ -57,6 +57,14 @@ class TestCesaroEvent:
         assert verdict.status == "NotConvergent"
         assert verdict.oscillation >= 0.2
 
+    def test_example44_past_the_realization(self):
+        # example44(5) stores events up to 7; events 1..256 lie past them,
+        # which more replications cannot mend
+        with pytest.raises(InsufficientWindow, match=r"stored realization.*is at 7"):
+            cesaro_event(example44(5), ev_example44(), 256, 1)
+        # events 1..5 and their successors are stored
+        assert cesaro_event(example44(5), ev_example44(), 5, 1).values[-1] == 0.8
+
     def test_blocks_of_256_rows_at_default_n_max(self, monkeypatch):
         # BLOCK_CELLS // n_max rows per block: 256 at n_max = 256
         A = parse_eventuality("alpha(0)>1")
@@ -86,6 +94,12 @@ class TestCesaroEvent:
 
 
 class TestCesaroTime:
+    def test_example44_past_the_realization(self):
+        with pytest.raises(InsufficientWindow, match=r"stored realization.*is at 7"):
+            cesaro_time(example44(5), ev_example44(), 400.0, 1)
+        # (0, 7] ends at the last stored event
+        assert cesaro_time(example44(5), ev_example44(), 7.0, 1).values[-1] == 5.0 / 7.0
+
     def test_poisson_void_flat(self):
         m = poisson_ts(1.0)
         void = parse_eventuality("count(0,1]==0")

@@ -298,6 +298,20 @@ reps = 1
         rows = read_csv(tmp_path / "ams_trace.csv")
         assert rows[0] == ["checkpoint", "value", "std_error"]
 
+    def test_example44_past_the_realization(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, """
+[ams]
+model = example44
+pattern_len = 5
+eventualities = alpha(0)==1
+n_max = 256
+reps = 1
+""")
+        out = tmp_path / "out"
+        assert main(["ams", "--config", cfg, "--out", str(out)]) == 2
+        assert "past the stored realization of example44(pattern_len=5)" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
     def test_poisson_convergent(self, tmp_path):
         cfg = write_config(tmp_path, """
 [ams]

@@ -200,7 +200,7 @@ class TestGap:
             rep.extend([r] * (hi - lo + 1))
         i, rep = np.array(i), np.array(rep)
         assert i[0] == -1 and i[-1] == batch.points.size - 1
-        t_lo, t_hi, stored = ctx.gap(i, rep)
+        t_lo, t_hi, stored = ctx.gap(i, Positions(ctx, batch.points[i], rep).bounds)
         # unstored positions still read two adjacent stored events
         safe = np.clip(i, 0, batch.points.size - 2)
         assert np.array_equal(t_lo, batch.points[safe])
@@ -223,10 +223,64 @@ class TestGap:
         rows = np.arange(batch.n)
         for k in (-1, 0, 1):
             got = ctx.gap(ctx.pos0() + k)
-            want = ctx.gap(ctx.pos0() + k, rows)
+            want = ctx.gap(ctx.pos0() + k, Positions(ctx, np.zeros(batch.n), rows).bounds)
             assert all(np.array_equal(a, b) for a, b in zip(got, want))
         # at T_0 the gap is stored exactly where the origin is straddled
         assert np.array_equal(ctx.gap(ctx.pos0())[2], batch.straddled(ctx.pos0()))
+
+
+class TestPositions:
+    """Every way a Positions view finds le(c) gives ctx.last_le: settled
+    from guesses far off, and walked from the known answer at events and at
+    the origin over offsets that span several gaps."""
+
+    @staticmethod
+    def exact(batch, y, rep, c):
+        """Per entry, the last event T of the row with T - y <= c, by a
+        scalar search of the row's shifted times."""
+        out = []
+        for yk, r in zip(y, rep):
+            pts = batch.points[batch.offsets[r]:batch.offsets[r + 1]]
+            out.append(batch.offsets[r] + np.searchsorted(pts - yk, c, side="right") - 1)
+        return np.array(out)
+
+    def test_settle_from_guesses_far_off(self, rng):
+        batch = batch_of([random_pattern(rng) for _ in range(6)])
+        ctx = EventContext(batch)
+        rep = np.repeat(np.arange(batch.n), 40)
+        lo, hi = batch.windows[rep].T
+        y = rng.uniform(lo, hi)
+        first, last = batch.offsets[rep] - 1, batch.offsets[rep + 1] - 1
+        for c in (0.0, 1.5, -2.25):
+            want = self.exact(batch, y, rep, c)
+            assert np.array_equal(ctx.last_le(y, rep, c), want)
+            # guesses up to 30 events off on either side, past the row's
+            # ends as well
+            for shift in (-30, -7, -1, 1, 7, 30):
+                got = ctx.settle(want + shift, y, first, last, c)
+                assert np.array_equal(got, want), (c, shift)
+            mixed = want + rng.integers(-30, 31, want.size)
+            assert np.array_equal(ctx.settle(mixed, y, first, last, c), want)
+
+    def test_walk_from_known_over_several_gaps(self, rng):
+        batch = batch_of([random_pattern(rng, span=25.0) for _ in range(5)])
+        ctx = EventContext(batch)
+        e = np.arange(batch.points.size)
+        rep = np.repeat(np.arange(batch.n), np.diff(batch.offsets))
+        at_events = Positions(ctx, batch.points[e], rep, known=e)
+        at_origin = Positions(ctx, np.zeros(batch.n), np.arange(batch.n), known=ctx.pos0())
+        for pos in (at_events, at_origin):
+            for c in (10.0, -10.0, 3.5, -7.0, 0.5, 24.0):
+                want = ctx.last_le(pos.y, pos.rep, c)
+                assert np.array_equal(pos.le(c), want), c
+                assert np.array_equal(want, self.exact(batch, pos.y, pos.rep, c)), c
+        for text in ("count(0,10]==3", "count(0,10]==10", "count(-10,-3]==7"):
+            ev = parse_eventuality(text)
+            codes = ev.at_events(ctx, e, rep)
+            for k in range(e.size):
+                p = batch.pattern(int(rep[k]))
+                want = ev.evaluate(p.shift_time(float(batch.points[e[k]])))
+                assert codes[k] == {True: 1, False: 0, None: -1}[want], (text, k)
 
 
 class TestIntegrate:

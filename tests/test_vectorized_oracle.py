@@ -14,6 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from palmlab.events import EventContext, Positions, ev_straddle, parse_eventuality
+from palmlab.models import example44_times
 from palmlab.pattern import MIN_GAP, PatternBatch, PointPattern, padded_rows, ragged_ranges
 
 from conftest import declared_breaks
@@ -359,9 +360,12 @@ ULP_ROW = PointPattern(np.array([0.3, ULP_T, 2.6]), (-6.0, 6.0))
 @given(batches, st.sampled_from(CASES), st.data())
 def test_positions_equal_searches(data, ev, draw):
     """The Positions that integrate, at_events and at_origin build answer
-    le(-d) as ctx.last_le does at every declared offset d and at 0, whether
-    the answer is known, settled from integrate's guess or searched; the
-    batch always holds the one-ulp piece whose midpoint rounds onto an event."""
+    le(-d) as ctx.last_le does at every declared offset d and at 0, at every
+    entry whose code is read, whether the answer is known, walked from it,
+    taken from integrate's sort or settled; integrate's block view reads
+    exactly the pieces of positive width, one per midpoint of the sorted
+    distinct breaks, and the batch always holds the one-ulp piece whose
+    midpoint rounds onto an event."""
     rows, filler = data
     batch, ids = _batch(rows + [ULP_ROW], filler)
     ctx = EventContext(batch)
@@ -377,9 +381,111 @@ def test_positions_equal_searches(data, ev, draw):
     seen = _captured(ev, lambda: (ev.integrate(ctx, ids, y_lo, y_hi),
                                   ev.at_events(ctx, e, rep), ev.at_origin(ctx)))
     assert len(seen) == 3
+    block = seen[0]
+    assert block.y.ndim == 2 and np.array_equal(block.rep[:, 0], ids)
+    for k, p in enumerate(rows + [ULP_ROW]):
+        brk = declared_breaks(ev, p.points[None, :], p.window[:1], p.window[1:]).ravel()
+        u = np.unique(np.clip(np.concatenate(([y_lo[k], y_hi[k]], brk)), y_lo[k], y_hi[k]))
+        assert np.array_equal(np.sort(block.y[k][block.live[k]]), 0.5 * (u[:-1] + u[1:]))
     for pos in seen:
+        live = np.ones(pos.y.shape, dtype=bool) if pos.live is None else pos.live
+        y, rep_at = pos.y[live], np.broadcast_to(pos.rep, pos.y.shape)[live]
         for d in {0.0, *ev.offsets}:
-            assert np.array_equal(pos.le(-d), ctx.last_le(pos.y, pos.rep, -d)), (ev.label, d)
+            assert np.array_equal(pos.le(-d)[live], ctx.last_le(y, rep_at, -d)), (ev.label, d)
+
+
+def midpoint_oracle(ev, p: PointPattern, a: float, b: float) -> tuple[float, bool]:
+    """integrate's (value, ok) on one row from scalar evaluate: the code at
+    the midpoint of each piece between consecutive distinct breaks in
+    [a, b], the widths of the true pieces summed in order."""
+    brk = declared_breaks(ev, p.points[None, :], p.window[:1], p.window[1:]).ravel()
+    edges = np.unique(np.clip(np.concatenate(([a, b], brk)), a, b))
+    total, ok = 0.0, True
+    for left, right in zip(edges[:-1], edges[1:]):
+        code = ev.evaluate(p.shift_time(float(0.5 * (left + right))))
+        ok &= code is not None
+        if code:
+            total += right - left
+    return (total if ok else 0.0), ok
+
+
+def _ulps(x: float, k: int) -> float:
+    return float(x + k * abs(np.spacing(x)))
+
+
+@st.composite
+def narrow_patterns(draw):
+    """One pattern whose breaks fall a few ulps apart, so that integrate
+    settles the pieces between them: events a few ulps from where another
+    event's or a window edge's break lands at a declared offset
+    difference, on uniform events or on example44's lattice (unit gaps
+    left of 0, gaps of 1 and 2 right of it) with the window ending at the
+    first and last events."""
+    if draw(st.booleans()):
+        pts = list(np.concatenate((-np.arange(1.0, 8.0)[::-1], [0.0], example44_times(12))))
+        lo, hi = pts[0], pts[-1]
+    else:
+        span = draw(st.sampled_from([12.0, 1e4]))
+        lo, hi = -span, span
+        pts = draw(st.lists(st.floats(lo, hi), min_size=1, max_size=20))
+    anchors = pts[: draw(st.integers(0, 3))] + [0.0, lo, hi]
+    for t in anchors:
+        for c in draw(st.lists(st.sampled_from(BOUNDARIES), max_size=3)):
+            pts.append(_ulps(t + c, draw(st.integers(-4, 4))))
+    pts = np.unique(np.clip(np.array(pts), lo, hi))
+    keep = np.concatenate(([True], np.diff(pts) > 2 * MIN_GAP))
+    return PointPattern(pts[keep], (lo, hi))
+
+
+@SETTINGS
+@given(st.tuples(st.lists(narrow_patterns(), min_size=1, max_size=3), st.sampled_from([0, 4000])),
+       st.sampled_from(CASES), st.data())
+def test_integrate_settles_narrow_pieces(data, ev, draw):
+    """Where breaks lie within the sure bound of each other, the pieces
+    between them fall back to settle: the integral is still exactly the sum
+    of scalar evaluate's codes at the piece midpoints, and the block view
+    answers le as last_le at every piece of positive width."""
+    rows, filler = data
+    batch, ids = _batch(rows, filler)
+    ctx = EventContext(batch)
+    bounds = []
+    for p in rows:
+        lo, hi = p.window
+        brk = declared_breaks(ev, p.points[None, :], [lo], [hi]).ravel()
+        spots = [u for x in np.concatenate((brk, p.points)) for k in (-2, 0, 2)
+                 for u in [_ulps(x, k)] if lo < u < hi]
+        ends = st.sampled_from(spots) if spots else st.nothing()
+        pair = draw.draw(st.lists(ends | st.floats(lo, hi, exclude_min=True, exclude_max=True),
+                                  min_size=2, max_size=2))
+        bounds.append(sorted(pair))
+    y_lo, y_hi = np.array(bounds).T
+    seen_out = []
+    seen = _captured(ev, lambda: seen_out.append(ev.integrate(ctx, ids, y_lo, y_hi)))
+    (vals, ok), = seen_out
+    for k, p in enumerate(rows):
+        want, want_ok = midpoint_oracle(ev, p, y_lo[k], y_hi[k])
+        assert (vals[k], ok[k]) == (want, want_ok), (ev.label, p, y_lo[k], y_hi[k])
+    for pos in seen:
+        rep_at = np.broadcast_to(pos.rep, pos.y.shape)[pos.live]
+        for d in ev.offsets:
+            assert np.array_equal(pos.le(-d)[pos.live], ctx.last_le(pos.y[pos.live], rep_at, -d))
+
+
+@pytest.mark.parametrize("text", ["count(0,1]==0", "T1<=1", "(count(0,1]==0 | T1<=1)"])
+def test_few_ulp_breaks_are_settled(text):
+    # 1.3 - 1 rounds one ulp above 0.3, so the breaks T - 1 of T = 1.3 and
+    # T - 0 of T = 0.3 sit one ulp apart: the piece between them is
+    # narrower than the sure bound and its guesses are settled
+    ev = parse_eventuality(text)
+    p = PointPattern(np.array([-0.6, 0.3, 1.3, 2.2]), (-6.0, 6.0))
+    assert 1.3 - 1.0 == np.nextafter(0.3, 1.0)
+    batch, ids = _batch([p], 4000)
+    ctx = EventContext(batch)
+    out = []
+    (pos,) = _captured(ev, lambda: out.append(ev.integrate(ctx, ids, -0.5, 2.0)))
+    assert pos.unsure.size > 0
+    want, want_ok = midpoint_oracle(ev, p, -0.5, 2.0)
+    assert (out[0][0][0], out[0][1][0]) == (want, want_ok)
 
 
 def test_gap_between_shifted_times():
