@@ -1,9 +1,12 @@
 """Cesaro-average diagnostics and stationary-limit conversions.
 
 Event traces average the indicator of an eventuality seen from events
-1..n; time traces average it seen from positions y in (0, x], with the
-inner integral computed exactly by Eventuality.integrate, which sums the
-piecewise-constant integrand between its breaks (no discretization).  A
+1..n, evaluating each block of rows through one events.Positions view of
+its (rows, n_max) events and reading the checkpoints from integer counts
+per segment between them; time traces average it seen from positions y
+in (0, x], with the inner integral computed exactly by
+Eventuality.integrate, which sums the piecewise-constant integrand
+between its breaks (no discretization).  A
 verdict rule on the trace tail classifies runs as Convergent,
 NotConvergent, or Inconclusive; convergence can never be
 proven from finite data, so the rule is an explicit heuristic with an
@@ -27,7 +30,7 @@ from .estimate import (
     _marked,
     _members,
 )
-from .events import Eventuality
+from .events import Eventuality, Positions
 from .models import ProcessModel, example44_block_ends, example44_times
 from .pattern import BLOCK_CELLS
 
@@ -126,6 +129,8 @@ def cesaro_event(
         budget = 1
     cps = _event_checkpoints(model, n_max)
     ncp = cps.size
+    ahead = np.arange(1, n_max + 1)
+    segments = np.concatenate(([0], cps[:-1]))
 
     def kernel(batch, ctx):
         pos0 = ctx.pos0()
@@ -134,14 +139,18 @@ def cesaro_event(
         rows = np.flatnonzero(good)
         cols = np.zeros((batch.n, ncp))
         reject = ~good
-        # rows in blocks, so the (rows, n_max) code matrix stays small
+        # rows in blocks, so the (rows, n_max) code matrix stays small; a
+        # block is one view of its events, with rep a (rows, 1) column
         step = max(1, BLOCK_CELLS // n_max)
         for b0 in range(0, rows.size, step):
             blk = rows[b0:b0 + step]
-            e = (pos0[blk, None] + 1 + np.arange(n_max)[None, :]).ravel()
-            codes = A.at_events(ctx, e, np.repeat(blk, n_max)).reshape(blk.size, n_max)
+            e = pos0[blk, None] + ahead
+            codes = A.codes_at(Positions(ctx, ctx.points[e], blk[:, None], known=e))
             reject[blk[(codes == -1).any(axis=1)]] = True
-            cols[blk] = np.cumsum(codes, axis=1, dtype=np.float64)[:, cps - 1] / cps
+            # integer counts per segment between checkpoints, then their
+            # running sums: exact, so the float division sees the same values
+            cols[blk] = np.cumsum(np.add.reduceat(codes, segments, axis=1, dtype=np.int64),
+                                  axis=1) / cps
         return [(cols, reject)]
 
     (sums,) = run_kernel(model, row_need([A], at=(1, n_max)), budget, ncp, kernel,

@@ -19,10 +19,10 @@ can change (y = T + d per stored event T, plus window edges for counts).
 `codes_at` reads event positions, row bounds and window edges from one
 `Positions` view, which finds each offset's positions once.  At events
 and at the origin the answer at offset 0 is known and every other offset
-is walked from it, event by event.  In `integrate` the answers are taken
-from the sort of the breaks, which counts the events left of each piece:
-exact on every piece wider than a bound on the rounding, walked from the
-count on the narrower ones.  A view that knows nothing searches the
+is walked from it, event by event, a long walk cut short by a search.
+In `integrate` the answers are taken from the sort of the breaks, which
+counts the events left of each piece: exact on every piece wider than a
+bound on the rounding, walked from the count on the narrower ones.  A view that knows nothing searches the
 globally sorted points once, then walks.  Evaluation at events and at the
 origin are `codes_at` at those positions, and `integrate` sums the
 piecewise-constant code between sorted breaks to get exact integrals over
@@ -45,6 +45,7 @@ Textual form (used by the CLI and round-tripped by the parser):
 from __future__ import annotations
 
 import functools
+import itertools
 import re
 
 import numpy as np
@@ -53,6 +54,10 @@ from .errors import IndexOutOfPattern, OutsideWindow
 from .pattern import BLOCK_CELLS, PatternBatch, PointPattern, padded_rows, ragged_ranges
 
 _PATTERN_ERRORS = (IndexOutOfPattern, OutsideWindow)
+
+# passes a walk from a known answer takes before the entries still moving
+# are searched instead (EventContext.settle)
+WALK_PASSES = 16
 
 
 def _fmt(x: float) -> str:
@@ -113,27 +118,42 @@ class EventContext:
         settled by a view that knows nothing else."""
         return Positions(self, y, rep).le(c)
 
-    def settle(self, j, y, lo, hi, c: float = 0.0, steps=(-1, 1)) -> np.ndarray:
+    def settle(self, j, y, lo, hi, c: float = 0.0, steps=(-1, 1), search=None) -> np.ndarray:
         """The exact last_le from guesses j near it, for aligned flat arrays
         of guesses, positions and row bounds (lo = off_lo - 1, hi = off_hi -
         1).  Comparing unshifted values walks each guess one event at a
-        time, so the rounding of a guess never decides a comparison; after
-        one look at every entry only the entries still moving are walked.
-        steps are the directions to walk, both unless the caller knows on
-        which side of the answer its guesses lie."""
+        time, so the rounding of a guess never decides a comparison; the
+        walk goes on over the entries still moving, compacted once fewer
+        than half of them move.  steps are the directions to walk, both
+        unless the caller knows on which side of the answer its guesses
+        lie.  With search, a walk still moving after WALK_PASSES passes
+        stops: search(at) guesses afresh at the flat indices at, and those
+        guesses are settled both ways."""
         j = np.clip(j, lo, hi)
         for step in steps:
-            at = slice(None)
-            while True:
-                k, t = j[at], y[at]
+            # k, t and end are j, y and the bound at the flat indices at
+            # (every entry, k being j itself, while at is None)
+            at, k, t, end = None, j, y, lo if step < 0 else hi
+            for passes in itertools.count():
                 if step < 0:
-                    move = (k > lo[at]) & (self.point(k) - t > c)
+                    move = (k > end) & (self.point(k) - t > c)
                 else:
-                    move = (k < hi[at]) & (self.point(k + 1) - t <= c)
-                at = np.flatnonzero(move) if isinstance(at, slice) else at[move]
-                if not at.size:
+                    move = (k < end) & (self.point(k + 1) - t <= c)
+                moving = np.count_nonzero(move)
+                cut = search is not None and passes == WALK_PASSES
+                if moving and not cut and 2 * moving >= k.size:
+                    (np.add if step > 0 else np.subtract)(k, move, out=k)
+                    continue
+                if at is not None:
+                    j[at] = k
+                if not moving:
                     break
-                j[at] += step
+                sel = np.flatnonzero(move)
+                at = sel if at is None else at[sel]
+                if cut:
+                    j[at] = self.settle(search(at), y[at], lo[at], hi[at], c)
+                    break
+                k, t, end = k[sel] + step, t[sel], end[sel]
         return j
 
 
@@ -153,7 +173,8 @@ class Positions:
     - known: the answer at c = 0, where the caller has it (the events
       themselves at events, T_0 at the origin); every other offset is
       walked from it by settle, one event at a time, in the one direction
-      le moves with c;
+      le moves with c, and searched where the walk is still moving after
+      WALK_PASSES passes;
     - taken from the sort: guess(d), where it gives counts, counts per
       entry the events with T + d left of it (integrate reads them off the
       sort of its breaks); the counts are exact except at the flat indices
@@ -185,21 +206,31 @@ class Positions:
             if j is not None:
                 self._le[c] = self.settle(j, c, self.unsure)
             elif 0.0 in self._le:
-                # le grows with c, so the walk from le(0) goes one way
-                self._le[c] = self.settle(self._le[0.0], c, steps=(1,) if c > 0 else (-1,))
+                # le grows with c, so the walk from le(0) goes one way; a
+                # long walk is cut short by a search
+                self._le[c] = self.settle(self._le[0.0], c, steps=(1,) if c > 0 else (-1,),
+                                          search=True)
             else:
-                gs, shifts = self.ctx.gsorted()
-                j = np.searchsorted(gs, (self.y + c) + shifts[self.rep], side="right") - 1
-                self._le[c] = self.settle(j, c)
+                self._le[c] = self.settle(self._search(self.y, self.rep, c), c)
         return self._le[c]
 
-    def settle(self, j: np.ndarray, c: float, at=None, steps=(-1, 1)) -> np.ndarray:
+    def _search(self, y, rep, c: float) -> np.ndarray:
+        """Guesses of le(c) at positions y of rows rep, from one search of
+        the globally sorted points."""
+        gs, shifts = self.ctx.gsorted()
+        return np.searchsorted(gs, (y + c) + shifts[rep], side="right") - 1
+
+    def settle(self, j: np.ndarray, c: float, at=None, steps=(-1, 1),
+               search=False) -> np.ndarray:
         """ctx.settle of the guesses j at offset c, at every entry or at the
-        flat indices at (the others are kept as they are)."""
+        flat indices at (the others are kept as they are); with search, a
+        long walk is cut short by _search."""
         lo, hi = self.bounds
         if at is None:
             y, lo, hi = (np.broadcast_to(a, j.shape).ravel() for a in (self.y, lo, hi))
-            return self.ctx.settle(j.ravel(), y, lo, hi, c, steps).reshape(j.shape)
+            rep = np.broadcast_to(self.rep, j.shape).flat
+            found = (lambda at: self._search(y[at], rep[at], c)) if search else None
+            return self.ctx.settle(j.ravel(), y, lo, hi, c, steps, found).reshape(j.shape)
         if at.size:
             idx = np.unravel_index(at, j.shape)
             y, lo, hi = (np.broadcast_to(a, j.shape)[idx] for a in (self.y, lo, hi))

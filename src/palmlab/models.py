@@ -4,9 +4,12 @@ A sampler takes what its caller reads of each row: a Need, or a plain
 window (lo, hi).  Every two-sided row holds two anchor events, T_0 and
 T_1, and draws i.i.d. gaps outward from them, each side until the row
 holds the need measured from its anchor (T_0 leftwards, T_1 rightwards);
-such a row's window ends at its outermost stored events.  A plain window
-(lo, hi) is read as the need of that time extent (ProcessModel.sample_batch)
-and the rows are clipped to it.
+such a row's window ends at its outermost stored events.  When every row
+keeps the same columns (a pure event need such as Need(right=256), or
+Need() for the anchors alone) the drawn matrix is kept whole, with no
+mask to gather through.  A plain window (lo, hi) is read as the need of
+that time extent (ProcessModel.sample_batch) and the rows are clipped to
+it.
 All samplers are pure functions of (generator, need), so replications are
 reproducible and parallelism-independent.
 """
@@ -59,7 +62,11 @@ class IntervalDistribution:
 
     def sample(self, rng: np.random.Generator, size) -> np.ndarray:
         if self.family == "exponential":
-            return rng.exponential(1.0 / self.params[0], size)
+            # rng.exponential(scale) is scale times the standard draw, so
+            # scaling in place gives the same bits without its slower path
+            g = rng.standard_exponential(size)
+            g *= 1.0 / self.params[0]
+            return g
         if self.family == "gamma":
             shape, rate = self.params
             if shape == 2.0:
@@ -398,6 +405,11 @@ def _assemble_two_sided(
     _put_columns(left, matrix[:, :kl][:, ::-1])
     matrix[:, kl:kl + ka] = anchors
     _put_columns(right, matrix[:, kl + ka:])
+    if lkeep.min() == kl and rkeep.min() == kr:
+        # every row keeps every column: no mask to build or gather through
+        w = matrix.shape[1]
+        return PatternBatch(matrix.ravel(), np.arange(0, (n + 1) * w, w, dtype=np.int64),
+                            np.column_stack((matrix[:, 0], matrix[:, -1])), np.ones(n))
     first, last = kl - lkeep, kl + ka - 1 + rkeep
     cols = np.arange(matrix.shape[1])
     valid = (cols >= first[:, None]) & (cols <= last[:, None])

@@ -66,17 +66,21 @@ class TestCesaroEvent:
         assert cesaro_event(example44(5), ev_example44(), 5, 1).values[-1] == 0.8
 
     def test_blocks_of_256_rows_at_default_n_max(self, monkeypatch):
-        # BLOCK_CELLS // n_max rows per block: 256 at n_max = 256
+        # BLOCK_CELLS // n_max rows per block: 256 at n_max = 256, each block
+        # one (rows, n_max) view with rep a (rows, 1) column
         A = parse_eventuality("alpha(0)>1")
-        sizes = []
-        original = A.at_events
+        shapes = []
+        original = A.codes_at
 
-        def recording(ctx, e, rep):
-            sizes.append(e.size // 256)
-            return original(ctx, e, rep)
+        def recording(pos):
+            shapes.append((pos.y.shape, pos.rep.shape))
+            return original(pos)
 
-        monkeypatch.setattr(A, "at_events", recording)
+        monkeypatch.setattr(A, "codes_at", recording)
         cesaro_event(renewal_es(exponential(1.0)), A, 256, 3_000, seed=2)
+        sizes = [y[0] for y, _ in shapes]
+        assert all(y == (rows, 256) and rep == (rows, 1) for (y, rep), rows
+                   in zip(shapes, sizes))
         assert max(sizes) == 256 and sizes.count(256) >= len(sizes) - 1
 
     def test_example84_approaches_es_limit(self):

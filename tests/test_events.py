@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from palmlab import events
 from palmlab.events import (
     BATTERY,
     EventContext,
@@ -275,6 +276,35 @@ class TestPositions:
                 assert np.array_equal(pos.le(c), want), c
                 assert np.array_equal(want, self.exact(batch, pos.y, pos.rep, c)), c
         for text in ("count(0,10]==3", "count(0,10]==10", "count(-10,-3]==7"):
+            ev = parse_eventuality(text)
+            codes = ev.at_events(ctx, e, rep)
+            for k in range(e.size):
+                p = batch.pattern(int(rep[k]))
+                want = ev.evaluate(p.shift_time(float(batch.points[e[k]])))
+                assert codes[k] == {True: 1, False: 0, None: -1}[want], (text, k)
+
+    @pytest.mark.parametrize("passes", [0, 1, 3])
+    def test_long_walks_are_searched(self, rng, monkeypatch, passes):
+        # a walk from a known answer still moving after WALK_PASSES passes
+        # is searched; the answer and the codes stay exact
+        monkeypatch.setattr(events, "WALK_PASSES", passes)
+        batch = batch_of([random_pattern(rng, span=25.0, rate=2.0) for _ in range(5)])
+        ctx = EventContext(batch)
+        e = np.arange(batch.points.size)
+        rep = np.repeat(np.arange(batch.n), np.diff(batch.offsets))
+        # a (rows, n) block of each row's first events, rep a (rows, 1) column
+        block = batch.offsets[:-1, None] + np.arange(int(np.diff(batch.offsets).min()))
+        for c in (20.0, -12.0, 2.5, -0.5):
+            for pos in (Positions(ctx, batch.points[e], rep, known=e),
+                        Positions(ctx, np.zeros(batch.n), np.arange(batch.n),
+                                  known=ctx.pos0())):
+                assert np.array_equal(pos.le(c), self.exact(batch, pos.y, pos.rep, c)), c
+            pos = Positions(ctx, batch.points[block], np.arange(batch.n)[:, None], known=block)
+            want = self.exact(batch, batch.points[block].ravel(),
+                              np.repeat(np.arange(batch.n), block.shape[1]), c)
+            assert np.array_equal(pos.le(c), want.reshape(block.shape)), c
+        for text in ("count(0,10]==20", "count(-10,-3]==14", "count(0,1]==2",
+                     "(count(0,20]==40 | count(-5,0]==10)"):
             ev = parse_eventuality(text)
             codes = ev.at_events(ctx, e, rep)
             for k in range(e.size):

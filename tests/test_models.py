@@ -107,6 +107,16 @@ class TestIntervalDistributions:
         se = lb.std(ddof=1) / math.sqrt(lb.size) if lb.std() > 0 else 0.0
         assert abs(lb.mean() - target) <= 4 * se + 2e-3
 
+    @pytest.mark.parametrize("rate", [0.5, 1.0, 3.0])
+    @pytest.mark.parametrize("size", [1000, (64, 33)])
+    def test_exponential_draws_are_numpys(self, rate, size):
+        # standard draws scaled in place are rng.exponential(1 / rate) bit
+        # for bit, on the chunk streams and on numpy's default generator
+        for make in (lambda: chunk_rng(9, "exp", 0), lambda: np.random.default_rng(9)):
+            got = exponential(rate).sample(make(), size)
+            want = make().exponential(1.0 / rate, size)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
     def test_exponential_length_bias_is_gamma2(self):
         rng = np.random.default_rng(8)
         lb = exponential(2.0).sample_length_biased(rng, 200_000)
@@ -612,6 +622,17 @@ class TestGoldenBatches:
          "95d3a7d302c2d15c960693ac9d06fdea33207b68b23274e30df9ab8a503c48e8"),
         ("example44 need", lambda: example44(60), Need(2.0, 10.0, 1, 3, 1.5), 3, 45,
          "ed55f366419a11d3f8d5ef0bb8416e2b3e9f8d9007bc3ec6f080bec4f8512ecb"),
+        # needs that every row holds in the same columns (a pure event need,
+        # or the anchors alone), whose kept cells are taken as one slice;
+        # recorded while the sampler still gathered them through a mask
+        ("poisson right 64", lambda: poisson_ts(1.0), Need(right=64), 300, 46,
+         "b8a07b9cc02906aa1b6fd4a316a9d8207568f47e951d36dcfd161f406e4422a0"),
+        ("renewal_es anchors", lambda: renewal_es(gamma_intervals(2.0, 1.0)), Need(), 200, 47,
+         "249dedbbce000a0c510e159c316c58edd3ad044644cb13ed3eda05baabc01fa1"),
+        ("renewal_es exponential anchors", lambda: renewal_es(exponential(1.0)), Need(), 200,
+         48, "c5c68d8b21f082aaceedaa6891d2695fe09d22a053f019a80e6e1c3e13dc8222"),
+        ("example84 right 8", lambda: example84_exact(1.0), Need(right=8), 200, 49,
+         "0fbf9a01f8925622649367605262568f888521bee0010ef6d7bd571c4a06d72d"),
     ]
 
     @pytest.mark.parametrize("label, factory, window, n, seed, digest", CASES,

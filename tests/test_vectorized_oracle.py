@@ -13,8 +13,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from palmlab.events import EventContext, Positions, ev_straddle, parse_eventuality
-from palmlab.models import example44_times
+from palmlab.events import (EventContext, Positions, ev_example44, ev_straddle,
+                            parse_eventuality)
+from palmlab.models import Need, example44, example44_labels, example44_times
 from palmlab.pattern import MIN_GAP, PatternBatch, PointPattern, padded_rows, ragged_ranges
 
 from conftest import declared_breaks
@@ -516,3 +517,50 @@ def test_wide_window_point_past_count_edge():
     want = [CODE_OF[ev.evaluate(p.shift_time(float(t)))] for t in row]
     codes = ev.at_events(ctx, np.arange(batch.points.size), np.repeat(np.arange(n), row.size))
     assert np.array_equal(codes.reshape(n, row.size), np.tile(want, (n, 1)))
+
+
+@st.composite
+def lattice_rows(draw):
+    """example44's lattice rows: one to three copies of its realization,
+    drawn to a need, each window ending at the row's first and last events."""
+    model = example44(draw(st.integers(3, 40)))
+    need = Need(after=draw(st.floats(0.0, 30.0)), right=draw(st.integers(0, 4)))
+    batch = model.sample_batch(np.random.default_rng(0), need, draw(st.integers(1, 3)))
+    return [batch.pattern(i) for i in range(batch.n)]
+
+
+@SETTINGS
+@given(batches | st.tuples(lattice_rows(), st.sampled_from([0, 4000])),
+       st.sampled_from(CASES), st.integers(1, 12), st.data())
+def test_row_block_views(data, ev, n, draw):
+    """A (rows, n) view of consecutive events with rep a (rows, 1) column,
+    as cesaro_event evaluates its blocks, gives the flat at_events codes and
+    evaluate's result.  A row that ends before the block's last column
+    repeats its last event there."""
+    rows, filler = data
+    batch, ids = _batch(rows, filler)
+    ctx = EventContext(batch)
+    first = [batch.offsets[i] + draw.draw(st.integers(0, len(p) - 1)) for i, p in zip(ids, rows)]
+    e = np.minimum(np.array(first)[:, None] + np.arange(n), ctx.off_hi[ids, None] - 1)
+    codes = ev.codes_at(Positions(ctx, ctx.points[e], np.array(ids)[:, None], known=e))
+    assert codes.shape == e.shape
+    assert np.array_equal(codes.ravel(), ev.at_events(ctx, e.ravel(), np.repeat(ids, n)))
+    for r, p in enumerate(rows):
+        for k in range(n):
+            t = float(ctx.points[e[r, k]])
+            # a window that ends at its last event holds no pattern seen from it
+            if t < p.window[1]:
+                assert CODE[int(codes[r, k])] == ev.evaluate(p.shift_time(t)), (ev.label, t)
+
+
+def test_row_block_views_past_the_realization():
+    # example44's labels from events 1..8 of a realization whose last
+    # stored event is T_6: seen from T_6 the gap alpha_0 is not stored, so
+    # columns 6..8 (the last event, repeated) are -1
+    batch = example44(5).sample_batch(np.random.default_rng(0), Need(right=8), 3)
+    ctx = EventContext(batch)
+    e = np.minimum(ctx.pos0()[:, None] + np.arange(1, 9), ctx.off_hi[:, None] - 1)
+    codes = ev_example44().codes_at(Positions(ctx, ctx.points[e], np.arange(3)[:, None],
+                                              known=e))
+    want = np.concatenate((example44_labels(5), [-1, -1, -1]))
+    assert np.array_equal(codes, np.tile(want, (3, 1)))

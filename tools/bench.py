@@ -36,7 +36,7 @@ from palmlab import ams, cli, estimate, identities
 from palmlab.ams import _time_checkpoints
 from palmlab.estimate import pstar_model, row_need
 from palmlab.events import SUITE_BATTERY, EventContext, parse_eventuality
-from palmlab.models import IntervalDistribution, example84_exact, exponential, \
+from palmlab.models import IntervalDistribution, Need, example84_exact, exponential, \
     gamma_intervals, poisson_ts, renewal_es, renewal_ts_from_es
 from palmlab.rng import CHUNK, chunk_rng
 
@@ -141,8 +141,9 @@ def run_command(workload, cmd, cfg: dict, seed: int, out: Path) -> None:
 
 # name -> (model factory, plain window or Need); the plain windows are the
 # ones the suite's kernels sampled before rows were drawn to their need, the
-# needs those of two kernels of the suite battery: the probability at the
-# origin and the binned count on (0, 10]
+# needs those of two kernels of the suite battery (the probability at the
+# origin and the binned count on (0, 10]) and of the event trace of
+# `palmlab ams` at its default n_max, where every row keeps the same columns
 SAMPLER_MODELS = {
     "renewal_ts": (lambda: renewal_ts_from_es(gamma_intervals(2.0, 1.0)), (-30.0, 40.0)),
     "renewal_es": (lambda: renewal_es(exponential(1.0)), (-15.0, 15.0)),
@@ -153,6 +154,7 @@ SAMPLER_MODELS = {
     "poisson_ts origin need": (lambda: poisson_ts(1.0), row_need(SUITE_BATTERY)),
     "renewal_ts binned need": (lambda: renewal_ts_from_es(gamma_intervals(2.0, 1.0)),
                                row_need(SUITE_BATTERY, after=10.0, at=(0, 1))),
+    "poisson_ts event-trace need": (lambda: poisson_ts(1.0), Need(right=256)),
 }
 
 
