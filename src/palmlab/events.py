@@ -22,14 +22,14 @@ and at the origin the answer at offset 0 is known and every other offset
 is walked from it, event by event, a long walk cut short by a search.
 In `integrate` the answers are taken from the sort of the breaks, which
 counts the events left of each piece: exact on every piece wider than a
-bound on the rounding, walked from the count on the narrower ones.  A view that knows nothing searches the
-globally sorted points once, then walks.  Evaluation at events and at the
-origin are `codes_at` at those positions, and `integrate` sums the
-piecewise-constant code between sorted breaks to get exact integrals over
-time shifts, laying out only the events whose breaks can fall inside the
-interval and evaluating a whole block of rows at once.  `integrate_gap`
-is the one integral over a gap between two events, per row of a batch,
-that the Palm kernels share.
+bound on the rounding, walked from the count on the narrower ones.  A
+view that knows nothing searches the globally sorted points once, then
+walks.  Evaluation at events and at the origin are `codes_at` at those
+positions, and `integrate` sums the piecewise-constant code between
+sorted breaks to get exact integrals over time shifts, laying out only
+the events whose breaks can fall inside the interval and evaluating a
+whole block of rows at once.  `integrate_gap` is the one integral over a
+gap between two events, per row of a batch, that the Palm kernels share.
 
 Textual form (used by the CLI and round-tripped by the parser):
 
