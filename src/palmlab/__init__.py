@@ -53,6 +53,7 @@ from .models import (
     model_from_config,
     model_to_config,
     poisson_ts,
+    pstar_model,
     renewal_es,
     renewal_ts_from_es,
     tilted_ts,
@@ -67,7 +68,6 @@ from .estimate import (
     est_palm_zero,
     est_shifted_palm,
     mc_mean,
-    pstar_model,
 )
 from .ams import (
     AmsVerdict,

@@ -98,31 +98,23 @@ class Run:
     def get(self, key: str, default=None):
         return self.cfg.get(key, default)
 
-    def get_int(self, key: str, default=None) -> int:
+    def get_as(self, key: str, kind, default=None):
+        """The config field read as kind, int or float; default when the
+        field is absent, which a field without a default may not be."""
         raw = self.get(key)
         if raw is None:
             if default is None:
                 raise ConfigError(f"missing required field {key!r} in section [{self.section}]")
             return default
         try:
-            return int(raw)
+            return kind(raw)
         except ValueError:
-            raise ConfigError(f"field {key!r} must be an integer, got {raw!r}") from None
-
-    def get_float(self, key: str, default=None) -> float:
-        raw = self.get(key)
-        if raw is None:
-            if default is None:
-                raise ConfigError(f"missing required field {key!r} in section [{self.section}]")
-            return default
-        try:
-            return float(raw)
-        except ValueError:
-            raise ConfigError(f"field {key!r} must be a number, got {raw!r}") from None
+            what = "an integer" if kind is int else "a number"
+            raise ConfigError(f"field {key!r} must be {what}, got {raw!r}") from None
 
     def get_positive(self, key: str, default=None) -> float:
         """A number from the config field, which must be positive and finite."""
-        value = self.get_float(key, default)
+        value = self.get_as(key, float, default)
         if not 0.0 < value < math.inf:
             raise ConfigError(f"{key!r} must be positive and finite, got {value}")
         return value
@@ -137,12 +129,12 @@ class Run:
                 return int(env)
             except ValueError:
                 raise ConfigError(f"PALMLAB_SEED must be an integer, got {env!r}") from None
-        return self.get_int("seed", DEFAULT_SEED)
+        return self.get_as("seed", int, DEFAULT_SEED)
 
     def _at_least_one(self, key: str, default: int) -> int:
         """An integer from the --key flag or the config field, which must be >= 1."""
         flag = getattr(self.args, key)
-        value = flag if flag is not None else self.get_int(key, default)
+        value = flag if flag is not None else self.get_as(key, int, default)
         if value < 1:
             raise ConfigError(f"{key!r} must be at least 1, got {value}")
         return value
@@ -204,8 +196,8 @@ def cmd_simulate(run: Run) -> int:
         nat_lo, nat_hi = example44_natural_window(model.descriptor["pattern_len"])
     else:
         nat_lo, nat_hi = -20.0 * model.scale, 20.0 * model.scale
-    lo = run.get_float("window_lo", nat_lo)
-    hi = run.get_float("window_hi", nat_hi)
+    lo = run.get_as("window_lo", float, nat_lo)
+    hi = run.get_as("window_hi", float, nat_hi)
     reps = run.reps if run.args.reps is not None or "reps" in run.cfg else 10
     from .rng import chunk_rng
 
@@ -233,14 +225,14 @@ def cmd_palm(run: Run) -> int:
         rows = [_estimate_rows(ev.label, est) for ev, est in zip(evs, ests)]
         _write_csv(out, ["label", "value", "std_error", "reps", "rejected", "ess"], rows)
     elif mode == "shifted":
-        lo = run.get_float("bin_lo")
-        hi = run.get_float("bin_hi")
+        lo = run.get_as("bin_lo", float)
+        hi = run.get_as("bin_hi", float)
         if not -math.inf < lo < hi < math.inf:
             raise ConfigError(f"need finite 'bin_lo' < 'bin_hi', got {lo} and {hi}")
         width = run.get_positive("bin_width", 0.25 * model.scale)
         edges = np.arange(lo, hi + width / 2, width)
-        if edges.size < 2:
-            raise ConfigError(f"'bin_width' {width} leaves no bin in ({lo}, {hi}]")
+        if edges.size < 2 or not math.isclose(edges[-1], hi, rel_tol=1e-9, abs_tol=1e-9 * width):
+            raise ConfigError(f"'bin_width' {width} does not tile ({lo}, {hi}] into bins")
         profiles = est_mod.est_shifted_palm(model, evs, edges, run.reps, seed=run.seed,
                                             stream="palm:shifted", threads=run.threads)
         rows = [
@@ -275,14 +267,14 @@ def _verdict_json(verdict) -> dict:
 def _ams_trace(run: Run, model, ev):
     """Check the AMS fields and run the trace: (trace, tail_fraction, tol)."""
     kind = run.get("kind", "event")
-    tol = run.get_float("tol", 0.05)
+    tol = run.get_as("tol", float, 0.05)
     if not 0.0 <= tol < math.inf:
         raise ConfigError(f"'tol' must be finite and at least 0, got {tol}")
-    tail = run.get_float("tail_fraction", 0.5)
+    tail = run.get_as("tail_fraction", float, 0.5)
     if not 0.0 < tail <= 1.0:
         raise ConfigError(f"'tail_fraction' must be in (0, 1], got {tail}")
     if kind == "event":
-        n_max = run.get_int("n_max", 256)
+        n_max = run.get_as("n_max", int, 256)
         if n_max < 1:
             raise ConfigError(f"'n_max' must be at least 1, got {n_max}")
         trace = ams_mod.cesaro_event(model, ev, n_max, run.reps, seed=run.seed,
@@ -381,8 +373,8 @@ def cmd_suite(run: Run) -> int:
 
 
 def cmd_example44(run: Run) -> int:
-    n_max = run.get_int("n_max", 256)
-    pattern_len = run.get_int("pattern_len", max(3 * n_max + 80, 900))
+    n_max = run.get_as("n_max", int, 256)
+    pattern_len = run.get_as("pattern_len", int, max(3 * n_max + 80, 900))
     cfg = dict(run.cfg)
     cfg.update({"model": "example44", "pattern_len": str(pattern_len)})
     run.cfg = cfg

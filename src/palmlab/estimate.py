@@ -27,20 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as _rng
-from .errors import (
-    InsufficientContext,
-    InsufficientCoverage,
-    LowEffectiveSampleSize,
-    ZeroDenominator,
-)
+from .errors import InsufficientCoverage, LowEffectiveSampleSize, ZeroDenominator
 from .events import EventContext, Eventuality
-from .models import (
-    LAW_TILTED_TS,
-    LAW_TS,
-    Need,
-    ProcessModel,
-    redraw_flawed,
-)
+from .models import Need, ProcessModel
 from .pattern import PatternBatch, ragged_ranges
 
 
@@ -119,7 +108,7 @@ def _batch_reduce(weights: np.ndarray, cols, reject: np.ndarray, n: int, ncols: 
 
 def run_kernel(
     model: ProcessModel,
-    window: tuple[float, float],
+    window: Need | tuple[float, float],
     budget: int,
     ncols: int,
     kernel,
@@ -293,7 +282,7 @@ def _members(group) -> tuple[Eventuality, ...]:
 
 def mc_mean(
     model: ProcessModel,
-    window: tuple[float, float],
+    window: Need | tuple[float, float],
     kernel,
     budget: int,
     *,
@@ -513,35 +502,3 @@ def est_intermediate(
                 f"conditioning proxy accepted {est.coverage:.1%} of replications"
             )
     return ests
-
-
-# -- uniform re-centering inside the straddling gap ----------------------------
-
-
-def pstar_model(base: ProcessModel) -> ProcessModel:
-    """The pushforward of the base law under uniform re-centering: the
-    origin moves to T_0 + u * alpha_0 with u uniform(0, 1).
-
-    The new origin stays inside the straddling gap, so the base row's
-    anchors are the new row's, and a need measured from them is held by
-    the base row as it stands."""
-
-    def batch(rng, need, n):
-        def draw(k: int) -> PatternBatch:
-            out = base.sample_batch(rng, need, k)
-            pos0 = out.pos0()
-            if not out.straddled(pos0).all():
-                raise InsufficientContext("pstar_model needs a base whose rows hold T_0 and T_1")
-            y = out.points[pos0] + rng.random(k) * (out.points[pos0 + 1] - out.points[pos0])
-            return PatternBatch(out.points - np.repeat(y, np.diff(out.offsets)), out.offsets,
-                                out.windows - y[:, None], out.weights)
-
-        return redraw_flawed(draw(n), draw)
-
-    return ProcessModel(
-        LAW_TS if base.is_ts else LAW_TILTED_TS,
-        dict(base.descriptor, model="pstar", base=base.descriptor["model"]),
-        base.scale,
-        batch,
-        tilt_info=base.tilt_info,
-    )

@@ -37,7 +37,6 @@ from .estimate import (
     est_shifted_palm,
     mc_mean,
     point_bins,
-    pstar_model,
     row_need,
     _binned_events,
     _bins,
@@ -61,6 +60,7 @@ from .models import (
     example84_exact,
     gamma_intervals,
     poisson_ts,
+    pstar_model,
     renewal_es,
     renewal_ts_from_es,
 )

@@ -1,15 +1,17 @@
 """Seedable exact samplers for every process law the toolkit verifies.
 
-A sampler takes what its caller reads of each row: a Need, or a plain
-window (lo, hi).  Every two-sided row holds two anchor events, T_0 and
-T_1, and draws i.i.d. gaps outward from them, each side until the row
-holds the need measured from its anchor (T_0 leftwards, T_1 rightwards);
-such a row's window ends at its outermost stored events.  When every row
-keeps the same columns (a pure event need such as Need(right=256), or
-Need() for the anchors alone) the drawn matrix is kept whole, with no
-mask to gather through.  A plain window (lo, hi) is read as the need of
-that time extent (ProcessModel.sample_batch) and the rows are clipped to
-it.
+Every law is a draw, draw(rng, need, k): k rows, each holding what a
+kernel reads of it, the Need.  Every two-sided row holds two anchor
+events, T_0 and T_1, and draws i.i.d. gaps outward from them, each side
+until the row holds the need measured from its anchor (T_0 leftwards, T_1
+rightwards); such a row's window ends at its outermost stored events.
+When every row keeps the same columns (a pure event need such as
+Need(right=256), or Need() for the anchors alone) the drawn matrix is kept
+whole, with no mask to gather through.  ProcessModel.sample_batch is the
+one sampler around a draw: it reads a plain window (lo, hi) as the need of
+that time extent and clips the rows to it, and it redraws, one row at a
+time in row order, every row that comes out empty or holds two events
+within MIN_GAP.
 All samplers are pure functions of (generator, need), so replications are
 reproducible and parallelism-independent.
 """
@@ -221,14 +223,18 @@ class TiltInfo:
 
 
 class ProcessModel:
-    """A named law with a batch sampler and metadata used by estimators."""
+    """A named law, its draw and metadata used by estimators.
+
+    draw(rng, need, k) returns k rows of the law, each holding the need, as
+    the law makes them: it may leave a row empty or with two events within
+    MIN_GAP, and sample_batch redraws such rows."""
 
     def __init__(
         self,
         law_tag: str,
         descriptor: dict,
         scale: float,
-        batch_fn: Callable[[np.random.Generator, "Need", int], PatternBatch],
+        draw: Callable[[np.random.Generator, "Need", int], PatternBatch],
         *,
         exact_rate: float | None = None,
         interval: IntervalDistribution | None = None,
@@ -241,7 +247,7 @@ class ProcessModel:
         self.exact_rate = exact_rate
         self.interval = interval
         self.tilt_info = tilt_info
-        self._batch_fn = batch_fn
+        self._draw = draw
         self._palm_factory = palm_factory
 
     @property
@@ -259,17 +265,25 @@ class ProcessModel:
     def sample_batch(self, rng, window, n: int) -> PatternBatch:
         """n rows drawn to window, a Need, or seen through window, a plain
         (lo, hi).  Every row's anchors bracket the origin, so rows drawn to
-        Need(before=-lo, after=hi) hold (lo, hi); they are clipped to it,
-        and rows left empty are redrawn."""
+        Need(before=-lo, after=hi) hold (lo, hi); they are clipped to it.
+        A row that comes out empty or holds two events within MIN_GAP is
+        replaced, in row order, by the first one-row draw without either."""
         if isinstance(window, Need):
-            return self._batch_fn(rng, window, n)
-        lo, hi = _check_window(window)
-        need = Need(before=-lo, after=hi)
+            def draw(k: int) -> PatternBatch:
+                return self._draw(rng, window, k)
+        else:
+            lo, hi = _check_window(window)
+            need = Need(before=-lo, after=hi)
 
-        def draw(k: int) -> PatternBatch:
-            return clip_rows(self._batch_fn(rng, need, k), (lo, hi))
+            def draw(k: int) -> PatternBatch:
+                return clip_rows(self.sample_batch(rng, need, k), (lo, hi))
 
-        return redraw_flawed(draw(n), draw)
+        def draw_row():
+            row = draw(1)
+            return None if _row_flaws(row)[0] else row
+
+        batch = draw(n)
+        return redraw_rows(batch, _row_flaws(batch), draw_row)
 
     def palm_companion(self) -> "ProcessModel | None":
         """The event-stationary law standing to this one as its Palm version."""
@@ -384,18 +398,12 @@ def _put_columns(blocks, dst: np.ndarray) -> None:
         dst[rows, :w] = b[:, :w]
 
 
-def _assemble_two_sided(
-    rng,
-    need: Need,
-    n: int,
-    anchors: np.ndarray,
-    left_dist: IntervalDistribution,
-    right_dist: IntervalDistribution,
-) -> PatternBatch:
-    """Anchor columns T_0, T_1 per row plus i.i.d. gaps outward from them,
-    each side drawn until the row holds the need."""
-    left, lkeep = _side_cumsum(rng, left_dist, n, need.before, need.left, need.radius)
-    right, rkeep = _side_cumsum(rng, right_dist, n, need.after, need.right, need.radius)
+def _assemble_two_sided(rng, need: Need, n: int, anchors: np.ndarray,
+                        d: IntervalDistribution) -> PatternBatch:
+    """Anchor columns T_0, T_1 per row plus i.i.d. gaps of law d outward
+    from them, each side drawn until the row holds the need."""
+    left, lkeep = _side_cumsum(rng, d, n, need.before, need.left, need.radius)
+    right, rkeep = _side_cumsum(rng, d, n, need.after, need.right, need.radius)
     for rows, b in left:
         np.subtract(anchors[rows, :1], b, out=b)
     for rows, b in right:
@@ -468,15 +476,6 @@ def redraw_rows(batch: PatternBatch, bad: np.ndarray, draw_row) -> PatternBatch:
     return PatternBatch(np.concatenate(pieces), offsets, windows, weights)
 
 
-def redraw_flawed(batch: PatternBatch, draw) -> PatternBatch:
-    """Redraw the rows _row_flaws flags from draw(1) until one passes."""
-    def draw_row():
-        row = draw(1)
-        return None if _row_flaws(row)[0] else row
-
-    return redraw_rows(batch, _row_flaws(batch), draw_row)
-
-
 def _row_flaws(batch: PatternBatch) -> np.ndarray:
     """Rows that are empty or hold two events within MIN_GAP."""
     bad = np.diff(batch.offsets) == 0
@@ -489,22 +488,18 @@ def _row_flaws(batch: PatternBatch) -> np.ndarray:
 
 
 def _anchored_ts(straddle_length, d: IntervalDistribution):
-    """Batch sampler of a time-stationary law built from its event-centered
-    one: the origin-straddling gap has the law of straddle_length(rng, k),
-    the origin lands uniformly inside it, and i.i.d. gaps of law d extend
+    """Draw of a time-stationary law built from its event-centered one: the
+    origin-straddling gap has the law of straddle_length(rng, k), the
+    origin lands uniformly inside it, and i.i.d. gaps of law d extend
     outward on both sides."""
 
-    def batch(rng, need, n):
-        def draw(k: int) -> PatternBatch:
-            length = straddle_length(rng, k)
-            u = rng.random(k)
-            t0 = -u * length
-            anchors = np.column_stack((t0, t0 + length))
-            return _assemble_two_sided(rng, need, k, anchors, d, d)
+    def draw(rng, need, k):
+        length = straddle_length(rng, k)
+        u = rng.random(k)
+        t0 = -u * length
+        return _assemble_two_sided(rng, need, k, np.column_stack((t0, t0 + length)), d)
 
-        return redraw_flawed(draw(n), draw)
-
-    return batch
+    return draw
 
 
 # -- model factories ----------------------------------------------------------
@@ -529,21 +524,17 @@ def poisson_ts(rate: float) -> ProcessModel:
 def renewal_es(d: IntervalDistribution) -> ProcessModel:
     """Event-stationary renewal law: an event at exactly 0, the anchor T_0,
     and i.i.d. gaps extended independently to both sides, the first of them
-    to the anchor T_1.  Rows with two events within MIN_GAP are redrawn, as
-    in every other sampler."""
+    to the anchor T_1."""
 
-    def batch(rng, need, n):
-        def draw(k: int) -> PatternBatch:
-            anchors = np.column_stack((np.zeros(k), d.sample(rng, k)))
-            return _assemble_two_sided(rng, need, k, anchors, d, d)
-
-        return redraw_flawed(draw(n), draw)
+    def draw(rng, need, k):
+        anchors = np.column_stack((np.zeros(k), d.sample(rng, k)))
+        return _assemble_two_sided(rng, need, k, anchors, d)
 
     return ProcessModel(
         LAW_ES,
         {"model": "renewal_es", "interval": d.label},
         d.mean,
-        batch,
+        draw,
         interval=d,
     )
 
@@ -569,15 +560,17 @@ def renewal_ts_from_es(d: IntervalDistribution) -> ProcessModel:
 def tilted_ts(base: ProcessModel, tilt: Tilt) -> ProcessModel:
     """Importance sampler for the law obtained by reweighting a TS base with
     the given functional; estimators self-normalize the weights.  The base
-    rows are drawn to the need widened by the gaps the tilt reads."""
+    rows are drawn to the need widened by the gaps the tilt reads, by the
+    base's own draw, so the tilted rows are redrawn once, by the tilted
+    model's sample_batch."""
     if not base.is_ts:
         raise ValueError("tilted_ts needs a time-stationary base model")
     if base.exact_rate is None:
         raise ValueError("tilted_ts needs a base with known intensity")
     base_rate = base.exact_rate
 
-    def batch(rng, need, n):
-        out = base.sample_batch(rng, need | tilt.need, n)
+    def draw(rng, need, k):
+        out = base._draw(rng, need | tilt.need, k)
         sigma, ok = tilt.value_batch(out)
         if not ok.all():
             raise InsufficientContext("tilt evaluation needs origin-straddling patterns "
@@ -588,8 +581,35 @@ def tilted_ts(base: ProcessModel, tilt: Tilt) -> ProcessModel:
         LAW_TILTED_TS,
         dict(base.descriptor, model="tilted_ts", base=base.descriptor["model"], tilt=tilt.label),
         base.scale,
-        batch,
+        draw,
         tilt_info=TiltInfo(tilt, base_rate, lambda: base.palm_companion()),
+    )
+
+
+def pstar_model(base: ProcessModel) -> ProcessModel:
+    """The pushforward of the base law under uniform re-centering: the
+    origin moves to T_0 + u * alpha_0 with u uniform(0, 1).
+
+    The new origin stays inside the straddling gap, so the base row's
+    anchors are the new row's, and a need measured from them is held by
+    the base row as it stands.  The base rows come from the base's
+    sample_batch, redrawn there before the re-centered rows are."""
+
+    def draw(rng, need, k):
+        out = base.sample_batch(rng, need, k)
+        pos0 = out.pos0()
+        if not out.straddled(pos0).all():
+            raise InsufficientContext("pstar_model needs a base whose rows hold T_0 and T_1")
+        y = out.points[pos0] + rng.random(k) * (out.points[pos0 + 1] - out.points[pos0])
+        return PatternBatch(out.points - np.repeat(y, np.diff(out.offsets)), out.offsets,
+                            out.windows - y[:, None], out.weights)
+
+    return ProcessModel(
+        LAW_TS if base.is_ts else LAW_TILTED_TS,
+        dict(base.descriptor, model="pstar", base=base.descriptor["model"]),
+        base.scale,
+        draw,
+        tilt_info=base.tilt_info,
     )
 
 
@@ -662,7 +682,7 @@ def example44(pattern_len: int) -> ProcessModel:
         raise ValueError("need pattern_len >= 1")
     right = example44_times(pattern_len)
 
-    def batch(rng, need, n):
+    def draw(rng, need, n):
         # the need, held on the unit gaps left of the anchor T_0 = 0 and on
         # the stored gaps right of the anchor T_1 = 1; a need that reaches
         # past the realization gets all of it, and the row's window ends at
@@ -680,7 +700,7 @@ def example44(pattern_len: int) -> ProcessModel:
         LAW_DETERMINISTIC,
         {"model": "example44", "pattern_len": pattern_len},
         1.5,
-        batch,
+        draw,
     )
 
 

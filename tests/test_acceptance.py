@@ -18,7 +18,6 @@ from palmlab.estimate import (
     est_intensity,
     est_shifted_palm,
     mc_mean,
-    pstar_model,
 )
 from palmlab.events import BATTERY, ev_example44, ev_true, parse_eventuality
 from palmlab.identities import DEFAULT_SUITE_MODELS, REGISTRY, run_suite
@@ -32,6 +31,7 @@ from palmlab.models import (
     exponential,
     gamma_intervals,
     poisson_ts,
+    pstar_model,
     renewal_es,
     renewal_ts_from_es,
 )

@@ -259,6 +259,8 @@ x = 5
         ("mode = shifted\nbin_lo = -1\nbin_hi = 1\nbin_width = -0.5", "'bin_width'"),
         ("mode = shifted\nbin_lo = -1\nbin_hi = 1\nbin_width = inf", "'bin_width'"),
         ("mode = shifted\nbin_lo = -1\nbin_hi = 1\nbin_width = 5", "'bin_width'"),
+        ("mode = shifted\nbin_lo = 0\nbin_hi = 1\nbin_width = 0.3", "'bin_width'"),
+        ("mode = shifted\nbin_lo = 0\nbin_hi = 1\nbin_width = 0.6", "'bin_width'"),
         ("mode = shifted\nbin_lo = 1\nbin_hi = 1", "'bin_lo'"),
         ("mode = shifted\nbin_lo = 2\nbin_hi = 1", "'bin_lo'"),
         ("mode = shifted\nbin_lo = -inf\nbin_hi = 1", "'bin_lo'"),

@@ -16,7 +16,6 @@ from palmlab.estimate import (
     est_shifted_palm,
     mc_mean,
     point_bins,
-    pstar_model,
     row_need,
     run_kernel,
 )
@@ -37,6 +36,7 @@ from palmlab.models import (
     ProcessModel,
     make_tilt,
     poisson_ts,
+    pstar_model,
     renewal_es,
     renewal_ts_from_es,
     tilted_ts,

@@ -27,7 +27,6 @@ import numpy as np
 import pytest
 
 from palmlab import models
-from palmlab.estimate import pstar_model
 from palmlab.models import (
     LAW_TS,
     IntervalDistribution,
@@ -37,6 +36,7 @@ from palmlab.models import (
     exponential,
     gamma_intervals,
     poisson_ts,
+    pstar_model,
     renewal_es,
     renewal_ts_from_es,
 )

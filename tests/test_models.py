@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from palmlab.errors import InsufficientContext, InsufficientWindow, UnknownTilt
-from palmlab.estimate import est_event_probability, pstar_model
+from palmlab.estimate import est_event_probability
 from palmlab.events import parse_eventuality
 from palmlab.models import (
     LAW_TS,
@@ -27,6 +27,7 @@ from palmlab.models import (
     model_from_config,
     model_to_config,
     poisson_ts,
+    pstar_model,
     redraw_rows,
     renewal_es,
     renewal_ts_from_es,
@@ -34,7 +35,7 @@ from palmlab.models import (
     uniform_intervals,
 )
 from palmlab.models import _assemble_two_sided, _row_flaws, clip_rows
-from palmlab.pattern import PatternBatch
+from palmlab.pattern import MIN_GAP, PatternBatch
 from palmlab.rng import CHUNK, chunk_rng
 
 from conftest import agree, rows_batch, within
@@ -204,7 +205,7 @@ class TestRenewalEs:
         # rows as first drawn; the sampler redraws them
         d, window, n = gamma_intervals(0.25, 0.25), (-20.0, 20.0), 4096
         raw = _assemble_two_sided(chunk_rng(1, "x", 0), Need(before=20.0, after=20.0), n,
-                                  np.zeros((n, 1)), d, d)
+                                  np.zeros((n, 1)), d)
         assert int(_row_flaws(raw).sum()) == 143
         batch = renewal_es(d).sample_batch(chunk_rng(1, "x", 0), window, n)
         assert not _row_flaws(batch).any()
@@ -388,6 +389,29 @@ class TestRedrawRows:
             raise AssertionError("no row is flagged")
 
         assert redraw_rows(batch, np.array([False]), draw_row) is batch
+
+    def test_sample_batch_redraws_flawed_rows_of_a_draw(self):
+        # rows 1 and 3 of the first draw hold two events within MIN_GAP;
+        # sample_batch keeps rows 0 and 2 and fills 1 and 3, in row order,
+        # from the one-row draws that follow, passing over a flawed one
+        first = rows_batch([[-1.0, 1.0], [-2.0, -2.0 + MIN_GAP / 2, 2.0], [-3.0, 3.0],
+                            [-4.0, 4.0, 4.0 + MIN_GAP / 2]], (-5.0, 5.0))
+        later = [rows_batch([[-0.5, 0.5]], (-6.0, 6.0)),
+                 rows_batch([[-0.5, 0.5, 0.5 + MIN_GAP]], (-8.0, 8.0)),
+                 rows_batch([[-0.25, 0.75]], (-7.0, 7.0))]
+        sizes = []
+
+        def draw(rng, need, k):
+            sizes.append(k)
+            return first if k == 4 else later[len(sizes) - 2]
+
+        model = ProcessModel(LAW_TS, {"model": "fixed"}, 1.0, draw)
+        out = model.sample_batch(None, Need(1.0, 1.0), 4)
+        assert sizes == [4, 1, 1, 1]
+        assert not _row_flaws(out).any()
+        assert out.points.tolist() == [-1.0, 1.0, -0.5, 0.5, -3.0, 3.0, -0.25, 0.75]
+        assert out.offsets.tolist() == [0, 2, 4, 6, 8]
+        assert out.windows.tolist() == [[-5.0, 5.0], [-6.0, 6.0], [-5.0, 5.0], [-7.0, 7.0]]
 
 
 class TestTiltRows:

@@ -32,9 +32,9 @@ from pathlib import Path
 
 import numpy as np
 
-from palmlab import ams, cli, estimate, identities
+from palmlab import ams, cli, estimate, identities, pstar_model
 from palmlab.ams import _time_checkpoints
-from palmlab.estimate import pstar_model, row_need
+from palmlab.estimate import row_need
 from palmlab.events import SUITE_BATTERY, EventContext, parse_eventuality
 from palmlab.models import IntervalDistribution, Need, example84_exact, exponential, \
     gamma_intervals, poisson_ts, renewal_es, renewal_ts_from_es
