@@ -38,6 +38,7 @@ from .events import (
 )
 from .models import (
     IntervalDistribution,
+    Need,
     ProcessModel,
     Tilt,
     deterministic,
@@ -56,6 +57,7 @@ from .models import (
     pstar_model,
     renewal_es,
     renewal_ts_from_es,
+    sample_window,
     tilted_ts,
     uniform_intervals,
 )

@@ -189,7 +189,7 @@ def _estimate_rows(label, est):
 
 
 def cmd_simulate(run: Run) -> int:
-    from .models import example44_natural_window
+    from .models import example44_natural_window, sample_window
 
     model = run.model()
     if model.descriptor.get("model") == "example44":
@@ -204,7 +204,7 @@ def cmd_simulate(run: Run) -> int:
     patterns = []
     for i in range(reps):
         gen = chunk_rng(run.seed, "simulate", i)
-        patterns.append(model.sample_batch(gen, (lo, hi), 1).pattern(0))
+        patterns.append(sample_window(model, gen, (lo, hi), 1).pattern(0))
     out = run.out_dir / "patterns.txt"
     write_patterns(out, patterns)
     print(f"wrote {reps} patterns to {out}")

@@ -108,7 +108,7 @@ def _batch_reduce(weights: np.ndarray, cols, reject: np.ndarray, n: int, ncols: 
 
 def run_kernel(
     model: ProcessModel,
-    window: Need | tuple[float, float],
+    need: Need,
     budget: int,
     ncols: int,
     kernel,
@@ -118,7 +118,7 @@ def run_kernel(
     threads: int = 1,
 ) -> GroupSums:
     """Drive `kernel(batch, ctx) -> [(cols (n,k), reject (n,)), ...]` over
-    the budget.
+    the budget, each chunk's rows drawn to the need.
 
     The kernel returns a list with one pair per member of a group evaluated
     on the same draws (a lone kernel returns a list of one).  Each member
@@ -132,7 +132,7 @@ def run_kernel(
     def one_chunk(ci: int):
         n = min(_rng.CHUNK, budget - ci * _rng.CHUNK)
         gen = _rng.chunk_rng(seed, stream, ci)
-        batch = model.sample_batch(gen, window, n)
+        batch = model.sample_batch(gen, need, n)
         return [_batch_reduce(batch.weights, cols, reject, n, ncols)
                 for cols, reject in kernel(batch, EventContext(batch))]
 
@@ -282,7 +282,7 @@ def _members(group) -> tuple[Eventuality, ...]:
 
 def mc_mean(
     model: ProcessModel,
-    window: Need | tuple[float, float],
+    need: Need,
     kernel,
     budget: int,
     *,
@@ -295,13 +295,12 @@ def mc_mean(
     `kernel(batch, ctx) -> [(values (n,), reject (n,)), ...]`, one pair per
     member evaluated on the same draws; a lone kernel returns a list of one
     and its caller unpacks `(est,) = mc_mean(...)`.  Each mean is the
-    weighted sum of the values over the row weights.  `window` is what the
-    kernel reads of each row: a Need (row_need builds one from the
-    eventualities the kernel evaluates), or a plain window (lo, hi), whose
-    rows hold that time extent and are clipped to it.  The extension point
-    the identity registry is built on.
+    weighted sum of the values over the row weights.  `need` is what the
+    kernel reads of each row; row_need builds one from the eventualities
+    the kernel evaluates.  The extension point the identity registry is
+    built on.
     """
-    sums = run_kernel(model, window, budget, 1, kernel,
+    sums = run_kernel(model, need, budget, 1, kernel,
                       seed=seed, stream=stream, threads=threads)
     return [ratio_estimate(s, 0) for s in sums.members]
 

@@ -8,10 +8,9 @@ rightwards); such a row's window ends at its outermost stored events.
 When every row keeps the same columns (a pure event need such as
 Need(right=256), or Need() for the anchors alone) the drawn matrix is kept
 whole, with no mask to gather through.  ProcessModel.sample_batch is the
-one sampler around a draw: it reads a plain window (lo, hi) as the need of
-that time extent and clips the rows to it, and it redraws, one row at a
-time in row order, every row that comes out empty or holds two events
-within MIN_GAP.
+one sampler around a draw: it redraws, one row at a time in row order,
+every row that comes out empty or holds two events within MIN_GAP, and
+sample_window is the one reader of a plain window (lo, hi).
 All samplers are pure functions of (generator, need), so replications are
 reproducible and parallelism-independent.
 """
@@ -262,27 +261,15 @@ class ProcessModel:
     def is_deterministic(self) -> bool:
         return self.law_tag == LAW_DETERMINISTIC
 
-    def sample_batch(self, rng, window, n: int) -> PatternBatch:
-        """n rows drawn to window, a Need, or seen through window, a plain
-        (lo, hi).  Every row's anchors bracket the origin, so rows drawn to
-        Need(before=-lo, after=hi) hold (lo, hi); they are clipped to it.
-        A row that comes out empty or holds two events within MIN_GAP is
-        replaced, in row order, by the first one-row draw without either."""
-        if isinstance(window, Need):
-            def draw(k: int) -> PatternBatch:
-                return self._draw(rng, window, k)
-        else:
-            lo, hi = _check_window(window)
-            need = Need(before=-lo, after=hi)
-
-            def draw(k: int) -> PatternBatch:
-                return clip_rows(self.sample_batch(rng, need, k), (lo, hi))
-
+    def sample_batch(self, rng, need: "Need", n: int) -> PatternBatch:
+        """n rows drawn to the need.  A row that comes out empty or holds
+        two events within MIN_GAP is replaced, in row order, by the first
+        one-row draw without either."""
         def draw_row():
-            row = draw(1)
+            row = self._draw(rng, need, 1)
             return None if _row_flaws(row)[0] else row
 
-        batch = draw(n)
+        batch = self._draw(rng, need, n)
         return redraw_rows(batch, _row_flaws(batch), draw_row)
 
     def palm_companion(self) -> "ProcessModel | None":
@@ -327,13 +314,6 @@ class Need:
     def __or__(self, other: "Need") -> "Need":
         return Need(*(max(a, b) for a, b in zip(dataclasses.astuple(self),
                                                 dataclasses.astuple(other))))
-
-
-def _check_window(window) -> tuple[float, float]:
-    lo, hi = float(window[0]), float(window[1])
-    if not (-math.inf < lo < 0.0 < hi < math.inf):
-        raise InsufficientWindow(f"window must be finite and contain the origin, got ({lo}, {hi})")
-    return lo, hi
 
 
 def _stop(cum: np.ndarray, span: float, k: int, r: float) -> np.ndarray:
@@ -442,6 +422,24 @@ def clip_rows(batch: PatternBatch, window) -> PatternBatch:
     offsets = np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
     windows = np.tile(np.array((lo, hi), dtype=np.float64), (batch.n, 1))
     return PatternBatch(batch.points[keep], offsets, windows, batch.weights)
+
+
+def sample_window(model: ProcessModel, rng, window, n: int) -> PatternBatch:
+    """n rows of the model clipped to the plain window (lo, hi), finite and
+    around the origin, from rows drawn to Need(before=-lo, after=hi), which
+    hold it.  Rows of sample_batch hold no two events within MIN_GAP, and a
+    clip keeps a run of a sorted row, so only empty rows are redrawn."""
+    lo, hi = float(window[0]), float(window[1])
+    if not (-math.inf < lo < 0.0 < hi < math.inf):
+        raise InsufficientWindow(f"window must be finite and contain the origin, got ({lo}, {hi})")
+    need = Need(before=-lo, after=hi)
+    batch = clip_rows(model.sample_batch(rng, need, n), (lo, hi))
+
+    def draw_row():
+        row = clip_rows(model.sample_batch(rng, need, 1), (lo, hi))
+        return row if row.points.size else None
+
+    return redraw_rows(batch, np.diff(batch.offsets) == 0, draw_row)
 
 
 # redraw_rows gives up on a row after this many rejected draws in a row:

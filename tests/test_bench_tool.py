@@ -19,7 +19,7 @@ import bench  # noqa: E402
 
 from palmlab import ams, estimate, identities  # noqa: E402
 from palmlab.events import parse_eventuality  # noqa: E402
-from palmlab.models import IntervalDistribution, exponential, poisson_ts  # noqa: E402
+from palmlab.models import IntervalDistribution, Need, exponential, poisson_ts  # noqa: E402
 from palmlab.rng import CHUNK  # noqa: E402
 
 
@@ -117,7 +117,7 @@ def test_integrate_counts_searched_keys(monkeypatch):
             rows = np.arange(ctx.batch.n)
             return [lambda A=parse_eventuality(text): A.integrate(ctx, rows, -1.0, 1.0)
                     for text in ("count(0,1]==0", "alpha(0)>1", "true")]
-        return poisson_ts(1.0), (-5.0, 5.0), calls
+        return poisson_ts(1.0), Need(before=5.0, after=5.0), calls
 
     monkeypatch.setitem(bench.INTEGRATE_WINDOWS, "stub", stub)
     res = bench._integrate_window("stub", 2, 7, 1)

@@ -92,17 +92,19 @@ window_hi = 3
     @pytest.mark.parametrize("model", ["model = poisson_ts\nrate = 1",
                                        "model = example44\npattern_len = 60"])
     def test_non_finite_window_is_an_error(self, tmp_path, capsys, model):
-        cfg = write_config(tmp_path, f"""
+        # a window must be finite and hold the origin strictly inside it
+        for lo in ("-inf", "0"):
+            cfg = write_config(tmp_path, f"""
 [simulate]
 {model}
 reps = 2
-window_lo = -inf
+window_lo = {lo}
 window_hi = 5
 """)
-        out = tmp_path / "out"
-        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
-        assert "finite" in capsys.readouterr().err
-        assert not out.exists() or not any(out.iterdir())
+            out = tmp_path / f"out{lo}"
+            assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+            assert "finite" in capsys.readouterr().err
+            assert not out.exists() or not any(out.iterdir())
 
     def test_invalid_model_names_field(self, tmp_path, capsys):
         cfg = write_config(tmp_path, """

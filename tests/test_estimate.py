@@ -39,6 +39,7 @@ from palmlab.models import (
     pstar_model,
     renewal_es,
     renewal_ts_from_es,
+    sample_window,
     tilted_ts,
 )
 from palmlab.rng import CHUNK, chunk_rng
@@ -158,7 +159,7 @@ class TestIntensity:
         m = example44(60)
         edges = np.arange(0.0, 12.5, 0.5)
         (bins,) = est_intensity(m, [ev_true()], edges, 1, seed=0)
-        p = m.sample_batch(np.random.default_rng(0), (-20.0, 40.0), 1).pattern(0)
+        p = sample_window(m, np.random.default_rng(0), (-20.0, 40.0), 1).pattern(0)
         for lo, hi, b in zip(edges[:-1], edges[1:], bins):
             assert b.estimate.value == pytest.approx(p.count(lo, hi) / (hi - lo))
 
@@ -238,7 +239,7 @@ class TestIntermediate:
         # never holds T_30
         base = renewal_es(deterministic(1.0))
         m = ProcessModel(base.law_tag, base.descriptor, base.scale,
-                         lambda rng, window, n: base.sample_batch(rng, (-5.0, 5.0), n))
+                         lambda rng, need, n: sample_window(base, rng, (-5.0, 5.0), n))
         with pytest.raises(InsufficientCoverage):
             est_intermediate(m, 30, [ev_interval_gt(0, 1.0, radius=2.0)], 256, seed=0)
 
@@ -261,8 +262,8 @@ class TestResamplePstar:
         # and the rows left empty are redrawn
         m = pstar_model(pstar_model(renewal_es(exponential(1.0))))
         need = Need(3.0, 3.0)
-        for window in (need, (-0.5, 0.5)):
-            b = m.sample_batch(chunk_rng(35, "nested", 0), window, 400)
+        for b in (m.sample_batch(chunk_rng(35, "nested", 0), need, 400),
+                  sample_window(m, chunk_rng(35, "nested", 0), (-0.5, 0.5), 400)):
             rep = np.repeat(np.arange(b.n), np.diff(b.offsets))
             assert np.all(b.points >= b.windows[rep, 0])
             assert np.all(b.points <= b.windows[rep, 1])
@@ -292,7 +293,7 @@ class TestResamplePstar:
         # without T_0 or T_1, which the re-centering cannot read
         base = poisson_ts(1.0)
         narrow = ProcessModel(base.law_tag, base.descriptor, base.scale,
-                              lambda rng, window, n: base.sample_batch(rng, (-0.5, 0.5), n))
+                              lambda rng, need, n: sample_window(base, rng, (-0.5, 0.5), n))
         with pytest.raises(InsufficientContext):
             pstar_model(narrow).sample_batch(chunk_rng(37, "anchors", 0), Need(), 400)
 

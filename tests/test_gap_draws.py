@@ -39,6 +39,7 @@ from palmlab.models import (
     pstar_model,
     renewal_es,
     renewal_ts_from_es,
+    sample_window,
 )
 from palmlab.pattern import MIN_GAP, PatternBatch
 from palmlab.rng import CHUNK, chunk_rng
@@ -115,7 +116,7 @@ def _statistics(model, window, subs, seed, stream):
     rows drawn chunk by chunk, as one column each."""
     cols = []
     for ci in range(ROWS // CHUNK):
-        batch = model.sample_batch(chunk_rng(seed, stream, ci), window, CHUNK)
+        batch = sample_window(model, chunk_rng(seed, stream, ci), window, CHUNK)
         rep = np.repeat(np.arange(batch.n), np.diff(batch.offsets))
         pts = batch.points
         counts = [np.bincount(rep[(pts > a) & (pts <= b)], minlength=batch.n)
@@ -261,7 +262,7 @@ def test_gaps_drawn_per_event_kept(monkeypatch, label, factory, window, bound):
         return out
 
     monkeypatch.setattr(IntervalDistribution, "sample", counting)
-    batch = factory().sample_batch(chunk_rng(93, "gap-draws:count", 0), window, CHUNK)
+    batch = sample_window(factory(), chunk_rng(93, "gap-draws:count", 0), window, CHUNK)
     assert sum(drawn) / batch.points.size <= bound
 
 
@@ -280,12 +281,13 @@ NEED_CASES = [
 NEED = Need(before=2.0, after=2.0, left=3, right=2)
 
 
-def _event_statistics(model, window, seed, stream):
+def _event_statistics(sample, seed, stream):
     """Per row: the gaps between T_-3 and T_3 (six columns), T_1, and the
-    counts in (-2, 0] and (0, 2], over ROWS rows drawn chunk by chunk."""
+    counts in (-2, 0] and (0, 2], over ROWS rows drawn chunk by chunk by
+    sample(rng, n)."""
     cols = []
     for ci in range(ROWS // CHUNK):
-        batch = model.sample_batch(chunk_rng(seed, stream, ci), window, CHUNK)
+        batch = sample(chunk_rng(seed, stream, ci), CHUNK)
         pos0, pts = batch.pos0(), batch.points
         assert np.all(pos0 - 3 >= batch.offsets[:-1]) and np.all(pos0 + 3 < batch.offsets[1:])
         ev = pts[pos0[:, None] + np.arange(-3, 4)]
@@ -303,8 +305,9 @@ def test_event_indexed_rows_same_law_as_time_window(label, factory):
     with that need reads: the six gaps from T_-3 to T_3, T_1, and the
     counts in (-2, 0] and (0, 2].  No event-indexed row is short of them."""
     model = factory()
-    new = _event_statistics(model, NEED, 96, "need:new")
-    ref = _event_statistics(model, (-40.0, 40.0), 97, "need:ref")
+    new = _event_statistics(lambda rng, n: model.sample_batch(rng, NEED, n), 96, "need:new")
+    ref = _event_statistics(lambda rng, n: sample_window(model, rng, (-40.0, 40.0), n), 97,
+                            "need:ref")
     _assert_same_law(new, ref, f"{label} event-indexed")
 
 

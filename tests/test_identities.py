@@ -33,6 +33,7 @@ from palmlab.models import (
     make_tilt,
     poisson_ts,
     renewal_es,
+    sample_window,
 )
 from palmlab.rng import chunk_rng
 
@@ -374,7 +375,7 @@ def test_i37_straddle_codes_equal_per_bin_loop(k):
     """I-3.7's one straddle evaluation with per-event distances gives the
     codes of one ev_straddle per bin, byte for byte."""
     model = example84_exact(1.0)
-    batch = model.sample_batch(chunk_rng(5, "i37-codes", 0), (-45.0, 45.0), 512)
+    batch = sample_window(model, chunk_rng(5, "i37-codes", 0), (-45.0, 45.0), 512)
     ctx = EventContext(batch)
     width, span = 0.1 * model.scale, 14.0 * model.scale
     edges = (np.arange(-span, 0.0 + width / 2, width) if k == 0

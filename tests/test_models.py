@@ -31,6 +31,7 @@ from palmlab.models import (
     redraw_rows,
     renewal_es,
     renewal_ts_from_es,
+    sample_window,
     tilted_ts,
     uniform_intervals,
 )
@@ -44,7 +45,7 @@ from conftest import agree, rows_batch, within
 def sample_stat(model, window, n, seed, fn):
     """Mean and s.e. of a per-replication statistic."""
     gen = chunk_rng(seed, "test_models", 0)
-    batch = model.sample_batch(gen, window, n)
+    batch = sample_window(model, gen, window, n)
     vals = np.array([fn(batch.pattern(i)) for i in range(n)], dtype=float)
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(n))
 
@@ -130,12 +131,14 @@ class TestPoisson:
         # a row holds an event of (-1e-9, 1e-9) with probability about
         # 2e-9: the redraw of empty rows gives up instead of drawing forever
         with pytest.raises(InsufficientWindow):
-            poisson_ts(1.0).sample_batch(chunk_rng(0, "x", 0), (-1e-9, 1e-9), 1)
+            sample_window(poisson_ts(1.0), chunk_rng(0, "x", 0), (-1e-9, 1e-9), 1)
 
-    @pytest.mark.parametrize("window", [(-math.inf, 5.0), (-5.0, math.inf), (math.nan, 5.0)])
+    @pytest.mark.parametrize("window", [(-math.inf, 5.0), (-5.0, math.inf), (math.nan, 5.0),
+                                        (0.0, 5.0), (-5.0, 0.0), (1.0, 5.0)])
     def test_non_finite_window_raises(self, window):
+        # a window must be finite and hold the origin strictly inside it
         with pytest.raises(InsufficientWindow):
-            poisson_ts(1.0).sample_batch(chunk_rng(0, "x", 0), window, 4)
+            sample_window(poisson_ts(1.0), chunk_rng(0, "x", 0), window, 4)
 
     @pytest.mark.parametrize("field", ["before", "after", "left", "right", "radius"])
     @pytest.mark.parametrize("value", [-1, math.inf, math.nan])
@@ -169,23 +172,23 @@ class TestPoisson:
 
     def test_reproducible(self):
         m = poisson_ts(2.0)
-        b1 = m.sample_batch(chunk_rng(42, "s", 3), (-10.0, 10.0), 50)
-        b2 = m.sample_batch(chunk_rng(42, "s", 3), (-10.0, 10.0), 50)
+        b1 = sample_window(m, chunk_rng(42, "s", 3), (-10.0, 10.0), 50)
+        b2 = sample_window(m, chunk_rng(42, "s", 3), (-10.0, 10.0), 50)
         assert np.array_equal(b1.points, b2.points)
-        b3 = m.sample_batch(chunk_rng(43, "s", 3), (-10.0, 10.0), 50)
+        b3 = sample_window(m, chunk_rng(43, "s", 3), (-10.0, 10.0), 50)
         assert not np.array_equal(b1.points, b3.points)
 
 
 class TestRenewalEs:
     def test_event_at_zero(self):
         m = renewal_es(gamma_intervals(2.0, 1.0))
-        batch = m.sample_batch(chunk_rng(1, "es", 0), (-15.0, 15.0), 200)
+        batch = sample_window(m, chunk_rng(1, "es", 0), (-15.0, 15.0), 200)
         for i in range(200):
             assert batch.pattern(i).t(0) == 0.0
 
     def test_deterministic_integers(self):
         m = renewal_es(deterministic(1.0))
-        p = m.sample_batch(chunk_rng(0, "es", 1), (-5.5, 5.5), 1).pattern(0)
+        p = sample_window(m, chunk_rng(0, "es", 1), (-5.5, 5.5), 1).pattern(0)
         assert np.array_equal(p.points, np.arange(-5.0, 6.0))
 
     def test_exponential_case_matches_length_unbiased_gaps(self):
@@ -207,7 +210,7 @@ class TestRenewalEs:
         raw = _assemble_two_sided(chunk_rng(1, "x", 0), Need(before=20.0, after=20.0), n,
                                   np.zeros((n, 1)), d)
         assert int(_row_flaws(raw).sum()) == 143
-        batch = renewal_es(d).sample_batch(chunk_rng(1, "x", 0), window, n)
+        batch = sample_window(renewal_es(d), chunk_rng(1, "x", 0), window, n)
         assert not _row_flaws(batch).any()
         assert int(np.count_nonzero(batch.points == 0.0)) == n
 
@@ -215,7 +218,7 @@ class TestRenewalEs:
         # with gaps of 2 no row has an event in (0, 1]; the rows keep the
         # event at 0 alone instead of being redrawn
         m = renewal_es(deterministic(2.0))
-        batch = m.sample_batch(chunk_rng(0, "x", 0), (-1.0, 1.0), 50)
+        batch = sample_window(m, chunk_rng(0, "x", 0), (-1.0, 1.0), 50)
         assert batch.points.tolist() == [0.0] * 50
 
 
@@ -241,7 +244,7 @@ class TestRenewalTs:
         gen = chunk_rng(9, "lat", 0)
         t1 = []
         for _ in range(20_000):
-            p = m.sample_batch(gen, (-6.5, 6.5), 1).pattern(0)
+            p = sample_window(m, gen, (-6.5, 6.5), 1).pattern(0)
             assert abs(p.interval(0) - 1.0) < 1e-12
             t1.append(p.t(1))
         t1 = np.asarray(t1)
@@ -253,7 +256,7 @@ class TestRenewalTs:
         # with gaps of 2 no row straddles the origin inside (-0.5, 0.5); the
         # empty rows are redrawn and every row keeps its one event
         m = renewal_ts_from_es(deterministic(2.0))
-        batch = m.sample_batch(chunk_rng(0, "x", 0), (-0.5, 0.5), 50)
+        batch = sample_window(m, chunk_rng(0, "x", 0), (-0.5, 0.5), 50)
         assert np.diff(batch.offsets).tolist() == [1] * 50
 
     def test_uniform_arrival_fraction(self):
@@ -310,11 +313,11 @@ class TestTilted:
             for ci in range(40):
                 full = m.sample_batch(chunk_rng(44, "floor-window", ci),
                                       Need(before=10.0, after=10.0), CHUNK)
-                batch = m.sample_batch(chunk_rng(44, "floor-window", ci), (-10.0, 10.0), CHUNK)
+                batch = sample_window(m, chunk_rng(44, "floor-window", ci), (-10.0, 10.0), CHUNK)
                 assert np.array_equal(batch.weights, tilt.value_batch(full)[0])
                 assert np.array_equal(batch.points, clip_rows(full, (-10.0, 10.0)).points)
             # on (-0.5, 0.5) most straddling gaps stick out of the window
-            batch = m.sample_batch(chunk_rng(44, "narrow-window", 0), (-0.5, 0.5), CHUNK)
+            batch = sample_window(m, chunk_rng(44, "narrow-window", 0), (-0.5, 0.5), CHUNK)
             values, ok = tilt.value_batch(batch)
             assert (batch.weights > 0).all() and ok.mean() < 0.5
             assert np.array_equal(batch.weights[ok], values[ok])
@@ -326,7 +329,7 @@ class TestTilted:
             base = poisson_ts(1.0)
             m = tilted_ts(base, make_tilt("alpha01", g0, g1))
             gen = chunk_rng(seed, "cov", 0)
-            batch = m.sample_batch(gen, (-25.0, 25.0), 60_000)
+            batch = sample_window(m, gen, (-25.0, 25.0), 60_000)
             a0 = np.empty(batch.n)
             a1 = np.empty(batch.n)
             for i in range(batch.n):
@@ -437,12 +440,12 @@ class TestTiltRows:
             "identity": 1.0, "alpha0": 0.5 * 1.5, "alpha01": 1.5 + 0.5 * 1.5}[tilt.name]
 
     def test_tilted_sampler_fails_loudly(self):
-        rows = self.ROWS
+        rows, window = self.ROWS, self.WINDOW
         base = ProcessModel(LAW_TS, {"model": "fixed"}, 1.0,
-                            lambda rng, window, n: rows_batch(rows, window),
+                            lambda rng, need, n: rows_batch(rows, window),
                             exact_rate=1.0)
         with pytest.raises(InsufficientContext):
-            tilted_ts(base, make_tilt("alpha0", 0.5)).sample_batch(None, self.WINDOW, 4)
+            sample_window(tilted_ts(base, make_tilt("alpha0", 0.5)), None, self.WINDOW, 4)
 
 
 class TestExample84:
@@ -504,7 +507,7 @@ class TestExample44:
 
     def test_gap_encoding(self):
         m = example44(50)
-        p = m.sample_batch(chunk_rng(0, "d", 0), (-4.5, 30.5), 1).pattern(0)
+        p = sample_window(m, chunk_rng(0, "d", 0), (-4.5, 30.5), 1).pattern(0)
         assert p.t(0) == 0.0 and p.t(1) == 1.0
         labels = example44_labels(20)
         for i in range(1, 15):
@@ -514,19 +517,19 @@ class TestExample44:
 
     def test_seed_independent(self):
         m = example44(30)
-        a = m.sample_batch(chunk_rng(1, "d", 0), (-3.5, 20.5), 1).pattern(0)
-        b = m.sample_batch(chunk_rng(999, "other", 7), (-3.5, 20.5), 1).pattern(0)
+        a = sample_window(m, chunk_rng(1, "d", 0), (-3.5, 20.5), 1).pattern(0)
+        b = sample_window(m, chunk_rng(999, "other", 7), (-3.5, 20.5), 1).pattern(0)
         assert np.array_equal(a.points, b.points)
 
     def test_window_past_realization(self):
         m = example44(5)
         last = float(example44_times(5)[-1])
         with pytest.raises(InsufficientWindow):
-            m.sample_batch(chunk_rng(0, "d", 0), (-2.5, 100.0), 1)
+            sample_window(m, chunk_rng(0, "d", 0), (-2.5, 100.0), 1)
         with pytest.raises(InsufficientWindow):
-            m.sample_batch(chunk_rng(0, "d", 0), (-2.5, last + 0.5), 1)
+            sample_window(m, chunk_rng(0, "d", 0), (-2.5, last + 0.5), 1)
         # the window that ends at the last stored event is held
-        row = m.sample_batch(chunk_rng(0, "d", 0), (-2.5, last), 1)
+        row = sample_window(m, chunk_rng(0, "d", 0), (-2.5, last), 1)
         assert row.points[-1] == last and row.windows.tolist() == [[-2.5, last]]
         # a need past the realization gets all of it, and the row's window
         # ends at its last event
@@ -662,7 +665,11 @@ class TestGoldenBatches:
     @pytest.mark.parametrize("label, factory, window, n, seed, digest", CASES,
                              ids=[c[0] for c in CASES])
     def test_digest(self, label, factory, window, n, seed, digest):
-        batch = factory().sample_batch(chunk_rng(seed, "golden", 0), window, n)
+        model, rng = factory(), chunk_rng(seed, "golden", 0)
+        if isinstance(window, Need):
+            batch = model.sample_batch(rng, window, n)
+        else:
+            batch = sample_window(model, rng, window, n)
         assert _batch_digest(batch) == digest
 
     def test_pstar_redraws(self):
@@ -670,6 +677,6 @@ class TestGoldenBatches:
         # 200 rows hold no event of it and are redrawn, taking 57 one-row
         # draws (and one base row with two events within MIN_GAP is redrawn)
         m = pstar_model(renewal_es(gamma_intervals(0.25, 0.25)))
-        batch = m.sample_batch(chunk_rng(34, "golden", 0), (-0.2, 0.2), 200)
+        batch = sample_window(m, chunk_rng(34, "golden", 0), (-0.2, 0.2), 200)
         assert _batch_digest(batch) == (
             "ee3b4db8152ed4f7908e29b452817c6eca296d0ef706e1854387c87778768862")

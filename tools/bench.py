@@ -37,7 +37,7 @@ from palmlab.ams import _time_checkpoints
 from palmlab.estimate import row_need
 from palmlab.events import SUITE_BATTERY, EventContext, parse_eventuality
 from palmlab.models import IntervalDistribution, Need, example84_exact, exponential, \
-    gamma_intervals, poisson_ts, renewal_es, renewal_ts_from_es
+    gamma_intervals, poisson_ts, renewal_es, renewal_ts_from_es, sample_window
 from palmlab.rng import CHUNK, chunk_rng
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -78,9 +78,9 @@ def patched(wrap, *targets):
 def counted_run_kernel(budgets: list[int]):
     """Record the budget of every run_kernel call made inside the block."""
     def wrap(original):
-        def counting(model, window, budget, *args, **kwargs):
+        def counting(model, need, budget, *args, **kwargs):
             budgets.append(budget)
-            return original(model, window, budget, *args, **kwargs)
+            return original(model, need, budget, *args, **kwargs)
         return counting
 
     # ams imports run_kernel by name
@@ -161,18 +161,24 @@ SAMPLER_MODELS = {
 def _sampler_model(name: str, chunks: int, seed: int, repeats: int) -> dict:
     factory, window = SAMPLER_MODELS[name]
     model = factory()
+    if isinstance(window, Need):
+        def sample(rng):
+            return model.sample_batch(rng, window, CHUNK)
+    else:
+        def sample(rng):
+            return sample_window(model, rng, window, CHUNK)
     stream = f"bench-sampler:{name}"
     sizes: list[int] = []
     points = 0
     with counted_gaps(sizes):
         for ci in range(chunks):
-            points += model.sample_batch(chunk_rng(seed, stream, ci), window, CHUNK).points.size
+            points += sample(chunk_rng(seed, stream, ci)).points.size
     times, digests = [], []
     for ci in range(chunks):
         best, seen = float("inf"), None
         for _ in range(repeats):
             rng = chunk_rng(seed, stream, ci)
-            wall, batch = timed(lambda: model.sample_batch(rng, window, CHUNK))
+            wall, batch = timed(lambda: sample(rng))
             best = min(best, wall)
             digest = sha256(np.ascontiguousarray(arr).tobytes() for arr in
                             (batch.points, batch.offsets, batch.windows, batch.weights))
@@ -196,10 +202,11 @@ def _sampler_model(name: str, chunks: int, seed: int, repeats: int) -> dict:
 def sampler(budget: int, seed: int, repeats: int) -> dict:
     """Per-chunk timing and gap-draw counts of the two-sided samplers.
 
-    Times `ProcessModel.sample_batch` for each model and window or need of
-    SAMPLER_MODELS on budget / CHUNK fixed-seed chunks, each `repeats`
-    times from a fresh chunk generator, keeping its fastest run; records
-    the median over chunks and a SHA-256 of every chunk's batch.  Counts
+    Times `ProcessModel.sample_batch` for each model and need of
+    SAMPLER_MODELS, and `models.sample_window` for each plain window, on
+    budget / CHUNK fixed-seed chunks, each `repeats` times from a fresh
+    chunk generator, keeping its fastest run; records the median over
+    chunks and a SHA-256 of every chunk's batch.  Counts
     gaps drawn per chunk and per event kept on those chunks, and in one
     pass of each perfbench workload run in-process.
     """
