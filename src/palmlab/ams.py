@@ -67,14 +67,10 @@ def _geometric(first: float, last: float) -> list[float]:
     return out
 
 
-def _is_example44(model: ProcessModel) -> bool:
-    return model.descriptor.get("model") == "example44"
-
-
 def _event_checkpoints(model: ProcessModel, n_max: int) -> np.ndarray:
     cps = set(int(c) for c in _geometric(8.0, float(n_max)) if c <= n_max)
     cps.add(n_max)
-    if _is_example44(model):
+    if model.is_deterministic:
         # the divergent subsequences live exactly at the block ends
         for b in example44_block_ends(32):
             if b <= n_max:
@@ -84,7 +80,7 @@ def _event_checkpoints(model: ProcessModel, n_max: int) -> np.ndarray:
 
 def _time_checkpoints(model: ProcessModel, x_max: float) -> np.ndarray:
     cps = set(_geometric(8.0 * model.scale, float(x_max)))
-    if _is_example44(model):
+    if model.is_deterministic:
         n = model.descriptor["pattern_len"]
         times = example44_times(n)
         for b in example44_block_ends(32):

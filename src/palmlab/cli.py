@@ -21,7 +21,8 @@ All randomness flows from one root seed through per-chunk seeded streams;
 ``--seed`` beats the PALMLAB_SEED environment variable, which beats the
 config file.  Outputs are CSV (RFC-4180 quoting, header row always) and
 one JSON verdict object per AMS run.  Exit codes: 0 success, 1 suite
-failure, 2 configuration error.
+failure, 2 configuration error; a config file that cannot be read or
+parsed (a duplicated key, no section header, a bare %) is one.
 """
 
 from __future__ import annotations
@@ -78,21 +79,26 @@ def _write_json(path: Path, obj) -> None:
         fh.write("\n")
 
 
+def _read_config(path: str) -> dict[str, dict[str, str]]:
+    """Every section of the config file, as its fields with quotes stripped.
+    A file that cannot be read or parsed is a ConfigError."""
+    parser = configparser.ConfigParser()
+    try:
+        if not parser.read(path):
+            raise ConfigError(f"cannot read config file {path!r}")
+        return {s: {k: v.strip().strip('"') for k, v in parser.items(s)}
+                for s in parser.sections()}
+    except configparser.Error as exc:
+        raise ConfigError(f"malformed config file {path!r}: {exc}") from None
+
+
 class Run:
     """One subcommand invocation: merged config section + CLI flags."""
 
     def __init__(self, section: str, args):
         self.section = section
-        self.cfg: dict[str, str] = {}
-        self.parser = None
-        if args.config:
-            parser = configparser.ConfigParser()
-            read = parser.read(args.config)
-            if not read:
-                raise ConfigError(f"cannot read config file {args.config!r}")
-            self.parser = parser
-            if parser.has_section(section):
-                self.cfg.update({k: v.strip().strip('"') for k, v in parser.items(section)})
+        self.sections = _read_config(args.config) if args.config else {}
+        self.cfg: dict[str, str] = dict(self.sections.get(section, {}))
         self.args = args
 
     def get(self, key: str, default=None):
@@ -192,13 +198,13 @@ def cmd_simulate(run: Run) -> int:
     from .models import example44_natural_window, sample_window
 
     model = run.model()
-    if model.descriptor.get("model") == "example44":
+    if model.is_deterministic:
         nat_lo, nat_hi = example44_natural_window(model.descriptor["pattern_len"])
     else:
         nat_lo, nat_hi = -20.0 * model.scale, 20.0 * model.scale
     lo = run.get_as("window_lo", float, nat_lo)
     hi = run.get_as("window_hi", float, nat_hi)
-    reps = run.reps if run.args.reps is not None or "reps" in run.cfg else 10
+    reps = run._at_least_one("reps", 10)
     from .rng import chunk_rng
 
     patterns = []
@@ -320,18 +326,13 @@ def cmd_ams(run: Run) -> int:
 
 
 def _suite_models(run: Run):
-    if run.parser is None:
-        return list(id_mod.DEFAULT_SUITE_MODELS)
-    sections = sorted(
-        s for s in run.parser.sections() if s.startswith("suite:model:")
-    )
+    sections = sorted(s for s in run.sections if s.startswith("suite:model:"))
     if not sections:
         return list(id_mod.DEFAULT_SUITE_MODELS)
     out = []
     for s in sections:
-        cfg = {k: v.strip().strip('"') for k, v in run.parser.items(s)}
         try:
-            out.append(model_from_config(cfg))
+            out.append(model_from_config(run.sections[s]))
         except (ValueError, KeyError) as exc:
             raise ConfigError(f"invalid model in section [{s}]: {exc}") from None
     return out

@@ -464,13 +464,14 @@ class _True(Eventuality):
 class _AlphaCmp(Eventuality):
     """Gap comparison [alpha_n > c] or [alpha_n == c]."""
 
-    def __init__(self, n: int, c: float, op: str, radius: float = 0.0):
+    radius = 0.0
+
+    def __init__(self, n: int, c: float, op: str):
         if op not in (">", "=="):
             raise ValueError(f"unsupported comparison {op!r}")
         self.n = int(n)
         self.c = float(c)
         self.op = op
-        self.radius = float(radius)
         self.reach = (self.n, self.n + 1)
         self.label = f"alpha({self.n}){op}{_fmt(self.c)}"
         # the gap in question changes only when y crosses an event
@@ -657,17 +658,16 @@ def ev_true() -> Eventuality:
     return _True()
 
 
-def ev_interval_gt(n: int, c: float, radius: float = 0.0) -> Eventuality:
-    """[alpha_n > c]; it reads T_n and T_n+1, and radius is a time radius the
-    caller declares it reads as well."""
+def ev_interval_gt(n: int, c: float) -> Eventuality:
+    """[alpha_n > c]; it reads T_n and T_n+1."""
     if c < 0:
         raise ValueError("need c >= 0")
-    return _AlphaCmp(n, c, ">", radius)
+    return _AlphaCmp(n, c, ">")
 
 
-def ev_interval_eq(n: int, c: float, radius: float = 0.0) -> Eventuality:
+def ev_interval_eq(n: int, c: float) -> Eventuality:
     """[alpha_n == c]; useful for lattice patterns where gaps are exact floats."""
-    return _AlphaCmp(n, c, "==", radius)
+    return _AlphaCmp(n, c, "==")
 
 
 def ev_count_eq(a: float, b: float, k: int) -> Eventuality:

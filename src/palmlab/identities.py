@@ -61,7 +61,6 @@ from .models import (
     gamma_intervals,
     poisson_ts,
     pstar_model,
-    renewal_es,
     renewal_ts_from_es,
 )
 
@@ -393,13 +392,12 @@ def _delta0_kernel(tilt, lam: float, members):
 
 
 def _run_i52a(model, group, rp):
-    info = model.tilt_info
-    palm = info.base_palm()
     lhs = est_intermediate(model, 0, group, rp.budget, **rp.side("L"))
     # the normalization is the member ev_true() of the rhs sampling
-    kernel = _delta0_kernel(info.tilt, info.base_rate, [ev_true(), *group])
-    need = row_need(group) | info.tilt.need
-    norm, *rhs = mc_mean(palm, need, kernel, rp.budget, **rp.side("R"))
+    kernel = _delta0_kernel(model.tilt, model.untilted.exact_rate, [ev_true(), *group])
+    need = row_need(group) | model.tilt.need
+    norm, *rhs = mc_mean(model.untilted.palm_companion(), need, kernel, rp.budget,
+                         **rp.side("R"))
     return [("normalization", norm, _exact(1.0)), ("reweighted", lhs, rhs)]
 
 
@@ -410,32 +408,28 @@ def _run_i71b(model, group, rp):
 
 
 def _run_i81a(model, group, rp):
-    info = model.tilt_info
-    palm = info.base_palm()
     ys = [y * model.scale for y in (0.0, 1.0, -1.0, 2.0, -2.0)]
     bins, at = point_bins(ys, 0.025 * model.scale)
     (lhs,) = est_intensity(model, [ev_true()], bins, rp.budget, **rp.side("L"))
     # the gap holding -y starts at most one event outside the extent, and
     # the tilt reads on from there
     y_max = max(map(abs, ys))
-    need = Need(before=y_max, after=y_max, left=1, right=info.tilt.need.right + 1)
+    need = Need(before=y_max, after=y_max, left=1, right=model.tilt.need.right + 1)
 
     def kernel(batch, ctx, y):
         # sigma applied to the view from -y; values are 0 where undefined
         i = _gap_at(ctx, -y)
         _, _, stored = ctx.gap(i)
-        vals, ok = info.tilt.values_at(ctx.points, i, stored, ctx.off_hi)
+        vals, ok = model.tilt.values_at(ctx.points, i, stored, ctx.off_hi)
         return [(vals, ~ok)]
 
-    rhs = _probe_means(palm, need, ys, kernel, rp, "R")
-    return [(f"y={y:g}", lhs[b].estimate, _scaled(est, info.base_rate))
+    rhs = _probe_means(model.untilted.palm_companion(), need, ys, kernel, rp, "R")
+    return [(f"y={y:g}", lhs[b].estimate, _scaled(est, model.untilted.exact_rate))
             for y, b, (est,) in zip(ys, at, rhs)]
 
 
 def _run_i84rho(model, group, rp):
-    info = model.tilt_info
-    palm = info.base_palm()
-    lam = info.base_rate
+    lam = model.untilted.exact_rate
     xs = [x * model.scale for x in (-1.0, 0.5)]
     bins, at = point_bins(xs, 0.05 * model.scale)
     lhs = est_shifted_palm(model, group, bins, rp.budget, **rp.side("L"))
@@ -447,7 +441,7 @@ def _run_i84rho(model, group, rp):
     # the gap holding -x ends at most one event outside the extent
     x_max = max(map(abs, xs))
     need = row_need(group) | Need(before=x_max, after=x_max, left=1, right=1)
-    rhs = _probe_means(palm, need, xs, kernel, rp, "R")
+    rhs = _probe_means(model.untilted.palm_companion(), need, xs, kernel, rp, "R")
     return [(f"x={x:g}", [prof[b].estimate for prof in lhs],
              [_scaled(est, lam / (2.0 - math.exp(-lam * abs(x)))) for est in ests])
             for x, b, ests in zip(xs, at, rhs)]
@@ -469,14 +463,14 @@ def _has_interval_pair(model: ProcessModel) -> bool:
 
 
 def _is_tilted(model: ProcessModel) -> bool:
-    return model.tilt_info is not None
+    return model.tilt is not None
 
 
 def _companion_pair(model: ProcessModel):
     if model.interval is None:
         raise NotApplicable("model has no renewal-interval structure")
     if model.is_ts:
-        return model, renewal_es(model.interval)
+        return model, model.palm_companion()
     if model.is_es:
         return renewal_ts_from_es(model.interval), model
     raise NotApplicable("model is neither TS nor ES")

@@ -208,16 +208,6 @@ def make_tilt(name: str, *params: float) -> Tilt:
     raise UnknownTilt(name)
 
 
-@dataclass(frozen=True)
-class TiltInfo:
-    """How a law relates to a time-stationary base: weight functional,
-    base intensity, and a sampler of the base's event-centered law."""
-
-    tilt: Tilt
-    base_rate: float
-    base_palm: Callable[[], "ProcessModel"]
-
-
 # -- core model type ---------------------------------------------------------
 
 
@@ -226,7 +216,9 @@ class ProcessModel:
 
     draw(rng, need, k) returns k rows of the law, each holding the need, as
     the law makes them: it may leave a row empty or with two events within
-    MIN_GAP, and sample_batch redraws such rows."""
+    MIN_GAP, and sample_batch redraws such rows.  Relations to other laws
+    are stored values: palm, the Palm version; tilt and untilted, the weight
+    of a reweighted law and the time-stationary law it reweights."""
 
     def __init__(
         self,
@@ -237,17 +229,19 @@ class ProcessModel:
         *,
         exact_rate: float | None = None,
         interval: IntervalDistribution | None = None,
-        tilt_info: TiltInfo | None = None,
-        palm_factory: Callable[[], "ProcessModel"] | None = None,
+        palm: "ProcessModel | None" = None,
+        tilt: Tilt | None = None,
+        untilted: "ProcessModel | None" = None,
     ):
         self.law_tag = law_tag
         self.descriptor = dict(descriptor)
         self.scale = float(scale)
         self.exact_rate = exact_rate
         self.interval = interval
-        self.tilt_info = tilt_info
+        self.tilt = tilt
+        self.untilted = untilted
         self._draw = draw
-        self._palm_factory = palm_factory
+        self._palm = palm
 
     @property
     def is_ts(self) -> bool:
@@ -265,6 +259,10 @@ class ProcessModel:
         """n rows drawn to the need.  A row that comes out empty or holds
         two events within MIN_GAP is replaced, in row order, by the first
         one-row draw without either."""
+        if not isinstance(need, Need):
+            raise TypeError(f"sample_batch takes a Need, got {need!r}; "
+                            "a plain window (lo, hi) is drawn by models.sample_window")
+
         def draw_row():
             row = self._draw(rng, need, 1)
             return None if _row_flaws(row)[0] else row
@@ -274,7 +272,7 @@ class ProcessModel:
 
     def palm_companion(self) -> "ProcessModel | None":
         """The event-stationary law standing to this one as its Palm version."""
-        return self._palm_factory() if self._palm_factory is not None else None
+        return self._palm
 
     @property
     def label(self) -> str:
@@ -515,7 +513,7 @@ def poisson_ts(rate: float) -> ProcessModel:
         _anchored_ts(d.sample_length_biased, d),
         exact_rate=rate,
         interval=d,
-        palm_factory=lambda: renewal_es(d),
+        palm=renewal_es(d),
     )
 
 
@@ -551,7 +549,7 @@ def renewal_ts_from_es(d: IntervalDistribution) -> ProcessModel:
         _anchored_ts(d.sample_length_biased, d),
         exact_rate=1.0 / mean,
         interval=d,
-        palm_factory=lambda: renewal_es(d),
+        palm=renewal_es(d),
     )
 
 
@@ -560,12 +558,11 @@ def tilted_ts(base: ProcessModel, tilt: Tilt) -> ProcessModel:
     the given functional; estimators self-normalize the weights.  The base
     rows are drawn to the need widened by the gaps the tilt reads, by the
     base's own draw, so the tilted rows are redrawn once, by the tilted
-    model's sample_batch."""
+    model's sample_batch.  The base is stored as the law's untilted."""
     if not base.is_ts:
         raise ValueError("tilted_ts needs a time-stationary base model")
     if base.exact_rate is None:
         raise ValueError("tilted_ts needs a base with known intensity")
-    base_rate = base.exact_rate
 
     def draw(rng, need, k):
         out = base._draw(rng, need | tilt.need, k)
@@ -580,7 +577,8 @@ def tilted_ts(base: ProcessModel, tilt: Tilt) -> ProcessModel:
         dict(base.descriptor, model="tilted_ts", base=base.descriptor["model"], tilt=tilt.label),
         base.scale,
         draw,
-        tilt_info=TiltInfo(tilt, base_rate, lambda: base.palm_companion()),
+        tilt=tilt,
+        untilted=base,
     )
 
 
@@ -591,7 +589,8 @@ def pstar_model(base: ProcessModel) -> ProcessModel:
     The new origin stays inside the straddling gap, so the base row's
     anchors are the new row's, and a need measured from them is held by
     the base row as it stands.  The base rows come from the base's
-    sample_batch, redrawn there before the re-centered rows are."""
+    sample_batch, redrawn there before the re-centered rows are.  It keeps
+    the base's tilt and untilted law, and has no palm of its own."""
 
     def draw(rng, need, k):
         out = base.sample_batch(rng, need, k)
@@ -607,14 +606,16 @@ def pstar_model(base: ProcessModel) -> ProcessModel:
         dict(base.descriptor, model="pstar", base=base.descriptor["model"]),
         base.scale,
         draw,
-        tilt_info=base.tilt_info,
+        tilt=base.tilt,
+        untilted=base.untilted,
     )
 
 
 def example84_exact(rate: float) -> ProcessModel:
     """Exact unweighted sampler of the gap-reweighted Poisson law: the
     origin-straddling gap has a Gamma(3, rate) length with the origin
-    uniform inside it, and plain exponential gaps extend outward."""
+    uniform inside it, and plain exponential gaps extend outward; it is
+    poisson_ts(rate), its untilted law, reweighted by alpha0(rate / 2)."""
     if not rate > 0:
         raise ValueError("need rate > 0")
     return ProcessModel(
@@ -622,9 +623,8 @@ def example84_exact(rate: float) -> ProcessModel:
         {"model": "example84", "rate": rate},
         1.0 / rate,
         _anchored_ts(lambda rng, k: rng.gamma(3.0, 1.0 / rate, k), exponential(rate)),
-        tilt_info=TiltInfo(
-            make_tilt("alpha0", rate / 2.0), rate, lambda: renewal_es(exponential(rate))
-        ),
+        tilt=make_tilt("alpha0", rate / 2.0),
+        untilted=poisson_ts(rate),
     )
 
 
@@ -751,9 +751,8 @@ def model_to_config(model: ProcessModel) -> dict:
     elif name == "tilted_ts":
         cfg["base"] = model.descriptor["base"]
         cfg["rate"] = model.descriptor["rate"]
-        tilt = model.tilt_info.tilt
-        cfg["tilt"] = tilt.name
-        for i, p in enumerate(tilt.params):
+        cfg["tilt"] = model.tilt.name
+        for i, p in enumerate(model.tilt.params):
             cfg[f"tilt_p{i}"] = p
     else:
         raise ValueError(f"cannot serialize model {name!r}")

@@ -153,6 +153,24 @@ eventualities = alpha(0)>1
         assert not (out / "palm.csv").exists()
 
 
+class TestMalformedConfig:
+    """A config file that configparser cannot parse is a configuration
+    error (exit 2), not a traceback with exit 1, the suite-failure code."""
+
+    @pytest.mark.parametrize("command, text", [
+        ("simulate", "[simulate]\nmodel = poisson_ts\nrate = 1.0\nrate = 2.0\n"),
+        ("simulate", "model = poisson_ts\nrate = 1.0\n"),
+        ("simulate", "[simulate]\nmodel = poisson_ts\nrate = 1.0\nwindow_lo = -5%\n"),
+        ("suite", "[suite]\nonly = I-2.3\n[suite:model:1]\nmodel = poisson_ts\nrate = 1%\n"),
+    ], ids=["duplicate-key", "no-section-header", "bare-percent", "bare-percent-suite-model"])
+    def test_is_config_error(self, tmp_path, capsys, command, text):
+        cfg = write_config(tmp_path, text)
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out), "--reps", "2"]) == 2
+        assert "malformed config file" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestPalm:
     def test_values_in_expected_band(self, tmp_path):
         cfg = write_config(tmp_path, """
@@ -267,6 +285,8 @@ x = 5
         ("mode = shifted\nbin_lo = 2\nbin_hi = 1", "'bin_lo'"),
         ("mode = shifted\nbin_lo = -inf\nbin_hi = 1", "'bin_lo'"),
         ("mode = shifted\nbin_lo = nan\nbin_hi = 1", "'bin_lo'"),
+        ("mode = sideways", "'mode'"),
+        ("x = ten", "'x'"),
     ])
     def test_bad_field_is_config_error(self, tmp_path, capsys, fields, key):
         # rejected before any run: exit 2, the field named, nothing written
@@ -357,6 +377,8 @@ reps = 200
         ("tol = nan", "'tol'"),
         ("tol = inf", "'tol'"),
         ("tol = -0.1", "'tol'"),
+        ("kind = space", "'kind'"),
+        ("n_max = 2.5", "'n_max'"),
     ])
     def test_bad_field_is_config_error(self, tmp_path, capsys, fields, key):
         # rejected before any run: exit 2, the field named, nothing written

@@ -241,7 +241,7 @@ class TestIntermediate:
         m = ProcessModel(base.law_tag, base.descriptor, base.scale,
                          lambda rng, need, n: sample_window(base, rng, (-5.0, 5.0), n))
         with pytest.raises(InsufficientCoverage):
-            est_intermediate(m, 30, [ev_interval_gt(0, 1.0, radius=2.0)], 256, seed=0)
+            est_intermediate(m, 30, [ev_interval_gt(0, 1.0)], 256, seed=0)
 
 
 class TestResamplePstar:
@@ -316,6 +316,16 @@ class TestResamplePstar:
 
 
 class TestMachinery:
+    def test_plain_window_is_a_type_error(self):
+        # the sampler reads a Need only; a plain (lo, hi) goes through
+        # models.sample_window, which the error names
+        m = poisson_ts(1.0)
+        with pytest.raises(TypeError, match="sample_window"):
+            m.sample_batch(chunk_rng(0, "plain", 0), (-5.0, 5.0), 4)
+        with pytest.raises(TypeError, match="sample_window"):
+            mc_mean(m, (-5.0, 5.0),
+                    lambda batch, ctx: [(np.ones(batch.n), np.zeros(batch.n, bool))], 128)
+
     def test_thread_count_does_not_change_bits(self):
         m = poisson_ts(1.0)
         a = est_palm_zero(m, [A_GAP], 10.0, 12_000, seed=7, threads=1)

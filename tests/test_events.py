@@ -79,7 +79,7 @@ class TestCatalog:
 
 class TestCombinators:
     def test_double_negation(self, rng):
-        A = ev_interval_gt(0, 1.0, radius=5.0)
+        A = ev_interval_gt(0, 1.0)
         for _ in range(20):
             p = random_pattern(rng)
             assert ev_not(ev_not(A)).evaluate(p) == A.evaluate(p)
@@ -135,7 +135,7 @@ class TestLocality:
         for _ in range(40):
             p = random_pattern(rng, rate=2.0)
             r = abs(p.t(1)) + abs(p.t(0)) + 0.5
-            ev = ev_interval_gt(0, 1.0, radius=r)
+            ev = ev_interval_gt(0, 1.0)
             assert ev.evaluate(p) == ev.evaluate(self.clip(p, r))
 
 

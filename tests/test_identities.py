@@ -30,6 +30,7 @@ from palmlab.models import (
     example84_exact,
     example44,
     exponential,
+    gamma_intervals,
     make_tilt,
     poisson_ts,
     renewal_es,
@@ -116,6 +117,8 @@ class TestRegistry:
         tilted_ids = {"I-3.7", "I-3.13", "I-5.2a", "I-7.1b", "I-8.1a", "I-8.4rho"}
         assert {s.id for s in REGISTRY if s.applies(poisson)} == stationary_ids
         assert {s.id for s in REGISTRY if s.applies(e84)} == tilted_ids
+        es = renewal_es(gamma_intervals(2.0, 1.0))
+        assert {s.id for s in REGISTRY if s.applies(es)} == {"I-4.4", "I-4.5"}
 
 
 class TestCheckIdentity:
@@ -150,6 +153,17 @@ class TestCheckIdentity:
                                 20_000, seed=3)
         assert rep.verdict == "pass"
         assert abs(rep.lhs.value - 2.0) <= 3 * rep.lhs.std_error + 0.01
+
+    @pytest.mark.parametrize("d", [gamma_intervals(2.0, 1.0), exponential(1.0)],
+                             ids=["gamma2", "exponential"])
+    @pytest.mark.parametrize("ident", ["I-4.4", "I-4.5"])
+    def test_event_stationary_law_pairs_with_its_inversion(self, ident, d):
+        # an ES law is checked against the time-stationary law built from
+        # the same gaps
+        spec = REGISTRY_BY_ID[ident]
+        group = SUITE_BATTERY if spec.needs_eventuality else None
+        reports = check_identity(spec, renewal_es(d), group, 16_384, seed=7)
+        assert [r.verdict for r in reports] == ["pass"] * len(reports)
 
     def test_seed_swap_stability(self):
         for seed in (11, 12):

@@ -478,6 +478,39 @@ class TestExample84:
         assert abs(mean - 0.5) <= 3 * se
 
 
+class TestLawRelations:
+    """A law's relations to other laws are values stored on it."""
+
+    def test_stationary_laws_hold_their_palm_version(self):
+        for m in (poisson_ts(1.0), renewal_ts_from_es(gamma_intervals(2.0, 1.0))):
+            palm = m.palm_companion()
+            assert palm is m.palm_companion()
+            assert palm.is_es and palm.interval == m.interval
+            assert palm.label == renewal_es(m.interval).label
+
+    def test_reweighted_laws_hold_tilt_and_untilted(self):
+        base, tilt = poisson_ts(1.0), make_tilt("alpha0", 0.5)
+        tilted = tilted_ts(base, tilt)
+        assert tilted.tilt is tilt and tilted.untilted is base
+        e84 = example84_exact(2.0)
+        assert e84.tilt == make_tilt("alpha0", 1.0)
+        assert e84.untilted.label == poisson_ts(2.0).label
+        for m in (tilted, e84):
+            ps = pstar_model(m)
+            assert ps.tilt is m.tilt and ps.untilted is m.untilted
+        assert poisson_ts(1.0).tilt is None and poisson_ts(1.0).untilted is None
+
+    @pytest.mark.parametrize("model", [
+        example84_exact(1.0),
+        pstar_model(poisson_ts(1.0)),
+        tilted_ts(poisson_ts(1.0), make_tilt("identity")),
+        renewal_es(exponential(1.0)),
+        example44(5),
+    ], ids=["example84", "pstar", "tilted_ts", "renewal_es", "example44"])
+    def test_no_palm_version(self, model):
+        assert model.palm_companion() is None
+
+
 class TestExample44:
     def test_run_lengths_and_block_ends(self):
         assert example44_run_lengths(7) == [4, 4, 8, 8, 24, 24, 72]
