@@ -52,7 +52,6 @@ from .models import (
     gamma_intervals,
     make_tilt,
     model_from_config,
-    model_to_config,
     poisson_ts,
     pstar_model,
     renewal_es,

@@ -325,19 +325,11 @@ def est_event_probability(
                    threads=threads)
 
 
-def _binned_sums(
-    model: ProcessModel,
-    group,
-    bins: np.ndarray,
-    budget: int,
-    *,
-    seed: int,
-    stream,
-    threads: int,
-) -> GroupSums:
-    """Per member A of the group, on one set of draws sampled to the group's
-    need: the columns (events per bin | A-events per bin) over the bins;
-    only events in a bin are evaluated or can reject.
+def _binned(model, group, bins, budget, seed, stream, threads, finish):
+    """One profile per member A of the group over the checked bins, on one
+    set of draws sampled to the group's need: bin b's Estimate is
+    finish(s, b, events, marked), where s holds A's columns (events per bin
+    | A-events per bin); only events in a bin are evaluated or can reject.
 
     By Campbell's equation the event-centered probability on (0, x] and the
     shifted event-centered law are ratios of these columns, and the
@@ -360,8 +352,18 @@ def _binned_sums(
                         _reject_from_codes(batch.n, rep, codes)))
         return out
 
-    return run_kernel(model, need, budget, 2 * nb, kernel,
+    sums = run_kernel(model, need, budget, 2 * nb, kernel,
                       seed=seed, stream=stream, threads=threads)
+
+    def profile(s: BatchSums) -> list[BinnedEstimate]:
+        out = []
+        for b in range(nb):
+            events, marked = float(s.cols[:, b].sum()), float(s.cols[:, nb + b].sum())
+            out.append(BinnedEstimate(float(bins[b, 0]), float(bins[b, 1]),
+                                      finish(s, b, events, marked), events, marked))
+        return out
+
+    return [profile(s) for s in sums.members]
 
 
 def est_palm_zero(
@@ -376,32 +378,14 @@ def est_palm_zero(
 ) -> list[Estimate]:
     """Event-centered probability for a time-stationary model, as the ratio
     of marked to total occurrence counts on (0, x]: the shifted law of the
-    one bin (0, x]."""
+    one bin (0, x], which raises ZeroDenominator if it holds no event."""
     if not model.is_ts:
         raise ValueError("est_palm_zero needs a time-stationary model")
     if not x > 0:
         raise ValueError("need x > 0")
-    sums = _binned_sums(model, group, np.array([[0.0, x]]), budget, seed=seed,
-                        stream=stream, threads=threads)
-    return [ratio_estimate(s, 1, 0) for s in sums.members]
-
-
-def _binned(model, group, bins, budget, seed, stream, threads, finish):
-    """One profile per member over the checked bins: bin b's Estimate is
-    finish(s, b, events, marked) from the member's binned sums s."""
-    nb = len(bins)
-    sums = _binned_sums(model, group, bins, budget, seed=seed, stream=stream,
-                        threads=threads)
-
-    def profile(s: BatchSums) -> list[BinnedEstimate]:
-        out = []
-        for b in range(nb):
-            events, marked = float(s.cols[:, b].sum()), float(s.cols[:, nb + b].sum())
-            out.append(BinnedEstimate(float(bins[b, 0]), float(bins[b, 1]),
-                                      finish(s, b, events, marked), events, marked))
-        return out
-
-    return [profile(s) for s in sums.members]
+    profiles = _binned(model, group, np.array([[0.0, x]]), budget, seed, stream, threads,
+                       lambda s, b, events, marked: ratio_estimate(s, 1, 0))
+    return [bin0.estimate for (bin0,) in profiles]
 
 
 def est_shifted_palm(

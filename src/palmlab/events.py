@@ -427,17 +427,6 @@ class Eventuality:
         reject[rows[ok]] = False
         return values, reject
 
-    # -- sugar --------------------------------------------------------------
-
-    def __and__(self, other):
-        return ev_and(self, other)
-
-    def __or__(self, other):
-        return ev_or(self, other)
-
-    def __invert__(self):
-        return ev_not(self)
-
     def __eq__(self, other):
         return isinstance(other, Eventuality) and self.label == other.label
 

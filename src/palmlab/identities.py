@@ -467,13 +467,10 @@ def _is_tilted(model: ProcessModel) -> bool:
 
 
 def _companion_pair(model: ProcessModel):
-    if model.interval is None:
-        raise NotApplicable("model has no renewal-interval structure")
+    """(TS law, its Palm version) of a law with an interval pair."""
     if model.is_ts:
         return model, model.palm_companion()
-    if model.is_es:
-        return renewal_ts_from_es(model.interval), model
-    raise NotApplicable("model is neither TS nor ES")
+    return renewal_ts_from_es(model.interval), model
 
 
 REGISTRY: tuple[IdentitySpec, ...] = (

@@ -33,6 +33,18 @@ LAW_ES = "ES"
 LAW_TILTED_TS = "TILTED_TS"
 LAW_DETERMINISTIC = "DETERMINISTIC"
 
+# the parameters of each gap family, in the order IntervalDistribution.params
+# holds them and a model config names them
+GAP_PARAMS = {"exponential": ("rate",), "gamma": ("shape", "rate"),
+              "deterministic": ("value",), "uniform": ("lo", "hi")}
+# how many gaps each registered tilt reads, the straddling gap first
+TILT_GAPS = {"identity": 1, "alpha0": 1, "alpha01": 2}
+
+
+def _label(name: str, params) -> str:
+    """name(p1,p2,...), each parameter by its repr."""
+    return f"{name}({','.join(repr(p) for p in params)})"
+
 
 # -- interval distributions ------------------------------------------------
 
@@ -46,7 +58,7 @@ class IntervalDistribution:
     params: tuple[float, ...]
 
     def __post_init__(self):
-        if self.family not in ("exponential", "gamma", "deterministic", "uniform"):
+        if self.family not in GAP_PARAMS:
             raise ValueError(f"unknown interval family {self.family!r}")
 
     @property
@@ -102,8 +114,7 @@ class IntervalDistribution:
 
     @property
     def label(self) -> str:
-        inner = ",".join(repr(p) for p in self.params)
-        return f"{self.family}({inner})"
+        return _label(self.family, self.params)
 
 
 def exponential(rate: float) -> IntervalDistribution:
@@ -131,10 +142,6 @@ def uniform_intervals(a: float, b: float) -> IntervalDistribution:
 
 
 # -- weight functionals (tilts) ---------------------------------------------
-
-
-# how many gaps each registered tilt reads, the straddling gap first
-TILT_GAPS = {"identity": 1, "alpha0": 1, "alpha01": 2}
 
 
 @dataclass(frozen=True)
@@ -188,8 +195,7 @@ class Tilt:
 
     @property
     def label(self) -> str:
-        inner = ",".join(repr(p) for p in self.params)
-        return f"{self.name}({inner})"
+        return _label(self.name, self.params)
 
 
 def make_tilt(name: str, *params: float) -> Tilt:
@@ -501,20 +507,18 @@ def _anchored_ts(straddle_length, d: IntervalDistribution):
 # -- model factories ----------------------------------------------------------
 
 
+def _renewal_ts(d: IntervalDistribution, descriptor: dict, rate: float) -> ProcessModel:
+    """The time-stationary renewal law with gaps of law d, built by inversion
+    from its Palm version renewal_es(d), stored as its palm: the straddling
+    gap is drawn length-biased and the origin lands uniformly inside it."""
+    return ProcessModel(LAW_TS, descriptor, d.mean, _anchored_ts(d.sample_length_biased, d),
+                        exact_rate=rate, interval=d, palm=renewal_es(d))
+
+
 def poisson_ts(rate: float) -> ProcessModel:
     """Time-stationary homogeneous Poisson law: the renewal law with
-    exponential gaps, built by inversion from its event-centered law, so the
-    straddling gap is Gamma(2, rate)."""
-    d = exponential(rate)
-    return ProcessModel(
-        LAW_TS,
-        {"model": "poisson_ts", "rate": rate},
-        1.0 / rate,
-        _anchored_ts(d.sample_length_biased, d),
-        exact_rate=rate,
-        interval=d,
-        palm=renewal_es(d),
-    )
+    exponential gaps (_renewal_ts), so the straddling gap is Gamma(2, rate)."""
+    return _renewal_ts(exponential(rate), {"model": "poisson_ts", "rate": rate}, rate)
 
 
 def renewal_es(d: IntervalDistribution) -> ProcessModel:
@@ -536,21 +540,12 @@ def renewal_es(d: IntervalDistribution) -> ProcessModel:
 
 
 def renewal_ts_from_es(d: IntervalDistribution) -> ProcessModel:
-    """Time-stationary renewal law built by inversion: the origin-straddling
-    gap is drawn length-biased, the origin lands uniformly inside it, and
-    i.i.d. gaps extend outward on both sides."""
+    """Time-stationary renewal law with gaps of law d (_renewal_ts); raises
+    NoMean unless their mean is finite and positive."""
     mean = d.mean
     if not (math.isfinite(mean) and mean > 0):
         raise NoMean("interval distribution must have a finite positive mean")
-    return ProcessModel(
-        LAW_TS,
-        {"model": "renewal_ts", "interval": d.label},
-        mean,
-        _anchored_ts(d.sample_length_biased, d),
-        exact_rate=1.0 / mean,
-        interval=d,
-        palm=renewal_es(d),
-    )
+    return _renewal_ts(d, {"model": "renewal_ts", "interval": d.label}, 1.0 / mean)
 
 
 def tilted_ts(base: ProcessModel, tilt: Tilt) -> ProcessModel:
@@ -707,59 +702,24 @@ def example44_natural_window(pattern_len: int) -> tuple[float, float]:
     return (-2.5, float(example44_times(pattern_len)[-1]))
 
 
-# -- config round trip --------------------------------------------------------
+# -- models from config ------------------------------------------------------
 
 
-def _interval_to_config(d: IntervalDistribution) -> dict:
-    cfg = {"interval": d.family}
-    if d.family == "exponential":
-        cfg["rate"] = d.params[0]
-    elif d.family == "gamma":
-        cfg["shape"], cfg["rate"] = d.params
-    elif d.family == "deterministic":
-        cfg["value"] = d.params[0]
-    else:
-        cfg["lo"], cfg["hi"] = d.params
-    return cfg
+# the factory of each gap family, in the order of GAP_PARAMS
+_GAP_FACTORIES = dict(zip(GAP_PARAMS, (exponential, gamma_intervals, deterministic,
+                                       uniform_intervals)))
 
 
 def _interval_from_config(cfg) -> IntervalDistribution:
+    """The gap law a config names by its family and GAP_PARAMS fields."""
     family = cfg["interval"]
-    if family == "exponential":
-        return exponential(float(cfg["rate"]))
-    if family == "gamma":
-        return gamma_intervals(float(cfg["shape"]), float(cfg["rate"]))
-    if family == "deterministic":
-        return deterministic(float(cfg["value"]))
-    if family == "uniform":
-        return uniform_intervals(float(cfg["lo"]), float(cfg["hi"]))
-    raise ValueError(f"unknown interval family {family!r}")
-
-
-def model_to_config(model: ProcessModel) -> dict:
-    """Flat key-value descriptor with stable field names."""
-    name = model.descriptor["model"]
-    cfg = {"model": name}
-    if name == "poisson_ts":
-        cfg["rate"] = model.exact_rate
-    elif name in ("renewal_es", "renewal_ts"):
-        cfg.update(_interval_to_config(model.interval))
-    elif name == "example84":
-        cfg["rate"] = model.descriptor["rate"]
-    elif name == "example44":
-        cfg["pattern_len"] = model.descriptor["pattern_len"]
-    elif name == "tilted_ts":
-        cfg["base"] = model.descriptor["base"]
-        cfg["rate"] = model.descriptor["rate"]
-        cfg["tilt"] = model.tilt.name
-        for i, p in enumerate(model.tilt.params):
-            cfg[f"tilt_p{i}"] = p
-    else:
-        raise ValueError(f"cannot serialize model {name!r}")
-    return cfg
+    if family not in GAP_PARAMS:
+        raise ValueError(f"unknown interval family {family!r}")
+    return _GAP_FACTORIES[family](*(float(cfg[p]) for p in GAP_PARAMS[family]))
 
 
 def model_from_config(cfg) -> ProcessModel:
+    """The law a flat key-value config names (the CLI's model sections)."""
     name = cfg.get("model")
     if name == "poisson_ts":
         return poisson_ts(float(cfg["rate"]))

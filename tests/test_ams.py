@@ -13,7 +13,12 @@ from palmlab.ams import (
     convert_es_to_ts,
     convert_ts_to_es,
 )
-from palmlab.errors import InsufficientWindow, LowEffectiveSampleSize, TooFewCheckpoints
+from palmlab.errors import (
+    InsufficientWindow,
+    LowEffectiveSampleSize,
+    NoMean,
+    TooFewCheckpoints,
+)
 from palmlab.estimate import est_event_probability
 from palmlab.events import BATTERY, ev_example44, ev_true, parse_eventuality
 from palmlab.models import (
@@ -213,6 +218,17 @@ class TestVerdict:
         with pytest.raises(TooFewCheckpoints):
             ams_verdict(self.flat_trace(0.4, 0.001, n=5))
 
+    @pytest.mark.parametrize("tail_fraction", [0.0, 1.5])
+    def test_tail_fraction_outside_unit_interval(self, tail_fraction):
+        with pytest.raises(ValueError, match="tail_fraction"):
+            ams_verdict(self.flat_trace(0.4, 0.001), tail_fraction=tail_fraction)
+
+    def test_trace_lengths_must_be_positive(self):
+        with pytest.raises(ValueError, match="n_max"):
+            cesaro_event(poisson_ts(1.0), A_GAP, 0, 100)
+        with pytest.raises(ValueError, match="x_max"):
+            cesaro_time(poisson_ts(1.0), A_GAP, 0.0, 100)
+
     def test_verdict_fields(self):
         v = ams_verdict(self.flat_trace(0.4, 0.001), tail_fraction=0.25, tol=0.02)
         assert isinstance(v, AmsVerdict)
@@ -230,6 +246,13 @@ class TestConversions:
         (est,) = convert_es_to_ts(renewal_es(exponential(1.0)), [ev_true()], 2_000,
                                   seed=9)
         assert est.value == 1.0
+
+    def test_es_law_without_interval_has_no_mean(self):
+        # the plug-in mean gap is read from the law's interval distribution
+        es = renewal_es(exponential(1.0))
+        bare = ProcessModel(es.law_tag, {"model": "bare_es"}, 1.0, es._draw)
+        with pytest.raises(NoMean):
+            convert_es_to_ts(bare, [A_GAP], 100)
 
     def test_ts_to_es_poisson(self):
         (est,) = convert_ts_to_es(poisson_ts(1.0), [A_GAP], 50_000, seed=10)

@@ -171,6 +171,35 @@ class TestMalformedConfig:
         assert not out.exists()
 
 
+class TestUsageErrors:
+    """Each of these runs exits 2 before any run, names what is wrong and
+    writes no output file."""
+
+    PALM = "[palm]\nmodel = poisson_ts\nrate = 1.0\neventualities = alpha(0)>1\nreps = 20\n"
+
+    @pytest.mark.parametrize("command, text, env_seed, message", [
+        ("palm", None, None, "cannot read config file"),
+        ("palm", PALM, "abc", "PALMLAB_SEED must be an integer"),
+        ("ams", "[ams]\nmodel = poisson_ts\nrate = 1.0\n"
+                "eventualities = alpha(0)>1; T1<=1\nreps = 20\n", None,
+         "exactly one eventuality"),
+        ("suite", "[suite]\nonly = I-2.3\n[suite:model:1]\nmodel = nope\n", None,
+         "invalid model in section"),
+        ("palm", "[palm]\nmodel = poisson_ts\nrate = 1.0\nreps = 20\n", None,
+         "missing required field 'eventualities'"),
+    ], ids=["missing-config-file", "non-integer-env-seed", "ams-two-eventualities",
+            "suite-invalid-model", "palm-without-eventualities"])
+    def test_is_config_error(self, tmp_path, capsys, monkeypatch, command, text,
+                             env_seed, message):
+        cfg = str(tmp_path / "missing.ini") if text is None else write_config(tmp_path, text)
+        if env_seed is not None:
+            monkeypatch.setenv("PALMLAB_SEED", env_seed)
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
+
 class TestPalm:
     def test_values_in_expected_band(self, tmp_path):
         cfg = write_config(tmp_path, """

@@ -88,6 +88,10 @@ class TestPalmZero:
         with pytest.raises(ValueError):
             est_palm_zero(renewal_es(exponential(1.0)), [A_GAP], 5.0, 100)
 
+    def test_requires_positive_x(self):
+        with pytest.raises(ValueError, match="x > 0"):
+            est_palm_zero(poisson_ts(1.0), [A_GAP], 0.0, 100)
+
     def test_zero_denominator(self):
         # an eventuality window is irrelevant: force no events by an
         # empty analysis interval on a sparse model
@@ -243,6 +247,15 @@ class TestIntermediate:
         with pytest.raises(InsufficientCoverage):
             est_intermediate(m, 30, [ev_interval_gt(0, 1.0)], 256, seed=0)
 
+    def test_partial_coverage_names_its_share(self):
+        # rows clipped to (-0.5, 0.5) hold T_2 only now and then: some rows
+        # are accepted, too few, and the error names the accepted share
+        base = poisson_ts(1.0)
+        m = ProcessModel(base.law_tag, base.descriptor, base.scale,
+                         lambda rng, need, k: sample_window(base, rng, (-0.5, 0.5), k))
+        with pytest.raises(InsufficientCoverage, match=r"accepted 13\.8% of replications"):
+            est_intermediate(m, 2, [ev_true()], 4096, seed=3)
+
 
 class TestResamplePstar:
     def test_uniform_arrival_ratio(self):
@@ -316,6 +329,12 @@ class TestResamplePstar:
 
 
 class TestMachinery:
+    def test_budget_must_be_positive(self):
+        with pytest.raises(ValueError, match="budget must be positive"):
+            run_kernel(poisson_ts(1.0), Need(), 0, 1,
+                       lambda batch, ctx: [(np.ones(batch.n), np.zeros(batch.n, bool))],
+                       seed=0, stream="zero")
+
     def test_plain_window_is_a_type_error(self):
         # the sampler reads a Need only; a plain (lo, hi) goes through
         # models.sample_window, which the error names

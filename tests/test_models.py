@@ -10,6 +10,7 @@ from palmlab.estimate import est_event_probability
 from palmlab.events import parse_eventuality
 from palmlab.models import (
     LAW_TS,
+    IntervalDistribution,
     MAX_ROW_DRAWS,
     Need,
     ProcessModel,
@@ -25,7 +26,6 @@ from palmlab.models import (
     gamma_intervals,
     make_tilt,
     model_from_config,
-    model_to_config,
     poisson_ts,
     pstar_model,
     redraw_rows,
@@ -571,23 +571,39 @@ class TestExample44:
 
 
 class TestConfigRoundTrip:
-    @pytest.mark.parametrize("model", [
-        poisson_ts(1.5),
-        renewal_es(gamma_intervals(2.0, 1.0)),
-        renewal_ts_from_es(uniform_intervals(0.5, 1.5)),
-        renewal_ts_from_es(deterministic(1.0)),
-        example84_exact(2.0),
-        example44(40),
-        tilted_ts(poisson_ts(1.0), make_tilt("alpha0", 0.5)),
-        tilted_ts(poisson_ts(1.0), make_tilt("alpha01", 0.25, 0.5)),
-    ])
-    def test_round_trip(self, model):
-        cfg = {k: str(v) for k, v in model_to_config(model).items()}
+    """Each law's config, written out as the CLI reads it (every value a
+    string), reads back as that law."""
+
+    @pytest.mark.parametrize("model, cfg", [
+        (poisson_ts(1.5), {"model": "poisson_ts", "rate": "1.5"}),
+        (renewal_es(gamma_intervals(2.0, 1.0)),
+         {"model": "renewal_es", "interval": "gamma", "shape": "2.0", "rate": "1.0"}),
+        (renewal_ts_from_es(uniform_intervals(0.5, 1.5)),
+         {"model": "renewal_ts", "interval": "uniform", "lo": "0.5", "hi": "1.5"}),
+        (renewal_ts_from_es(deterministic(1.0)),
+         {"model": "renewal_ts", "interval": "deterministic", "value": "1.0"}),
+        (example84_exact(2.0), {"model": "example84", "rate": "2.0"}),
+        (example44(40), {"model": "example44", "pattern_len": "40"}),
+        (tilted_ts(poisson_ts(1.0), make_tilt("alpha0", 0.5)),
+         {"model": "tilted_ts", "base": "poisson_ts", "rate": "1.0", "tilt": "alpha0",
+          "tilt_p0": "0.5"}),
+        (tilted_ts(poisson_ts(1.0), make_tilt("alpha01", 0.25, 0.5)),
+         {"model": "tilted_ts", "base": "poisson_ts", "rate": "1.0", "tilt": "alpha01",
+          "tilt_p0": "0.25", "tilt_p1": "0.5"}),
+        (renewal_ts_from_es(exponential(2.0)),
+         {"model": "renewal_ts", "interval": "exponential", "rate": "2.0"}),
+    ], ids=[f"model{i}" for i in range(9)])
+    def test_round_trip(self, model, cfg):
         back = model_from_config(cfg)
         assert back.descriptor == model.descriptor
         assert back.law_tag == model.law_tag
-        if model.interval is not None:
-            assert back.interval == model.interval
+        assert back.interval == model.interval
+
+    def test_unknown_interval_family(self):
+        with pytest.raises(ValueError, match="unknown interval family"):
+            model_from_config({"model": "renewal_es", "interval": "pareto", "rate": "1"})
+        with pytest.raises(ValueError, match="unknown interval family"):
+            IntervalDistribution("pareto", (1.0,))
 
 
 def _batch_digest(batch) -> str:
