@@ -26,7 +26,6 @@ from .estimate import (
     ratio_estimate,
     row_need,
     run_kernel,
-    _events_in,
     _marked,
     _members,
 )
@@ -273,7 +272,7 @@ def convert_ts_to_es(
         pos0 = ctx.pos0()
         t0, t1, ok = ctx.gap(pos0)
         e0, rows = np.clip(pos0, 0, None), np.arange(batch.n)
-        den = _events_in(batch, ctx, 0.0, span)[2] / span
+        den = (batch.pos_le(span) - pos0) / span
         out = []
         for ev in group:
             num, reject = _marked(ev.at_events(ctx, e0, rows), ok, 1.0 / (t1 - t0))

@@ -66,6 +66,7 @@ def _fmt(x) -> str:
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="", encoding="utf8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -74,6 +75,7 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
 
 
 def _write_json(path: Path, obj) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf8") as fh:
         json.dump(obj, fh, sort_keys=True, indent=2)
         fh.write("\n")
@@ -155,9 +157,9 @@ class Run:
 
     @property
     def out_dir(self) -> Path:
-        out = Path(self.args.out) if self.args.out else Path(self.get("out", "."))
-        out.mkdir(parents=True, exist_ok=True)
-        return out
+        """The output directory; the first file written there creates it, so
+        a run that fails its checks leaves none behind."""
+        return Path(self.args.out) if self.args.out else Path(self.get("out", "."))
 
     def model(self):
         if "model" not in self.cfg:
@@ -212,6 +214,7 @@ def cmd_simulate(run: Run) -> int:
         gen = chunk_rng(run.seed, "simulate", i)
         patterns.append(sample_window(model, gen, (lo, hi), 1).pattern(0))
     out = run.out_dir / "patterns.txt"
+    out.parent.mkdir(parents=True, exist_ok=True)
     write_patterns(out, patterns)
     print(f"wrote {reps} patterns to {out}")
     return 0

@@ -330,15 +330,16 @@ def _run_i37(model, group, rp):
     lhs = [est_intermediate(model, k, group, rp.budget, **rp.side(f"k{k}:L")) for k in ks]
     # k=0 integrates over bins on (-span, 0], k=1 over bins on (0, span]
     bins = [_bins(np.arange(lo, lo + span + width / 2, width)) for lo in (-span, 0.0)]
+    centres = [b.mean(axis=1) for b in bins]
     # every event of the bins is seen with the members and both straddles
     need = row_need([*group, *(ev_straddle(k, 0.0) for k in ks)], before=span, after=span,
                     at=(0, 1))
 
     def kernel(batch, ctx, k):
         # [T_-k <= -x < T_-k+1] with x the centre of each event's bin
-        e, rep, bin_idx = _binned_events(batch, ctx, bins[k])
+        e, rep, bin_idx = _binned_events(batch, bins[k])
         codes_b = straddle_codes(Positions(ctx, ctx.points[e], rep, known=e), k,
-                                 bins[k][bin_idx].mean(axis=1))
+                                 centres[k][bin_idx])
         pairs = []
         for A in group:
             both = _kleene_and(A.at_events(ctx, e, rep), codes_b)

@@ -326,11 +326,22 @@ def _stop(cum: np.ndarray, span: float, k: int, r: float) -> np.ndarray:
     r), where q is k past the last sum within span; -1 where the row's sums
     end too soon to tell."""
     n, w = cum.shape
-    q = np.count_nonzero(cum <= span, axis=1) + k
-    c_q = np.where(q > 0, cum[np.arange(n), np.clip(q - 1, 0, w - 1)], 0.0)
+    below = cum <= span
+    q = _row_counts(below) + k
+    # q == 0 reads column -1, which the where discards
+    c_q = np.where(q > 0, cum[np.arange(n), np.minimum(q, w) - 1], 0.0)
     t = np.maximum(span, c_q + r)
-    m = np.count_nonzero(cum < t[:, None], axis=1) + (t > 0)
+    m = _row_counts(np.less(cum, t[:, None], out=below)) + (t > 0)
     return np.where((q <= w) & (m <= w), m, -1)
+
+
+def _row_counts(mask: np.ndarray) -> np.ndarray:
+    """The True cells of each row of a 2-D mask whose rows run True, then
+    False (a comparison of sorted sums): the first False, or the width where
+    a row has none.  argmin stops at the first False, where a count reads
+    every cell: 22 against 53 us on a 4096 x 13 mask, 39 against 571 us at
+    4096 x 290 (np.einsum; count_nonzero(axis=1) is slower still)."""
+    return np.where(mask[:, -1], mask.shape[1], mask.argmin(axis=1))
 
 
 # slack of the gap draws, in standard deviations of a Poisson count: a side
@@ -374,12 +385,17 @@ def _side_cumsum(rng, dist: IntervalDistribution, n_rows: int, span: float, k: i
         cum = np.hstack((cum[short], top))
 
 
-def _put_columns(blocks, dst: np.ndarray) -> None:
-    """Write the leading columns of each block's rows into dst, later blocks
-    over earlier ones; cells past a row's sums are left as they are."""
+def _put_side(blocks, op, anchor: np.ndarray, dst: np.ndarray) -> None:
+    """Write op(anchor, sums) of each block's rows into the leading columns
+    of dst, later blocks over earlier ones; cells past a row's sums are
+    left as they are.  The first block, which holds every row, is written
+    straight into dst."""
     for rows, b in blocks:
         w = min(b.shape[1], dst.shape[1])
-        dst[rows, :w] = b[:, :w]
+        if isinstance(rows, slice):
+            op(anchor, b[:, :w], out=dst[:, :w])
+        else:
+            dst[rows, :w] = op(anchor[rows], b[:, :w])
 
 
 def _assemble_two_sided(rng, need: Need, n: int, anchors: np.ndarray,
@@ -388,27 +404,25 @@ def _assemble_two_sided(rng, need: Need, n: int, anchors: np.ndarray,
     from them, each side drawn until the row holds the need."""
     left, lkeep = _side_cumsum(rng, d, n, need.before, need.left, need.radius)
     right, rkeep = _side_cumsum(rng, d, n, need.after, need.right, need.radius)
-    for rows, b in left:
-        np.subtract(anchors[rows, :1], b, out=b)
-    for rows, b in right:
-        np.add(anchors[rows, -1:], b, out=b)
     kl, kr, ka = int(np.max(lkeep)), int(np.max(rkeep)), anchors.shape[1]
     matrix = np.empty((n, kl + ka + kr))
-    _put_columns(left, matrix[:, :kl][:, ::-1])
+    _put_side(left, np.subtract, anchors[:, :1], matrix[:, :kl][:, ::-1])
     matrix[:, kl:kl + ka] = anchors
-    _put_columns(right, matrix[:, kl + ka:])
+    _put_side(right, np.add, anchors[:, -1:], matrix[:, kl + ka:])
     if lkeep.min() == kl and rkeep.min() == kr:
         # every row keeps every column: no mask to build or gather through
         w = matrix.shape[1]
         return PatternBatch(matrix.ravel(), np.arange(0, (n + 1) * w, w, dtype=np.int64),
                             np.column_stack((matrix[:, 0], matrix[:, -1])), np.ones(n))
-    first, last = kl - lkeep, kl + ka - 1 + rkeep
-    cols = np.arange(matrix.shape[1])
-    valid = (cols >= first[:, None]) & (cols <= last[:, None])
-    rows = np.arange(n)
-    offsets = np.concatenate(([0], np.cumsum(last - first + 1, dtype=np.int64)))
-    return PatternBatch(matrix[valid], offsets,
-                        np.column_stack((matrix[rows, first], matrix[rows, last])), np.ones(n))
+    # each row drops the cells left of its first kept one, keeps its run and
+    # drops the rest: the kept-cell mask is one repeat of those run lengths
+    runs = np.column_stack((kl - lkeep, lkeep + ka + rkeep, kr - rkeep))
+    valid = np.repeat(np.tile((False, True, False), n), runs.ravel())
+    points = matrix.ravel()[valid]
+    offsets = np.concatenate(([0], np.cumsum(runs[:, 1])))
+    return PatternBatch(points, offsets,
+                        np.column_stack((points[offsets[:-1]], points[offsets[1:] - 1])),
+                        np.ones(n))
 
 
 def clip_rows(batch: PatternBatch, window) -> PatternBatch:

@@ -124,14 +124,19 @@ class PatternBatch:
     def pos0(self) -> np.ndarray:
         """Array position of T_0 (the last event <= 0) per replication.
 
-        Counted exactly, row by row.  Equals offsets[i] - 1 when row i has
-        no event <= 0 and offsets[i+1] - 1 when it has no positive event;
-        the origin is straddled where offsets[i] <= pos0 < offsets[i+1] - 1.
+        Equals offsets[i] - 1 when row i has no event <= 0 and
+        offsets[i+1] - 1 when it has no positive event; the origin is
+        straddled where offsets[i] <= pos0 < offsets[i+1] - 1.
         """
+        return self.pos_le(0.0)
+
+    def pos_le(self, c: float) -> np.ndarray:
+        """Array position of the last event <= c per replication (offsets[i]
+        - 1 when row i has none), counted exactly, row by row."""
         starts = self.offsets[:-1]
         # the sentinel keeps trailing empty rows' start indices in range
-        nonpos = np.append(self.points <= 0.0, False)
-        counts = np.add.reduceat(nonpos, starts) if starts.size else starts
+        le = np.append(self.points <= c, False)
+        counts = np.add.reduceat(le, starts) if starts.size else starts
         counts[starts == self.offsets[1:]] = 0
         return starts + counts - 1
 

@@ -104,7 +104,7 @@ window_hi = 5
             out = tmp_path / f"out{lo}"
             assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
             assert "finite" in capsys.readouterr().err
-            assert not out.exists() or not any(out.iterdir())
+            assert not out.exists()
 
     def test_invalid_model_names_field(self, tmp_path, capsys):
         cfg = write_config(tmp_path, """
@@ -197,7 +197,7 @@ class TestUsageErrors:
         out = tmp_path / "out"
         assert main([command, "--config", cfg, "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
-        assert not out.exists() or not any(out.iterdir())
+        assert not out.exists()
 
 
 class TestPalm:
@@ -240,7 +240,7 @@ eventualities =
         assert main(["palm", "--config", cfg, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert "config error" in err and "'zero'" in err and fields.split()[2] in err
-        assert not out.exists() or not any(out.iterdir())
+        assert not out.exists()
 
     def test_shifted_mode_writes_bins(self, tmp_path):
         cfg = write_config(tmp_path, """
@@ -330,7 +330,7 @@ reps = 20
         out = tmp_path / "out"
         assert main(["palm", "--config", cfg, "--out", str(out)]) == 2
         assert key in capsys.readouterr().err
-        assert not out.exists() or not any(out.iterdir())
+        assert not out.exists()
 
 
 class TestAms:
@@ -363,7 +363,7 @@ reps = 1
         out = tmp_path / "out"
         assert main(["ams", "--config", cfg, "--out", str(out)]) == 2
         assert "past the stored realization of example44(pattern_len=5)" in capsys.readouterr().err
-        assert not out.exists() or not any(out.iterdir())
+        assert not out.exists()
 
     def test_poisson_convergent(self, tmp_path):
         cfg = write_config(tmp_path, """
@@ -422,7 +422,7 @@ reps = 20
         out = tmp_path / "out"
         assert main(["ams", "--config", cfg, "--out", str(out)]) == 2
         assert key in capsys.readouterr().err
-        assert not out.exists() or not any(out.iterdir())
+        assert not out.exists()
 
 
 class TestSuite:
@@ -452,7 +452,7 @@ rate = 1.0
         assert main(["suite", "--only", "I-9.9", "--reps", "64", "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert "'I-9.9'" in err and "I-2.3" in err and "I-8.4rho" in err
-        assert not out.exists() or not any(out.iterdir())
+        assert not out.exists()
 
     def test_empty_denominator_bin_is_an_error(self, tmp_path, capsys):
         # at 16 replications some model has no event in one of I-3.13's
@@ -585,7 +585,7 @@ class TestExampleCommands:
         out = tmp_path / "out"
         assert main(["example44", "--config", cfg, "--out", str(out)]) == 2
         assert "bad eventuality expression" in capsys.readouterr().err
-        assert not out.exists() or not any(out.iterdir())
+        assert not out.exists()
 
     def test_example44_bad_field_writes_nothing(self, tmp_path, capsys):
         # every field is checked before the exact table is written
@@ -593,7 +593,7 @@ class TestExampleCommands:
         out = tmp_path / "out"
         assert main(["example44", "--config", cfg, "--out", str(out)]) == 2
         assert "'tol'" in capsys.readouterr().err
-        assert not out.exists() or not any(out.iterdir())
+        assert not out.exists()
 
     @pytest.mark.parametrize("rate", ["-1", "0", "nan", "inf"])
     def test_example84_bad_rate_is_config_error(self, tmp_path, capsys, rate):
@@ -601,7 +601,7 @@ class TestExampleCommands:
         out = tmp_path / "out"
         assert main(["example84", "--config", cfg, "--out", str(out)]) == 2
         assert "'rate'" in capsys.readouterr().err
-        assert not out.exists() or not any(out.iterdir())
+        assert not out.exists()
 
     def test_example84_csv_pinned(self, tmp_path):
         assert main(["example84", "--out", str(tmp_path), "--reps", "2000",

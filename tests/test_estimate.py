@@ -1,5 +1,6 @@
 import hashlib
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from palmlab.estimate import (
 )
 from palmlab.events import (
     BATTERY,
+    EventContext,
     Eventuality,
     ev_interval_gt,
     ev_true,
@@ -42,9 +44,10 @@ from palmlab.models import (
     sample_window,
     tilted_ts,
 )
+from palmlab.pattern import ragged_ranges
 from palmlab.rng import CHUNK, chunk_rng
 
-from conftest import agree, palm_renewal_oracle, within
+from conftest import agree, palm_renewal_oracle, rows_batch, within
 
 A_GAP = parse_eventuality("alpha(0)>1")
 
@@ -328,7 +331,85 @@ class TestResamplePstar:
             agree(a, b, label=f"fixed point {ev.label}")
 
 
+def _former_binned_events(batch, ctx, bins):
+    """_binned_events as it was: the events in (lo[0], hi[-1]] found by two
+    searches from each row's origin, every event searched against every
+    bin's right edge, then filtered to those right of their bin's left edge."""
+    lo, hi = bins.T
+    rows, origin = np.arange(batch.n), np.zeros(batch.n)
+    e, rep = ragged_ranges(ctx.last_le(origin, rows, float(lo[0])) + 1,
+                           ctx.last_le(origin, rows, float(hi[-1])) + 1)
+    x = batch.points[e]
+    bin_idx = np.searchsorted(hi, x, side="left")
+    ok = x > lo[bin_idx]
+    return e[ok], rep[ok], bin_idx[ok]
+
+
+class TestBinnedEvents:
+    """_binned_events counts each row's events in the bins' span, searches
+    all but the last right edge (guessing the index on grids of
+    estimate.GUESS_BINS bins or more) and skips the filter when every event
+    lies in a bin; it must return what the searches and filter returned,
+    events exactly on an edge included."""
+
+    BINS = {
+        "one bin": estimate._bins([0.0, 0.5]),
+        "contiguous": estimate._bins(np.arange(-1.0, 1.0 + 0.25, 0.5)),
+        "point bins": estimate._bins(point_bins([0.25, -0.5, 0.75], 0.1)[0]),
+        # a grid as I-3.7 builds it, and uneven edges whose guesses are off
+        "grid": estimate._bins(np.arange(-1.4, 1.4 + 0.05, 0.1)),
+        "uneven": estimate._bins(np.sign(np.linspace(-1.2, 1.2, 25))
+                                 * np.linspace(-1.2, 1.2, 25) ** 2),
+    }
+
+    def test_grids_take_the_guess(self):
+        assert len(self.BINS["grid"]) >= estimate.GUESS_BINS
+        assert len(self.BINS["uneven"]) >= estimate.GUESS_BINS
+        assert len(self.BINS["contiguous"]) < estimate.GUESS_BINS
+
+    @pytest.mark.parametrize("name", BINS)
+    def test_events_on_edges(self, name):
+        bins = self.BINS[name]
+        edges = np.unique(bins)
+        # every edge, one ulp either side of it, the midpoints between
+        # edges and events outside the bins
+        on = np.concatenate((edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+                             (edges[1:] + edges[:-1]) / 2, [-2.0, 2.0]))
+        rows = [np.unique(on), np.unique(on[::3]), [-2.0, 2.0], edges[:1], edges[-1:]]
+        batch = rows_batch(rows, (-3.0, 3.0))
+        ctx = EventContext(batch)
+        got = estimate._binned_events(batch, bins)
+        want = _former_binned_events(batch, ctx, bins)
+        assert len(want[0]) > 0
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("name", BINS)
+    def test_sampled_rows(self, name):
+        model = renewal_ts_from_es(gamma_intervals(2.0, 1.0))
+        batch = model.sample_batch(chunk_rng(7, "binned-events", 0), Need(1.5, 1.5), 512)
+        ctx = EventContext(batch)
+        for got, want in zip(estimate._binned_events(batch, self.BINS[name]),
+                             _former_binned_events(batch, ctx, self.BINS[name])):
+            assert np.array_equal(got, want)
+
+
 class TestMachinery:
+    def test_threads_share_one_pool(self):
+        # every call at one thread count runs its chunks on the same workers
+        seen = set()
+
+        def kernel(batch, ctx):
+            seen.add(threading.current_thread())
+            return [(np.ones(batch.n), np.zeros(batch.n, bool))]
+
+        for seed in (1, 2, 3):
+            run_kernel(poisson_ts(1.0), Need(), 4 * CHUNK, 1, kernel, seed=seed,
+                       stream="pool", threads=2)
+        assert threading.current_thread() not in seen
+        assert 1 <= len(seen) <= 2
+
     def test_budget_must_be_positive(self):
         with pytest.raises(ValueError, match="budget must be positive"):
             run_kernel(poisson_ts(1.0), Need(), 0, 1,

@@ -25,6 +25,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from palmlab import models
 from palmlab.models import (
@@ -204,7 +206,7 @@ def _check_side_cumsum(dist, slack, k, r):
     span = 30.0
     blocks, keep = models._side_cumsum(np.random.default_rng(3), dist, 2000, span, k, r)
     cum = np.full((2000, max(b.shape[1] for _, b in blocks)), np.inf)
-    models._put_columns(blocks, cum)
+    models._put_side(blocks, np.add, np.zeros((2000, 1)), cum)
     for row, m in zip(cum, keep):
         sums = [0.0] + [float(c) for c in row if math.isfinite(c)]
         assert all(a <= b for a, b in zip(sums, sums[1:]))
@@ -240,6 +242,58 @@ def test_side_cumsum_rows_hold_events_and_radius_past_the_span(monkeypatch, slac
     past those (see _check_side_cumsum)."""
     monkeypatch.setattr(models, "GAP_SLACK", slack)
     _check_side_cumsum(dist, slack, 3, 2.5)
+
+
+def _stop_reference(row, span, k, r):
+    """_stop's docstring rule for one row of sums, in plain Python: the
+    sums kept through the first c_m >= max(span, c_q + r), q being k past
+    the last sum within span (c_0 = 0), or -1 where the row ends first."""
+    sums = [0.0, *map(float, row)]
+    q = sum(c <= span for c in sums[1:]) + k
+    if q >= len(sums):
+        return -1
+    t = max(span, sums[q] + r)
+    return next((m for m, c in enumerate(sums) if c >= t), -1)
+
+
+# half-unit gaps, spans and radii make sums land exactly on span and on
+# c_q + r, zero gaps repeat a sum; the free floats cover the rest
+GAPS = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 1.5]),
+                 st.floats(0.01, 3.0, allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def stop_cases(draw):
+    n = draw(st.integers(1, 8))
+    w = draw(st.integers(1, 6))
+    gaps = np.array(draw(st.lists(GAPS, min_size=n * w, max_size=n * w))).reshape(n, w)
+    span = draw(st.sampled_from([0.0, 1.0, 2.5, 3.0, 4.7]))
+    k = draw(st.integers(0, 3))
+    r = draw(st.sampled_from([0.0, 0.5, 1.0, 1.5, 0.3]))
+    return np.cumsum(gaps, axis=1), span, k, r
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(stop_cases())
+def test_stop_matches_its_rule_row_by_row(case):
+    """_stop's whole-array counts against its rule applied to each row
+    alone: sums equal to span and to c_q + r, k = 0, r = 0, width-1 rows
+    and rows too short to tell (-1)."""
+    cum, span, k, r = case
+    got = models._stop(cum, span, k, r)
+    assert got.dtype == np.int64
+    assert got.tolist() == [_stop_reference(row, span, k, r) for row in cum]
+
+
+def test_stop_edge_rows():
+    """Hand-picked rows: a sum exactly on span, one exactly on c_q + r, a
+    width-1 row that tells and one that does not, and a zero span."""
+    cum = np.array([[1.0, 2.0, 3.0], [0.5, 2.0, 2.5], [2.0, 2.5, 4.0]])
+    assert models._stop(cum, 2.0, 0, 0.0).tolist() == [2, 2, 1]
+    assert models._stop(cum, 2.0, 1, 0.0).tolist() == [3, 3, 2]
+    assert models._stop(cum, 2.0, 0, 1.0).tolist() == [3, -1, 3]
+    assert models._stop(cum, 0.0, 0, 0.0).tolist() == [0, 0, 0]
+    assert models._stop(np.array([[3.0], [1.0]]), 2.0, 0, 0.0).tolist() == [1, -1]
 
 
 @pytest.mark.parametrize("label, factory, window, bound", [

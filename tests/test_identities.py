@@ -395,7 +395,7 @@ def test_i37_straddle_codes_equal_per_bin_loop(k):
     edges = (np.arange(-span, 0.0 + width / 2, width) if k == 0
              else np.arange(0.0, span + width / 2, width))
     centers = 0.5 * (edges[:-1] + edges[1:])
-    e, rep, bin_idx = _binned_events(batch, ctx, _bins(edges))
+    e, rep, bin_idx = _binned_events(batch, _bins(edges))
     per_bin = np.empty(e.size, dtype=np.int8)
     for b, c in enumerate(centers):
         sel = bin_idx == b
